@@ -15,13 +15,12 @@ from typing import Iterable, Sequence
 
 from .connectivity import bridges, enumerate_cuts, vertex_connectivity_at_most
 from .matching import (
+    _Kernel,
     boundary_profile,
-    count_perfect_matchings,
     enumerate_perfect_matchings,
     is_matching_covered,
-    _has_pm,
 )
-from .multigraph import Cut, MultiGraph, contract, delete_vertices
+from .multigraph import Cut, MultiGraph, contract
 
 BRICK = "brick"
 BRACE = "brace"
@@ -69,6 +68,8 @@ def is_tight(g: MultiGraph, cut: Cut) -> bool:
 def _require_cubic_bridgeless_covered(g: MultiGraph, who: str) -> None:
     if not g.is_cubic():
         raise ValueError(f"{who} requires a cubic graph")
+    if not g.is_connected():
+        raise ValueError(f"{who} requires a connected graph")
     if bridges(g):
         raise ValueError(f"{who} requires a bridgeless graph")
     if not is_matching_covered(g):
@@ -130,11 +131,9 @@ def is_bicritical(g: MultiGraph) -> bool:
     """True when removing any two vertices leaves a perfectly matchable graph."""
     if g.vertex_count % 2:
         raise ValueError("is_bicritical requires an even number of vertices")
-    for u, v in combinations(range(g.vertex_count), 2):
-        sub, _, _ = delete_vertices(g, (u, v))
-        if not _has_pm(sub):
-            return False
-    return True
+    kernel = _Kernel(g)
+    pairs = combinations(range(g.vertex_count), 2)
+    return all(kernel.count((1 << u) | (1 << v)) for u, v in pairs)
 
 
 def is_brick(g: MultiGraph) -> bool:

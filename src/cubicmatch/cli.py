@@ -22,7 +22,7 @@ from .harness import (
     verify_graph,
 )
 from .klee import enumerate_klee
-from .matching import count_perfect_matchings, count_perfect_matchings_oracle, matching_profile
+from .matching import count_perfect_matchings_oracle, matching_profile
 from .multigraph import MultiGraph
 
 
@@ -97,12 +97,22 @@ def _read_one(path: str, fmt: str) -> MultiGraph:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     g = _read_one(args.path, args.format)
-    counter = count_perfect_matchings_oracle if args.oracle else count_perfect_matchings
-    total = counter(g, frozenset(args.force), frozenset(args.forbid))
+    forced, forbidden = frozenset(args.force), frozenset(args.forbid)
+    if args.oracle:
+        total = count_perfect_matchings_oracle(g, forced, forbidden)
+        taken = {v for e in forced for v in g.edges[e]}
+        per_edge = {}
+        for e, (u, v) in enumerate(g.edges):
+            # a forbidden edge, or one meeting a forced edge, is in no matching
+            clash = e in forbidden or (e not in forced and taken & {u, v})
+            per_edge[e] = 0 if clash else count_perfect_matchings_oracle(
+                g, forced | {e}, forbidden)
+    else:
+        profile = matching_profile(g, forced, forbidden)
+        total, per_edge = profile.total, profile.per_edge
     print(total)
-    profile = matching_profile(g, frozenset(args.force), frozenset(args.forbid))
     for e, (u, v) in enumerate(g.edges):
-        print(f"edge {e} {u} {v} {profile.per_edge[e]}")
+        print(f"edge {e} {u} {v} {per_edge[e]}")
     return 0
 
 

@@ -271,10 +271,14 @@ def cyclic_edge_connectivity(g: MultiGraph) -> int | _NoCyclicCut:
     return NO_CYCLIC_CUT if best is None else best
 
 
+def cyclic_value_at_least(c: int | _NoCyclicCut, k: int) -> bool:
+    """Compares a cyclic_edge_connectivity value with k; NO_CYCLIC_CUT is >= k."""
+    return c is NO_CYCLIC_CUT or c >= k
+
+
 def cyclically_edge_connected_at_least(g: MultiGraph, k: int) -> bool:
     """Treats the NO_CYCLIC_CUT sentinel as vacuously >= k."""
-    c = cyclic_edge_connectivity(g)
-    return True if c is NO_CYCLIC_CUT else c >= k
+    return cyclic_value_at_least(cyclic_edge_connectivity(g), k)
 
 
 def vertex_connectivity_at_most(g: MultiGraph, k: int) -> SeparationWitness:

@@ -20,11 +20,13 @@ from .connectivity import (
     NO_CYCLIC_CUT,
     bridges,
     cyclic_edge_connectivity,
+    cyclic_value_at_least,
+    cyclically_edge_connected_at_least,
     edge_connectivity,
     enumerate_cuts,
 )
 from .klee import is_klee
-from .matching import boundary_profile, count_avoiding, count_perfect_matchings, _has_pm
+from .matching import _Kernel, boundary_profile, count_perfect_matchings, matching_profile
 from .multigraph import MultiGraph, canonical_form, make_cut
 from .named_graphs import exceptional_graph
 
@@ -239,9 +241,7 @@ def _in_class(g: MultiGraph, klass: str) -> bool:
     if klass == "bipartite":
         return g.is_bipartite()
     if klass in ("cyclically_4ec", "cyclically_5ec"):
-        k = 4 if klass == "cyclically_4ec" else 5
-        c = cyclic_edge_connectivity(g)
-        return True if c is NO_CYCLIC_CUT else c >= k
+        return cyclically_edge_connected_at_least(g, 4 if klass == "cyclically_4ec" else 5)
     raise ValueError(f"unknown catalog class {klass!r}")
 
 
@@ -395,16 +395,20 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     """
     if not g.is_cubic():
         raise ValueError("verify_graph requires a cubic graph")
+    if not g.is_connected():
+        raise ValueError("verify_graph requires a connected graph")
     if bridges(g):
         raise ValueError("verify_graph requires a bridgeless graph")
     n = g.vertex_count
-    pm = count_perfect_matchings(g)
+    counts = matching_profile(g)
+    pm = counts.total
+    min_avoiding = pm - max(counts.per_edge.values())
     dec = decompose(g)
     dim = len(g.edges) - n + 1 - dec.brick_count
     affine = pm_affine_dimension(g)
     ec = edge_connectivity(g)
     cyc = cyclic_edge_connectivity(g)
-    cyc5 = True if cyc is NO_CYCLIC_CUT else cyc >= 5
+    cyc5 = cyclic_value_at_least(cyc, 5)
     bip = g.is_bipartite()
     klee = bool(is_klee(g))
     exceptional = canonical_form(g) == exceptional_canonical()
@@ -443,14 +447,12 @@ def verify_graph(g: MultiGraph) -> BoundReport:
         bound("pm_ge_3n4_minus_6", Fraction(3 * n, 4) - 6, pmf)
     if cyc5:
         bound("cyc5_pm_ge_3n4_minus_3_2", Fraction(3 * n, 4) - Fraction(3, 2), pmf)
-        min_avoiding = min(count_avoiding(g, e) for e in range(len(g.edges)))
         bound(
             "cyc5_edge_deleted_pm_ge_n2_minus_1",
             Fraction(n, 2) - 1,
             Fraction(min_avoiding),
         )
     if ec == 2:
-        min_avoiding = min(count_avoiding(g, e) for e in range(len(g.edges)))
         bound("two_cut_avoid_ge_3", Fraction(3), Fraction(min_avoiding))
     results.append(
         TheoremResult(
@@ -536,16 +538,20 @@ def bipartite_companion_check(g: MultiGraph, e: int) -> CompanionResult:
     covered. NOT_APPLICABLE when the hypotheses fail."""
     if not g.is_cubic() or bridges(g):
         return CompanionResult(NOT_APPLICABLE, None)
-    cyc = cyclic_edge_connectivity(g)
-    if cyc is not NO_CYCLIC_CUT and cyc < 5:
+    if not cyclically_edge_connected_at_least(g, 5):
         return CompanionResult(NOT_APPLICABLE, None)
     m = len(g.edges)
-    minus_e_covered = all(
-        _has_pm(g, forced=frozenset((h,)), forbidden=frozenset((e,)))
-        for h in range(m)
-        if h != e
-    )
-    if minus_e_covered:
+
+    def covered_without(removed: frozenset[int]) -> bool:
+        """Every remaining edge lies in a perfect matching of G - removed."""
+        kernel = _Kernel(g, removed)
+        return all(
+            kernel.count((1 << u) | (1 << v))
+            for h, (u, v) in enumerate(g.edges)
+            if h not in removed
+        )
+
+    if covered_without(frozenset((e,))):
         return CompanionResult(NOT_APPLICABLE, None)
     for f in range(m):
         if f == e:
@@ -556,10 +562,6 @@ def bipartite_companion_check(g: MultiGraph, e: int) -> CompanionResult:
         )
         if not reduced.is_bipartite():
             continue
-        if all(
-            _has_pm(g, forced=frozenset((h,)), forbidden=frozenset((e, f)))
-            for h in range(m)
-            if h not in (e, f)
-        ):
+        if covered_without(frozenset((e, f))):
             return CompanionResult(FOUND, f)
     return CompanionResult(NOT_FOUND, None)

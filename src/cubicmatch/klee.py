@@ -13,13 +13,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from .connectivity import enumerate_cuts, is_cyclic_cut
-from .matching import count_perfect_matchings
+from .matching import _Kernel, _vertex_mask, count_perfect_matchings
 from .multigraph import (
     Cut,
     MultiGraph,
     canonical_form,
     contract,
-    delete_vertices,
     replace_vertex_with_triangle,
 )
 
@@ -167,13 +166,10 @@ def vertex_type(g: MultiGraph, v: int) -> KleeVertexType:
     nbrs = [u for _, u in g.incidence[v]]
     if len(set(nbrs)) != 3:
         raise ValueError(f"vertex {v} has repeated neighbors")
-    rest, _, _ = delete_vertices(g, [v] + nbrs)
-    omega = count_perfect_matchings(rest)
-    mu = []
-    for u in nbrs:
-        rest, _, _ = delete_vertices(g, [v, u])
-        mu.append(count_perfect_matchings(rest))
-    return KleeVertexType(omega, tuple(mu), _classify(omega, tuple(mu)))
+    kernel = _Kernel(g)
+    omega = kernel.count(_vertex_mask([v] + nbrs))
+    mu = tuple(kernel.count((1 << v) | (1 << u)) for u in nbrs)
+    return KleeVertexType(omega, mu, _classify(omega, mu))
 
 
 def _classify(omega: int, mu: tuple[int, int, int]) -> str:

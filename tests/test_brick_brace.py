@@ -129,6 +129,14 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(g)
 
+    @pytest.mark.parametrize(
+        "fn", [decompose, find_nontrivial_tight_cut, polytope_dimension]
+    )
+    def test_rejects_disconnected(self, fn):
+        two_bonds = MultiGraph(4, ((0, 1),) * 3 + ((2, 3),) * 3)
+        with pytest.raises(ValueError, match="connected"):
+            fn(two_bonds)
+
 
 class TestBrickTests:
     def test_bicritical(self):

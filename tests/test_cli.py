@@ -31,6 +31,19 @@ def test_count_oracle(petersen_file, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "6"
 
 
+@pytest.mark.parametrize("constraints", [[], ["--force", "0", "--forbid", "7"]])
+def test_count_oracle_per_edge_from_oracle(petersen_file, capsys, monkeypatch, constraints):
+    assert main(["count", *constraints, petersen_file]) == 0
+    expected = capsys.readouterr().out
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("count --oracle must not use matching_profile")
+
+    monkeypatch.setattr("cubicmatch.cli.matching_profile", unavailable)
+    assert main(["count", "--oracle", *constraints, petersen_file]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_decompose(petersen_file, capsys):
     assert main(["decompose", petersen_file]) == 0
     out = capsys.readouterr().out

@@ -159,6 +159,11 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_graph(from_edge_list(2, [(0, 1)]))
 
+    def test_rejects_disconnected_up_front(self):
+        two_bonds = from_edge_list(4, [(0, 1)] * 3 + [(2, 3)] * 3)
+        with pytest.raises(ValueError, match="verify_graph requires a connected graph"):
+            verify_graph(two_bonds)
+
     def test_report_json_deterministic(self):
         a = json.dumps(verify_graph(petersen()).to_json(), sort_keys=True)
         b = json.dumps(verify_graph(petersen()).to_json(), sort_keys=True)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cubicmatch import matching
 from cubicmatch.matching import (
     boundary_profile,
     count_avoiding,
@@ -55,6 +56,11 @@ class TestCounts:
                 with_e = count_perfect_matchings(g, forced=(e,))
                 without_e = count_perfect_matchings(g, forbidden=(e,))
                 assert with_e + without_e == total
+
+    def test_count_limit_raises_without_assert(self, monkeypatch):
+        monkeypatch.setattr(matching, "COUNT_LIMIT", 5)
+        with pytest.raises(OverflowError):
+            count_perfect_matchings(petersen())
 
     def test_malformed_constraints(self):
         g = k4()
