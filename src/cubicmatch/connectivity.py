@@ -2,11 +2,15 @@
 
 All routines are pure functions over immutable MultiGraph values. Cut
 searches enumerate connected side-A seeds rather than all bipartitions;
-the 2^n bipartition scan survives in the test suite as an oracle.
+the 2^n bipartition scan survives in the test suite as an oracle. One
+walk of the connected sides per graph instance, its cut census, answers
+edge connectivity, cyclic edge connectivity and every cut query up to
+size SMALL_CUT_LIMIT.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -24,8 +28,14 @@ class _NoCyclicCut:
     def __repr__(self) -> str:
         return "NO_CYCLIC_CUT"
 
+    def __reduce__(self) -> str:
+        # unpickles as the module attribute, so identity tests keep working
+        return "NO_CYCLIC_CUT"
+
 
 NO_CYCLIC_CUT = _NoCyclicCut()
+
+SMALL_CUT_LIMIT = 4  # the census keeps every connected side cut this small
 
 
 @dataclass(frozen=True)
@@ -124,49 +134,93 @@ def is_cyclic_cut(g: MultiGraph, cut: Cut) -> bool:
 
 def _connected_side_masks(g: MultiGraph) -> Iterator[tuple[int, int]]:
     """Yields (mask, cut_size) for every non-empty proper connected vertex
-    subset, each exactly once.
+    subset, each exactly once, in no particular order.
 
-    Subsets are grown from their minimum vertex; cut sizes are maintained
-    incrementally (multiplicities included).
+    Subsets are grown from their minimum vertex on an explicit stack; cut
+    sizes are maintained incrementally (multiplicities included).
     """
     n = g.vertex_count
-    nbr = [0] * n
-    deg = [0] * n
-    mult: dict[tuple[int, int], int] = {}
-    for u, v in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-        deg[u] += 1
-        deg[v] += 1
-        mult[(u, v)] = mult.get((u, v), 0) + 1
-        mult[(v, u)] = mult[(u, v)]
+    deg = g.degrees()
+    # levels[u][k]: the neighbours joined to u by more than k parallel edges,
+    # so the edges from u into a set S number sum((m & S).bit_count())
+    levels: list[list[int]] = [[] for _ in range(n)]
+    for (u, v), mult in Counter(g.edges).items():
+        for a, b in ((u, v), (v, u)):
+            lv = levels[a]
+            lv.extend([0] * (mult - len(lv)))
+            for k in range(mult):
+                lv[k] |= 1 << b
+    nbr = [lv[0] if lv else 0 for lv in levels]
     full = (1 << n) - 1
-
-    def edges_into(u: int, mask: int) -> int:
-        total = 0
-        inside = nbr[u] & mask
-        while inside:
-            low = inside & -inside
-            total += mult[(u, low.bit_length() - 1)]
-            inside &= inside - 1
-        return total
-
-    def rec(cur: int, reach: int, allowed: int, excluded: int, cut: int) -> Iterator[tuple[int, int]]:
-        if cur != full:
-            yield cur, cut
-        ext = reach & allowed & ~cur & ~excluded
-        ex = excluded
-        while ext:
-            low = ext & -ext
-            u = low.bit_length() - 1
-            new_cut = cut + deg[u] - 2 * edges_into(u, cur)
-            yield from rec(cur | low, reach | nbr[u], allowed, ex, new_cut)
-            ex |= low
-            ext &= ext - 1
-
     for s in range(n):
-        allowed = full & ~((1 << (s + 1)) - 1)
-        yield from rec(1 << s, nbr[s], allowed, 0, deg[s])
+        # frame: (subset, its neighbourhood, vertices it may still take, cut)
+        stack = [(1 << s, nbr[s], full & ~((2 << s) - 1), deg[s])]
+        while stack:
+            cur, reach, avail, cut = stack.pop()
+            if cur != full:
+                yield cur, cut
+            ext = reach & avail
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                # later siblings and their subtrees never take this vertex
+                avail ^= low
+                u = low.bit_length() - 1
+                into = 0
+                for m in levels[u]:
+                    into += (m & cur).bit_count()
+                stack.append((cur | low, reach | nbr[u], avail, cut + deg[u] - 2 * into))
+
+
+class _CutCensus:
+    """What one walk of a graph's connected sides says about its cuts.
+
+    small_sides holds every connected side whose cut has at most
+    SMALL_CUT_LIMIT edges, each as the int mask << 3 | cut_size.
+    """
+
+    __slots__ = ("edge_connectivity", "cyclic_edge_connectivity", "small_sides")
+
+    def __init__(self, g: MultiGraph) -> None:
+        n = g.vertex_count
+        full = (1 << n) - 1
+        deg = g.degrees()
+        total_deg = 2 * len(g.edges)
+        by_degree = [(d, sum(1 << v for v in range(n) if deg[v] == d)) for d in set(deg)]
+        best = len(g.edges)
+        cyclic: int | None = None
+        small: list[int] = []
+        for mask, cut in _connected_side_masks(g):
+            if cut < best:
+                best = cut
+            if cut <= SMALL_CUT_LIMIT:
+                small.append(mask << 3 | cut)
+            if cyclic is not None and cut >= cyclic:
+                continue
+            size = mask.bit_count()
+            side_deg = 0
+            for d, vertices in by_degree:
+                side_deg += d * (mask & vertices).bit_count()
+            # a connected side has a cycle exactly when it spans |S| edges;
+            # a possibly disconnected rest has one at least when it does
+            if side_deg - cut < 2 * size:
+                continue
+            if total_deg - side_deg - cut >= 2 * (n - size) or _has_cycle(
+                g, _mask_vertices(full & ~mask)
+            ):
+                cyclic = cut
+        self.edge_connectivity = best
+        self.cyclic_edge_connectivity = NO_CYCLIC_CUT if cyclic is None else cyclic
+        self.small_sides = tuple(small)
+
+
+def _census(g: MultiGraph) -> _CutCensus:
+    """The graph's cut census: taken on first use, then kept on the
+    instance next to its cached incidence lists (graphs are immutable)."""
+    census = g.__dict__.get("_cut_census")
+    if census is None:
+        census = g.__dict__["_cut_census"] = _CutCensus(g)
+    return census
 
 
 def _mask_vertices(mask: int) -> frozenset[int]:
@@ -196,9 +250,14 @@ def enumerate_cuts(
     for u, v in g.edges:
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
-    base: list[tuple[int, int]] = [
-        (mask, cut) for mask, cut in _connected_side_masks(g) if cut <= max_size
-    ]
+    if max_size <= SMALL_CUT_LIMIT:
+        base = [
+            (side >> 3, side & 7)
+            for side in _census(g).small_sides
+            if side & 7 <= max_size
+        ]
+    else:
+        base = [(mask, cut) for mask, cut in _connected_side_masks(g) if cut <= max_size]
     sides: dict[int, int] = dict(base)
     pool = list(base)
     full = (1 << n) - 1
@@ -243,32 +302,24 @@ def edge_connectivity(g: MultiGraph) -> int:
         return 0
     if not g.is_connected():
         return 0
-    best = len(g.edges)
-    for _, cut in _connected_side_masks(g):
-        if cut < best:
-            best = cut
-    return best
+    return _census(g).edge_connectivity
 
 
 def cyclic_edge_connectivity(g: MultiGraph) -> int | _NoCyclicCut:
     """Minimum size of a cyclic edge-cut, or NO_CYCLIC_CUT if none exists.
 
-    Requires a connected graph of minimum degree at least 3. Some minimum
-    cyclic cut always has one connected side, so connected seeds suffice.
+    Requires a connected graph of minimum degree at least 3. Both sides of
+    a minimum cyclic cut induce connected subgraphs: if a side split into
+    parts, moving one part across while a cycle stays behind would give a
+    smaller cyclic cut, since the part has edges only to the other side
+    and the graph is connected. So the connected sides of the graph's cut
+    census suffice.
     """
     if not g.is_connected():
         raise ValueError("cyclic_edge_connectivity requires a connected graph")
     if any(d < 3 for d in g.degrees()):
         raise ValueError("cyclic_edge_connectivity requires minimum degree 3")
-    all_vertices = frozenset(range(g.vertex_count))
-    best: int | None = None
-    for mask, cut in _connected_side_masks(g):
-        if best is not None and cut >= best:
-            continue
-        side = _mask_vertices(mask)
-        if _has_cycle(g, side) and _has_cycle(g, all_vertices - side):
-            best = cut
-    return NO_CYCLIC_CUT if best is None else best
+    return _census(g).cyclic_edge_connectivity
 
 
 def cyclic_value_at_least(c: int | _NoCyclicCut, k: int) -> bool:

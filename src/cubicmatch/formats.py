@@ -111,6 +111,17 @@ def _data_to_n(data: list[int], where: str) -> tuple[int, list[int]]:
     raise ParseError("truncated vertex count", where)
 
 
+def _payload(line: str | bytes, header: bytes, where: str) -> bytes:
+    """The line as stripped ASCII bytes, without its optional header."""
+    if isinstance(line, str):
+        try:
+            line = line.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise ParseError("non-ASCII character", f"{where}, character {exc.start}")
+    raw = line.strip()
+    return raw[len(header):] if raw.startswith(header) else raw
+
+
 def _check_bytes(payload: bytes, where: str) -> list[int]:
     data = []
     for pos, byte in enumerate(payload):
@@ -146,10 +157,7 @@ def write_graph6(g: MultiGraph) -> str:
 
 
 def parse_graph6(line: str | bytes, where: str = "graph6") -> MultiGraph:
-    raw = line.encode("ascii") if isinstance(line, str) else line
-    raw = raw.strip()
-    if raw.startswith(b">>graph6<<"):
-        raw = raw[10:]
+    raw = _payload(line, b">>graph6<<", where)
     data = _check_bytes(raw, where)
     n, rest = _data_to_n(data, where)
     need = n * (n - 1) // 2
@@ -219,10 +227,7 @@ def write_sparse6(g: MultiGraph) -> str:
 
 
 def parse_sparse6(line: str | bytes, where: str = "sparse6") -> MultiGraph:
-    raw = line.encode("ascii") if isinstance(line, str) else line
-    raw = raw.strip()
-    if raw.startswith(b">>sparse6<<"):
-        raw = raw[11:]
+    raw = _payload(line, b">>sparse6<<", where)
     if not raw.startswith(b":"):
         raise ParseError("sparse6 line must start with ':'", where)
     data = _check_bytes(raw[1:], where)
@@ -251,7 +256,10 @@ def parse_sparse6(line: str | bytes, where: str = "sparse6") -> MultiGraph:
             v = x
         else:
             edges.append((x, v))
-    return MultiGraph(n, tuple(edges))
+    try:
+        return MultiGraph(n, tuple(edges))
+    except ValueError as exc:
+        raise ParseError(str(exc), where)
 
 
 # --------------------------------------------------------------------------
@@ -267,14 +275,18 @@ def parse(source: str | IO[str], fmt: str = EDGE_LIST) -> Iterator[MultiGraph]:
     """
     if isinstance(source, str):
         try:
-            handle: IO[str] | None = open(source, "r", encoding="ascii")
-        except OSError:
+            handle: IO[bytes] | None = open(source, "rb")
+        except (OSError, ValueError):  # ValueError: a NUL in the string
             handle = None
         if handle is None:
             text = source
         else:
             with handle:
-                text = handle.read()
+                raw = handle.read()
+            try:
+                text = raw.decode("ascii")
+            except UnicodeDecodeError as exc:
+                raise ParseError("non-ASCII byte", f"{source}, byte {exc.start}")
     else:
         text = source.read()
     lines = text.splitlines()

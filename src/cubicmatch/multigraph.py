@@ -19,6 +19,10 @@ class MultiGraph:
     Attributes:
         vertex_count: number of vertices (ids 0..vertex_count-1).
         edges: tuple of (u, v) pairs with u < v; parallel edges repeat.
+
+    Data derived from the edges, such as the incidence lists and the cut
+    census of the connectivity module, is cached on the instance; equality
+    and hashing ignore it.
     """
 
     vertex_count: int

@@ -1,9 +1,12 @@
+import pickle
 import random
+from itertools import permutations
 
 import pytest
 
 from cubicmatch.connectivity import (
     NO_CYCLIC_CUT,
+    _connected_side_masks,
     bridges,
     connectivity_report,
     cyclic_edge_connectivity,
@@ -13,7 +16,7 @@ from cubicmatch.connectivity import (
     is_cyclic_cut,
     vertex_connectivity_at_most,
 )
-from cubicmatch.multigraph import from_edge_list, make_cut
+from cubicmatch.multigraph import MultiGraph, from_edge_list, induced_subgraph, make_cut
 from cubicmatch.named_graphs import (
     doubled_c4,
     exceptional_graph,
@@ -45,6 +48,37 @@ def cyclic_connectivity_oracle(g):
         if is_cyclic_cut(g, cut) and (best is None or cut.size < best):
             best = cut.size
     return NO_CYCLIC_CUT if best is None else best
+
+
+def edge_connectivity_oracle(g):
+    """Minimum cut size over all bipartitions; 0 when disconnected."""
+    n = g.vertex_count
+    return min(
+        make_cut(g, {0} | {v for v in range(1, n) if (bits >> (v - 1)) & 1}).size
+        for bits in range((1 << (n - 1)) - 1)
+    )
+
+
+def connected_sides_oracle(g):
+    """(mask, cut size) of every non-empty proper vertex subset that induces
+    a connected subgraph, by a scan over all subsets."""
+    n = g.vertex_count
+    out = []
+    for mask in range(1, (1 << n) - 1):
+        side = [v for v in range(n) if (mask >> v) & 1]
+        if induced_subgraph(g, side)[0].is_connected():
+            out.append((mask, make_cut(g, side).size))
+    return out
+
+
+def random_multigraph(n, rnd, min_degree=0):
+    """Random loopless multigraph on n vertices, degrees and connectivity
+    unconstrained beyond min_degree."""
+    while True:
+        pairs = [tuple(rnd.sample(range(n), 2)) for _ in range(rnd.randint(n, 3 * n))]
+        g = MultiGraph(n, tuple(pairs))
+        if min(g.degrees()) >= min_degree:
+            return g
 
 
 class TestBridges:
@@ -113,6 +147,11 @@ class TestCyclicEdgeConnectivity:
         graphs = [k4(), prism(), petersen(), doubled_c4(), k33()]
         graphs += [random_bridgeless_cubic(8, rnd) for _ in range(10)]
         graphs += [random_bridgeless_cubic(10, rnd) for _ in range(10)]
+        # degrees other than three; the sides' cycle test reads degree sums
+        graphs += [
+            g for g in (random_multigraph(8, rnd, min_degree=3) for _ in range(10))
+            if g.is_connected()
+        ]
         for g in graphs:
             assert cyclic_edge_connectivity(g) == cyclic_connectivity_oracle(g)
 
@@ -193,3 +232,48 @@ class TestReport:
         for _ in range(10):
             g = random_bridgeless_cubic(8, rnd)
             assert edge_connectivity(g) <= 3
+
+
+class TestCutCensus:
+    @staticmethod
+    def graphs(catalogs):
+        rnd = random.Random(43)
+        graphs = [g for n in (2, 4, 6, 8) for g in catalogs(n)]
+        graphs += [random_bridgeless_cubic(10, rnd) for _ in range(4)]
+        graphs += [random_multigraph(10, rnd) for _ in range(4)]
+        return graphs
+
+    def test_walk_matches_subset_scan(self, catalogs):
+        for g in self.graphs(catalogs):
+            walked = list(_connected_side_masks(g))
+            assert len(walked) == len(set(walked))
+            assert sorted(walked) == connected_sides_oracle(g)
+
+    def test_edge_connectivity_matches_bipartition_scan(self, catalogs):
+        for g in self.graphs(catalogs):
+            assert edge_connectivity(g) == edge_connectivity_oracle(g)
+
+    def test_answers_independent_of_query_order(self):
+        queries = {
+            "edge": edge_connectivity,
+            "cyclic": cyclic_edge_connectivity,
+            "cuts3": lambda h: enumerate_cuts(h, 3, nontrivial_only=True),
+            "cuts4": lambda h: enumerate_cuts(h, 4),
+        }
+        rnd = random.Random(47)
+        for g in [k4(), three_bond(), exceptional_graph(), random_bridgeless_cubic(10, rnd)]:
+            expected = None
+            for order in permutations(queries):
+                h = MultiGraph(g.vertex_count, g.edges)
+                got = {name: queries[name](h) for name in order}
+                expected = expected or got
+                assert got == expected
+            # sizes above the census limit take a fresh walk; both must agree
+            assert [c for c in enumerate_cuts(g, 5) if c.size <= 4] == expected["cuts4"]
+
+    def test_sentinel_survives_pickling(self):
+        assert pickle.loads(pickle.dumps(NO_CYCLIC_CUT)) is NO_CYCLIC_CUT
+        g = k4()
+        assert cyclic_edge_connectivity(g) is NO_CYCLIC_CUT
+        # the census rides along with the pickled graph
+        assert cyclic_edge_connectivity(pickle.loads(pickle.dumps(g))) is NO_CYCLIC_CUT

@@ -1,3 +1,4 @@
+import io
 import random
 
 import networkx as nx
@@ -146,3 +147,55 @@ class TestFrontDoor:
         p.write_text(write_edge_list(petersen()))
         gs = list(parse(str(p), EDGE_LIST))
         assert gs[0].vertex_count == 10
+
+    def test_non_ascii_file_reported_with_position(self, tmp_path):
+        p = tmp_path / "g.el"
+        p.write_bytes(b"2 1\n0 1 \xe9\n")
+        with pytest.raises(ParseError) as err:
+            list(parse(str(p), EDGE_LIST))
+        assert "byte 8" in str(err.value)
+
+
+class TestFuzz:
+    """Seeded random input: every parser raises ParseError and nothing else."""
+
+    ALPHABET = [chr(c) for c in range(128)] + ["\xe9", " "]
+
+    @staticmethod
+    def parse_errors(parser, text):
+        try:
+            parser(text)
+        except ParseError as exc:
+            return [str(exc)]
+        return []
+
+    def test_sparse6_and_graph6_payloads(self):
+        rnd = random.Random(107)
+        errors = []
+        for _ in range(3000):
+            body = "".join(chr(rnd.randint(63, 126)) for _ in range(rnd.randint(0, 12)))
+            errors += self.parse_errors(parse_sparse6, ":" + body)
+            errors += self.parse_errors(parse_graph6, body)
+        # some payloads decode to loops, which a MultiGraph refuses
+        assert any("loop" in e for e in errors)
+
+    def test_arbitrary_text(self):
+        rnd = random.Random(109)
+
+        def edge_list(text):
+            return list(parse(text, EDGE_LIST))
+
+        for _ in range(3000):
+            text = "".join(rnd.choice(self.ALPHABET) for _ in range(rnd.randint(0, 12)))
+            for parser in (parse_sparse6, parse_graph6, edge_list):
+                self.parse_errors(parser, text)
+
+    def test_edge_list_records(self):
+        rnd = random.Random(113)
+        tokens = ["0", "1", "2", "3", "5", "-1", "x", ""]
+        for _ in range(3000):
+            lines = [
+                " ".join(rnd.choice(tokens) for _ in range(rnd.randint(0, 3)))
+                for _ in range(rnd.randint(1, 6))
+            ]
+            self.parse_errors(lambda t: list(parse(io.StringIO(t), EDGE_LIST)), "\n".join(lines))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cubicmatch import connectivity
 from cubicmatch.connectivity import NO_CYCLIC_CUT, bridges, cyclic_edge_connectivity
 from cubicmatch.harness import (
     FOUND,
@@ -200,6 +201,29 @@ class TestVerify:
         monkeypatch.setenv("CUBICMATCH_WORKERS", "2")
         env = verify_catalog(graphs)
         assert [r.canonical_hex for r in env] == [r.canonical_hex for r in seq]
+
+    def test_workers_receive_graphs_with_their_census(self, catalogs):
+        # each graph carries its cached cut census, sentinel included, to
+        # the worker processes
+        graphs = [g for n in (2, 4, 6) for g in catalogs(n)]
+        values = [cyclic_edge_connectivity(g) for g in graphs]
+        assert any(c is NO_CYCLIC_CUT for c in values)
+        seq = [r.to_json() for r in verify_catalog(graphs, workers=1)]
+        assert [r.to_json() for r in verify_catalog(graphs, workers=2)] == seq
+
+    def test_verify_graph_walks_input_once(self, monkeypatch):
+        walked = []
+        walk = connectivity._connected_side_masks
+
+        def counting_walk(g):
+            walked.append(g)
+            return walk(g)
+
+        monkeypatch.setattr(connectivity, "_connected_side_masks", counting_walk)
+        for g in (petersen(), random_bridgeless_cubic(12, random.Random(12))):
+            walked.clear()
+            verify_graph(g)
+            assert sum(h is g for h in walked) == 1
 
 
 class TestScarceReport:
