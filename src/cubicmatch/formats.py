@@ -271,11 +271,17 @@ def parse(source: str | IO[str], fmt: str = EDGE_LIST) -> Iterator[MultiGraph]:
     """Parses a path, text, or stream into a stream of MultiGraphs.
 
     A string argument naming an existing readable path is opened; any
-    other string is treated as literal content.
+    other string is treated as literal content. A one-line string that
+    names no file and does not parse is reported as a missing file.
     """
+    missing = None
     if isinstance(source, str):
         try:
             handle: IO[bytes] | None = open(source, "rb")
+        except FileNotFoundError:
+            handle = None
+            if "\n" not in source:
+                missing = source
         except (OSError, ValueError):  # ValueError: a NUL in the string
             handle = None
         if handle is None:
@@ -289,6 +295,15 @@ def parse(source: str | IO[str], fmt: str = EDGE_LIST) -> Iterator[MultiGraph]:
                 raise ParseError("non-ASCII byte", f"{source}, byte {exc.start}")
     else:
         text = source.read()
+    try:
+        yield from _parse_text(text, fmt)
+    except ParseError as exc:
+        if missing is None:
+            raise
+        raise ParseError("no such file, and not valid graph text", missing) from exc
+
+
+def _parse_text(text: str, fmt: str) -> Iterator[MultiGraph]:
     lines = text.splitlines()
     if fmt == EDGE_LIST:
         yield from _parse_edge_list(lines)

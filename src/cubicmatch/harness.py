@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator
 
 from .brick_brace import decompose, pm_affine_dimension
@@ -137,10 +138,8 @@ def _two_factor_symmetries(cycle_type: tuple[int, ...], n: int) -> list[tuple[in
         total *= len(elems)
     if total > _SYMMETRY_CAP:
         per_cycle = per_cycle[:1]
-    from itertools import product as _product
-
     perms = []
-    for combo in _product(*(elems for _, elems in per_cycle)):
+    for combo in product(*(elems for _, elems in per_cycle)):
         perm = list(range(n))
         for (idx, _), image in zip(per_cycle, combo):
             for src, dst in zip(idx, image):
@@ -149,18 +148,29 @@ def _two_factor_symmetries(cycle_type: tuple[int, ...], n: int) -> list[tuple[in
     return perms
 
 
-def _is_orbit_minimal(
-    pm: tuple[tuple[int, int], ...], perms: list[tuple[int, ...]]
-) -> bool:
-    base = bytes(sorted(u * 16 + v for u, v in pm))
-    for perm in perms:
-        key = bytes(
-            sorted(
-                perm[u] * 16 + perm[v] if perm[u] < perm[v] else perm[v] * 16 + perm[u]
-                for u, v in pm
-            )
-        )
-        if key < base:
+def _pair_code_table(perm: tuple[int, ...]) -> bytes:
+    """Translation table of a vertex permutation on pair codes: entry
+    u*16+v (u < v) holds the code of the image pair {perm[u], perm[v]}."""
+    table = bytearray(256)
+    n = len(perm)
+    for u in range(n):
+        for v in range(u + 1, n):
+            a, b = perm[u], perm[v]
+            table[u * 16 + v] = a * 16 + b if a < b else b * 16 + a
+    return bytes(table)
+
+
+def _is_orbit_minimal(pm: tuple[tuple[int, int], ...], tables: list[bytes]) -> bool:
+    """Whether no symmetry maps the pairing to one with a smaller sorted
+    code sequence; ``tables`` are the symmetries' `_pair_code_table`s.
+
+    Pair codes u*16+v fit in a byte only while u, v < 16, i.e. for
+    n <= 16; CATALOG_LIMIT keeps catalogs below that.
+    """
+    codes = bytes(sorted(u * 16 + v for u, v in pm))
+    base = list(codes)
+    for table in tables:
+        if sorted(codes.translate(table)) < base:
             return False
     return True
 
@@ -215,9 +225,9 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     for cycle_type in _partitions_min2(n):
         factor_edges, block = _two_factor(cycle_type)
         blocks = len(cycle_type)
-        perms = _two_factor_symmetries(cycle_type, n)
+        tables = [_pair_code_table(p) for p in _two_factor_symmetries(cycle_type, n)]
         for pm in _pairings(vertices):
-            if not _is_orbit_minimal(pm, perms):
+            if not _is_orbit_minimal(pm, tables):
                 continue
             cross = [
                 (block[u], block[v]) for u, v in pm if block[u] != block[v]

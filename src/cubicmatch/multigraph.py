@@ -394,12 +394,53 @@ def canonical_form(g: MultiGraph, max_vertices: int = DEFAULT_CANONICAL_BOUND) -
 
     Encodes the vertex count followed by the lexicographically smallest
     lower-triangular multiplicity matrix over all relabelings compatible
-    with the invariant vertex coloring. Exhaustive with pruning; intended
-    for vertex_count <= max_vertices.
+    with the invariant vertex coloring. The search is exhaustive with
+    invariant and automorphism pruning; intended for vertex_count <=
+    max_vertices. The result is cached on the instance.
     """
     n = g.vertex_count
     if n > max_vertices:
         raise ValueError(f"canonical_form limited to {max_vertices} vertices, got {n}")
+    form = g.__dict__.get("_canonical_form")
+    if form is None:
+        form = g.__dict__["_canonical_form"] = _canonical_search(g)
+    return form
+
+
+def _orbit_ids(generators: list[list[int]], n: int) -> list[int]:
+    """Per vertex, the least vertex of its orbit under the generators."""
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for gen in generators:
+        for v in range(n):
+            a, b = find(v), find(gen[v])
+            if a < b:
+                root[b] = a
+            elif b < a:
+                root[a] = b
+    return [find(v) for v in range(n)]
+
+
+def _canonical_search(g: MultiGraph) -> bytes:
+    """Depth-first search for the smallest matrix over the labelings that
+    place the vertices cell by cell in color order.
+
+    Siblings are grouped by their row against the vertices already placed,
+    and groups are tried in row order, so a row whose prefix exceeds the
+    best matrix ends the node. A leaf whose matrix equals the best one
+    yields an automorphism (best labeling -> this labeling). Automorphisms
+    that fix the placed vertices pointwise map the subtree under a child
+    onto the subtree under its image, with the same leaf matrices, so a
+    child in the orbit of an explored sibling is skipped, and the search
+    returns at once to the node where the two labelings part, whose
+    current child is the image of the explored one.
+    """
+    n = g.vertex_count
     if n == 0:
         return bytes([0])
     mult = [[0] * n for _ in range(n)]
@@ -415,15 +456,30 @@ def canonical_form(g: MultiGraph, max_vertices: int = DEFAULT_CANONICAL_BOUND) -
         pos_color.extend([c] * len(cells[c]))
 
     best: list[int] | None = None
+    best_labels: list[int] = []
+    generators: list[list[int]] = []
     assigned: list[int] = []
     flat: list[int] = []
+    taken: set[int] = set()
 
-    def rec(p: int) -> None:
-        nonlocal best
+    def rec(p: int) -> int:
+        """Explores the node with prefix ``assigned``; returns the depth
+        the search resumes at, p + 1 after a full exploration."""
+        nonlocal best, best_labels
         if p == n:
             if best is None or flat < best:
                 best = flat.copy()
-            return
+                best_labels = assigned.copy()
+                return p + 1
+            # the prefix cut lets no leaf above the best through: flat == best
+            gen = [0] * n
+            for a, b in zip(best_labels, assigned):
+                gen[a] = b
+            generators.append(gen)
+            k = 0
+            while best_labels[k] == assigned[k]:
+                k += 1
+            return k
         groups: dict[tuple[int, ...], list[int]] = {}
         for v in cells[pos_color[p]]:
             if v in taken:
@@ -431,22 +487,36 @@ def canonical_form(g: MultiGraph, max_vertices: int = DEFAULT_CANONICAL_BOUND) -
             row = tuple(map(mult[v].__getitem__, assigned))
             groups.setdefault(row, []).append(v)
         base_len = len(flat)
+        explored: list[int] = []
+        known = 0
+        orbit: list[int] = []
         for row in sorted(groups):
             flat.extend(row)
-            if best is not None:
-                prefix = flat
-                if prefix > best[: len(prefix)]:
-                    del flat[base_len:]
-                    break
+            if best is not None and flat > best[: len(flat)]:
+                del flat[base_len:]
+                break
             for v in groups[row]:
+                if explored and len(generators) > known:
+                    known = len(generators)
+                    fixing = [
+                        gen for gen in generators
+                        if all(gen[a] == a for a in assigned)
+                    ]
+                    orbit = _orbit_ids(fixing, n) if fixing else []
+                if orbit and orbit[v] in {orbit[u] for u in explored}:
+                    continue
+                explored.append(v)
                 taken.add(v)
                 assigned.append(v)
-                rec(p + 1)
+                back = rec(p + 1)
                 assigned.pop()
                 taken.remove(v)
+                if back < p:
+                    del flat[base_len:]
+                    return back
             del flat[base_len:]
+        return p + 1
 
-    taken: set[int] = set()
     rec(0)
     assert best is not None
     return bytes([n]) + bytes(best)

@@ -148,6 +148,15 @@ class TestFrontDoor:
         gs = list(parse(str(p), EDGE_LIST))
         assert gs[0].vertex_count == 10
 
+    def test_missing_path_reported_as_missing(self, tmp_path):
+        missing = str(tmp_path / "nosuchfile.el")
+        with pytest.raises(ParseError) as err:
+            list(parse(missing, EDGE_LIST))
+        assert "no such file" in str(err.value) and missing in str(err.value)
+
+    def test_one_line_text_still_parses(self):
+        assert [g.vertex_count for g in parse(write_graph6(k4()), GRAPH6)] == [4]
+
     def test_non_ascii_file_reported_with_position(self, tmp_path):
         p = tmp_path / "g.el"
         p.write_bytes(b"2 1\n0 1 \xe9\n")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cubicmatch import connectivity
+from cubicmatch import connectivity, harness
 from cubicmatch.connectivity import NO_CYCLIC_CUT, bridges, cyclic_edge_connectivity
 from cubicmatch.harness import (
     FOUND,
@@ -117,6 +117,41 @@ class TestCatalog:
         cat = bridgeless_cubic_catalog(14)
         assert len(cat) == 2602
         assert sum(1 for g in cat if g.is_simple()) == 480
+
+
+def sorted_key_orbit_minimal(pm, perms):
+    """The orbit filter before translation tables: one sorted key per
+    (pairing, symmetry), built in Python."""
+    base = bytes(sorted(u * 16 + v for u, v in pm))
+    for perm in perms:
+        key = bytes(
+            sorted(
+                perm[u] * 16 + perm[v] if perm[u] < perm[v] else perm[v] * 16 + perm[u]
+                for u, v in pm
+            )
+        )
+        if key < base:
+            return False
+    return True
+
+
+class TestOrbitFilter:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_tables_accept_what_sorted_keys_accept(self, n):
+        for cycle_type in harness._partitions_min2(n):
+            perms = harness._two_factor_symmetries(cycle_type, n)
+            tables = [harness._pair_code_table(p) for p in perms]
+            for pm in harness._pairings(tuple(range(n))):
+                assert harness._is_orbit_minimal(pm, tables) == sorted_key_orbit_minimal(pm, perms)
+
+    def test_same_representatives(self, catalogs, monkeypatch):
+        orders = (2, 4, 6, 8, 10)
+        tabled = {n: [g.edges for g in catalogs(n)] for n in orders}
+        monkeypatch.setattr(harness, "_CATALOG_CACHE", {})
+        monkeypatch.setattr(harness, "_pair_code_table", lambda perm: perm)
+        monkeypatch.setattr(harness, "_is_orbit_minimal", sorted_key_orbit_minimal)
+        for n in orders:
+            assert [g.edges for g in bridgeless_cubic_catalog(n)] == tabled[n]
 
 
 class TestVerify:
