@@ -2,8 +2,9 @@
 
 The decomposition of a cubic bridgeless graph only needs size-3 odd cuts:
 every tight cut of a cubic bridgeless graph has size three, and the pieces
-stay cubic and bridgeless. Polytope quantities use exact rational
-arithmetic throughout.
+stay cubic and bridgeless, each inheriting its 3-cuts from its parent.
+Polytope quantities are exact: the affine rank by integer elimination,
+membership by rational arithmetic.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Iterable, Sequence
 from .connectivity import bridges, enumerate_cuts, vertex_connectivity_at_most
 from .matching import (
     _Kernel,
+    _vertex_mask,
     boundary_profile,
     enumerate_perfect_matchings,
     is_matching_covered,
@@ -83,19 +85,58 @@ def find_nontrivial_tight_cut(g: MultiGraph) -> Cut | None:
     graphs cannot be larger.
     """
     _require_cubic_bridgeless_covered(g, "find_nontrivial_tight_cut")
-    return _find_nontrivial_tight_cut_unchecked(g)
+    return _tight_cut(g, enumerate_cuts(g, 3, nontrivial_only=True), "first")
 
 
-def _find_nontrivial_tight_cut_unchecked(
-    g: MultiGraph, strategy: str = "first"
-) -> Cut | None:
+def _tight_cut(g: MultiGraph, cuts: Iterable[Cut], strategy: str) -> Cut | None:
+    """The first (strategy "first") or last ("last") tight 3-cut in cuts."""
     found = None
-    for cut in enumerate_cuts(g, 3, nontrivial_only=True):
+    for cut in cuts:
         if cut.size == 3 and _is_tight_unchecked(g, cut):
             if strategy == "first":
                 return cut
             found = cut
     return found
+
+
+def _side_cut(g: MultiGraph, side: int, cut_edges: tuple[int, ...]) -> Cut:
+    rest = ((1 << g.vertex_count) - 1) & ~side
+    return Cut(frozenset(_bits(side)), frozenset(_bits(rest)), cut_edges)
+
+
+def _contract_side(
+    h: MultiGraph, part: int, cuts: list[tuple[int, tuple[int, ...]]]
+) -> tuple[MultiGraph, list[tuple[int, tuple[int, ...]]]]:
+    """h with the vertex set `part` contracted, and the nontrivial 3-cuts of
+    the result in enumerate_cuts order, inherited from h's nontrivial
+    3-cuts `cuts`, each given as (side_a mask, cut edges).
+
+    A cut of h/part is exactly a cut of h that does not cross part, with
+    the same edges. A trivial side of h never contains part (|part| >= 3),
+    so no cut of h/part is missing from cuts.
+    """
+    piece, vmap = contract(h, [_bits(part)])
+    edge_map = []
+    kept = 0
+    for u, v in h.edges:
+        edge_map.append(kept)
+        if not (part >> u) & (part >> v) & 1:
+            kept += 1
+    n = piece.vertex_count
+    out = []
+    for side, cut_edges in cuts:
+        inside = side & part
+        if inside and inside != part:
+            continue
+        image = 0
+        for v in _bits(side):
+            image |= 1 << vmap[v]
+        # contract numbers vertex 0 first, so the image keeps vertex 0 in side_a
+        if 3 <= image.bit_count() <= n - 3:
+            out.append((image, tuple(edge_map[e] for e in cut_edges)))
+    # enumerate_cuts' key (size, |side_a|, sorted side_a); every size is 3
+    out.sort(key=lambda c: (c[0].bit_count(), tuple(_bits(c[0]))))
+    return piece, out
 
 
 def decompose(g: MultiGraph, tight_cut_strategy: str = "first") -> Decomposition:
@@ -112,18 +153,22 @@ def decompose(g: MultiGraph, tight_cut_strategy: str = "first") -> Decomposition
     _require_cubic_bridgeless_covered(g, "decompose")
     pieces: list[tuple[MultiGraph, str]] = []
     trace: list[Cut] = []
-    stack = [g]
+    # only the input's cuts are enumerated; each piece inherits its own
+    top = [
+        (_vertex_mask(c.side_a), c.cut_edges)
+        for c in enumerate_cuts(g, 3, nontrivial_only=True)
+        if c.size == 3
+    ]
+    stack = [(g, top)]
     while stack:
-        h = stack.pop()
-        cut = _find_nontrivial_tight_cut_unchecked(h, tight_cut_strategy)
+        h, cuts = stack.pop()
+        cut = _tight_cut(h, (_side_cut(h, *c) for c in cuts), tight_cut_strategy)
         if cut is None:
             pieces.append((h, BRACE if h.is_bipartite() else BRICK))
             continue
         trace.append(cut)
-        g_over_a, _ = contract(h, [cut.side_a])
-        g_over_b, _ = contract(h, [cut.side_b])
-        stack.append(g_over_a)
-        stack.append(g_over_b)
+        stack.append(_contract_side(h, _vertex_mask(cut.side_a), cuts))
+        stack.append(_contract_side(h, _vertex_mask(cut.side_b), cuts))
     return Decomposition(tuple(pieces), tuple(trace))
 
 
@@ -151,45 +196,51 @@ def polytope_dimension(g: MultiGraph) -> int:
     return len(g.edges) - g.vertex_count + 1 - b
 
 
-def _exact_rank(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    cols = len(rows[0])
+def _exact_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After each pivot step every entry below the pivot row is a minor of
+    the input, and the division by the previous pivot is exact
+    (Sylvester's identity), so the arithmetic stays in the integers.
+    """
     mat = [row[:] for row in rows]
+    cols = len(mat[0]) if mat else 0
     rank = 0
+    prev = 1
     for col in range(cols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
+        if rank == len(mat):
+            break
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col] / inv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        top = mat[rank]
+        p = top[col]
+        for r in range(rank + 1, len(mat)):
+            row = mat[r]
+            f = row[col]
+            mat[r] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
         rank += 1
-        if rank == len(mat):
-            break
     return rank
 
 
 def pm_affine_dimension(g: MultiGraph) -> int:
     """Affine dimension of the perfect matching characteristic vectors,
-    by exact rational rank of difference vectors. Independent of the
+    by exact integer rank of difference vectors. Independent of the
     decomposition-based dimension formula."""
     pms = list(enumerate_perfect_matchings(g))
     if not pms:
         raise ValueError("pm_affine_dimension requires at least one perfect matching")
-    m = len(g.edges)
-    base = [Fraction(1 if e in set(pms[0]) else 0) for e in range(m)]
+    base = [0] * len(g.edges)
+    for e in pms[0]:
+        base[e] = -1
     rows = []
     for pm in pms[1:]:
-        s = set(pm)
-        rows.append([Fraction(1 if e in s else 0) - base[e] for e in range(m)])
+        row = base[:]
+        for e in pm:
+            row[e] += 1
+        rows.append(row)
     return _exact_rank(rows)
 
 

@@ -12,7 +12,7 @@ import os
 import sys
 from typing import Sequence
 
-from .brick_brace import decompose, polytope_dimension
+from .brick_brace import decompose
 from .formats import EDGE_LIST, GRAPH6, SPARSE6, ParseError, parse, write
 from .harness import (
     CATALOG_CLASSES,
@@ -123,7 +123,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         print(f"piece {i} kind={kind} n={piece.vertex_count} m={len(piece.edges)}")
     print(f"bricks {dec.brick_count}")
     print(f"braces {dec.brace_count}")
-    print(f"dimension {polytope_dimension(g)}")
+    print(f"dimension {len(g.edges) - g.vertex_count + 1 - dec.brick_count}")
     return 0
 
 

@@ -259,11 +259,16 @@ def enumerate_cuts(
     else:
         base = [(mask, cut) for mask, cut in _connected_side_masks(g) if cut <= max_size]
     sides: dict[int, int] = dict(base)
+    # a union adds at least the smallest base cut, so a piece whose cut
+    # plus that exceeds max_size can grow no further
+    room = max_size - min((cut for _, cut in base), default=0)
     pool = list(base)
     full = (1 << n) - 1
     while pool:
         new_pool = []
         for a_mask, a_cut in pool:
+            if a_cut > room:
+                continue
             a_reach = 0
             m = a_mask
             while m:
@@ -287,10 +292,9 @@ def enumerate_cuts(
         canon = mask if mask & 1 else full & ~mask
         if canon in out:
             continue
-        cut = make_cut(g, _mask_vertices(canon))
-        if nontrivial_only and (len(cut.side_a) < 3 or len(cut.side_b) < 3):
+        if nontrivial_only and not 3 <= canon.bit_count() <= n - 3:
             continue
-        out[canon] = cut
+        out[canon] = make_cut(g, _mask_vertices(canon))
     return sorted(
         out.values(), key=lambda c: (c.size, len(c.side_a), tuple(sorted(c.side_a)))
     )

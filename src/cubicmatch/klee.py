@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .connectivity import enumerate_cuts, is_cyclic_cut
 from .matching import _Kernel, _vertex_mask, count_perfect_matchings
@@ -89,11 +88,13 @@ class NiceCutResult:
 
 
 def triangles(g: MultiGraph) -> list[tuple[int, int, int]]:
-    """All vertex triples that are pairwise adjacent."""
+    """All vertex triples a < b < c that are pairwise adjacent, in
+    lexicographic order."""
+    nbrs = [g.neighbors(v) for v in range(g.vertex_count)]
     out = []
-    for a, b, c in combinations(range(g.vertex_count), 3):
-        if g.multiplicity(a, b) and g.multiplicity(b, c) and g.multiplicity(a, c):
-            out.append((a, b, c))
+    for a, na in enumerate(nbrs):
+        for b in sorted(u for u in na if u > a):
+            out.extend((a, b, c) for c in sorted(na & nbrs[b]) if c > b)
     return out
 
 

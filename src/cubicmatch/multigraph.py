@@ -377,16 +377,22 @@ def _invariant_colors(g: MultiGraph, mult: list[list[int]]) -> list[int]:
         (g.degree(v), tuple(sorted(mult[v][u] for u in adj[v])), tri[v], profiles[v])
         for v in range(n)
     ]
-    colors = [sorted(set(sigs)).index(s) for s in sigs]
+    colors = _ranks(sigs)
     while True:
         refined = [
             (colors[v], tuple(sorted((mult[v][u], colors[u]) for u in adj[v])))
             for v in range(n)
         ]
-        new = [sorted(set(refined)).index(s) for s in refined]
+        new = _ranks(refined)
         if len(set(new)) == len(set(colors)):
             return new
         colors = new
+
+
+def _ranks(keys: list) -> list[int]:
+    """Each key's position among the distinct keys in sorted order."""
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [rank[k] for k in keys]
 
 
 def canonical_form(g: MultiGraph, max_vertices: int = DEFAULT_CANONICAL_BOUND) -> bytes:

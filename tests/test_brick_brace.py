@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from cubicmatch import connectivity
 from cubicmatch.brick_brace import (
     BRACE,
     BRICK,
+    _exact_rank,
     decompose,
     find_nontrivial_tight_cut,
     is_bicritical,
@@ -15,8 +17,15 @@ from cubicmatch.brick_brace import (
     polytope_dimension,
     polytope_membership,
 )
+from cubicmatch.connectivity import enumerate_cuts
 from cubicmatch.matching import count_perfect_matchings, enumerate_perfect_matchings
-from cubicmatch.multigraph import MultiGraph, canonical_form, from_edge_list, make_cut
+from cubicmatch.multigraph import (
+    MultiGraph,
+    canonical_form,
+    contract,
+    from_edge_list,
+    make_cut,
+)
 from cubicmatch.named_graphs import (
     doubled_c4,
     exceptional_graph,
@@ -31,6 +40,47 @@ from conftest import random_bridgeless_cubic
 
 def simplified(g):
     return MultiGraph(g.vertex_count, tuple(sorted(set(g.edges))))
+
+
+def reference_decompose(g, strategy):
+    """(pieces, cut trace) with the cuts of every piece enumerated afresh."""
+    pieces, trace, stack = [], [], [g]
+    while stack:
+        h = stack.pop()
+        found = None
+        for cut in enumerate_cuts(h, 3, nontrivial_only=True):
+            if cut.size == 3 and is_tight(h, cut):
+                found = cut
+                if strategy == "first":
+                    break
+        if found is None:
+            kind = BRACE if h.is_bipartite() else BRICK
+            pieces.append((h.vertex_count, h.edges, kind))
+            continue
+        trace.append(found)
+        stack.append(contract(h, [found.side_a])[0])
+        stack.append(contract(h, [found.side_b])[0])
+    return pieces, trace
+
+
+def rational_rank(rows):
+    """Rank by Gauss-Jordan elimination over Fraction rows."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = mat[rank][col]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                factor = mat[r][col] / inv
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
 
 
 class TestTightCuts:
@@ -122,6 +172,36 @@ class TestDecompose:
             assert key_first == key_last
             assert first.brick_count == last.brick_count
 
+    def test_matches_piecewise_enumeration(self, catalogs):
+        # pieces inherit their cuts; the reference enumerates each piece's
+        graphs = [g for n in (2, 4, 6, 8, 10) for g in catalogs(n)]
+        for n in (14, 16):
+            rnd = random.Random(n)
+            graphs += [random_bridgeless_cubic(n, rnd) for _ in range(6)]
+        splits = 0
+        for g in graphs:
+            for strategy in ("first", "last"):
+                d = decompose(g, tight_cut_strategy=strategy)
+                pieces = [(p.vertex_count, p.edges, kind) for p, kind in d.pieces]
+                assert (pieces, list(d.cut_trace)) == reference_decompose(g, strategy)
+                splits += len(d.cut_trace)
+        assert splits > 100
+
+    def test_walks_input_only(self, monkeypatch):
+        walked = []
+        walk = connectivity._connected_side_masks
+
+        def counting_walk(h):
+            walked.append(h)
+            return walk(h)
+
+        monkeypatch.setattr(connectivity, "_connected_side_masks", counting_walk)
+        for strategy in ("first", "last"):
+            for g in (exceptional_graph(), random_bridgeless_cubic(16, random.Random(16))):
+                walked.clear()
+                assert len(decompose(g, tight_cut_strategy=strategy).cut_trace) >= 2
+                assert len(walked) == 1 and walked[0] is g
+
     def test_rejects_bridged(self):
         g = from_edge_list(
             6, [(0, 1), (0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (4, 5)]
@@ -184,6 +264,35 @@ class TestDimensions:
         g = MultiGraph(2, ())
         with pytest.raises(ValueError):
             pm_affine_dimension(g)
+
+
+class TestExactRank:
+    def test_matches_rational_elimination(self):
+        rnd = random.Random(83)
+        entries = (0, 0, 0, 1, -1, 2, -2, 3, 5)
+        for _ in range(1000):
+            cols = rnd.randint(1, 9)
+            basis = [
+                [rnd.choice(entries) for _ in range(cols)]
+                for _ in range(rnd.randint(0, cols))
+            ]
+            rows = basis + [
+                [sum(rnd.randint(-2, 2) * b[c] for b in basis) for c in range(cols)]
+                for _ in range(rnd.randint(0, 4))
+            ]
+            for c in rnd.sample(range(cols), rnd.randint(0, cols // 2)):
+                for row in rows:
+                    row[c] = 0
+            rnd.shuffle(rows)
+            before = [row[:] for row in rows]
+            assert _exact_rank(rows) == rational_rank(rows)
+            assert rows == before
+
+    def test_empty_and_zero(self):
+        assert _exact_rank([]) == 0
+        assert _exact_rank([[], []]) == 0
+        assert _exact_rank([[0, 0, 0]] * 3) == 0
+        assert _exact_rank([[0, 2, 0], [0, 0, 0], [0, 3, 0]]) == 1
 
 
 class TestMembership:

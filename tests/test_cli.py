@@ -46,8 +46,24 @@ def test_count_oracle_per_edge_from_oracle(petersen_file, capsys, monkeypatch, c
 
 def test_decompose(petersen_file, capsys):
     assert main(["decompose", petersen_file]) == 0
-    out = capsys.readouterr().out
-    assert "bricks 1" in out and "dimension 5" in out
+    assert capsys.readouterr().out == (
+        "piece 0 kind=brick n=10 m=15\nbricks 1\nbraces 0\ndimension 5\n"
+    )
+
+
+def test_decompose_pieces(tmp_path, capsys):
+    p = tmp_path / "exceptional.el"
+    p.write_text(write_edge_list(exceptional_graph()))
+    assert main(["decompose", str(p)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "piece 0 kind=brick n=4 m=6",
+        "piece 1 kind=brace n=6 m=9",
+        "piece 2 kind=brick n=4 m=6",
+        "piece 3 kind=brick n=4 m=6",
+        "bricks 3",
+        "braces 1",
+        "dimension 4",
+    ]
 
 
 def test_analyze_json(petersen_file, capsys):

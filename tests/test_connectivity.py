@@ -201,6 +201,59 @@ class TestEnumerateCuts:
             got = {c.side_a for c in enumerate_cuts(g, 4)}
             assert got == expected
 
+    def test_unions_match_bipartition_scan(self):
+        # bridges, 2-edge cuts, low degrees and a second component make
+        # unions of connected sides fit under the bound
+        graphs = graphs_with_small_cuts(random.Random(89))
+        assert any(bridges(g) for g in graphs)
+        assert any(not g.is_connected() for g in graphs)
+        assert any(edge_connectivity(g) == 2 for g in graphs)
+        for g in graphs:
+            for k in range(1, 6):
+                for nontrivial_only in (False, True):
+                    expected = cuts_by_bipartition_scan(g, k, nontrivial_only)
+                    assert enumerate_cuts(g, k, nontrivial_only) == expected
+
+
+def cuts_by_bipartition_scan(g, k, nontrivial_only):
+    """Every cut of size <= k from all 2^(n-1) bipartitions, side_a holding
+    vertex 0, in enumerate_cuts' order."""
+    n = g.vertex_count
+    cuts = []
+    for bits in range((1 << (n - 1)) - 1):
+        cut = make_cut(g, {0} | {v for v in range(1, n) if (bits >> (v - 1)) & 1})
+        if cut.size <= k and (
+            not nontrivial_only or min(len(cut.side_a), len(cut.side_b)) >= 3
+        ):
+            cuts.append(cut)
+    return sorted(cuts, key=lambda c: (c.size, len(c.side_a), tuple(sorted(c.side_a))))
+
+
+def graphs_with_small_cuts(rnd):
+    """Seeded multigraphs of order <= 9 whose small cuts have disconnected
+    sides: two random blocks joined by one edge (a bridge), by two edges,
+    or not at all, and random multigraphs of any degrees."""
+
+    def block(n):
+        while True:
+            pairs = [tuple(rnd.sample(range(n), 2)) for _ in range(rnd.randint(n, 2 * n))]
+            g = MultiGraph(n, tuple(pairs))
+            if g.is_connected():
+                return g
+
+    graphs = []
+    for joins in (1, 2, 0):
+        for _ in range(3):
+            a, b = block(rnd.randint(2, 4)), block(rnd.randint(2, 5))
+            na = a.vertex_count
+            links = [
+                (rnd.randrange(na), na + rnd.randrange(b.vertex_count)) for _ in range(joins)
+            ]
+            shifted = [(u + na, v + na) for u, v in b.edges]
+            graphs.append(MultiGraph(na + b.vertex_count, a.edges + tuple(shifted + links)))
+    graphs += [random_multigraph(rnd.randint(5, 9), rnd) for _ in range(6)]
+    return graphs
+
 
 class TestVertexConnectivity:
     def test_k4(self):

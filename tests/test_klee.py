@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -20,6 +21,7 @@ from cubicmatch.klee import (
 )
 from cubicmatch.matching import count_perfect_matchings
 from cubicmatch.multigraph import (
+    MultiGraph,
     canonical_form,
     from_edge_list,
     glue,
@@ -35,6 +37,23 @@ from cubicmatch.named_graphs import (
     prism,
     three_bond,
 )
+
+
+class TestTriangles:
+    def test_matches_pairwise_adjacency(self, catalogs):
+        rnd = random.Random(97)
+        graphs = [g for n in (2, 4, 6, 8, 10) for g in catalogs(n)]
+        for _ in range(30):
+            n = rnd.randint(3, 9)
+            pairs = [tuple(rnd.sample(range(n), 2)) for _ in range(rnd.randint(n, 3 * n))]
+            graphs.append(MultiGraph(n, tuple(pairs)))
+        for g in graphs:
+            expected = [
+                (a, b, c)
+                for a, b, c in combinations(range(g.vertex_count), 3)
+                if g.multiplicity(a, b) and g.multiplicity(b, c) and g.multiplicity(a, c)
+            ]
+            assert triangles(g) == expected
 
 
 class TestIsKlee:
