@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .connectivity import bridges, enumerate_cuts, vertex_connectivity_at_most
+from .connectivity import _bits, bridges, enumerate_cuts, vertex_connectivity_at_most
 from .matching import (
     _Kernel,
     _vertex_mask,
@@ -287,10 +287,3 @@ def polytope_membership(
         if s < 1:
             return False, ("odd_set", frozenset(_bits(mask)), s)
     return True, None
-
-
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1

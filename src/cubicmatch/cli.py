@@ -160,6 +160,13 @@ def _cmd_catalog_verify(args: argparse.Namespace) -> int:
         f"{'all bounds hold' if ok else 'VIOLATIONS FOUND'}",
         file=sys.stderr,
     )
+    for r in reports:
+        if not r.all_satisfied:
+            failed = ",".join(t.tag for t in r.results if not t.satisfied)
+            print(
+                f"violation: index {r.index} canonical {r.canonical_hex} failed {failed}",
+                file=sys.stderr,
+            )
     if scarce:
         print(
             f"graphs with at most n/2+1 perfect matchings up to n={args.n}: "

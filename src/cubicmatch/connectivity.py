@@ -1,11 +1,16 @@
 """Bridges, cut enumeration, edge/vertex connectivity, cyclic edge-connectivity.
 
 All routines are pure functions over immutable MultiGraph values. Cut
-searches enumerate connected side-A seeds rather than all bipartitions;
-the 2^n bipartition scan survives in the test suite as an oracle. One
-walk of the connected sides per graph instance, its cut census, answers
-edge connectivity, cyclic edge connectivity and every cut query up to
-size SMALL_CUT_LIMIT.
+queries read the graph's cut space through a spanning forest: every edge
+gets a signature, the set of fundamental cycles through it, and an edge
+set is a cut exactly when its signatures XOR to 0. The cuts of size k
+are the zero-XOR k-edge sets, found by a meet-in-the-middle match, so
+edge connectivity and every query for the cuts up to a fixed size take
+time polynomial in the number of edges m; a cyclic edge connectivity of
+c takes about m^ceil(c/2) steps and as many stored edge sets. The
+signatures and every cut of at most four edges are kept on the graph
+instance. The 2^n bipartition scan and the former census of connected
+sides survive in the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .multigraph import Cut, MultiGraph, induced_subgraph, make_cut
 
@@ -34,8 +39,6 @@ class _NoCyclicCut:
 
 
 NO_CYCLIC_CUT = _NoCyclicCut()
-
-SMALL_CUT_LIMIT = 4  # the census keeps every connected side cut this small
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,9 @@ def _connected_side_masks(g: MultiGraph) -> Iterator[tuple[int, int]]:
     subset, each exactly once, in no particular order.
 
     Subsets are grown from their minimum vertex on an explicit stack; cut
-    sizes are maintained incrementally (multiplicities included).
+    sizes are maintained incrementally (multiplicities included). No query
+    uses this exponential walk; the name stays because perfbench/run.py
+    traces it by name as part of the connectivity layer.
     """
     n = g.vertex_count
     deg = g.degrees()
@@ -172,64 +177,178 @@ def _connected_side_masks(g: MultiGraph) -> Iterator[tuple[int, int]]:
                 stack.append((cur | low, reach | nbr[u], avail, cut + deg[u] - 2 * into))
 
 
-class _CutCensus:
-    """What one walk of a graph's connected sides says about its cuts.
+class _CutSpace:
+    """A graph's cut space, read through a BFS spanning forest.
 
-    small_sides holds every connected side whose cut has at most
-    SMALL_CUT_LIMIT edges, each as the int mask << 3 | cut_size.
+    sig[e] holds the fundamental cycles through edge e as bits: the i-th
+    non-tree edge owns bit i, and a tree edge carries the bits of the
+    non-tree edges that leave the subtree below it. An edge set F is a cut
+    delta(S) exactly when its signatures XOR to 0, since the cut space is
+    the orthogonal complement of the cycle space. Then the XOR of the
+    below masks of F's tree edges (below[e] is the vertex set of the
+    subtree under tree edge e, 0 for a non-tree edge) is the S that holds
+    no tree root; with several components, every component but vertex 0's
+    may also move to the other side.
+
+    small holds every cut of at most _KEPT_CUT_SIZE edges as (side_a mask,
+    size), side_a holding vertex 0, in enumerate_cuts' order. cyclic is the
+    cyclic edge connectivity once asked for, None before.
     """
 
-    __slots__ = ("edge_connectivity", "cyclic_edge_connectivity", "small_sides")
+    __slots__ = ("sig", "below", "components", "small", "cyclic")
 
     def __init__(self, g: MultiGraph) -> None:
         n = g.vertex_count
+        edges = g.edges
+        parent_edge = [-1] * n
+        seen = [False] * n
+        order: list[int] = []
+        components = []
+        for root in range(n):
+            if seen[root]:
+                continue
+            seen[root] = True
+            start = len(order)
+            order.append(root)
+            i = start
+            while i < len(order):
+                v = order[i]
+                i += 1
+                for e, u in g.incidence[v]:
+                    if not seen[u]:
+                        seen[u] = True
+                        parent_edge[u] = e
+                        order.append(u)
+            components.append(sum(1 << v for v in order[start:]))
+        tree = set(parent_edge)
+        sig = [0] * len(edges)
+        # at[v]: XOR of the bits of the non-tree edges at v, then of those
+        # leaving v's subtree once its children are folded in
+        at = [0] * n
+        bit = 1
+        for e, (u, v) in enumerate(edges):
+            if e not in tree:
+                sig[e] = bit
+                at[u] ^= bit
+                at[v] ^= bit
+                bit <<= 1
+        below = [0] * len(edges)
+        sub = [1 << v for v in range(n)]
+        for v in reversed(order):
+            e = parent_edge[v]
+            if e >= 0:
+                sig[e] = at[v]
+                below[e] = sub[v]
+                u, w = edges[e]
+                p = u + w - v
+                at[p] ^= at[v]
+                sub[p] |= sub[v]
+        self.sig = tuple(sig)
+        self.below = tuple(below)
+        self.components = tuple(components)
+        self.small = tuple(self.sides(range(_KEPT_CUT_SIZE + 1), n))
+        self.cyclic: int | _NoCyclicCut | None = None
+
+    def zero_sets(self, k: int, levels: dict) -> Iterator[tuple[int, ...]]:
+        """Every k-edge set whose signatures XOR to 0, as a sorted tuple of
+        edge indices, each once: its first k // 2 edges are matched against
+        the rest through levels, which caches the j-edge sets by XOR."""
+        if k == 0:
+            yield ()
+            return
+        lows = _level(self.sig, k // 2, levels)
+        highs = _level(self.sig, k - k // 2, levels)
+        for x, heads in lows.items():
+            tails = highs.get(x)
+            if not tails:
+                continue
+            for a in heads:
+                last = a[-1] if a else -1
+                for b in tails:
+                    if b[0] > last:
+                        yield a + b
+
+    def side(self, edge_set: tuple[int, ...]) -> int:
+        """The side of the cut edge_set that holds no tree root."""
+        s = 0
+        below = self.below
+        for e in edge_set:
+            s ^= below[e]
+        return s
+
+    def sides(self, sizes: Iterable[int], n: int) -> list[tuple[int, int]]:
+        """(side_a mask, size) of every cut whose size is in sizes, one per
+        bipartition, side_a holding vertex 0, in enumerate_cuts' order."""
         full = (1 << n) - 1
-        deg = g.degrees()
-        total_deg = 2 * len(g.edges)
-        by_degree = [(d, sum(1 << v for v in range(n) if deg[v] == d)) for d in set(deg)]
-        best = len(g.edges)
-        cyclic: int | None = None
-        small: list[int] = []
-        for mask, cut in _connected_side_masks(g):
-            if cut < best:
-                best = cut
-            if cut <= SMALL_CUT_LIMIT:
-                small.append(mask << 3 | cut)
-            if cyclic is not None and cut >= cyclic:
-                continue
-            size = mask.bit_count()
-            side_deg = 0
-            for d, vertices in by_degree:
-                side_deg += d * (mask & vertices).bit_count()
-            # a connected side has a cycle exactly when it spans |S| edges;
-            # a possibly disconnected rest has one at least when it does
-            if side_deg - cut < 2 * size:
-                continue
-            if total_deg - side_deg - cut >= 2 * (n - size) or _has_cycle(
-                g, _mask_vertices(full & ~mask)
-            ):
-                cyclic = cut
-        self.edge_connectivity = best
-        self.cyclic_edge_connectivity = NO_CYCLIC_CUT if cyclic is None else cyclic
-        self.small_sides = tuple(small)
+        levels: dict = {}
+        flips = [0]
+        for comp in self.components[1:]:
+            flips += [f | comp for f in flips]
+        out = []
+        for k in sizes:
+            found = []
+            for edge_set in self.zero_sets(k, levels):
+                s = self.side(edge_set)
+                for f in flips:
+                    if s ^ f:
+                        side_a = full ^ s ^ f
+                        found.append((side_a.bit_count(), _bits(side_a), side_a))
+            found.sort()
+            out += [(side_a, k) for _, _, side_a in found]
+        return out
 
 
-def _census(g: MultiGraph) -> _CutCensus:
-    """The graph's cut census: taken on first use, then kept on the
-    instance next to its cached incidence lists (graphs are immutable)."""
-    census = g.__dict__.get("_cut_census")
-    if census is None:
-        census = g.__dict__["_cut_census"] = _CutCensus(g)
-    return census
+_KEPT_CUT_SIZE = 4  # the cut space keeps every cut this small on the instance
 
 
-def _mask_vertices(mask: int) -> frozenset[int]:
-    out = set()
+def _level(sig: tuple[int, ...], j: int, levels: dict) -> dict[int, list[tuple[int, ...]]]:
+    """The j-edge sets as sorted index tuples, grouped by the XOR of their
+    signatures; built once per levels dict."""
+    level = levels.get(j)
+    if level is None:
+        level = levels[j] = {}
+        for combo in combinations(range(len(sig)), j):
+            x = 0
+            for e in combo:
+                x ^= sig[e]
+            level.setdefault(x, []).append(combo)
+    return level
+
+
+def _cut_space(g: MultiGraph) -> _CutSpace:
+    """The graph's cut space: built on first use, then kept on the instance
+    next to its cached incidence lists (graphs are immutable)."""
+    space = g.__dict__.get("_cut_space")
+    if space is None:
+        space = g.__dict__["_cut_space"] = _CutSpace(g)
+    return space
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The vertices (or edges) of a bit mask, in increasing order."""
+    out = []
     while mask:
         low = mask & -mask
-        out.add(low.bit_length() - 1)
-        mask &= mask - 1
-    return frozenset(out)
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _cut_sides(
+    g: MultiGraph, max_size: int, nontrivial_only: bool = False
+) -> list[tuple[int, int]]:
+    """(side_a mask, size) of every cut of size <= max_size, one per
+    bipartition, in enumerate_cuts' order; see enumerate_cuts."""
+    n = g.vertex_count
+    if n < 2:
+        return []
+    space = _cut_space(g)
+    sides = [c for c in space.small if c[1] <= max_size]
+    if max_size > _KEPT_CUT_SIZE:
+        sides += space.sides(range(_KEPT_CUT_SIZE + 1, max_size + 1), n)
+    if nontrivial_only:
+        sides = [c for c in sides if 3 <= c[0].bit_count() <= n - 3]
+    return sides
 
 
 def enumerate_cuts(
@@ -237,76 +356,34 @@ def enumerate_cuts(
 ) -> list[Cut]:
     """All edge-cuts of size <= max_size, one representative per bipartition.
 
-    Connected sides are enumerated directly; cuts with both sides
-    disconnected arise as unions of vertex-disjoint connected pieces with
-    no edges between them, and are closed over explicitly. With
-    nontrivial_only, both sides must have at least 3 vertices. side_a is
-    always the side containing vertex 0.
+    Cuts of size k are the k-edge sets whose cycle-space signatures XOR
+    to 0, matched in the middle, so the work is polynomial in the number
+    of edges for fixed k. With nontrivial_only, both sides must have at
+    least 3 vertices. side_a is always the side containing vertex 0; cuts
+    come sorted by (size, |side_a|, sorted side_a).
     """
-    n = g.vertex_count
-    if n < 2:
-        return []
-    nbr = [0] * n
-    for u, v in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    if max_size <= SMALL_CUT_LIMIT:
-        base = [
-            (side >> 3, side & 7)
-            for side in _census(g).small_sides
-            if side & 7 <= max_size
-        ]
-    else:
-        base = [(mask, cut) for mask, cut in _connected_side_masks(g) if cut <= max_size]
-    sides: dict[int, int] = dict(base)
-    # a union adds at least the smallest base cut, so a piece whose cut
-    # plus that exceeds max_size can grow no further
-    room = max_size - min((cut for _, cut in base), default=0)
-    pool = list(base)
-    full = (1 << n) - 1
-    while pool:
-        new_pool = []
-        for a_mask, a_cut in pool:
-            if a_cut > room:
-                continue
-            a_reach = 0
-            m = a_mask
-            while m:
-                low = m & -m
-                a_reach |= nbr[low.bit_length() - 1]
-                m &= m - 1
-            for b_mask, b_cut in base:
-                if (a_mask & b_mask) or (a_reach & b_mask):
-                    continue
-                if (b_mask & -b_mask) <= (a_mask & -a_mask):
-                    continue
-                union = a_mask | b_mask
-                total = a_cut + b_cut
-                if union == full or total > max_size or union in sides:
-                    continue
-                sides[union] = total
-                new_pool.append((union, total))
-        pool = new_pool
-    out: dict[int, Cut] = {}
-    for mask in sides:
-        canon = mask if mask & 1 else full & ~mask
-        if canon in out:
-            continue
-        if nontrivial_only and not 3 <= canon.bit_count() <= n - 3:
-            continue
-        out[canon] = make_cut(g, _mask_vertices(canon))
-    return sorted(
-        out.values(), key=lambda c: (c.size, len(c.side_a), tuple(sorted(c.side_a)))
-    )
+    return [
+        make_cut(g, _bits(side_a))
+        for side_a, _ in _cut_sides(g, max_size, nontrivial_only)
+    ]
 
 
 def edge_connectivity(g: MultiGraph) -> int:
     """Minimum edge-cut size; 0 for disconnected graphs."""
-    if g.vertex_count <= 1:
+    n = g.vertex_count
+    if n <= 1:
         return 0
     if not g.is_connected():
         return 0
-    return _census(g).edge_connectivity
+    space = _cut_space(g)
+    if space.small:
+        return space.small[0][1]
+    # a vertex star is a cut, so the search ends by the minimum degree
+    levels: dict = {}
+    k = _KEPT_CUT_SIZE + 1
+    while next(space.zero_sets(k, levels), None) is None:
+        k += 1
+    return k
 
 
 def cyclic_edge_connectivity(g: MultiGraph) -> int | _NoCyclicCut:
@@ -316,14 +393,50 @@ def cyclic_edge_connectivity(g: MultiGraph) -> int | _NoCyclicCut:
     a minimum cyclic cut induce connected subgraphs: if a side split into
     parts, moving one part across while a cycle stays behind would give a
     smaller cyclic cut, since the part has edges only to the other side
-    and the graph is connected. So the connected sides of the graph's cut
-    census suffice.
+    and the graph is connected. A connected side with a cycle spans at
+    least as many edges as it has vertices, so a minimum cyclic k-cut has
+    m >= n + k: the search over cuts by size stops at k = m - n and
+    reports NO_CYCLIC_CUT when none of them is cyclic.
     """
     if not g.is_connected():
         raise ValueError("cyclic_edge_connectivity requires a connected graph")
     if any(d < 3 for d in g.degrees()):
         raise ValueError("cyclic_edge_connectivity requires minimum degree 3")
-    return _census(g).cyclic_edge_connectivity
+    space = _cut_space(g)
+    if space.cyclic is None:
+        space.cyclic = _cyclic_value(g, space)
+    return space.cyclic
+
+
+def _cyclic_value(g: MultiGraph, space: _CutSpace) -> int | _NoCyclicCut:
+    """The smallest k <= m - n with a k-cut whose sides both span at least
+    as many edges as they have vertices, else NO_CYCLIC_CUT.
+
+    Such a side has a cycle, so each cut found is cyclic; and the sides of
+    a minimum cyclic cut are connected, so they pass the test at the
+    minimum size (see cyclic_edge_connectivity).
+    """
+    n = g.vertex_count
+    full = (1 << n) - 1
+    deg = g.degrees()
+    by_degree = [(d, sum(1 << v for v in range(n) if deg[v] == d)) for d in set(deg)]
+
+    def spans_cycle(side: int, cut: int) -> bool:
+        side_deg = 0
+        for d, vertices in by_degree:
+            side_deg += d * (side & vertices).bit_count()
+        return side_deg - cut >= 2 * side.bit_count()
+
+    for side_a, k in space.small:
+        if spans_cycle(side_a, k) and spans_cycle(full ^ side_a, k):
+            return k
+    levels: dict = {}
+    for k in range(_KEPT_CUT_SIZE + 1, len(g.edges) - n + 1):
+        for edge_set in space.zero_sets(k, levels):
+            s = space.side(edge_set)
+            if spans_cycle(s, k) and spans_cycle(full ^ s, k):
+                return k
+    return NO_CYCLIC_CUT
 
 
 def cyclic_value_at_least(c: int | _NoCyclicCut, k: int) -> bool:

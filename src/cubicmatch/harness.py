@@ -19,12 +19,13 @@ from typing import Iterable, Iterator
 from .brick_brace import decompose, pm_affine_dimension
 from .connectivity import (
     NO_CYCLIC_CUT,
+    _bits,
+    _cut_sides,
     bridges,
     cyclic_edge_connectivity,
     cyclic_value_at_least,
     cyclically_edge_connected_at_least,
     edge_connectivity,
-    enumerate_cuts,
 )
 from .klee import is_klee
 from .matching import _Kernel, boundary_profile, count_perfect_matchings, matching_profile
@@ -390,9 +391,11 @@ def exceptional_canonical() -> bytes:
 
 
 def _sample_cut_for_identity(g: MultiGraph):
-    cuts = [c for c in enumerate_cuts(g, 4, nontrivial_only=True) if c.size <= 4]
-    if cuts:
-        return cuts[0]
+    """The first nontrivial cut of at most 4 edges in enumerate_cuts' order,
+    else the star of vertex 0; only that one Cut is built."""
+    sides = _cut_sides(g, 4, nontrivial_only=True)
+    if sides:
+        return make_cut(g, _bits(sides[0][0]))
     return make_cut(g, {0})
 
 

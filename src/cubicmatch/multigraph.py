@@ -21,7 +21,7 @@ class MultiGraph:
         edges: tuple of (u, v) pairs with u < v; parallel edges repeat.
 
     Data derived from the edges, such as the incidence lists and the cut
-    census of the connectivity module, is cached on the instance; equality
+    space of the connectivity module, is cached on the instance; equality
     and hashing ignore it.
     """
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cubicmatch import connectivity
 from cubicmatch.harness import bridgeless_cubic_catalog
 from cubicmatch.connectivity import bridges
 from cubicmatch.multigraph import MultiGraph
@@ -28,3 +29,20 @@ def random_bridgeless_cubic(n: int, rnd: random.Random) -> MultiGraph:
         g = MultiGraph(n, tuple(pairs))
         if g.is_connected() and not bridges(g):
             return g
+
+
+def walk_forbidden(g):
+    raise AssertionError("the connected-side walk must not run")
+
+
+def count_cut_spaces(monkeypatch):
+    """Records every graph a cut space is built for."""
+    built = []
+    space = connectivity._CutSpace
+
+    def counting_space(g):
+        built.append(g)
+        return space(g)
+
+    monkeypatch.setattr(connectivity, "_CutSpace", counting_space)
+    return built

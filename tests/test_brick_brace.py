@@ -35,7 +35,7 @@ from cubicmatch.named_graphs import (
     prism,
     three_bond,
 )
-from conftest import random_bridgeless_cubic
+from conftest import count_cut_spaces, random_bridgeless_cubic, walk_forbidden
 
 
 def simplified(g):
@@ -187,20 +187,15 @@ class TestDecompose:
                 splits += len(d.cut_trace)
         assert splits > 100
 
-    def test_walks_input_only(self, monkeypatch):
-        walked = []
-        walk = connectivity._connected_side_masks
-
-        def counting_walk(h):
-            walked.append(h)
-            return walk(h)
-
-        monkeypatch.setattr(connectivity, "_connected_side_masks", counting_walk)
+    def test_builds_cut_space_on_input_only(self, monkeypatch):
+        # no exponential walk, and one cut space, on the input graph only
+        monkeypatch.setattr(connectivity, "_connected_side_masks", walk_forbidden)
+        built = count_cut_spaces(monkeypatch)
         for strategy in ("first", "last"):
             for g in (exceptional_graph(), random_bridgeless_cubic(16, random.Random(16))):
-                walked.clear()
+                built.clear()
                 assert len(decompose(g, tight_cut_strategy=strategy).cut_trace) >= 2
-                assert len(walked) == 1 and walked[0] is g
+                assert len(built) == 1 and built[0] is g
 
     def test_rejects_bridged(self):
         g = from_edge_list(

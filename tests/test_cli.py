@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from cubicmatch.cli import main
 from cubicmatch.formats import parse, write_edge_list
+from cubicmatch.harness import generate_catalog, verify_catalog
 from cubicmatch.named_graphs import exceptional_graph, petersen
 
 
@@ -124,3 +126,41 @@ def test_analyze_exceptional(tmp_path, capsys):
     assert main(["analyze", str(p)]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["pm_count"] == 6 and data["invariants"]["exceptional"] is True
+
+
+def test_catalog_verify_names_each_violator(tmp_path, capsys, monkeypatch):
+    real = verify_catalog
+
+    failing = {1: ("pm_ge_n4_plus_2",), 3: ("pm_ge_n4_plus_2", "pm_ge_3n4_minus_10")}
+
+    def two_failing(graphs):
+        reports = real(graphs, workers=1)
+        for index, tags in failing.items():
+            bad = reports[index]
+            bad.results = [
+                replace(r, satisfied=False) if r.tag in tags else r for r in bad.results
+            ]
+        return reports
+
+    monkeypatch.setattr("cubicmatch.cli.verify_catalog", two_failing)
+    assert main(["catalog", "verify", "--n", "6"]) == 1
+    captured = capsys.readouterr()
+    reports = two_failing(generate_catalog(6))
+    # the reports on stdout are exactly the JSONL lines, names only on stderr
+    assert captured.out == "".join(
+        json.dumps(r.to_json(), sort_keys=True) + "\n" for r in reports
+    )
+    err = captured.err.splitlines()
+    assert err[0].endswith("VIOLATIONS FOUND")
+    assert err[1:3] == [
+        f"violation: index 1 canonical {reports[1].canonical_hex} failed pm_ge_n4_plus_2",
+        f"violation: index 3 canonical {reports[3].canonical_hex} "
+        "failed pm_ge_n4_plus_2,pm_ge_3n4_minus_10",
+    ]
+    assert not any(line.startswith("violation:") for line in err[3:])
+    out = tmp_path / "report.jsonl"
+    assert main(["catalog", "verify", "--n", "6", "--out", str(out)]) == 1
+    captured_out = capsys.readouterr()
+    assert captured_out.out == ""
+    assert out.read_text() == captured.out
+    assert captured_out.err == captured.err

@@ -1,12 +1,14 @@
 import pickle
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from cubicmatch.connectivity import (
     NO_CYCLIC_CUT,
     _connected_side_masks,
+    _cut_space,
+    _has_cycle,
     bridges,
     connectivity_report,
     cyclic_edge_connectivity,
@@ -321,7 +323,7 @@ class TestCutCensus:
                 got = {name: queries[name](h) for name in order}
                 expected = expected or got
                 assert got == expected
-            # sizes above the census limit take a fresh walk; both must agree
+            # sizes above the kept cuts are matched afresh; both must agree
             assert [c for c in enumerate_cuts(g, 5) if c.size <= 4] == expected["cuts4"]
 
     def test_sentinel_survives_pickling(self):
@@ -330,3 +332,205 @@ class TestCutCensus:
         assert cyclic_edge_connectivity(g) is NO_CYCLIC_CUT
         # the census rides along with the pickled graph
         assert cyclic_edge_connectivity(pickle.loads(pickle.dumps(g))) is NO_CYCLIC_CUT
+
+
+class CensusReference:
+    """The former cut census, kept as the reference for the cut-space
+    queries. One walk of the connected sides gives the edge connectivity,
+    the cyclic edge connectivity (a connected side has a cycle exactly when
+    its degree sum minus the cut is at least 2|S|) and every connected side
+    whose cut has at most max_size edges; cuts whose sides are both
+    disconnected are unions of vertex-disjoint, non-adjacent connected
+    sides and are closed over explicitly. cuts lists every cut of at most
+    max_size edges, side_a holding vertex 0, in enumerate_cuts' order."""
+
+    def __init__(self, g, max_size):
+        n = g.vertex_count
+        full = (1 << n) - 1
+        deg = g.degrees()
+        total_deg = 2 * len(g.edges)
+        by_degree = [(d, sum(1 << v for v in range(n) if deg[v] == d)) for d in set(deg)]
+        best = len(g.edges)
+        cyclic = None
+        base = []
+        for mask, cut in _connected_side_masks(g):
+            if cut < best:
+                best = cut
+            if cut <= max_size:
+                base.append((mask, cut))
+            if cyclic is not None and cut >= cyclic:
+                continue
+            size = mask.bit_count()
+            side_deg = sum(d * (mask & vertices).bit_count() for d, vertices in by_degree)
+            if side_deg - cut < 2 * size:
+                continue
+            rest = frozenset(v for v in range(n) if not (mask >> v) & 1)
+            if total_deg - side_deg - cut >= 2 * (n - size) or _has_cycle(g, rest):
+                cyclic = cut
+        self.edge_connectivity = best
+        self.cyclic_edge_connectivity = NO_CYCLIC_CUT if cyclic is None else cyclic
+        self.cuts = self._closed_cuts(g, base, max_size)
+
+    @staticmethod
+    def _closed_cuts(g, base, max_size):
+        n = g.vertex_count
+        full = (1 << n) - 1
+        nbr = [0] * n
+        for u, v in g.edges:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        sides = dict(base)
+        # a union adds at least the smallest base cut, so a piece whose cut
+        # plus that exceeds max_size can grow no further
+        room = max_size - min((cut for _, cut in base), default=0)
+        pool = list(base)
+        while pool:
+            new_pool = []
+            for a_mask, a_cut in pool:
+                if a_cut > room:
+                    continue
+                a_reach = 0
+                for v in range(n):
+                    if (a_mask >> v) & 1:
+                        a_reach |= nbr[v]
+                for b_mask, b_cut in base:
+                    if (a_mask & b_mask) or (a_reach & b_mask):
+                        continue
+                    if (b_mask & -b_mask) <= (a_mask & -a_mask):
+                        continue
+                    union = a_mask | b_mask
+                    total = a_cut + b_cut
+                    if union == full or total > max_size or union in sides:
+                        continue
+                    sides[union] = total
+                    new_pool.append((union, total))
+            pool = new_pool
+        out = {}
+        for mask in sides:
+            canon = mask if mask & 1 else full & ~mask
+            out.setdefault(canon, make_cut(g, [v for v in range(n) if (canon >> v) & 1]))
+        return sorted(
+            out.values(), key=lambda c: (c.size, len(c.side_a), tuple(sorted(c.side_a)))
+        )
+
+
+def assert_matches_census(g):
+    """Edge connectivity, the cyclic value where it is defined and
+    enumerate_cuts(g, k, nontrivial_only) for k = 1..5 against the census."""
+    ref = CensusReference(g, 5)
+    connected = g.is_connected()
+    assert edge_connectivity(g) == (ref.edge_connectivity if connected else 0)
+    if connected and min(g.degrees()) >= 3:
+        assert cyclic_edge_connectivity(g) == ref.cyclic_edge_connectivity
+    for k in range(1, 6):
+        for nontrivial_only in (False, True):
+            expected = [
+                c for c in ref.cuts
+                if c.size <= k
+                and (not nontrivial_only or min(len(c.side_a), len(c.side_b)) >= 3)
+            ]
+            assert enumerate_cuts(g, k, nontrivial_only) == expected
+
+
+def analyze16_draws(seed):
+    """The order-16 graphs the analyze16 benchmark workload draws for a seed."""
+    rnd = random.Random(seed)
+    return [random_bridgeless_cubic(16, rnd) for _ in range(100)]
+
+
+def joined_at_a_three_cut(n1, n2, rnd):
+    """Random cubic graphs on n1 and n2 vertices, each less one vertex,
+    with the three loose ends joined across: a planted nontrivial 3-cut.
+    Returns the graph and the side of the first graph."""
+    while True:
+        a, b = random_bridgeless_cubic(n1, rnd), random_bridgeless_cubic(n2, rnd)
+        ends_a = [u - 1 for _, u in a.incidence[0]]
+        ends_b = [u - 1 + n1 - 1 for _, u in b.incidence[0]]
+        keep_a = [(u - 1, v - 1) for u, v in a.edges if u != 0]
+        keep_b = [(u + n1 - 2, v + n1 - 2) for u, v in b.edges if u != 0]
+        g = MultiGraph(n1 + n2 - 2, tuple(keep_a + keep_b + list(zip(ends_a, ends_b))))
+        if g.is_connected() and not bridges(g):
+            return g, frozenset(range(n1 - 1))
+
+
+class TestCutSpace:
+    def test_matches_census_on_catalogs(self, catalogs):
+        for n in range(2, 13, 2):
+            for g in catalogs(n):
+                assert_matches_census(g)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_census_on_analyze16_draws(self, seed):
+        for g in analyze16_draws(seed):
+            assert_matches_census(g)
+
+    def test_matches_census_on_noncubic_multigraphs(self):
+        rnd = random.Random(59)
+        graphs = []
+        while len(graphs) < 40:
+            g = random_multigraph(rnd.randint(4, 10), rnd, min_degree=3)
+            if g.is_connected():
+                graphs.append(g)
+        # K6, K7 and a doubled K4 have no cut of at most four edges
+        complete = [MultiGraph(n, tuple(combinations(range(n), 2))) for n in (6, 7)]
+        graphs += complete + [MultiGraph(4, k4().edges * 2)]
+        assert any(edge_connectivity(g) > 4 for g in graphs)
+        assert any(cyclic_edge_connectivity(g) is NO_CYCLIC_CUT for g in graphs)
+        assert any(cyclic_edge_connectivity(g) is not NO_CYCLIC_CUT for g in graphs)
+        assert any(set(g.degrees()) != {3} for g in graphs)
+        for g in graphs:
+            assert_matches_census(g)
+
+    def test_matches_census_on_graphs_with_small_cuts(self):
+        for g in graphs_with_small_cuts(random.Random(89)):
+            assert_matches_census(g)
+
+    def test_zero_signature_xor_exactly_at_cuts(self):
+        rnd = random.Random(61)
+        for _ in range(40):
+            n = rnd.randint(2, 8)
+            g = random_multigraph(n, rnd)
+            m = len(g.edges)
+            space = _cut_space(g)
+            cuts = {
+                make_cut(g, [v for v in range(n) if (bits >> v) & 1]).cut_edges
+                for bits in range(1, (1 << n) - 1)
+            }
+            subsets = [tuple(sorted(rnd.sample(range(m), rnd.randint(0, m)))) for _ in range(30)]
+            subsets += rnd.sample(sorted(cuts), min(len(cuts), 10))
+            for edge_set in subsets:
+                x = 0
+                for e in edge_set:
+                    x ^= space.sig[e]
+                assert (x == 0) == (edge_set in cuts or not edge_set)
+                side = space.side(edge_set)
+                if x == 0 and side:
+                    assert make_cut(g, [v for v in range(n) if (side >> v) & 1]).cut_edges == edge_set
+
+    @pytest.mark.parametrize("n", [40, 56])
+    def test_large_orders_rechecked_with_make_cut(self, n):
+        # the census cannot run at these orders: every returned cut is
+        # rebuilt from its side, and cuts known to exist must be present
+        rnd = random.Random(n)
+        planted, planted_side = joined_at_a_three_cut(n // 2, n // 2 + 2, rnd)
+        for g in (random_bridgeless_cubic(n, rnd), planted):
+            full = frozenset(range(n))
+            for k in range(1, 5):
+                for nontrivial_only in (False, True):
+                    cuts = enumerate_cuts(g, k, nontrivial_only)
+                    keys = [(c.size, len(c.side_a), tuple(sorted(c.side_a))) for c in cuts]
+                    assert keys == sorted(set(keys))
+                    for c in cuts:
+                        assert 0 in c.side_a and c.side_a | c.side_b == full
+                        assert c.size <= k and make_cut(g, c.side_a) == c
+                        if nontrivial_only:
+                            assert min(len(c.side_a), len(c.side_b)) >= 3
+            sides = {c.side_a for c in enumerate_cuts(g, 4)}
+            stars = [make_cut(g, {v}) for v in range(n)]
+            pairs = [make_cut(g, {u, v}) for u, v in set(g.edges)]
+            for c in stars + pairs:
+                assert (c.side_a if 0 in c.side_a else c.side_b) in sides
+            assert edge_connectivity(g) == min(c.size for c in enumerate_cuts(g, 3))
+        planted_cut = make_cut(planted, planted_side)
+        assert planted_cut.size == 3
+        assert planted_cut in enumerate_cuts(planted, 3, nontrivial_only=True)

@@ -5,7 +5,12 @@ import random
 import pytest
 
 from cubicmatch import connectivity, harness
-from cubicmatch.connectivity import NO_CYCLIC_CUT, bridges, cyclic_edge_connectivity
+from cubicmatch.connectivity import (
+    NO_CYCLIC_CUT,
+    bridges,
+    cyclic_edge_connectivity,
+    enumerate_cuts,
+)
 from cubicmatch.harness import (
     FOUND,
     NOT_APPLICABLE,
@@ -18,7 +23,7 @@ from cubicmatch.harness import (
     verify_catalog,
     verify_graph,
 )
-from cubicmatch.multigraph import canonical_form, from_edge_list
+from cubicmatch.multigraph import canonical_form, from_edge_list, make_cut
 from cubicmatch.named_graphs import (
     exceptional_graph,
     k4,
@@ -27,7 +32,7 @@ from cubicmatch.named_graphs import (
     prism,
     three_bond,
 )
-from conftest import random_bridgeless_cubic
+from conftest import count_cut_spaces, random_bridgeless_cubic, walk_forbidden
 
 
 class TestBoundTable:
@@ -246,19 +251,30 @@ class TestVerify:
         seq = [r.to_json() for r in verify_catalog(graphs, workers=1)]
         assert [r.to_json() for r in verify_catalog(graphs, workers=2)] == seq
 
-    def test_verify_graph_walks_input_once(self, monkeypatch):
-        walked = []
-        walk = connectivity._connected_side_masks
-
-        def counting_walk(g):
-            walked.append(g)
-            return walk(g)
-
-        monkeypatch.setattr(connectivity, "_connected_side_masks", counting_walk)
+    def test_verify_graph_builds_cut_space_once(self, monkeypatch):
+        # no exponential walk, and one cut space, on the input graph only
+        monkeypatch.setattr(connectivity, "_connected_side_masks", walk_forbidden)
+        built = count_cut_spaces(monkeypatch)
         for g in (petersen(), random_bridgeless_cubic(12, random.Random(12))):
-            walked.clear()
+            built.clear()
             verify_graph(g)
-            assert sum(h is g for h in walked) == 1
+            assert len(built) == 1 and built[0] is g
+
+    def test_sampled_cut_matches_sorting_every_cut(self, catalogs):
+        graphs = [g for n in range(2, 13, 2) for g in catalogs(n)]
+        rnd = random.Random(1)  # the analyze16 benchmark draws for seed 1
+        graphs += [random_bridgeless_cubic(16, rnd) for _ in range(100)]
+        for g in graphs:
+            assert harness._sample_cut_for_identity(g) == sampled_cut_by_sorting(g)
+
+
+def sampled_cut_by_sorting(g):
+    """The sampled cut as first written: every nontrivial cut of at most 4
+    edges built as a Cut, in enumerate_cuts' order, and the first used."""
+    cuts = [c for c in enumerate_cuts(g, 4, nontrivial_only=True) if c.size <= 4]
+    if cuts:
+        return cuts[0]
+    return make_cut(g, {0})
 
 
 class TestScarceReport:
