@@ -6,6 +6,14 @@ multigraphs. Every such graph splits into a 2-factor plus a perfect
 matching, so enumerating all cycle types with all matchings on top and
 rejecting isomorphs is exhaustive by construction; known simple-graph
 census values and a half-edge pairing oracle guard the claim in tests.
+
+Only unions built from their largest 2-factor type are canonically
+labelled (McKay's rule of accepting an object only when it was built the
+canonical way, with the 2-factor type standing in for the canonical
+parent). The rule stays exhaustive because every graph has a 2-factor of
+its largest type, and the sweep of that type meets it. It keeps the same
+representative because types are swept from largest to smallest, so the
+first union of every class already has its largest type.
 """
 
 from __future__ import annotations
@@ -28,7 +36,13 @@ from .connectivity import (
     edge_connectivity,
 )
 from .klee import is_klee
-from .matching import _Kernel, boundary_profile, count_perfect_matchings, matching_profile
+from .matching import (
+    _Kernel,
+    boundary_profile,
+    count_perfect_matchings,
+    enumerate_perfect_matchings,
+    matching_profile,
+)
 from .multigraph import MultiGraph, canonical_form, make_cut
 from .named_graphs import exceptional_graph
 
@@ -67,7 +81,8 @@ def bound_table(max_k: int) -> BipartiteBoundTable:
 
 
 def _partitions_min2(n: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into parts >= 2, parts non-increasing."""
+    """Partitions of n into parts >= 2, parts non-increasing, in
+    descending lexicographic order: an earlier type is a larger one."""
 
     def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -101,6 +116,9 @@ def _two_factor(cycle_type: tuple[int, ...]) -> tuple[list[tuple[int, int]], lis
 
 
 def _pairings(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Perfect pairings of sorted items, each as pairs (a, b) with a < b in
+    increasing order of a; on vertices the pairings come in strictly
+    increasing order of their pair-code bytes, which orbit marking needs."""
     if not items:
         yield ()
         return
@@ -161,19 +179,62 @@ def _pair_code_table(perm: tuple[int, ...]) -> bytes:
     return bytes(table)
 
 
-def _is_orbit_minimal(pm: tuple[tuple[int, int], ...], tables: list[bytes]) -> bool:
-    """Whether no symmetry maps the pairing to one with a smaller sorted
-    code sequence; ``tables`` are the symmetries' `_pair_code_table`s.
+def _pairing_codes(n: int) -> list[bytes]:
+    """Every pairing of range(n) as its sorted pair codes u*16+v, in
+    `_pairings` order, which is increasing code order.
 
-    Pair codes u*16+v fit in a byte only while u, v < 16, i.e. for
-    n <= 16; CATALOG_LIMIT keeps catalogs below that.
+    Pair codes fit in a byte only while u, v < 16, i.e. for n <= 16;
+    CATALOG_LIMIT keeps catalogs below that.
     """
-    codes = bytes(sorted(u * 16 + v for u, v in pm))
-    base = list(codes)
-    for table in tables:
-        if sorted(codes.translate(table)) < base:
-            return False
+    return [bytes(u * 16 + v for u, v in pm) for pm in _pairings(tuple(range(n)))]
+
+
+def _is_orbit_minimal(codes: bytes, tables: list[bytes], marked: set[bytes]) -> bool:
+    """Whether the pairing ``codes`` is the smallest of its orbit under the
+    symmetries whose `_pair_code_table`s are ``tables``.
+
+    Pairings must arrive in increasing code order, all with the same
+    ``marked`` set. The first pairing of an orbit to arrive is then its
+    minimum: it marks every image and is accepted; later members find
+    themselves marked. ``tables`` form a group, so the images are the
+    whole orbit.
+    """
+    if codes in marked:
+        return False
+    marked.update(bytes(sorted(codes.translate(table))) for table in tables)
     return True
+
+
+def _two_factor_type(g: MultiGraph, matching: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle type, lengths non-increasing, of the 2-factor g - matching."""
+    parent = list(range(g.vertex_count))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    skip = set(matching)
+    for i, (u, v) in enumerate(g.edges):
+        if i not in skip:
+            parent[find(u)] = find(v)
+    sizes: dict[int, int] = {}
+    for x in range(g.vertex_count):
+        root = find(x)
+        sizes[root] = sizes.get(root, 0) + 1
+    return tuple(sorted(sizes.values(), reverse=True))
+
+
+def _has_larger_two_factor(g: MultiGraph, cycle_type: tuple[int, ...]) -> bool:
+    """Whether some 2-factor of cubic g has a cycle type lexicographically
+    larger than ``cycle_type``, i.e. one that `_partitions_min2` yields
+    earlier. Stops at the first; a Hamiltonian type has none larger."""
+    if len(cycle_type) == 1:
+        return False
+    return any(
+        _two_factor_type(g, pm) > cycle_type for pm in enumerate_perfect_matchings(g)
+    )
 
 
 def _quotient_connected_bridgeless(
@@ -214,7 +275,16 @@ _CATALOG_CACHE: dict[int, tuple[MultiGraph, ...]] = {}
 
 def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     """All isomorphism classes of connected bridgeless cubic multigraphs
-    of order n, sorted by canonical form."""
+    of order n, sorted by canonical form.
+
+    Each cycle type T is swept in `_partitions_min2` order with every
+    orbit-minimal pairing M on top. A connected bridgeless union reaches
+    `canonical_form` only when no 2-factor of it has a type larger than T.
+    Exhaustive: every graph has a 2-factor of its largest type, and the
+    sweep of that type meets it. Same representative as labelling every
+    union: a class first appears at its largest type, where no union of
+    it is skipped.
+    """
     if n % 2 or n < 2:
         raise ValueError("catalogs require even n >= 2")
     if n > CATALOG_LIMIT:
@@ -222,20 +292,24 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     if n in _CATALOG_CACHE:
         return _CATALOG_CACHE[n]
     seen: dict[bytes, MultiGraph] = {}
-    vertices = tuple(range(n))
+    pairings = _pairing_codes(n)
     for cycle_type in _partitions_min2(n):
         factor_edges, block = _two_factor(cycle_type)
         blocks = len(cycle_type)
         tables = [_pair_code_table(p) for p in _two_factor_symmetries(cycle_type, n)]
-        for pm in _pairings(vertices):
-            if not _is_orbit_minimal(pm, tables):
+        marked: set[bytes] = set()
+        for codes in pairings:
+            if not _is_orbit_minimal(codes, tables, marked):
                 continue
+            pm = tuple(divmod(c, 16) for c in codes)
             cross = [
                 (block[u], block[v]) for u, v in pm if block[u] != block[v]
             ]
             if not _quotient_connected_bridgeless(cross, blocks):
                 continue
             g = MultiGraph(n, tuple(factor_edges) + pm)
+            if _has_larger_two_factor(g, cycle_type):
+                continue
             key = canonical_form(g)
             if key not in seen:
                 seen[key] = g

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import random
 
@@ -23,7 +25,8 @@ from cubicmatch.harness import (
     verify_catalog,
     verify_graph,
 )
-from cubicmatch.multigraph import canonical_form, from_edge_list, make_cut
+from cubicmatch.matching import enumerate_perfect_matchings
+from cubicmatch.multigraph import MultiGraph, canonical_form, from_edge_list, make_cut
 from cubicmatch.named_graphs import (
     exceptional_graph,
     k4,
@@ -116,7 +119,7 @@ class TestCatalog:
 
     @pytest.mark.skipif(
         not os.environ.get("CUBICMATCH_RUN_SLOW"),
-        reason="n=14 exhaustive generation takes ~4 minutes",
+        reason="n=14 exhaustive generation takes about 30 s",
     )
     def test_n14_regression_counts(self):
         cat = bridgeless_cubic_catalog(14)
@@ -140,23 +143,157 @@ def sorted_key_orbit_minimal(pm, perms):
     return True
 
 
+def table_orbit_minimal(pm, tables):
+    """The stateless table filter before orbit marking: every symmetry's
+    image of the pairing is compared with the pairing itself."""
+    codes = bytes(sorted(u * 16 + v for u, v in pm))
+    base = list(codes)
+    for table in tables:
+        if sorted(codes.translate(table)) < base:
+            return False
+    return True
+
+
+def decode(codes):
+    return tuple(divmod(c, 16) for c in codes)
+
+
+def reference_unions(n):
+    """The generator's loop before the largest-type rule and orbit
+    marking: (cycle type, union) for every orbit-minimal pairing whose
+    union is connected and bridgeless."""
+    for cycle_type in harness._partitions_min2(n):
+        factor_edges, block = harness._two_factor(cycle_type)
+        perms = harness._two_factor_symmetries(cycle_type, n)
+        tables = [harness._pair_code_table(p) for p in perms]
+        for pm in harness._pairings(tuple(range(n))):
+            if not table_orbit_minimal(pm, tables):
+                continue
+            cross = [(block[u], block[v]) for u, v in pm if block[u] != block[v]]
+            if harness._quotient_connected_bridgeless(cross, len(cycle_type)):
+                yield cycle_type, MultiGraph(n, tuple(factor_edges) + pm)
+
+
+def reference_catalog(n):
+    """Every union canonically labelled, the first of each class kept."""
+    seen = {}
+    for _, g in reference_unions(n):
+        seen.setdefault(canonical_form(g), g)
+    return [seen[k] for k in sorted(seen)]
+
+
+def two_factor_types_by_subsets(g):
+    """Cycle types of every spanning 2-regular edge subset, found by a
+    plain walk over the n-edge subsets (degree sum 2n), with no matching
+    kernel."""
+    n = g.vertex_count
+    types = set()
+    for subset in itertools.combinations(range(len(g.edges)), n):
+        degree = [0] * n
+        adj = [[] for _ in range(n)]
+        for e in subset:
+            u, v = g.edges[e]
+            degree[u] += 1
+            degree[v] += 1
+            adj[u].append(v)
+            adj[v].append(u)
+        if any(d != 2 for d in degree):
+            continue
+        lengths, seen = [], set()
+        for start in range(n):
+            if start in seen:
+                continue
+            stack, size = [start], 0
+            seen.add(start)
+            while stack:
+                x = stack.pop()
+                size += 1
+                for y in adj[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            lengths.append(size)
+        types.add(tuple(sorted(lengths, reverse=True)))
+    return types
+
+
 class TestOrbitFilter:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_tables_accept_what_sorted_keys_accept(self, n):
+        # marking, fed every pairing in code order with one set per type
+        pairings = harness._pairing_codes(n)
         for cycle_type in harness._partitions_min2(n):
             perms = harness._two_factor_symmetries(cycle_type, n)
             tables = [harness._pair_code_table(p) for p in perms]
-            for pm in harness._pairings(tuple(range(n))):
-                assert harness._is_orbit_minimal(pm, tables) == sorted_key_orbit_minimal(pm, perms)
+            marked = set()
+            for codes in pairings:
+                expected = sorted_key_orbit_minimal(decode(codes), perms)
+                assert harness._is_orbit_minimal(codes, tables, marked) == expected
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_pairings_in_increasing_code_order(self, n):
+        codes = [bytes(u * 16 + v for u, v in pm) for pm in harness._pairings(tuple(range(n)))]
+        assert all(list(c) == sorted(c) and len(set(c)) == n // 2 for c in codes)
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        assert harness._pairing_codes(n) == codes
+        assert len(codes) == math.prod(range(1, n, 2))
 
     def test_same_representatives(self, catalogs, monkeypatch):
         orders = (2, 4, 6, 8, 10)
         tabled = {n: [g.edges for g in catalogs(n)] for n in orders}
         monkeypatch.setattr(harness, "_CATALOG_CACHE", {})
         monkeypatch.setattr(harness, "_pair_code_table", lambda perm: perm)
-        monkeypatch.setattr(harness, "_is_orbit_minimal", sorted_key_orbit_minimal)
+        monkeypatch.setattr(
+            harness,
+            "_is_orbit_minimal",
+            lambda codes, perms, marked: sorted_key_orbit_minimal(decode(codes), perms),
+        )
         for n in orders:
             assert [g.edges for g in bridgeless_cubic_catalog(n)] == tabled[n]
+
+
+class TestLargestTypeRule:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_reference_generator_representatives(self, catalogs, n):
+        assert [g.edges for g in catalogs(n)] == [g.edges for g in reference_catalog(n)]
+
+    @pytest.mark.skipif(
+        not os.environ.get("CUBICMATCH_RUN_SLOW"),
+        reason="the n=12 reference generator takes about 5 s",
+    )
+    def test_reference_generator_representatives_n12(self, catalogs):
+        assert [g.edges for g in catalogs(12)] == [g.edges for g in reference_catalog(12)]
+
+    def check_against_subset_walk(self, g, cycle_types):
+        types = two_factor_types_by_subsets(g)
+        kernel_types = {
+            harness._two_factor_type(g, pm) for pm in enumerate_perfect_matchings(g)
+        }
+        assert kernel_types == types
+        for cycle_type in cycle_types:
+            larger = any(t > cycle_type for t in types)
+            assert harness._has_larger_two_factor(g, cycle_type) == larger
+        return types
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_every_union_against_subset_walk(self, n):
+        for cycle_type, g in reference_unions(n):
+            assert cycle_type in self.check_against_subset_walk(g, [cycle_type])
+
+    def test_catalog_against_subset_walk(self, catalogs):
+        for n in range(2, 11, 2):
+            cycle_types = list(harness._partitions_min2(n))
+            for g in catalogs(n):
+                self.check_against_subset_walk(g, cycle_types)
+
+    def test_hamiltonian_type_returns_at_once(self, catalogs, monkeypatch):
+        def enumerate_forbidden(g):
+            raise AssertionError("no matching is needed for type (n,)")
+
+        monkeypatch.setattr(harness, "enumerate_perfect_matchings", enumerate_forbidden)
+        for n in range(2, 11, 2):
+            for g in catalogs(n):
+                assert not harness._has_larger_two_factor(g, (n,))
 
 
 class TestVerify:
