@@ -14,14 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .connectivity import _bits, bridges, enumerate_cuts, vertex_connectivity_at_most
-from .matching import (
-    _Kernel,
-    _vertex_mask,
-    boundary_profile,
-    enumerate_perfect_matchings,
-    is_matching_covered,
-)
+from .connectivity import _bits, _require, enumerate_cuts, vertex_connectivity_at_most
+from .matching import _boundary_profile, _Kernel, _vertex_mask
 from .multigraph import Cut, MultiGraph, contract
 
 BRICK = "brick"
@@ -51,8 +45,8 @@ class Decomposition:
         return sum(1 for _, kind in self.pieces if kind == BRACE)
 
 
-def _is_tight_unchecked(g: MultiGraph, cut: Cut) -> bool:
-    profile = boundary_profile(g, cut)
+def _is_tight_unchecked(kernel: _Kernel, g: MultiGraph, cut: Cut) -> bool:
+    profile = _boundary_profile(kernel, g, cut)
     return all(
         profile.m_a[x] * profile.m_b[x] == 0
         for x in profile.m_a
@@ -62,19 +56,15 @@ def _is_tight_unchecked(g: MultiGraph, cut: Cut) -> bool:
 
 def is_tight(g: MultiGraph, cut: Cut) -> bool:
     """True when every perfect matching uses exactly one cut edge."""
-    if not is_matching_covered(g):
-        raise ValueError("is_tight requires a matching covered graph")
-    return _is_tight_unchecked(g, cut)
+    kernel = _Kernel(g)
+    _require_covered(kernel, "is_tight")
+    return _is_tight_unchecked(kernel, g, cut)
 
 
-def _require_cubic_bridgeless_covered(g: MultiGraph, who: str) -> None:
-    if not g.is_cubic():
-        raise ValueError(f"{who} requires a cubic graph")
-    if not g.is_connected():
-        raise ValueError(f"{who} requires a connected graph")
-    if bridges(g):
-        raise ValueError(f"{who} requires a bridgeless graph")
-    if not is_matching_covered(g):
+def _require_covered(kernel: _Kernel, who: str) -> None:
+    """The matching covered precondition, read from the kernel's per-edge
+    table."""
+    if not kernel.matching_covered():
         raise ValueError(f"{who} requires a matching covered graph")
 
 
@@ -84,15 +74,21 @@ def find_nontrivial_tight_cut(g: MultiGraph) -> Cut | None:
     Only size-3 odd cuts are searched: tight cuts of cubic bridgeless
     graphs cannot be larger.
     """
-    _require_cubic_bridgeless_covered(g, "find_nontrivial_tight_cut")
-    return _tight_cut(g, enumerate_cuts(g, 3, nontrivial_only=True), "first")
+    who = "find_nontrivial_tight_cut"
+    _require(g, who, cubic=True, connected=True, bridgeless=True)
+    kernel = _Kernel(g)
+    _require_covered(kernel, who)
+    return _tight_cut(kernel, g, enumerate_cuts(g, 3, nontrivial_only=True), "first")
 
 
-def _tight_cut(g: MultiGraph, cuts: Iterable[Cut], strategy: str) -> Cut | None:
-    """The first (strategy "first") or last ("last") tight 3-cut in cuts."""
+def _tight_cut(
+    kernel: _Kernel, g: MultiGraph, cuts: Iterable[Cut], strategy: str
+) -> Cut | None:
+    """The first (strategy "first") or last ("last") tight 3-cut in cuts,
+    every one decided through the same kernel on g."""
     found = None
     for cut in cuts:
-        if cut.size == 3 and _is_tight_unchecked(g, cut):
+        if cut.size == 3 and _is_tight_unchecked(kernel, g, cut):
             if strategy == "first":
                 return cut
             found = cut
@@ -150,7 +146,15 @@ def decompose(g: MultiGraph, tight_cut_strategy: str = "first") -> Decomposition
     """
     if tight_cut_strategy not in ("first", "last"):
         raise ValueError("tight_cut_strategy must be 'first' or 'last'")
-    _require_cubic_bridgeless_covered(g, "decompose")
+    _require(g, "decompose", cubic=True, connected=True, bridgeless=True)
+    return _decompose(_Kernel(g), g, tight_cut_strategy)
+
+
+def _decompose(kernel: _Kernel, g: MultiGraph, tight_cut_strategy: str) -> Decomposition:
+    """decompose on a graph already checked cubic, connected and
+    bridgeless, through the caller's kernel on g; every further piece with
+    candidate cuts gets one kernel for all of them."""
+    _require_covered(kernel, "decompose")
     pieces: list[tuple[MultiGraph, str]] = []
     trace: list[Cut] = []
     # only the input's cuts are enumerated; each piece inherits its own
@@ -162,7 +166,14 @@ def decompose(g: MultiGraph, tight_cut_strategy: str = "first") -> Decomposition
     stack = [(g, top)]
     while stack:
         h, cuts = stack.pop()
-        cut = _tight_cut(h, (_side_cut(h, *c) for c in cuts), tight_cut_strategy)
+        cut = None
+        if cuts:
+            cut = _tight_cut(
+                kernel if h is g else _Kernel(h),
+                h,
+                (_side_cut(h, *c) for c in cuts),
+                tight_cut_strategy,
+            )
         if cut is None:
             pieces.append((h, BRACE if h.is_bipartite() else BRICK))
             continue
@@ -229,7 +240,11 @@ def pm_affine_dimension(g: MultiGraph) -> int:
     """Affine dimension of the perfect matching characteristic vectors,
     by exact integer rank of difference vectors. Independent of the
     decomposition-based dimension formula."""
-    pms = list(enumerate_perfect_matchings(g))
+    return _affine_dimension(_Kernel(g), g)
+
+
+def _affine_dimension(kernel: _Kernel, g: MultiGraph) -> int:
+    pms = list(kernel.matchings(0, []))
     if not pms:
         raise ValueError("pm_affine_dimension requires at least one perfect matching")
     base = [0] * len(g.edges)

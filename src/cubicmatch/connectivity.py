@@ -59,6 +59,24 @@ class SeparationWitness:
         return self.separates
 
 
+def _require(
+    g: MultiGraph,
+    who: str,
+    *,
+    cubic: bool = False,
+    connected: bool = False,
+    bridgeless: bool = False,
+) -> None:
+    """Raises ValueError naming ``who`` and the first requested property
+    that g lacks, checked in the order cubic, connected, bridgeless."""
+    if cubic and not g.is_cubic():
+        raise ValueError(f"{who} requires a cubic graph")
+    if connected and not g.is_connected():
+        raise ValueError(f"{who} requires a connected graph")
+    if bridgeless and bridges(g):
+        raise ValueError(f"{who} requires a bridgeless graph")
+
+
 def bridges(g: MultiGraph) -> list[int]:
     """Edge indices whose removal disconnects their component.
 
@@ -398,8 +416,7 @@ def cyclic_edge_connectivity(g: MultiGraph) -> int | _NoCyclicCut:
     m >= n + k: the search over cuts by size stops at k = m - n and
     reports NO_CYCLIC_CUT when none of them is cyclic.
     """
-    if not g.is_connected():
-        raise ValueError("cyclic_edge_connectivity requires a connected graph")
+    _require(g, "cyclic_edge_connectivity", connected=True)
     if any(d < 3 for d in g.degrees()):
         raise ValueError("cyclic_edge_connectivity requires minimum degree 3")
     space = _cut_space(g)

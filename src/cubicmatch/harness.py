@@ -24,24 +24,25 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator
 
-from .brick_brace import decompose, pm_affine_dimension
+from .brick_brace import _affine_dimension, _decompose
 from .connectivity import (
     NO_CYCLIC_CUT,
     _bits,
     _cut_sides,
+    _require,
     bridges,
     cyclic_edge_connectivity,
     cyclic_value_at_least,
     cyclically_edge_connected_at_least,
     edge_connectivity,
 )
-from .klee import is_klee
+from .klee import _klee_steps
 from .matching import (
+    _boundary_profile,
     _Kernel,
-    boundary_profile,
+    _matching_profile,
     count_perfect_matchings,
     enumerate_perfect_matchings,
-    matching_profile,
 )
 from .multigraph import MultiGraph, canonical_form, make_cut
 from .named_graphs import exceptional_graph
@@ -479,25 +480,25 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     Hypotheses (3-edge-connectivity, bipartiteness, klee membership,
     cyclic connectivity, 2-edge-cuts) are computed here; a theorem is
     evaluated exactly when its hypothesis holds.
+
+    g is checked once, and one matching kernel on g serves the profile, the
+    decomposition's scan of g, the affine rank and the sampled cut; it is
+    freed on return.
     """
-    if not g.is_cubic():
-        raise ValueError("verify_graph requires a cubic graph")
-    if not g.is_connected():
-        raise ValueError("verify_graph requires a connected graph")
-    if bridges(g):
-        raise ValueError("verify_graph requires a bridgeless graph")
+    _require(g, "verify_graph", cubic=True, connected=True, bridgeless=True)
     n = g.vertex_count
-    counts = matching_profile(g)
+    kernel = _Kernel(g)
+    counts = _matching_profile(kernel, g, frozenset())
     pm = counts.total
     min_avoiding = pm - max(counts.per_edge.values())
-    dec = decompose(g)
+    dec = _decompose(kernel, g, "first")
     dim = len(g.edges) - n + 1 - dec.brick_count
-    affine = pm_affine_dimension(g)
+    affine = _affine_dimension(kernel, g)
     ec = edge_connectivity(g)
     cyc = cyclic_edge_connectivity(g)
     cyc5 = cyclic_value_at_least(cyc, 5)
     bip = g.is_bipartite()
-    klee = bool(is_klee(g))
+    klee = bool(_klee_steps(g))
     exceptional = canonical_form(g) == exceptional_canonical()
     invariants = {
         "bridgeless": True,
@@ -551,7 +552,7 @@ def verify_graph(g: MultiGraph) -> BoundReport:
         )
     )
     cut = _sample_cut_for_identity(g)
-    profile = boundary_profile(g, cut)
+    profile = _boundary_profile(kernel, g, cut)
     total = sum(profile.m_a[x] * profile.m_b[x] for x in profile.m_a)
     results.append(
         TheoremResult(
@@ -631,12 +632,7 @@ def bipartite_companion_check(g: MultiGraph, e: int) -> CompanionResult:
 
     def covered_without(removed: frozenset[int]) -> bool:
         """Every remaining edge lies in a perfect matching of G - removed."""
-        kernel = _Kernel(g, removed)
-        return all(
-            kernel.count((1 << u) | (1 << v))
-            for h, (u, v) in enumerate(g.edges)
-            if h not in removed
-        )
+        return _Kernel(g, removed).matching_covered()
 
     if covered_without(frozenset((e,))):
         return CompanionResult(NOT_APPLICABLE, None)

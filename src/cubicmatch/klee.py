@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connectivity import enumerate_cuts, is_cyclic_cut
+from .connectivity import _require, enumerate_cuts, is_cyclic_cut
 from .matching import _Kernel, _vertex_mask, count_perfect_matchings
 from .multigraph import (
     Cut,
@@ -114,10 +114,12 @@ def _contractible_triangles(g: MultiGraph) -> list[tuple[int, int, int]]:
 
 def is_klee(g: MultiGraph) -> KleeResult:
     """Klee-graph test with the triangle contraction sequence as certificate."""
-    if not g.is_cubic():
-        raise ValueError("is_klee requires a cubic graph")
-    if not g.is_connected():
-        raise ValueError("is_klee requires a connected graph")
+    _require(g, "is_klee", cubic=True, connected=True)
+    return _klee_steps(g)
+
+
+def _klee_steps(g: MultiGraph) -> KleeResult:
+    """is_klee on a graph already checked cubic and connected."""
     steps: list[tuple[int, int, int]] = []
     cur = g
     while True:
@@ -281,7 +283,7 @@ def _nice_oriented(g: MultiGraph, cut: Cut) -> str | None:
     a = len(cut.side_a)
     if a >= 9:
         return "ii"
-    if a >= 5 and not _is_tight_unchecked(g, cut):
+    if a >= 5 and not _is_tight_unchecked(_Kernel(g), g, cut):
         return "iii"
     if a == 3:
         endpoints = [v for e in cut.cut_edges for v in g.edges[e]]
@@ -295,8 +297,7 @@ def is_nice_cut(g: MultiGraph, cut: Cut) -> NiceCutResult:
     """Nice 3-edge-cut test; both orientations of the cut are tried."""
     if cut.size != 3:
         raise ValueError(f"nice cuts must have size 3, got {cut.size}")
-    if not g.is_cubic():
-        raise ValueError("is_nice_cut requires a cubic graph")
+    _require(g, "is_nice_cut", cubic=True)
     clause = _nice_oriented(g, cut)
     if clause is not None:
         return NiceCutResult(True, clause, "side_a")

@@ -2,8 +2,16 @@
 
 Counts treat parallel edges as distinguishable objects: the 3-bond has
 three perfect matchings. One memoized kernel answers every count; blossom
-is kept only for Tutte certificates. The kernel is guarded by a plain
-edge-subset oracle that walks the full inclusion/exclusion tree.
+is kept only for Tutte certificates. The kernel branches on the first free
+vertex of least remaining degree, read as popcounts of per-vertex
+neighbour masks. Per-edge counts come from one forward sweep over a
+count's branching, which carries the number of paths to each state, and
+enumeration walks the same branching with an explicit stack. A kernel
+belongs to one call: the public functions here build their own, and
+verify_graph builds one for its input, shares it between its stages and
+drops it on return, so no memo outlives the call or sits on the graph.
+The kernel is guarded by a plain edge-subset oracle that walks the full
+inclusion/exclusion tree.
 """
 
 from __future__ import annotations
@@ -86,32 +94,63 @@ def _validate_constraints(
 
 
 class _Kernel:
-    """Counts perfect matchings of G - X (X a vertex bitmask) in g without
-    the forbidden edges, branching on a vertex of minimum remaining degree.
-    The count depends on the mask alone, so one memo serves every query of
-    one public call: forced edges, per-edge counts, boundary tables and
-    vertex deletions are all masks."""
+    """Every matching answer for one graph without the forbidden edges.
+
+    Counts perfect matchings of G - X (X a vertex bitmask), branching on a
+    vertex of minimum remaining degree. The count depends on the mask
+    alone, so one memo serves every query made through one kernel: forced
+    edges, per-edge counts, boundary tables and vertex deletions are all
+    masks. Per-edge counts come from one forward sweep over a count's
+    branching, and enumeration walks the same branching. A kernel lives as
+    long as the call that built it; nothing keeps it on the graph.
+    """
 
     def __init__(self, g: MultiGraph, forbidden: frozenset[int] = frozenset()) -> None:
-        self.full = (1 << g.vertex_count) - 1
-        self.inc: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
-        for i, (u, v) in enumerate(g.edges):
-            if i not in forbidden:
-                self.inc[u].append((i, v))
-                self.inc[v].append((i, u))
+        n = g.vertex_count
+        self.full = (1 << n) - 1
+        self.edge_count = len(g.edges)
+        self.forbidden = forbidden
+        if forbidden:
+            inc = [
+                [(i, u) for i, u in edges if i not in forbidden] for edges in g.incidence
+            ]
+        else:
+            inc = g.incidence
+        # levels[v][k]: the neighbours joined to v by more than k kept
+        # edges, so v's remaining degree is a sum of popcounts
+        levels: list[list[int]] = []
+        for edges in inc:
+            lv = [0]
+            for _, u in edges:
+                bit = 1 << u
+                k = 0
+                while lv[k] & bit:
+                    k += 1
+                    if k == len(lv):
+                        lv.append(0)
+                lv[k] |= bit
+            levels.append(lv)
+        self.inc = inc
+        self.levels = levels
         self._memo = {self.full: 1}
+        self._pivots: dict[int, int] = {}  # the count's pivot at each state it filled
+        self._tables: dict[int, list[int]] = {}
 
     def pivot(self, mask: int) -> int:
-        """An uncovered vertex of minimum remaining degree, or -1 when some
-        uncovered vertex has none left."""
+        """The first uncovered vertex in index order of minimum remaining
+        degree, stopping at degree 1, or -1 when some uncovered vertex has
+        none left."""
+        free = self.full ^ mask
+        levels = self.levels
         best_v, best_d = -1, 1 << 30
-        for v, edges in enumerate(self.inc):
-            if (mask >> v) & 1:
-                continue
+        rest = free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             d = 0
-            for _, u in edges:
-                if not (mask >> u) & 1:
-                    d += 1
+            for level in levels[v]:
+                d += (level & free).bit_count()
             if d < best_d:
                 best_v, best_d = v, d
                 if d <= 1:
@@ -119,27 +158,102 @@ class _Kernel:
         return -1 if best_d == 0 else best_v
 
     def _rec(self, mask: int) -> int:
-        cached = self._memo.get(mask)
-        if cached is not None:
-            return cached
+        memo = self._memo
         total = 0
-        v = self.pivot(mask)
+        v = self._pivots[mask] = self.pivot(mask)
         if v >= 0:
             base = mask | (1 << v)
             for _, u in self.inc[v]:
                 if not (mask >> u) & 1:
-                    total += self._rec(base | (1 << u))
-        self._memo[mask] = total
+                    sub = base | (1 << u)
+                    below = memo.get(sub)
+                    total += self._rec(sub) if below is None else below
+        memo[mask] = total
         return total
 
     def count(self, mask: int) -> int:
         """Number of perfect matchings of G - mask."""
         if (self.full ^ mask).bit_count() % 2:
             return 0
-        result = self._rec(mask)
+        result = self._memo.get(mask)
+        if result is None:
+            result = self._rec(mask)
         if result >= COUNT_LIMIT:
             raise OverflowError("perfect matching count exceeds 64-bit range")
         return result
+
+    def _branches(self, mask: int) -> list[tuple[int, int, int]]:
+        """(edge, state, count below) for each branch of the count at a
+        mask with a positive count, in incidence order, skipping those
+        below which the count is 0."""
+        v = self._pivots[mask]
+        base = mask | (1 << v)
+        out = []
+        for i, u in self.inc[v]:
+            if not (mask >> u) & 1:
+                sub = base | (1 << u)
+                below = self._memo[sub]
+                if below:
+                    out.append((i, sub, below))
+        return out
+
+    def edge_counts(self, covered: int = 0) -> list[int]:
+        """Per edge index, the perfect matchings of G - covered that use
+        the edge: 0 for forbidden edges and edges touching covered.
+
+        One forward sweep over the branching of count(covered), layer by
+        layer, carries ways[S], the number of branch paths from covered to
+        S. Every perfect matching follows one path to the full mask and
+        branches on each of its edges exactly once, so an edge taken at S
+        gains ways[S] times the count below the branch.
+        """
+        table = self._tables.get(covered)
+        if table is not None:
+            return table
+        table = [0] * self.edge_count
+        if self.count(covered):
+            layer = {covered: 1}
+            while self.full not in layer:
+                nxt: dict[int, int] = {}
+                for mask, ways in layer.items():
+                    for i, sub, below in self._branches(mask):
+                        table[i] += ways * below
+                        nxt[sub] = nxt.get(sub, 0) + ways
+                layer = nxt
+        self._tables[covered] = table
+        return table
+
+    def matching_covered(self) -> bool:
+        """Whether some edge is kept and every kept edge lies in a perfect
+        matching."""
+        kept = [c for i, c in enumerate(self.edge_counts()) if i not in self.forbidden]
+        return bool(kept) and all(kept)
+
+    def matchings(self, covered: int, chosen: list[int]) -> Iterator[tuple[int, ...]]:
+        """Every perfect matching of G - covered together with the edges
+        in chosen, as a sorted tuple, following the count's branching in
+        depth-first order. The stack is explicit, so a suspended
+        enumeration holds no reference cycle."""
+        if not self.count(covered):
+            return
+        if covered == self.full:
+            yield tuple(sorted(chosen))
+            return
+        stack = [iter(self._branches(covered))]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if stack:
+                    chosen.pop()
+                continue
+            i, sub, _ = step
+            chosen.append(i)
+            if sub == self.full:
+                yield tuple(sorted(chosen))
+                chosen.pop()
+            else:
+                stack.append(iter(self._branches(sub)))
 
 
 def _vertex_mask(vertices: Iterable[int]) -> int:
@@ -196,25 +310,7 @@ def enumerate_perfect_matchings(
     forced = frozenset(forced)
     forbidden = frozenset(forbidden)
     _validate_constraints(g, forced, forbidden)
-    kernel = _Kernel(g, forbidden)
-    chosen: list[int] = list(forced)
-
-    def rec(mask: int) -> Iterator[tuple[int, ...]]:
-        if mask == kernel.full:
-            yield tuple(sorted(chosen))
-            return
-        v = kernel.pivot(mask)
-        for i, u in kernel.inc[v]:
-            if not (mask >> u) & 1:
-                sub = mask | (1 << v) | (1 << u)
-                if kernel.count(sub):
-                    chosen.append(i)
-                    yield from rec(sub)
-                    chosen.pop()
-
-    covered = _forced_mask(g, forced)
-    if kernel.count(covered):
-        yield from rec(covered)
+    yield from _Kernel(g, forbidden).matchings(_forced_mask(g, forced), list(forced))
 
 
 # --------------------------------------------------------------------------
@@ -400,26 +496,19 @@ def matching_profile(
     forced = frozenset(forced)
     forbidden = frozenset(forbidden)
     _validate_constraints(g, forced, forbidden)
-    kernel = _Kernel(g, forbidden)
+    return _matching_profile(_Kernel(g, forbidden), g, forced)
+
+
+def _matching_profile(kernel: _Kernel, g: MultiGraph, forced: frozenset[int]) -> MatchingProfile:
     covered = _forced_mask(g, forced)
     total = kernel.count(covered)
-    per: dict[int, int] = {}
-    for e, (u, v) in enumerate(g.edges):
-        if e in forbidden:
-            per[e] = 0
-        elif e in forced:
-            per[e] = total
-        else:
-            ends = (1 << u) | (1 << v)
-            per[e] = 0 if covered & ends else kernel.count(covered | ends)
-    return MatchingProfile(total, per, forced, forbidden)
+    table = kernel.edge_counts(covered)
+    per = {e: total if e in forced else table[e] for e in range(len(g.edges))}
+    return MatchingProfile(total, per, forced, kernel.forbidden)
 
 
 def is_matching_covered(g: MultiGraph) -> bool:
-    kernel = _Kernel(g)
-    return len(g.edges) > 0 and all(
-        kernel.count((1 << u) | (1 << v)) for u, v in g.edges
-    )
+    return _Kernel(g).matching_covered()
 
 
 def boundary_profile(g: MultiGraph, cut: Cut) -> BoundaryProfile:
@@ -428,24 +517,27 @@ def boundary_profile(g: MultiGraph, cut: Cut) -> BoundaryProfile:
     Cut sizes up to 4 are supported; the total count of g equals
     sum over X of m_a[X] * m_b[X].
     """
+    return _boundary_profile(_Kernel(g), g, cut)
+
+
+def _boundary_profile(kernel: _Kernel, g: MultiGraph, cut: Cut) -> BoundaryProfile:
     k = cut.size
     if k > 4:
         raise ValueError(f"boundary_profile supports cuts of size <= 4, got {k}")
     profile = BoundaryProfile(cut)
-    kernel = _Kernel(g)
+    subsets = [frozenset(i for i in range(k) if (bits >> i) & 1) for bits in range(1 << k)]
     for side, table in ((cut.side_a, profile.m_a), (cut.side_b, profile.m_b)):
         other = kernel.full & ~_vertex_mask(side)
         attachments = []
         for e in cut.cut_edges:
             u, v = g.edges[e]
-            attachments.append(u if u in side else v)
-        for bits in range(1 << k):
-            x = frozenset(i for i in range(k) if (bits >> i) & 1)
-            att = [attachments[i] for i in x]
-            if len(set(att)) != len(att):
-                table[x] = 0
-                continue
-            table[x] = kernel.count(other | _vertex_mask(att))
+            attachments.append(1 << (u if u in side else v))
+        for x in subsets:
+            att = 0
+            for i in x:
+                att |= attachments[i]
+            # two cut edges of x sharing an attachment vertex leave count 0
+            table[x] = kernel.count(other | att) if att.bit_count() == len(x) else 0
     return profile
 
 

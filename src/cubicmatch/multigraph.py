@@ -523,7 +523,10 @@ def _canonical_search(g: MultiGraph) -> bytes:
             del flat[base_len:]
         return p + 1
 
-    rec(0)
+    try:
+        rec(0)
+    finally:
+        del rec  # the closure refers to itself; free it without the cyclic collector
     assert best is not None
     return bytes([n]) + bytes(best)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cubicmatch import connectivity
+from cubicmatch import connectivity, matching
 from cubicmatch.harness import bridgeless_cubic_catalog
 from cubicmatch.connectivity import bridges
 from cubicmatch.multigraph import MultiGraph
@@ -46,3 +46,25 @@ def count_cut_spaces(monkeypatch):
 
     monkeypatch.setattr(connectivity, "_CutSpace", counting_space)
     return built
+
+
+def count_kernels(monkeypatch):
+    """Records the graph of every matching kernel built."""
+    built = []
+    init = matching._Kernel.__init__
+
+    def counting_init(self, g, *args, **kwargs):
+        built.append(g)
+        init(self, g, *args, **kwargs)
+
+    monkeypatch.setattr(matching._Kernel, "__init__", counting_init)
+    return built
+
+
+def check_kernels_per_piece(built, g, dec):
+    """One kernel on g and at most one on each further piece of the
+    decomposition dec (two new pieces per split)."""
+    assert sum(h is g for h in built) == 1
+    others = [h for h in built if h is not g]
+    assert len({id(h) for h in others}) == len(others)
+    assert len(others) <= 2 * len(dec.cut_trace)

@@ -35,7 +35,13 @@ from cubicmatch.named_graphs import (
     prism,
     three_bond,
 )
-from conftest import count_cut_spaces, random_bridgeless_cubic, walk_forbidden
+from conftest import (
+    check_kernels_per_piece,
+    count_cut_spaces,
+    count_kernels,
+    random_bridgeless_cubic,
+    walk_forbidden,
+)
 
 
 def simplified(g):
@@ -116,7 +122,7 @@ class TestTightCuts:
         # K4 minus an edge: the edge opposite the removed one is in no
         # perfect matching
         g = from_edge_list(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^is_tight requires a matching covered graph$"):
             is_tight(g, make_cut(g, {0}))
 
 
@@ -196,6 +202,15 @@ class TestDecompose:
                 built.clear()
                 assert len(decompose(g, tight_cut_strategy=strategy).cut_trace) >= 2
                 assert len(built) == 1 and built[0] is g
+
+    def test_builds_one_kernel_per_piece(self, monkeypatch):
+        # every candidate cut of a piece is decided through one kernel
+        built = count_kernels(monkeypatch)
+        for strategy in ("first", "last"):
+            for g in (exceptional_graph(), random_bridgeless_cubic(16, random.Random(16))):
+                built.clear()
+                dec = decompose(g, tight_cut_strategy=strategy)
+                check_kernels_per_piece(built, g, dec)
 
     def test_rejects_bridged(self):
         g = from_edge_list(

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -6,7 +7,7 @@ import random
 
 import pytest
 
-from cubicmatch import connectivity, harness
+from cubicmatch import connectivity, harness, matching
 from cubicmatch.connectivity import (
     NO_CYCLIC_CUT,
     bridges,
@@ -35,7 +36,15 @@ from cubicmatch.named_graphs import (
     prism,
     three_bond,
 )
-from conftest import count_cut_spaces, random_bridgeless_cubic, walk_forbidden
+from cubicmatch.brick_brace import decompose, find_nontrivial_tight_cut
+from cubicmatch.klee import is_klee
+from conftest import (
+    check_kernels_per_piece,
+    count_cut_spaces,
+    count_kernels,
+    random_bridgeless_cubic,
+    walk_forbidden,
+)
 
 
 class TestBoundTable:
@@ -397,6 +406,44 @@ class TestVerify:
             verify_graph(g)
             assert len(built) == 1 and built[0] is g
 
+    def test_verify_graph_builds_one_kernel_per_graph(self, monkeypatch):
+        # the profile, the scan of g, the affine rank and the sampled cut
+        # share one kernel; each further piece gets at most one
+        built = count_kernels(monkeypatch)
+        splits = 0
+        for g in (petersen(), random_bridgeless_cubic(12, random.Random(12)),
+                  exceptional_graph()):
+            dec = decompose(g)
+            splits += len(dec.cut_trace)
+            built.clear()
+            verify_graph(g)
+            check_kernels_per_piece(built, g, dec)
+        assert splits >= 2
+
+    def test_verify_graph_checks_input_once(self, monkeypatch):
+        calls = []
+        bridges_of = connectivity.bridges
+
+        def counting_bridges(g):
+            calls.append(g)
+            return bridges_of(g)
+
+        monkeypatch.setattr(connectivity, "bridges", counting_bridges)
+        g = petersen()
+        verify_graph(g)
+        assert calls == [g]
+
+    def test_verify_graph_leaves_no_kernel_for_the_collector(self):
+        # with the collector off, only reference cycles could keep a
+        # kernel and its memo alive after the call
+        gc.collect()
+        gc.disable()
+        try:
+            verify_graph(petersen())
+            assert not [o for o in gc.get_objects() if isinstance(o, matching._Kernel)]
+        finally:
+            gc.enable()
+
     def test_sampled_cut_matches_sorting_every_cut(self, catalogs):
         graphs = [g for n in range(2, 13, 2) for g in catalogs(n)]
         rnd = random.Random(1)  # the analyze16 benchmark draws for seed 1
@@ -412,6 +459,34 @@ def sampled_cut_by_sorting(g):
     if cuts:
         return cuts[0]
     return make_cut(g, {0})
+
+
+NOT_CUBIC = from_edge_list(2, [(0, 1)])
+DISCONNECTED = from_edge_list(4, [(0, 1)] * 3 + [(2, 3)] * 3)
+BRIDGED = from_edge_list(
+    6, [(0, 1), (0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (4, 5)]
+)
+
+
+@pytest.mark.parametrize(
+    "fn, g, message",
+    [
+        (fn, g, f"{fn.__name__} requires a {what} graph")
+        for fn in (verify_graph, decompose, find_nontrivial_tight_cut)
+        for g, what in ((NOT_CUBIC, "cubic"), (DISCONNECTED, "connected"), (BRIDGED, "bridgeless"))
+    ]
+    + [
+        (is_klee, NOT_CUBIC, "is_klee requires a cubic graph"),
+        (is_klee, DISCONNECTED, "is_klee requires a connected graph"),
+        (cyclic_edge_connectivity, DISCONNECTED,
+         "cyclic_edge_connectivity requires a connected graph"),
+    ],
+)
+def test_precondition_messages(fn, g, message):
+    # the shared validator keeps each entry point's own message, word for word
+    with pytest.raises(ValueError) as err:
+        fn(g)
+    assert str(err.value) == message
 
 
 class TestScarceReport:
