@@ -3,8 +3,11 @@
 The decomposition of a cubic bridgeless graph only needs size-3 odd cuts:
 every tight cut of a cubic bridgeless graph has size three, and the pieces
 stay cubic and bridgeless, each inheriting its 3-cuts from its parent.
-Polytope quantities are exact: the affine rank by integer elimination,
-membership by rational arithmetic.
+A cut of a piece is tight there exactly when it is tight in the input
+(Lovasz 1987), so every 3-cut is decided once, by one forced count on the
+input's matching kernel, and no piece builds a kernel. Polytope
+quantities are exact: the affine rank by integer elimination on co-tree
+coordinates, membership by rational arithmetic.
 """
 
 from __future__ import annotations
@@ -12,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .connectivity import _bits, _require, enumerate_cuts, vertex_connectivity_at_most
-from .matching import _boundary_profile, _Kernel, _vertex_mask
+from .connectivity import _bits, _cut_sides, _require, _side_key, vertex_connectivity_at_most
+from .matching import _boundary_profile, _Kernel
 from .multigraph import Cut, MultiGraph, contract
 
 BRICK = "brick"
@@ -78,21 +81,34 @@ def find_nontrivial_tight_cut(g: MultiGraph) -> Cut | None:
     _require(g, who, cubic=True, connected=True, bridgeless=True)
     kernel = _Kernel(g)
     _require_covered(kernel, who)
-    return _tight_cut(kernel, g, enumerate_cuts(g, 3, nontrivial_only=True), "first")
+    cuts = _tight_cuts(kernel, g)
+    return _side_cut(g, *cuts[0]) if cuts else None
 
 
-def _tight_cut(
-    kernel: _Kernel, g: MultiGraph, cuts: Iterable[Cut], strategy: str
-) -> Cut | None:
-    """The first (strategy "first") or last ("last") tight 3-cut in cuts,
-    every one decided through the same kernel on g."""
-    found = None
-    for cut in cuts:
-        if cut.size == 3 and _is_tight_unchecked(kernel, g, cut):
-            if strategy == "first":
-                return cut
-            found = cut
-    return found
+def _tight_cuts(kernel: _Kernel, g: MultiGraph) -> list[tuple[int, tuple[int, ...]]]:
+    """The nontrivial tight 3-cuts of a matching covered cubic graph g as
+    (side_a mask, cut edges), in enumerate_cuts order.
+
+    A 3-cut has an odd side, so a perfect matching uses one or three of
+    its edges, and the cut is tight exactly when none uses all three:
+    when two cut edges share an end, or else when the kernel counts no
+    perfect matching of g less the six ends of the cut edges.
+    """
+    edges = g.edges
+    out = []
+    for side, size in _cut_sides(g, 3, nontrivial_only=True):
+        if size != 3:
+            continue
+        cut_edges = tuple(
+            e for e, (u, v) in enumerate(edges) if ((side >> u) ^ (side >> v)) & 1
+        )
+        ends = 0
+        for e in cut_edges:
+            u, v = edges[e]
+            ends |= (1 << u) | (1 << v)
+        if ends.bit_count() < 6 or not kernel.count(ends):
+            out.append((side, cut_edges))
+    return out
 
 
 def _side_cut(g: MultiGraph, side: int, cut_edges: tuple[int, ...]) -> Cut:
@@ -103,13 +119,16 @@ def _side_cut(g: MultiGraph, side: int, cut_edges: tuple[int, ...]) -> Cut:
 def _contract_side(
     h: MultiGraph, part: int, cuts: list[tuple[int, tuple[int, ...]]]
 ) -> tuple[MultiGraph, list[tuple[int, tuple[int, ...]]]]:
-    """h with the vertex set `part` contracted, and the nontrivial 3-cuts of
-    the result in enumerate_cuts order, inherited from h's nontrivial
-    3-cuts `cuts`, each given as (side_a mask, cut edges).
+    """h with the vertex set `part` contracted, and the nontrivial tight
+    3-cuts of the result in enumerate_cuts order, inherited from h's
+    nontrivial tight 3-cuts `cuts`, each given as (side_a mask, cut edges).
 
     A cut of h/part is exactly a cut of h that does not cross part, with
     the same edges. A trivial side of h never contains part (|part| >= 3),
-    so no cut of h/part is missing from cuts.
+    so no cut of h/part is missing from cuts. When delta(part) is tight
+    and h matching covered, the perfect matchings of h/part are the
+    restrictions of those of h, so a cut of h/part is tight exactly when
+    it is tight in h.
     """
     piece, vmap = contract(h, [_bits(part)])
     edge_map = []
@@ -131,7 +150,7 @@ def _contract_side(
         if 3 <= image.bit_count() <= n - 3:
             out.append((image, tuple(edge_map[e] for e in cut_edges)))
     # enumerate_cuts' key (size, |side_a|, sorted side_a); every size is 3
-    out.sort(key=lambda c: (c[0].bit_count(), tuple(_bits(c[0]))))
+    out.sort(key=lambda c: _side_key(c[0], n))
     return piece, out
 
 
@@ -152,34 +171,21 @@ def decompose(g: MultiGraph, tight_cut_strategy: str = "first") -> Decomposition
 
 def _decompose(kernel: _Kernel, g: MultiGraph, tight_cut_strategy: str) -> Decomposition:
     """decompose on a graph already checked cubic, connected and
-    bridgeless, through the caller's kernel on g; every further piece with
-    candidate cuts gets one kernel for all of them."""
+    bridgeless, through the caller's kernel on g. Only the input's cuts
+    are enumerated and decided; each piece inherits its tight ones."""
     _require_covered(kernel, "decompose")
     pieces: list[tuple[MultiGraph, str]] = []
     trace: list[Cut] = []
-    # only the input's cuts are enumerated; each piece inherits its own
-    top = [
-        (_vertex_mask(c.side_a), c.cut_edges)
-        for c in enumerate_cuts(g, 3, nontrivial_only=True)
-        if c.size == 3
-    ]
-    stack = [(g, top)]
+    stack = [(g, _tight_cuts(kernel, g))]
     while stack:
         h, cuts = stack.pop()
-        cut = None
-        if cuts:
-            cut = _tight_cut(
-                kernel if h is g else _Kernel(h),
-                h,
-                (_side_cut(h, *c) for c in cuts),
-                tight_cut_strategy,
-            )
-        if cut is None:
+        if not cuts:
             pieces.append((h, BRACE if h.is_bipartite() else BRICK))
             continue
-        trace.append(cut)
-        stack.append(_contract_side(h, _vertex_mask(cut.side_a), cuts))
-        stack.append(_contract_side(h, _vertex_mask(cut.side_b), cuts))
+        side, cut_edges = cuts[0] if tight_cut_strategy == "first" else cuts[-1]
+        trace.append(_side_cut(h, side, cut_edges))
+        stack.append(_contract_side(h, side, cuts))
+        stack.append(_contract_side(h, ((1 << h.vertex_count) - 1) & ~side, cuts))
     return Decomposition(tuple(pieces), tuple(trace))
 
 
@@ -243,10 +249,54 @@ def pm_affine_dimension(g: MultiGraph) -> int:
     return _affine_dimension(_Kernel(g), g)
 
 
+def _cotree_edges(g: MultiGraph) -> list[int]:
+    """The edges outside a BFS spanning forest of g, less one edge closing
+    an odd cycle in each non-bipartite component, in index order:
+    m - n + (number of bipartite components) edges."""
+    n = g.vertex_count
+    depth = [-1] * n
+    dropped = [False] * len(g.edges)
+    for root in range(n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        component = [root]
+        for v in component:
+            for e, u in g.incidence[v]:
+                if depth[u] < 0:
+                    depth[u] = depth[v] + 1
+                    dropped[e] = True
+                    component.append(u)
+        odd = next(
+            (
+                e
+                for v in component
+                for e, u in g.incidence[v]
+                if depth[u] == depth[v] and not dropped[e]
+            ),
+            None,
+        )
+        if odd is not None:
+            dropped[odd] = True
+    return [e for e, d in enumerate(dropped) if not d]
+
+
 def _affine_dimension(kernel: _Kernel, g: MultiGraph) -> int:
+    """The rank of the differences of the perfect matching vectors from the
+    first, each restricted to the co-tree edges of _cotree_edges.
+
+    The restriction keeps the rank. Every difference x has Ax = 0, A the
+    vertex-edge incidence matrix, as each matching covers each vertex
+    once. A nonzero x with Ax = 0 that vanishes on the co-tree edges
+    would be supported on a forest plus one odd-cycle-closing edge per
+    non-bipartite component, and those incidence columns are independent:
+    a tree's columns span the vectors y with sum (-1)^depth(v) y_v = 0,
+    and an edge between two vertices of one depth parity does not.
+    """
     pms = list(kernel.matchings(0, []))
     if not pms:
         raise ValueError("pm_affine_dimension requires at least one perfect matching")
+    cols = _cotree_edges(g)
     base = [0] * len(g.edges)
     for e in pms[0]:
         base[e] = -1
@@ -255,7 +305,7 @@ def _affine_dimension(kernel: _Kernel, g: MultiGraph) -> int:
         row = base[:]
         for e in pm:
             row[e] += 1
-        rows.append(row)
+        rows.append([row[e] for e in cols])
     return _exact_rank(rows)
 
 

@@ -310,7 +310,7 @@ class _CutSpace:
                 for f in flips:
                     if s ^ f:
                         side_a = full ^ s ^ f
-                        found.append((side_a.bit_count(), _bits(side_a), side_a))
+                        found.append((*_side_key(side_a, n), side_a))
             found.sort()
             out += [(side_a, k) for _, _, side_a in found]
         return out
@@ -350,6 +350,14 @@ def _bits(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def _side_key(mask: int, n: int) -> tuple[int, int]:
+    """enumerate_cuts' side order (|S|, sorted S) as two integers, for a
+    mask S of at most n bits. Of two sets of one size, the one holding
+    their lowest differing vertex has the smaller sorted tuple and the
+    larger n-bit reversal, so the reversal, negated, orders them alike."""
+    return mask.bit_count(), -int(bin(mask)[:1:-1].ljust(n, "0"), 2)
 
 
 def _cut_sides(

@@ -482,7 +482,7 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     evaluated exactly when its hypothesis holds.
 
     g is checked once, and one matching kernel on g serves the profile, the
-    decomposition's scan of g, the affine rank and the sampled cut; it is
+    decomposition's tight cuts, the affine rank and the sampled cut; it is
     freed on return.
     """
     _require(g, "verify_graph", cubic=True, connected=True, bridgeless=True)

@@ -7,7 +7,9 @@ from cubicmatch import connectivity
 from cubicmatch.brick_brace import (
     BRACE,
     BRICK,
+    _cotree_edges,
     _exact_rank,
+    _tight_cuts,
     decompose,
     find_nontrivial_tight_cut,
     is_bicritical,
@@ -18,7 +20,12 @@ from cubicmatch.brick_brace import (
     polytope_membership,
 )
 from cubicmatch.connectivity import enumerate_cuts
-from cubicmatch.matching import count_perfect_matchings, enumerate_perfect_matchings
+from cubicmatch.matching import (
+    _Kernel,
+    _vertex_mask,
+    count_perfect_matchings,
+    enumerate_perfect_matchings,
+)
 from cubicmatch.multigraph import (
     MultiGraph,
     canonical_form,
@@ -27,6 +34,7 @@ from cubicmatch.multigraph import (
     make_cut,
 )
 from cubicmatch.named_graphs import (
+    cube,
     doubled_c4,
     exceptional_graph,
     k4,
@@ -36,7 +44,8 @@ from cubicmatch.named_graphs import (
     three_bond,
 )
 from conftest import (
-    check_kernels_per_piece,
+    analyze16_draws,
+    check_one_kernel_on_input,
     count_cut_spaces,
     count_kernels,
     random_bridgeless_cubic,
@@ -67,6 +76,58 @@ def reference_decompose(g, strategy):
         stack.append(contract(h, [found.side_a])[0])
         stack.append(contract(h, [found.side_b])[0])
     return pieces, trace
+
+
+def reference_affine_dimension(g):
+    """Rank of the difference vectors over all m edge coordinates."""
+    pms = list(enumerate_perfect_matchings(g))
+    base = [0] * len(g.edges)
+    for e in pms[0]:
+        base[e] = -1
+    rows = []
+    for pm in pms[1:]:
+        row = base[:]
+        for e in pm:
+            row[e] += 1
+        rows.append(row)
+    return _exact_rank(rows)
+
+
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.vertex_count
+    return MultiGraph(offset, tuple(edges))
+
+
+def bipartite_components(g):
+    """The number of connected components of g that are bipartite."""
+    colour = [-1] * g.vertex_count
+    count = 0
+    for root in range(g.vertex_count):
+        if colour[root] >= 0:
+            continue
+        colour[root] = 0
+        component, bipartite = [root], True
+        for v in component:
+            for _, u in g.incidence[v]:
+                if colour[u] < 0:
+                    colour[u] = 1 - colour[v]
+                    component.append(u)
+                elif colour[u] == colour[v]:
+                    bipartite = False
+        count += bipartite
+    return count
+
+
+def random_bipartite_cubic(n, rnd):
+    """Random cubic bipartite multigraph on n vertices, sides 0..n/2-1 and
+    n/2..n-1, by pairing each left stub with a shuffled right stub."""
+    half = n // 2
+    right = [half + v for v in range(half) for _ in range(3)]
+    rnd.shuffle(right)
+    return MultiGraph(n, tuple(zip([v for v in range(half) for _ in range(3)], right)))
 
 
 def rational_rank(rows):
@@ -203,14 +264,25 @@ class TestDecompose:
                 assert len(decompose(g, tight_cut_strategy=strategy).cut_trace) >= 2
                 assert len(built) == 1 and built[0] is g
 
-    def test_builds_one_kernel_per_piece(self, monkeypatch):
-        # every candidate cut of a piece is decided through one kernel
+    def test_builds_one_kernel_on_input(self, monkeypatch):
+        # every cut is decided once on the input; no piece builds a kernel
         built = count_kernels(monkeypatch)
-        for strategy in ("first", "last"):
-            for g in (exceptional_graph(), random_bridgeless_cubic(16, random.Random(16))):
+        graphs = (
+            petersen(),
+            exceptional_graph(),
+            random_bridgeless_cubic(12, random.Random(12)),
+            random_bridgeless_cubic(16, random.Random(16)),
+        )
+        splits = 0
+        for g in graphs:
+            for strategy in ("first", "last"):
                 built.clear()
-                dec = decompose(g, tight_cut_strategy=strategy)
-                check_kernels_per_piece(built, g, dec)
+                splits += len(decompose(g, tight_cut_strategy=strategy).cut_trace)
+                check_one_kernel_on_input(built, g)
+            built.clear()
+            find_nontrivial_tight_cut(g)
+            check_one_kernel_on_input(built, g)
+        assert splits >= 4
 
     def test_rejects_bridged(self):
         g = from_edge_list(
@@ -348,3 +420,134 @@ class TestMembership:
         vec = [Fraction(1, 3)] * 9
         ok, _ = polytope_membership(g, vec)
         assert ok
+
+
+def one_shared_end():
+    """Order 8 with the nontrivial 3-cut around the triangle {0, 1, 2}:
+    two of its edges meet at vertex 3, so no matching uses all three."""
+    return from_edge_list(
+        8,
+        [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 5), (3, 4),
+         (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)],
+    )
+
+
+class TestTightOnce:
+    def check_forced_count(self, g):
+        # every nontrivial 3-cut, tight by its boundary profile exactly
+        # when the forced count keeps it
+        kept = {side: cut_edges for side, cut_edges in _tight_cuts(_Kernel(g), g)}
+        cuts = [c for c in enumerate_cuts(g, 3, nontrivial_only=True) if c.size == 3]
+        for cut in cuts:
+            side = _vertex_mask(cut.side_a)
+            assert (side in kept) == is_tight(g, cut)
+            if side in kept:
+                assert kept[side] == cut.cut_edges
+        assert len(kept) <= len(cuts)
+        return len(cuts), len(kept)
+
+    def test_forced_count_on_catalogs(self, catalogs):
+        cuts = tight = 0
+        for n in range(2, 13, 2):
+            for g in catalogs(n):
+                c, t = self.check_forced_count(g)
+                cuts, tight = cuts + c, tight + t
+        assert 0 < tight < cuts
+
+    def test_forced_count_on_analyze16_draws(self):
+        cuts = tight = 0
+        for g in analyze16_draws():
+            c, t = self.check_forced_count(g)
+            cuts, tight = cuts + c, tight + t
+        assert 0 < tight < cuts
+
+    def test_tight_in_a_piece_exactly_when_tight_in_the_input(self, catalogs):
+        # the lemma the single decision rests on, at every split of the
+        # reference decomposition: each piece's cut against its preimage
+        graphs = [g for n in (6, 8, 10) for g in catalogs(n)]
+        rnd = random.Random(14)
+        graphs += [random_bridgeless_cubic(14, rnd) for _ in range(4)]
+        graphs.append(exceptional_graph())
+        checked = 0
+        for g in graphs:
+            stack = [(g, [frozenset([v]) for v in range(g.vertex_count)])]
+            while stack:
+                h, blobs = stack.pop()
+                found = None
+                for cut in enumerate_cuts(h, 3, nontrivial_only=True):
+                    if cut.size != 3:
+                        continue
+                    tight = is_tight(h, cut)
+                    preimage = make_cut(g, frozenset().union(*(blobs[v] for v in cut.side_a)))
+                    assert preimage.size == 3
+                    assert tight == is_tight(g, preimage)
+                    checked += h is not g
+                    if tight and found is None:
+                        found = cut
+                if found is None:
+                    continue
+                for part in (found.side_a, found.side_b):
+                    piece, vmap = contract(h, [part])
+                    merged = [frozenset()] * piece.vertex_count
+                    for v, blob in enumerate(blobs):
+                        merged[vmap[v]] |= blob
+                    stack.append((piece, merged))
+        assert checked > 50
+
+    def test_cut_edges_sharing_an_end(self):
+        g = one_shared_end()
+        cut = make_cut(g, {0, 1, 2})
+        ends = [v for e in cut.cut_edges for v in g.edges[e]]
+        assert cut.size == 3 and len(set(ends)) == 5
+        assert is_tight(g, cut)
+        assert (_vertex_mask(cut.side_a), cut.cut_edges) in _tight_cuts(_Kernel(g), g)
+        for strategy in ("first", "last"):
+            d = decompose(g, tight_cut_strategy=strategy)
+            pieces = [(p.vertex_count, p.edges, kind) for p, kind in d.pieces]
+            assert (pieces, list(d.cut_trace)) == reference_decompose(g, strategy)
+
+
+class TestCotreeRank:
+    def check(self, g):
+        cols = _cotree_edges(g)
+        assert cols == sorted(set(cols))
+        assert len(cols) == len(g.edges) - g.vertex_count + bipartite_components(g)
+        rank = pm_affine_dimension(g)
+        assert rank == reference_affine_dimension(g)
+        return rank
+
+    def test_catalogs(self, catalogs):
+        for n in range(2, 13, 2):
+            for g in catalogs(n):
+                self.check(g)
+
+    def test_seeded_orders_14_to_20(self):
+        for n in (14, 16, 18, 20):
+            rnd = random.Random(n)
+            for _ in range(5):
+                self.check(random_bridgeless_cubic(n, rnd))
+
+    def test_bipartite(self):
+        assert self.check(k33()) == 4
+        assert self.check(cube()) == polytope_dimension(cube())
+        rnd = random.Random(97)
+        g = random_bipartite_cubic(16, rnd)
+        while not g.is_connected():
+            g = random_bipartite_cubic(16, rnd)
+        assert g.is_bipartite()
+        assert self.check(g) == polytope_dimension(g)
+
+    def test_parallel_edges(self):
+        graphs = [three_bond(), doubled_c4()]
+        rnd = random.Random(101)
+        while len(graphs) < 12:
+            g = random_bridgeless_cubic(10, rnd)
+            if len(set(g.edges)) < len(g.edges):
+                graphs.append(g)
+        for g in graphs:
+            assert self.check(g) == polytope_dimension(g)
+
+    def test_disconnected(self):
+        assert self.check(disjoint_union(k4(), k4())) == 4
+        assert self.check(disjoint_union(k4(), k33())) == 6
+        assert self.check(disjoint_union(k33(), petersen(), three_bond())) == 4 + 5 + 2

@@ -7,8 +7,10 @@ import pytest
 from cubicmatch.connectivity import (
     NO_CYCLIC_CUT,
     _connected_side_masks,
+    _bits,
     _cut_space,
     _has_cycle,
+    _side_key,
     bridges,
     connectivity_report,
     cyclic_edge_connectivity,
@@ -28,7 +30,7 @@ from cubicmatch.named_graphs import (
     prism,
     three_bond,
 )
-from conftest import random_bridgeless_cubic
+from conftest import analyze16_draws, random_bridgeless_cubic
 
 
 def bridged_gadget():
@@ -432,12 +434,6 @@ def assert_matches_census(g):
             assert enumerate_cuts(g, k, nontrivial_only) == expected
 
 
-def analyze16_draws(seed):
-    """The order-16 graphs the analyze16 benchmark workload draws for a seed."""
-    rnd = random.Random(seed)
-    return [random_bridgeless_cubic(16, rnd) for _ in range(100)]
-
-
 def joined_at_a_three_cut(n1, n2, rnd):
     """Random cubic graphs on n1 and n2 vertices, each less one vertex,
     with the three loose ends joined across: a planted nontrivial 3-cut.
@@ -534,3 +530,11 @@ class TestCutSpace:
         planted_cut = make_cut(planted, planted_side)
         assert planted_cut.size == 3
         assert planted_cut in enumerate_cuts(planted, 3, nontrivial_only=True)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_side_key_sorts_as_sorted_vertex_tuples(n):
+    masks = list(range(1 << n))
+    by_tuple = sorted(masks, key=lambda s: (s.bit_count(), _bits(s)))
+    assert sorted(masks, key=lambda s: _side_key(s, n)) == by_tuple
+    assert len({_side_key(s, n) for s in masks}) == len(masks)

@@ -31,7 +31,7 @@ from cubicmatch.matching import (
     matching_profile,
 )
 from cubicmatch.multigraph import MultiGraph, delete_vertices, induced_subgraph
-from conftest import random_bridgeless_cubic
+from conftest import analyze16_draws
 
 ORDERS = (2, 4, 6, 8)
 SWEEP_ORDERS = (2, 4, 6, 8, 10)
@@ -134,11 +134,6 @@ def random_constraints(rnd, g):
     rest = [e for e in range(len(g.edges)) if e not in forced]
     forbidden = set(rnd.sample(rest, min(len(rest), rnd.randrange(3))))
     return frozenset(forced), frozenset(forbidden)
-
-
-def analyze16_draws():
-    rnd = random.Random(1)  # the analyze16 benchmark draws for seed 1
-    return [random_bridgeless_cubic(16, rnd) for _ in range(100)]
 
 
 def seeded_multigraphs():
