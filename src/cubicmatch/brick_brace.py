@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .connectivity import _bits, _cut_sides, _require, _side_key, vertex_connectivity_at_most
 from .matching import _boundary_profile, _Kernel
-from .multigraph import Cut, MultiGraph, contract
+from .multigraph import Cut, MultiGraph, _contract_parts
 
 BRICK = "brick"
 BRACE = "brace"
@@ -129,8 +129,12 @@ def _contract_side(
     and h matching covered, the perfect matchings of h/part are the
     restrictions of those of h, so a cut of h/part is tight exactly when
     it is tight in h.
+
+    part is not checked again: it is a side of a 3-cut of the connected
+    bridgeless h, and each component of a side has at least 2 cut edges
+    (a lone one would be a bridge of h), so the side is connected.
     """
-    piece, vmap = contract(h, [_bits(part)])
+    piece, vmap = _contract_parts(h, [frozenset(_bits(part))])
     edge_map = []
     kept = 0
     for u, v in h.edges:

@@ -401,6 +401,12 @@ def edge_connectivity(g: MultiGraph) -> int:
         return 0
     if not g.is_connected():
         return 0
+    return _edge_connectivity(g)
+
+
+def _edge_connectivity(g: MultiGraph) -> int:
+    """edge_connectivity on a graph already known to be connected with at
+    least 2 vertices; nothing is checked again."""
     space = _cut_space(g)
     if space.small:
         return space.small[0][1]
@@ -427,6 +433,12 @@ def cyclic_edge_connectivity(g: MultiGraph) -> int | _NoCyclicCut:
     _require(g, "cyclic_edge_connectivity", connected=True)
     if any(d < 3 for d in g.degrees()):
         raise ValueError("cyclic_edge_connectivity requires minimum degree 3")
+    return _cyclic_connectivity(g)
+
+
+def _cyclic_connectivity(g: MultiGraph) -> int | _NoCyclicCut:
+    """cyclic_edge_connectivity on a graph already known to be connected
+    with minimum degree 3; nothing is checked again."""
     space = _cut_space(g)
     if space.cyclic is None:
         space.cyclic = _cyclic_value(g, space)

@@ -21,7 +21,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import filterfalse
+from math import prod
 from typing import Iterable, Iterator
 
 from .brick_brace import _affine_dimension, _decompose
@@ -29,9 +30,10 @@ from .connectivity import (
     NO_CYCLIC_CUT,
     _bits,
     _cut_sides,
+    _cyclic_connectivity,
+    _edge_connectivity,
     _require,
     bridges,
-    cyclic_edge_connectivity,
     cyclic_value_at_least,
     cyclically_edge_connected_at_least,
     edge_connectivity,
@@ -134,40 +136,6 @@ def _pairings(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
 _SYMMETRY_CAP = 2048
 
 
-def _two_factor_symmetries(cycle_type: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
-    """Vertex permutations from the dihedral group of each cycle block.
-
-    These are automorphisms of the fixed 2-factor, so pairings in the same
-    orbit produce isomorphic unions; the orbit filter only prunes
-    duplicates and never loses classes. Large products fall back to the
-    first block's dihedral group alone.
-    """
-    per_cycle: list[tuple[list[int], list[tuple[int, ...]]]] = []
-    offset = 0
-    for c in cycle_type:
-        idx = list(range(offset, offset + c))
-        elems: set[tuple[int, ...]] = set()
-        for r in range(c):
-            rot = tuple(idx[r:] + idx[:r])
-            elems.add(rot)
-            elems.add(rot[::-1])
-        per_cycle.append((idx, sorted(elems)))
-        offset += c
-    total = 1
-    for _, elems in per_cycle:
-        total *= len(elems)
-    if total > _SYMMETRY_CAP:
-        per_cycle = per_cycle[:1]
-    perms = []
-    for combo in product(*(elems for _, elems in per_cycle)):
-        perm = list(range(n))
-        for (idx, _), image in zip(per_cycle, combo):
-            for src, dst in zip(idx, image):
-                perm[src] = dst
-        perms.append(tuple(perm))
-    return perms
-
-
 def _pair_code_table(perm: tuple[int, ...]) -> bytes:
     """Translation table of a vertex permutation on pair codes: entry
     u*16+v (u < v) holds the code of the image pair {perm[u], perm[v]}."""
@@ -177,6 +145,55 @@ def _pair_code_table(perm: tuple[int, ...]) -> bytes:
         for v in range(u + 1, n):
             a, b = perm[u], perm[v]
             table[u * 16 + v] = a * 16 + b if a < b else b * 16 + a
+    return bytes(table)
+
+
+def _symmetry_tables(cycle_type: tuple[int, ...], n: int) -> list[bytes]:
+    """One `_pair_code_table` per element of the fixed 2-factor's
+    symmetry group: the product of the dihedral groups of the cycle
+    blocks, or the first block's dihedral group alone when the product
+    has more than `_SYMMETRY_CAP` elements.
+
+    These are automorphisms of the 2-factor, so pairings in the same
+    orbit give isomorphic unions; the orbit filter only prunes duplicates
+    and never loses classes. Each block's group gets one table per element,
+    with every other vertex fixed, and the tables of the product are the
+    compositions ``t.translate(b)``: one C call per group element instead
+    of a Python loop over the pair codes.
+    """
+    ident = tuple(range(n))
+    per_block: list[list[bytes]] = []
+    offset = 0
+    for c in cycle_type:
+        cycle = ident[offset:offset + c]
+        images = {cycle[r:] + cycle[:r] for r in range(c)}
+        images |= {image[::-1] for image in images}
+        before, after = ident[:offset], ident[offset + c:]
+        per_block.append([_pair_code_table(before + image + after) for image in images])
+        offset += c
+    if prod(len(block_tables) for block_tables in per_block) > _SYMMETRY_CAP:
+        per_block = per_block[:1]
+    tables = [bytes(range(256))]
+    for block_tables in per_block:
+        tables = [t.translate(b) for t in tables for b in block_tables]
+    return tables
+
+
+# No block-pair code reaches it: with n <= 16 and blocks of length >= 2
+# there are at most 8 blocks, so block-pair codes stay below 0x78.
+_SAME_BLOCK = 255
+
+
+def _block_pair_table(block: list[int]) -> bytes:
+    """Translation table from pair codes u*16+v (u < v) to the block-pair
+    code block[u]*16 + block[v], or `_SAME_BLOCK` when u and v share a
+    block. Blocks are numbered in vertex order, so block[u] <= block[v]."""
+    table = bytearray([_SAME_BLOCK]) * 256
+    n = len(block)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if block[u] != block[v]:
+                table[u * 16 + v] = block[u] * 16 + block[v]
     return bytes(table)
 
 
@@ -199,11 +216,50 @@ def _is_orbit_minimal(codes: bytes, tables: list[bytes], marked: set[bytes]) -> 
     minimum: it marks every image and is accepted; later members find
     themselves marked. ``tables`` form a group, so the images are the
     whole orbit.
+
+    `_candidate_pairings` calls this only on unmarked pairings whose block
+    quotient passes. The quotient verdict is the same on a whole orbit, so
+    it withholds whole orbits only; the first member of every orbit that
+    arrives is still its minimum, and there the call always marks.
     """
     if codes in marked:
         return False
     marked.update(bytes(sorted(codes.translate(table))) for table in tables)
     return True
+
+
+def _candidate_pairings(
+    cycle_type: tuple[int, ...], block: list[int], pairings: list[bytes]
+) -> Iterator[bytes]:
+    """The orbit-minimal ``pairings`` (all pairings, in code order) whose
+    union with the 2-factor of ``cycle_type`` is connected and bridgeless,
+    in code order.
+
+    The block quotient is tested before the orbit is marked. Every
+    symmetry maps each cycle block to itself, so all pairings of an orbit
+    have the same multiset of block pairs and the same quotient verdict.
+    A pairing whose quotient fails is skipped without marking: the rest of
+    its orbit fails too, and orbits are disjoint, so no other orbit's
+    marks are lost. A pairing whose quotient passes and is not marked is
+    its orbit's minimum, since an earlier member would have passed too and
+    marked it. So exactly the orbit minima that pass are yielded, as when
+    every pairing was marked first. Marked pairings are dropped by
+    ``filterfalse``, which reads the set as it grows, without a Python call
+    each; verdicts are cached per block-pair key.
+    """
+    blocks = len(cycle_type)
+    tables = _symmetry_tables(cycle_type, len(block))
+    block_table = _block_pair_table(block)
+    verdicts: dict[bytes, bool] = {}
+    marked: set[bytes] = set()
+    for codes in filterfalse(marked.__contains__, pairings):
+        key = codes.translate(block_table)
+        passes = verdicts.get(key)
+        if passes is None:
+            cross = [divmod(c, 16) for c in key if c != _SAME_BLOCK]
+            passes = verdicts[key] = _quotient_connected_bridgeless(cross, blocks)
+        if passes and _is_orbit_minimal(codes, tables, marked):
+            yield codes
 
 
 def _two_factor_type(g: MultiGraph, matching: tuple[int, ...]) -> tuple[int, ...]:
@@ -279,8 +335,12 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     of order n, sorted by canonical form.
 
     Each cycle type T is swept in `_partitions_min2` order with every
-    orbit-minimal pairing M on top. A connected bridgeless union reaches
-    `canonical_form` only when no 2-factor of it has a type larger than T.
+    orbit-minimal pairing M on top (`_candidate_pairings`). The cheap,
+    orbit-invariant block-quotient test runs first, and only a pairing
+    that passes it marks its orbit; the accepted pairings are the same
+    orbit minima with a connected bridgeless union as when every orbit is
+    marked. Such a union reaches `canonical_form` only when no 2-factor
+    of it has a type larger than T.
     Exhaustive: every graph has a 2-factor of its largest type, and the
     sweep of that type meets it. Same representative as labelling every
     union: a class first appears at its largest type, where no union of
@@ -296,19 +356,8 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     pairings = _pairing_codes(n)
     for cycle_type in _partitions_min2(n):
         factor_edges, block = _two_factor(cycle_type)
-        blocks = len(cycle_type)
-        tables = [_pair_code_table(p) for p in _two_factor_symmetries(cycle_type, n)]
-        marked: set[bytes] = set()
-        for codes in pairings:
-            if not _is_orbit_minimal(codes, tables, marked):
-                continue
-            pm = tuple(divmod(c, 16) for c in codes)
-            cross = [
-                (block[u], block[v]) for u, v in pm if block[u] != block[v]
-            ]
-            if not _quotient_connected_bridgeless(cross, blocks):
-                continue
-            g = MultiGraph(n, tuple(factor_edges) + pm)
+        for codes in _candidate_pairings(cycle_type, block, pairings):
+            g = MultiGraph(n, tuple(factor_edges) + tuple(divmod(c, 16) for c in codes))
             if _has_larger_two_factor(g, cycle_type):
                 continue
             key = canonical_form(g)
@@ -494,8 +543,9 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     dec = _decompose(kernel, g, "first")
     dim = len(g.edges) - n + 1 - dec.brick_count
     affine = _affine_dimension(kernel, g)
-    ec = edge_connectivity(g)
-    cyc = cyclic_edge_connectivity(g)
+    # g passed _require above, so neither value checks it again
+    ec = _edge_connectivity(g)
+    cyc = _cyclic_connectivity(g)
     cyc5 = cyclic_value_at_least(cyc, 5)
     bip = g.is_bipartite()
     klee = bool(_klee_steps(g))

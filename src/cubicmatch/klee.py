@@ -16,6 +16,7 @@ from .matching import _Kernel, _vertex_mask, count_perfect_matchings
 from .multigraph import (
     Cut,
     MultiGraph,
+    _contract_parts,
     canonical_form,
     contract,
     replace_vertex_with_triangle,
@@ -132,7 +133,8 @@ def _klee_steps(g: MultiGraph) -> KleeResult:
             return KleeResult(False, tuple(steps))
         tri = candidates[0]
         steps.append(tri)
-        cur, _ = contract(cur, [tri])
+        # a triangle is connected, so the contraction needs no check
+        cur, _ = _contract_parts(cur, [frozenset(tri)])
 
 
 def core(g: MultiGraph) -> MultiGraph:

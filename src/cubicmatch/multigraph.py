@@ -195,6 +195,14 @@ def contract(
         sub, _, _ = induced_subgraph(g, p)
         if not sub.is_connected():
             raise ValueError(f"contraction part {sorted(p)} is not connected")
+    return _contract_parts(g, part_sets)
+
+
+def _contract_parts(
+    g: MultiGraph, part_sets: Sequence[frozenset[int]]
+) -> tuple[MultiGraph, list[int]]:
+    """contract on parts the caller already knows to be nonempty,
+    disjoint, in range and connected; nothing is checked again."""
     owner = {}
     for idx, p in enumerate(part_sets):
         for v in p:

@@ -136,6 +136,38 @@ class TestCatalog:
         assert sum(1 for g in cat if g.is_simple()) == 480
 
 
+def two_factor_symmetries(cycle_type, n):
+    """Vertex permutations from the dihedral group of each cycle block,
+    one full permutation per group element; above `_SYMMETRY_CAP`
+    elements, the first block's dihedral group alone. The generator's
+    symmetries as first written, before their tables were composed."""
+    per_cycle = []
+    offset = 0
+    for c in cycle_type:
+        idx = list(range(offset, offset + c))
+        elems = set()
+        for r in range(c):
+            rot = tuple(idx[r:] + idx[:r])
+            elems.add(rot)
+            elems.add(rot[::-1])
+        per_cycle.append((idx, sorted(elems)))
+        offset += c
+    if math.prod(len(elems) for _, elems in per_cycle) > harness._SYMMETRY_CAP:
+        per_cycle = per_cycle[:1]
+    perms = []
+    for combo in itertools.product(*(elems for _, elems in per_cycle)):
+        perm = list(range(n))
+        for (idx, _), image in zip(per_cycle, combo):
+            for src, dst in zip(idx, image):
+                perm[src] = dst
+        perms.append(tuple(perm))
+    return perms
+
+
+def per_permutation_tables(cycle_type, n):
+    return [harness._pair_code_table(p) for p in two_factor_symmetries(cycle_type, n)]
+
+
 def sorted_key_orbit_minimal(pm, perms):
     """The orbit filter before translation tables: one sorted key per
     (pairing, symmetry), built in Python."""
@@ -173,14 +205,30 @@ def reference_unions(n):
     union is connected and bridgeless."""
     for cycle_type in harness._partitions_min2(n):
         factor_edges, block = harness._two_factor(cycle_type)
-        perms = harness._two_factor_symmetries(cycle_type, n)
-        tables = [harness._pair_code_table(p) for p in perms]
+        tables = per_permutation_tables(cycle_type, n)
         for pm in harness._pairings(tuple(range(n))):
             if not table_orbit_minimal(pm, tables):
                 continue
             cross = [(block[u], block[v]) for u, v in pm if block[u] != block[v]]
             if harness._quotient_connected_bridgeless(cross, len(cycle_type)):
                 yield cycle_type, MultiGraph(n, tuple(factor_edges) + pm)
+
+
+def marking_first_pairings(cycle_type, n, pairings):
+    """The generator's pairing loop before the quotient moved first: every
+    pairing marks its orbit if unmarked, then the orbit minima are tested
+    on the (block[u], block[v]) list of their cross pairs."""
+    _, block = harness._two_factor(cycle_type)
+    tables = per_permutation_tables(cycle_type, n)
+    marked = set()
+    out = []
+    for codes in pairings:
+        if not harness._is_orbit_minimal(codes, tables, marked):
+            continue
+        cross = [(block[u], block[v]) for u, v in decode(codes) if block[u] != block[v]]
+        if harness._quotient_connected_bridgeless(cross, len(cycle_type)):
+            out.append(codes)
+    return out
 
 
 def reference_catalog(n):
@@ -232,8 +280,8 @@ class TestOrbitFilter:
         # marking, fed every pairing in code order with one set per type
         pairings = harness._pairing_codes(n)
         for cycle_type in harness._partitions_min2(n):
-            perms = harness._two_factor_symmetries(cycle_type, n)
-            tables = [harness._pair_code_table(p) for p in perms]
+            perms = two_factor_symmetries(cycle_type, n)
+            tables = harness._symmetry_tables(cycle_type, n)
             marked = set()
             for codes in pairings:
                 expected = sorted_key_orbit_minimal(decode(codes), perms)
@@ -251,7 +299,9 @@ class TestOrbitFilter:
         orders = (2, 4, 6, 8, 10)
         tabled = {n: [g.edges for g in catalogs(n)] for n in orders}
         monkeypatch.setattr(harness, "_CATALOG_CACHE", {})
-        monkeypatch.setattr(harness, "_pair_code_table", lambda perm: perm)
+        # permutations in place of tables, and the stateless sorted-key
+        # filter in place of marking: nothing is ever marked
+        monkeypatch.setattr(harness, "_symmetry_tables", two_factor_symmetries)
         monkeypatch.setattr(
             harness,
             "_is_orbit_minimal",
@@ -259,6 +309,48 @@ class TestOrbitFilter:
         )
         for n in orders:
             assert [g.edges for g in bridgeless_cubic_catalog(n)] == tabled[n]
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_quotient_first_accepts_what_marking_first_accepts(self, n):
+        pairings = harness._pairing_codes(n)
+        for cycle_type in harness._partitions_min2(n):
+            _, block = harness._two_factor(cycle_type)
+            accepted = list(harness._candidate_pairings(cycle_type, block, pairings))
+            assert accepted == marking_first_pairings(cycle_type, n, pairings)
+
+    def test_composed_tables_equal_per_permutation_tables(self):
+        capped = []
+        for n in range(2, 17, 2):
+            for cycle_type in harness._partitions_min2(n):
+                composed = harness._symmetry_tables(cycle_type, n)
+                expected = per_permutation_tables(cycle_type, n)
+                assert sorted(composed) == sorted(expected)
+                if len(composed) < math.prod(2 * c if c > 2 else 2 for c in cycle_type):
+                    capped.append(cycle_type)
+        assert (3, 3, 3, 3, 2) in capped
+
+    def test_block_pair_key_gives_the_same_verdict(self):
+        rnd = random.Random(10)
+        verdicts = set()
+        for n in range(2, 17, 2):
+            for cycle_type in harness._partitions_min2(n):
+                _, block = harness._two_factor(cycle_type)
+                table = harness._block_pair_table(block)
+                for _ in range(20):
+                    vertices = list(range(n))
+                    rnd.shuffle(vertices)
+                    pm = sorted(tuple(sorted(vertices[i:i + 2])) for i in range(0, n, 2))
+                    codes = bytes(u * 16 + v for u, v in pm)
+                    key = codes.translate(table)
+                    by_key = [divmod(c, 16) for c in key if c != harness._SAME_BLOCK]
+                    by_block = [(block[u], block[v]) for u, v in pm if block[u] != block[v]]
+                    assert by_key == by_block
+                    verdict = harness._quotient_connected_bridgeless(by_key, len(cycle_type))
+                    assert verdict == harness._quotient_connected_bridgeless(
+                        by_block, len(cycle_type)
+                    )
+                    verdicts.add(verdict)
+        assert verdicts == {False, True}
 
 
 class TestLargestTypeRule:
@@ -433,6 +525,24 @@ class TestVerify:
         g = petersen()
         verify_graph(g)
         assert calls == [g]
+
+    def test_verify_graph_tests_connectivity_once(self, monkeypatch):
+        # once on the input by the validator; the cut values and the
+        # contractions of tight-cut sides and triangles check nothing again
+        graphs = [petersen(), exceptional_graph(), random_bridgeless_cubic(12, random.Random(12))]
+        calls = []
+        is_connected = MultiGraph.is_connected
+
+        def counting_is_connected(g):
+            calls.append(g)
+            return is_connected(g)
+
+        monkeypatch.setattr(MultiGraph, "is_connected", counting_is_connected)
+        for g in graphs:
+            calls.clear()
+            verify_graph(g)
+            assert len(calls) == 1 and calls[0] is g
+        assert decompose(graphs[1]).cut_trace and is_klee(graphs[1]).contractions
 
     def test_verify_graph_leaves_no_kernel_for_the_collector(self):
         # with the collector off, only reference cycles could keep a
