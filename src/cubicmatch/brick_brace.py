@@ -6,8 +6,10 @@ stay cubic and bridgeless, each inheriting its 3-cuts from its parent.
 A cut of a piece is tight there exactly when it is tight in the input
 (Lovasz 1987), so every 3-cut is decided once, by one forced count on the
 input's matching kernel, and no piece builds a kernel. Polytope
-quantities are exact: the affine rank by integer elimination on co-tree
-coordinates, membership by rational arithmetic.
+quantities are exact. The affine rank reads the matching differences on
+co-tree coordinates: a GF(2) basis of them certifies the rank as soon as
+it is as large as the column count, and otherwise integer elimination of
+every difference gives it. Membership uses rational arithmetic.
 """
 
 from __future__ import annotations
@@ -296,20 +298,48 @@ def _affine_dimension(kernel: _Kernel, g: MultiGraph) -> int:
     non-bipartite component, and those incidence columns are independent:
     a tree's columns span the vectors y with sum (-1)^depth(v) y_v = 0,
     and an edge between two vertices of one depth parity does not.
+
+    The matchings are streamed, and each difference, taken mod 2 (the
+    co-tree bits of M_i XOR those of M_0), goes into a GF(2) basis keyed
+    by its top bit. Once the basis holds one vector per co-tree column,
+    the rank is the column count: the GF(2) rank of an integer matrix is
+    at most its rational rank, since a minor that is nonzero mod 2 is a
+    nonzero integer, and the rational rank is at most the column count.
+    Short of that, every difference row is ranked exactly by _exact_rank:
+    the GF(2) rank can fall below the rational one (Petersen's is 4 of
+    5), and a graph with more than one brick has rank below the column
+    count. The value always comes from the matchings, never from the
+    decomposition.
     """
-    pms = list(kernel.matchings(0, []))
-    if not pms:
-        raise ValueError("pm_affine_dimension requires at least one perfect matching")
     cols = _cotree_edges(g)
-    base = [0] * len(g.edges)
-    for e in pms[0]:
-        base[e] = -1
-    rows = []
-    for pm in pms[1:]:
-        row = base[:]
+    bit = [0] * len(g.edges)
+    for j, e in enumerate(cols):
+        bit[e] = 1 << j
+    masks = []
+    basis: dict[int, int] = {}
+    for pm in kernel.matchings(0, []):
+        mask = 0
         for e in pm:
-            row[e] += 1
-        rows.append([row[e] for e in cols])
+            mask |= bit[e]
+        if masks:
+            x = mask ^ masks[0]
+            while x:
+                top = x.bit_length() - 1
+                b = basis.get(top)
+                if b is None:
+                    basis[top] = x
+                    break
+                x ^= b
+        masks.append(mask)
+        if len(basis) == len(cols):
+            return len(cols)
+    if not masks:
+        raise ValueError("pm_affine_dimension requires at least one perfect matching")
+    first = masks[0]
+    rows = [
+        [((mask >> j) & 1) - ((first >> j) & 1) for j in range(len(cols))]
+        for mask in masks[1:]
+    ]
     return _exact_rank(rows)
 
 

@@ -8,9 +8,12 @@ are the zero-XOR k-edge sets, found by a meet-in-the-middle match, so
 edge connectivity and every query for the cuts up to a fixed size take
 time polynomial in the number of edges m; a cyclic edge connectivity of
 c takes about m^ceil(c/2) steps and as many stored edge sets. The
-signatures and every cut of at most four edges are kept on the graph
-instance. The 2^n bipartition scan and the former census of connected
-sides survive in the test suite as oracles.
+signatures and every cut of at most three edges are kept on the graph
+instance when its cut space is built; the cuts of four edges are matched
+and kept there the first time a query needs them, which on a cubic graph
+is only when no cut of at most three edges answers it. The 2^n
+bipartition scan and the former census of connected sides survive in the
+test suite as oracles.
 """
 
 from __future__ import annotations
@@ -208,12 +211,14 @@ class _CutSpace:
     no tree root; with several components, every component but vertex 0's
     may also move to the other side.
 
-    small holds every cut of at most _KEPT_CUT_SIZE edges as (side_a mask,
-    size), side_a holding vertex 0, in enumerate_cuts' order. cyclic is the
-    cyclic edge connectivity once asked for, None before.
+    small holds every cut of fewer than _KEPT_CUT_SIZE edges as (side_a
+    mask, size), side_a holding vertex 0, in enumerate_cuts' order; top
+    holds the cuts of exactly _KEPT_CUT_SIZE edges alike once top_cuts()
+    has been asked for them, None before. cyclic is the cyclic edge
+    connectivity once asked for, None before.
     """
 
-    __slots__ = ("sig", "below", "components", "small", "cyclic")
+    __slots__ = ("sig", "below", "components", "small", "top", "cyclic")
 
     def __init__(self, g: MultiGraph) -> None:
         n = g.vertex_count
@@ -264,8 +269,16 @@ class _CutSpace:
         self.sig = tuple(sig)
         self.below = tuple(below)
         self.components = tuple(components)
-        self.small = tuple(self.sides(range(_KEPT_CUT_SIZE + 1), n))
+        self.small = tuple(self.sides(range(_KEPT_CUT_SIZE), n))
+        self.top: tuple[tuple[int, int], ...] | None = None
         self.cyclic: int | _NoCyclicCut | None = None
+
+    def top_cuts(self, n: int) -> tuple[tuple[int, int], ...]:
+        """The cuts of exactly _KEPT_CUT_SIZE edges, as small holds the
+        smaller ones; matched on the first call, then kept."""
+        if self.top is None:
+            self.top = tuple(self.sides((_KEPT_CUT_SIZE,), n))
+        return self.top
 
     def zero_sets(self, k: int, levels: dict) -> Iterator[tuple[int, ...]]:
         """Every k-edge set whose signatures XOR to 0, as a sorted tuple of
@@ -316,7 +329,9 @@ class _CutSpace:
         return out
 
 
-_KEPT_CUT_SIZE = 4  # the cut space keeps every cut this small on the instance
+# the largest cut size kept on the instance; the smaller sizes are matched
+# with the cut space, this one on first demand
+_KEPT_CUT_SIZE = 4
 
 
 def _level(sig: tuple[int, ...], j: int, levels: dict) -> dict[int, list[tuple[int, ...]]]:
@@ -370,6 +385,8 @@ def _cut_sides(
         return []
     space = _cut_space(g)
     sides = [c for c in space.small if c[1] <= max_size]
+    if max_size >= _KEPT_CUT_SIZE:
+        sides += space.top_cuts(n)
     if max_size > _KEPT_CUT_SIZE:
         sides += space.sides(range(_KEPT_CUT_SIZE + 1, max_size + 1), n)
     if nontrivial_only:
@@ -410,6 +427,8 @@ def _edge_connectivity(g: MultiGraph) -> int:
     space = _cut_space(g)
     if space.small:
         return space.small[0][1]
+    if space.top_cuts(g.vertex_count):
+        return _KEPT_CUT_SIZE
     # a vertex star is a cut, so the search ends by the minimum degree
     levels: dict = {}
     k = _KEPT_CUT_SIZE + 1
@@ -465,6 +484,9 @@ def _cyclic_value(g: MultiGraph, space: _CutSpace) -> int | _NoCyclicCut:
         return side_deg - cut >= 2 * side.bit_count()
 
     for side_a, k in space.small:
+        if spans_cycle(side_a, k) and spans_cycle(full ^ side_a, k):
+            return k
+    for side_a, k in space.top_cuts(n):
         if spans_cycle(side_a, k) and spans_cycle(full ^ side_a, k):
             return k
     levels: dict = {}

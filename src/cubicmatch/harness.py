@@ -449,18 +449,24 @@ def brute_force_cubic_multigraphs(n: int) -> list[MultiGraph]:
 
 @dataclass(frozen=True)
 class TheoremResult:
+    """One evaluated bound or identity. witness locates a failure (the
+    arg-min edge of an avoiding bound, the sampled cut of the cut
+    identity); satisfied entries carry none, and only a witness that is
+    set appears in to_json."""
+
     tag: str
     kind: str  # "bound" or "identity"
     bound: Fraction
     value: Fraction
     satisfied: bool
+    witness: dict | None = None
 
     @property
     def slack(self) -> Fraction:
         return self.value - self.bound
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "tag": self.tag,
             "kind": self.kind,
             "bound": str(self.bound),
@@ -468,6 +474,9 @@ class TheoremResult:
             "satisfied": self.satisfied,
             "slack": str(self.slack),
         }
+        if self.witness is not None:
+            out["witness"] = self.witness
+        return out
 
 
 @dataclass
@@ -516,8 +525,10 @@ def exceptional_canonical() -> bytes:
 
 def _sample_cut_for_identity(g: MultiGraph):
     """The first nontrivial cut of at most 4 edges in enumerate_cuts' order,
-    else the star of vertex 0; only that one Cut is built."""
-    sides = _cut_sides(g, 4, nontrivial_only=True)
+    else the star of vertex 0; only that one Cut is built. Cuts come sorted
+    by size first, so the 4-edge cuts are asked for only when no smaller
+    nontrivial cut exists."""
+    sides = _cut_sides(g, 3, nontrivial_only=True) or _cut_sides(g, 4, nontrivial_only=True)
     if sides:
         return make_cut(g, _bits(sides[0][0]))
     return make_cut(g, {0})
@@ -532,14 +543,17 @@ def verify_graph(g: MultiGraph) -> BoundReport:
 
     g is checked once, and one matching kernel on g serves the profile, the
     decomposition's tight cuts, the affine rank and the sampled cut; it is
-    freed on return.
+    freed on return. A failed avoiding bound carries its arg-min edge as
+    its witness, and a failed cut identity its cut.
     """
     _require(g, "verify_graph", cubic=True, connected=True, bridgeless=True)
     n = g.vertex_count
     kernel = _Kernel(g)
     counts = _matching_profile(kernel, g, frozenset())
     pm = counts.total
-    min_avoiding = pm - max(counts.per_edge.values())
+    # the first edge of largest count leaves the fewest matchings behind
+    heaviest = max(counts.per_edge, key=counts.per_edge.__getitem__)
+    min_avoiding = pm - counts.per_edge[heaviest]
     dec = _decompose(kernel, g, "first")
     dim = len(g.edges) - n + 1 - dec.brick_count
     affine = _affine_dimension(kernel, g)
@@ -564,9 +578,17 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     }
     results: list[TheoremResult] = []
 
-    def bound(tag: str, b: Fraction, value: Fraction, ok: bool | None = None) -> None:
+    def bound(
+        tag: str,
+        b: Fraction,
+        value: Fraction,
+        ok: bool | None = None,
+        witness: dict | None = None,
+    ) -> None:
         satisfied = (value >= b) if ok is None else ok
-        results.append(TheoremResult(tag, "bound", b, value, satisfied))
+        results.append(
+            TheoremResult(tag, "bound", b, value, satisfied, None if satisfied else witness)
+        )
 
     pmf = Fraction(pm)
     bound("pm_ge_n4_plus_2", Fraction(n, 4) + 2, pmf)
@@ -589,9 +611,15 @@ def verify_graph(g: MultiGraph) -> BoundReport:
             "cyc5_edge_deleted_pm_ge_n2_minus_1",
             Fraction(n, 2) - 1,
             Fraction(min_avoiding),
+            witness={"edge": heaviest},
         )
     if ec == 2:
-        bound("two_cut_avoid_ge_3", Fraction(3), Fraction(min_avoiding))
+        bound(
+            "two_cut_avoid_ge_3",
+            Fraction(3),
+            Fraction(min_avoiding),
+            witness={"edge": heaviest},
+        )
     results.append(
         TheoremResult(
             "dim_equals_affine_rank",
@@ -604,9 +632,12 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     cut = _sample_cut_for_identity(g)
     profile = _boundary_profile(kernel, g, cut)
     total = sum(profile.m_a[x] * profile.m_b[x] for x in profile.m_a)
+    witness = None
+    if total != pm:
+        witness = {"side_a": sorted(cut.side_a), "cut_edges": sorted(cut.cut_edges)}
     results.append(
         TheoremResult(
-            "cut_identity_sampled", "identity", pmf, Fraction(total), total == pm
+            "cut_identity_sampled", "identity", pmf, Fraction(total), total == pm, witness
         )
     )
     return BoundReport(
@@ -629,7 +660,13 @@ def verify_catalog(graphs: Iterable[MultiGraph], workers: int | None = None) -> 
     """
     graphs = list(graphs)
     if workers is None:
-        workers = int(os.environ.get("CUBICMATCH_WORKERS", "1"))
+        value = os.environ.get("CUBICMATCH_WORKERS", "1")
+        try:
+            workers = int(value)
+        except ValueError:
+            raise ValueError(
+                f"CUBICMATCH_WORKERS must be an integer, got {value!r}"
+            ) from None
     if workers > 1:
         import multiprocessing
 

@@ -54,6 +54,19 @@ def count_cut_spaces(monkeypatch):
     return built
 
 
+def record_zero_set_sizes(monkeypatch):
+    """Records the size k of every zero-XOR edge-set search a cut space runs."""
+    sizes = []
+    zero_sets = connectivity._CutSpace.zero_sets
+
+    def recording_zero_sets(self, k, levels):
+        sizes.append(k)
+        return zero_sets(self, k, levels)
+
+    monkeypatch.setattr(connectivity._CutSpace, "zero_sets", recording_zero_sets)
+    return sizes
+
+
 def count_kernels(monkeypatch):
     """Records the graph of every matching kernel built."""
     built = []

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubicmatch import connectivity
+from cubicmatch import brick_brace, connectivity
 from cubicmatch.brick_brace import (
     BRACE,
     BRICK,
@@ -527,6 +527,17 @@ class TestCotreeRank:
             for _ in range(5):
                 self.check(random_bridgeless_cubic(n, rnd))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_analyze16_draws(self, seed):
+        for g in analyze16_draws(seed):
+            self.check(g)
+
+    def test_seeded_orders_22_to_32(self):
+        for n in range(22, 33, 2):
+            rnd = random.Random(n)
+            for _ in range(3):
+                self.check(random_bridgeless_cubic(n, rnd))
+
     def test_bipartite(self):
         assert self.check(k33()) == 4
         assert self.check(cube()) == polytope_dimension(cube())
@@ -551,3 +562,65 @@ class TestCotreeRank:
         assert self.check(disjoint_union(k4(), k4())) == 4
         assert self.check(disjoint_union(k4(), k33())) == 6
         assert self.check(disjoint_union(k33(), petersen(), three_bond())) == 4 + 5 + 2
+
+
+def gf2_rank(g):
+    """GF(2) rank of the matching differences on the co-tree columns, by
+    column-by-column elimination of XOR masks."""
+    cols = _cotree_edges(g)
+    masks = [
+        sum(1 << j for j, e in enumerate(cols) if e in pm)
+        for pm in enumerate_perfect_matchings(g)
+    ]
+    rows = [m ^ masks[0] for m in masks[1:]]
+    rank = 0
+    for j in range(len(cols)):
+        i = next((i for i, r in enumerate(rows) if (r >> j) & 1), None)
+        if i is None:
+            continue
+        pivot = rows.pop(i)
+        rows = [r ^ pivot if (r >> j) & 1 else r for r in rows]
+        rank += 1
+    return rank
+
+
+def count_exact_ranks(monkeypatch):
+    """Records the row count of every _exact_rank call the rank makes."""
+    calls = []
+    rank = brick_brace._exact_rank
+
+    def counting_rank(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(brick_brace, "_exact_rank", counting_rank)
+    return calls
+
+
+class TestRankCertificate:
+    """A GF(2) basis as large as the co-tree column count certifies the
+    rank; short of it, every difference row is ranked exactly."""
+
+    def test_exact_below_the_column_count(self, catalogs, monkeypatch):
+        calls = count_exact_ranks(monkeypatch)
+        # Petersen's GF(2) rank is 4 of its rational 5, the exceptional
+        # graph's three bricks hold it at 4 of 6 columns, and catalog
+        # graph 55 of order 12 has GF(2) rank 5 and rational rank 6
+        cases = [(petersen(), 4, 5, 5), (exceptional_graph(), 4, 4, 6),
+                 (catalogs(12)[55], 5, 6, 6)]
+        for g, gf2, rank, cols in cases:
+            assert (gf2_rank(g), len(_cotree_edges(g))) == (gf2, cols)
+            calls.clear()
+            assert pm_affine_dimension(g) == rank == reference_affine_dimension(g)
+            assert calls == [count_perfect_matchings(g) - 1]
+
+    def test_certified_at_the_column_count(self, monkeypatch):
+        rnd = random.Random(16)
+        brick = random_bridgeless_cubic(16, rnd)
+        while not is_brick(brick):
+            brick = random_bridgeless_cubic(16, rnd)
+        calls = count_exact_ranks(monkeypatch)
+        for g in (k4(), prism(), k33(), brick):
+            rank = pm_affine_dimension(g)
+            assert calls == []
+            assert rank == len(_cotree_edges(g)) == reference_affine_dimension(g)

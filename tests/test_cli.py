@@ -164,3 +164,10 @@ def test_catalog_verify_names_each_violator(tmp_path, capsys, monkeypatch):
     assert captured_out.out == ""
     assert out.read_text() == captured.out
     assert captured_out.err == captured.err
+
+
+def test_catalog_verify_rejects_non_integer_workers(monkeypatch, capsys):
+    monkeypatch.setenv("CUBICMATCH_WORKERS", "two")
+    assert main(["catalog", "verify", "--n", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: CUBICMATCH_WORKERS must be an integer, got 'two'\n"

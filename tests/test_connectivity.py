@@ -328,6 +328,27 @@ class TestCutCensus:
             # sizes above the kept cuts are matched afresh; both must agree
             assert [c for c in enumerate_cuts(g, 5) if c.size <= 4] == expected["cuts4"]
 
+    def test_four_edge_cuts_before_or_after_the_other_queries(self, catalogs):
+        # the 4-edge cuts are matched on first demand; asked for first or
+        # last on a fresh instance, every answer equals the census
+        for n in range(2, 11, 2):
+            for g in catalogs(n):
+                ref = CensusReference(g, 4)
+                expected = (
+                    ref.edge_connectivity,
+                    ref.cyclic_edge_connectivity,
+                    [c for c in ref.cuts if c.size <= 3],
+                    ref.cuts,
+                )
+                for four_first in (True, False):
+                    h = MultiGraph(g.vertex_count, g.edges)
+                    if four_first:
+                        cuts4 = enumerate_cuts(h, 4)
+                    got = (edge_connectivity(h), cyclic_edge_connectivity(h), enumerate_cuts(h, 3))
+                    if not four_first:
+                        cuts4 = enumerate_cuts(h, 4)
+                    assert (*got, cuts4) == expected
+
     def test_sentinel_survives_pickling(self):
         assert pickle.loads(pickle.dumps(NO_CYCLIC_CUT)) is NO_CYCLIC_CUT
         g = k4()

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import json
@@ -13,6 +14,7 @@ from cubicmatch.connectivity import (
     bridges,
     cyclic_edge_connectivity,
     enumerate_cuts,
+    is_cyclic_cut,
 )
 from cubicmatch.harness import (
     FOUND,
@@ -43,6 +45,7 @@ from conftest import (
     count_cut_spaces,
     count_kernels,
     random_bridgeless_cubic,
+    record_zero_set_sizes,
     walk_forbidden,
 )
 
@@ -500,6 +503,25 @@ class TestVerify:
             verify_graph(g)
             assert len(built) == 1 and built[0] is g
 
+    def test_verify_graph_matches_four_edge_cuts_only_on_demand(self, catalogs, monkeypatch):
+        # a nontrivial cyclic 3-cut answers the cyclic value and the sampled
+        # cut, so no 4-edge set is matched
+        graphs = [exceptional_graph()] + [
+            g for g in catalogs(10)
+            if any(is_cyclic_cut(g, c) for c in enumerate_cuts(g, 3, nontrivial_only=True))
+        ]
+        sizes = record_zero_set_sizes(monkeypatch)
+        assert len(graphs) > 10
+        for g in graphs:
+            sizes.clear()
+            verify_graph(MultiGraph(g.vertex_count, g.edges))
+            assert sizes == [0, 1, 2, 3]
+        # Petersen has no nontrivial cut of at most 3 edges nor a cyclic
+        # one: the cyclic value and the sampled cut share one 4-edge match
+        sizes.clear()
+        verify_graph(petersen())
+        assert sizes.count(4) == 1
+
     def test_verify_graph_builds_one_kernel_per_graph(self, monkeypatch):
         # the profile, the tight cuts of g, the affine rank and the sampled
         # cut share one kernel; no decomposition piece builds one
@@ -561,6 +583,68 @@ class TestVerify:
         graphs += [random_bridgeless_cubic(16, rnd) for _ in range(100)]
         for g in graphs:
             assert harness._sample_cut_for_identity(g) == sampled_cut_by_sorting(g)
+
+
+def result(report, tag):
+    return next(r for r in report.results if r.tag == tag)
+
+
+class TestWitnesses:
+    """A failed entry names where it failed; satisfied entries, and so
+    every report byte of a passing sweep, carry no witness."""
+
+    def test_satisfied_entries_carry_none(self, catalogs):
+        for g in catalogs(8):
+            for r in verify_graph(g).results:
+                assert r.satisfied and r.witness is None
+                assert "witness" not in r.to_json()
+
+    @staticmethod
+    def heavy_edges(monkeypatch, edges, count):
+        """Gives `edges` the per-edge count `count` in verify_graph's profile."""
+        profile_of = harness._matching_profile
+
+        def heavy_profile(kernel, g, forced):
+            profile = profile_of(kernel, g, forced)
+            per_edge = dict(profile.per_edge)
+            per_edge.update((e, count(profile.total)) for e in edges)
+            return dataclasses.replace(profile, per_edge=per_edge)
+
+        monkeypatch.setattr(harness, "_matching_profile", heavy_profile)
+
+    def test_failed_cyc5_avoiding_bound_names_its_edge(self, monkeypatch):
+        self.heavy_edges(monkeypatch, (9, 7), lambda total: total - 1)
+        report = verify_graph(petersen())
+        r = result(report, "cyc5_edge_deleted_pm_ge_n2_minus_1")
+        assert not r.satisfied and r.value == 1
+        # the first edge of largest count, on ties the lower index
+        assert r.witness == {"edge": 7} and r.to_json()["witness"] == {"edge": 7}
+        json.dumps(report.to_json())
+        assert all(x.witness is None for x in report.results if x.satisfied)
+
+    def test_failed_two_cut_bound_names_its_edge(self, catalogs, monkeypatch):
+        g = next(g for g in catalogs(8) if connectivity.edge_connectivity(g) == 2)
+        self.heavy_edges(monkeypatch, (5, 3), lambda total: total)
+        r = result(verify_graph(g), "two_cut_avoid_ge_3")
+        assert not r.satisfied and r.value == 0
+        assert r.witness == {"edge": 3} and r.to_json()["witness"] == {"edge": 3}
+
+    def test_failed_cut_identity_names_its_cut(self, monkeypatch):
+        profile_of = harness._boundary_profile
+
+        def doubled_profile(kernel, g, cut):
+            profile = profile_of(kernel, g, cut)
+            for x in profile.m_a:
+                profile.m_a[x] *= 2
+            return profile
+
+        monkeypatch.setattr(harness, "_boundary_profile", doubled_profile)
+        for g in (petersen(), exceptional_graph()):
+            cut = harness._sample_cut_for_identity(g)
+            r = result(verify_graph(g), "cut_identity_sampled")
+            assert not r.satisfied
+            witness = {"side_a": sorted(cut.side_a), "cut_edges": sorted(cut.cut_edges)}
+            assert r.witness == witness and r.to_json()["witness"] == witness
 
 
 def sampled_cut_by_sorting(g):
