@@ -151,10 +151,7 @@ def _cmd_catalog_verify(args: argparse.Namespace) -> int:
         for line in lines:
             print(line)
     ok = all(r.all_satisfied for r in reports)
-    scarce = [
-        (n, canon, pm)
-        for n, canon, pm in scarce_matching_graphs(args.n)
-    ]
+    scarce = scarce_matching_graphs(args.n)
     print(
         f"verified {len(reports)} graphs of order {args.n} in class {args.klass}: "
         f"{'all bounds hold' if ok else 'VIOLATIONS FOUND'}",

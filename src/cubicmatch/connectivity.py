@@ -7,11 +7,10 @@ set is a cut exactly when its signatures XOR to 0. The cuts of size k
 are the zero-XOR k-edge sets, found by a meet-in-the-middle match, so
 edge connectivity and every query for the cuts up to a fixed size take
 time polynomial in the number of edges m; a cyclic edge connectivity of
-c takes about m^ceil(c/2) steps and as many stored edge sets. The
-signatures and every cut of at most three edges are kept on the graph
-instance when its cut space is built; the cuts of four edges are matched
-and kept there the first time a query needs them, which on a cubic graph
-is only when no cut of at most three edges answers it. The 2^n
+c takes about m^ceil(c/2) steps and as many stored edge sets. Every
+query walks the cut sizes k = 0, 1, 2, ... in order and stops where its
+answer is found; each size is matched the first time any walk reaches
+it, then kept on the graph instance with the signatures. The 2^n
 bipartition scan and the former census of connected sides survive in the
 test suite as oracles.
 """
@@ -21,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .multigraph import Cut, MultiGraph, induced_subgraph, make_cut
 
@@ -211,14 +210,14 @@ class _CutSpace:
     no tree root; with several components, every component but vertex 0's
     may also move to the other side.
 
-    small holds every cut of fewer than _KEPT_CUT_SIZE edges as (side_a
-    mask, size), side_a holding vertex 0, in enumerate_cuts' order; top
-    holds the cuts of exactly _KEPT_CUT_SIZE edges alike once top_cuts()
-    has been asked for them, None before. cyclic is the cyclic edge
-    connectivity once asked for, None before.
+    by_size[k] holds the side_a masks of the k-edge cuts, one per
+    bipartition, side_a holding vertex 0, in enumerate_cuts' order; it
+    grows by one size each time a walk reaches the first size not yet
+    matched. cyclic is the cyclic edge connectivity once asked for, None
+    before.
     """
 
-    __slots__ = ("sig", "below", "components", "small", "top", "cyclic")
+    __slots__ = ("sig", "below", "components", "by_size", "cyclic")
 
     def __init__(self, g: MultiGraph) -> None:
         n = g.vertex_count
@@ -269,16 +268,33 @@ class _CutSpace:
         self.sig = tuple(sig)
         self.below = tuple(below)
         self.components = tuple(components)
-        self.small = tuple(self.sides(range(_KEPT_CUT_SIZE), n))
-        self.top: tuple[tuple[int, int], ...] | None = None
+        self.by_size: list[tuple[int, ...]] = []
         self.cyclic: int | _NoCyclicCut | None = None
 
-    def top_cuts(self, n: int) -> tuple[tuple[int, int], ...]:
-        """The cuts of exactly _KEPT_CUT_SIZE edges, as small holds the
-        smaller ones; matched on the first call, then kept."""
-        if self.top is None:
-            self.top = tuple(self.sides((_KEPT_CUT_SIZE,), n))
-        return self.top
+    def walk(self, max_size: int, n: int) -> Iterator[tuple[int, ...]]:
+        """by_size[k] for k = 0..max_size in turn, on an n-vertex graph.
+        A size not yet in by_size is matched, sorted and appended before it
+        is yielded; the sizes one walk matches share one levels dict. Every
+        walk runs from 0 and rereads len(by_size) at each k, so walks that
+        interleave never match a size twice."""
+        by_size = self.by_size
+        levels: dict = {}
+        full = (1 << n) - 1
+        flips = [0]
+        for comp in self.components[1:]:
+            flips += [f | comp for f in flips]
+        for k in range(max_size + 1):
+            if k == len(by_size):
+                found = []
+                for edge_set in self.zero_sets(k, levels):
+                    s = self.side(edge_set)
+                    for f in flips:
+                        if s ^ f:
+                            side_a = full ^ s ^ f
+                            found.append((*_side_key(side_a, n), side_a))
+                found.sort()
+                by_size.append(tuple(side_a for _, _, side_a in found))
+            yield by_size[k]
 
     def zero_sets(self, k: int, levels: dict) -> Iterator[tuple[int, ...]]:
         """Every k-edge set whose signatures XOR to 0, as a sorted tuple of
@@ -306,32 +322,6 @@ class _CutSpace:
         for e in edge_set:
             s ^= below[e]
         return s
-
-    def sides(self, sizes: Iterable[int], n: int) -> list[tuple[int, int]]:
-        """(side_a mask, size) of every cut whose size is in sizes, one per
-        bipartition, side_a holding vertex 0, in enumerate_cuts' order."""
-        full = (1 << n) - 1
-        levels: dict = {}
-        flips = [0]
-        for comp in self.components[1:]:
-            flips += [f | comp for f in flips]
-        out = []
-        for k in sizes:
-            found = []
-            for edge_set in self.zero_sets(k, levels):
-                s = self.side(edge_set)
-                for f in flips:
-                    if s ^ f:
-                        side_a = full ^ s ^ f
-                        found.append((*_side_key(side_a, n), side_a))
-            found.sort()
-            out += [(side_a, k) for _, _, side_a in found]
-        return out
-
-
-# the largest cut size kept on the instance; the smaller sizes are matched
-# with the cut space, this one on first demand
-_KEPT_CUT_SIZE = 4
 
 
 def _level(sig: tuple[int, ...], j: int, levels: dict) -> dict[int, list[tuple[int, ...]]]:
@@ -377,21 +367,17 @@ def _side_key(mask: int, n: int) -> tuple[int, int]:
 
 def _cut_sides(
     g: MultiGraph, max_size: int, nontrivial_only: bool = False
-) -> list[tuple[int, int]]:
+) -> Iterator[tuple[int, int]]:
     """(side_a mask, size) of every cut of size <= max_size, one per
-    bipartition, in enumerate_cuts' order; see enumerate_cuts."""
+    bipartition, in enumerate_cuts' order; see enumerate_cuts. Lazy: a
+    size is matched only when the caller reads past the smaller ones."""
     n = g.vertex_count
     if n < 2:
-        return []
-    space = _cut_space(g)
-    sides = [c for c in space.small if c[1] <= max_size]
-    if max_size >= _KEPT_CUT_SIZE:
-        sides += space.top_cuts(n)
-    if max_size > _KEPT_CUT_SIZE:
-        sides += space.sides(range(_KEPT_CUT_SIZE + 1, max_size + 1), n)
-    if nontrivial_only:
-        sides = [c for c in sides if 3 <= c[0].bit_count() <= n - 3]
-    return sides
+        return
+    for k, sides in enumerate(_cut_space(g).walk(max_size, n)):
+        for side_a in sides:
+            if not nontrivial_only or 3 <= side_a.bit_count() <= n - 3:
+                yield side_a, k
 
 
 def enumerate_cuts(
@@ -423,18 +409,9 @@ def edge_connectivity(g: MultiGraph) -> int:
 
 def _edge_connectivity(g: MultiGraph) -> int:
     """edge_connectivity on a graph already known to be connected with at
-    least 2 vertices; nothing is checked again."""
-    space = _cut_space(g)
-    if space.small:
-        return space.small[0][1]
-    if space.top_cuts(g.vertex_count):
-        return _KEPT_CUT_SIZE
-    # a vertex star is a cut, so the search ends by the minimum degree
-    levels: dict = {}
-    k = _KEPT_CUT_SIZE + 1
-    while next(space.zero_sets(k, levels), None) is None:
-        k += 1
-    return k
+    least 2 vertices; nothing is checked again. A vertex star is a cut,
+    so the walk ends by the minimum degree."""
+    return next(_cut_sides(g, min(g.degrees())))[1]
 
 
 def cyclic_edge_connectivity(g: MultiGraph) -> int | _NoCyclicCut:
@@ -460,11 +437,11 @@ def _cyclic_connectivity(g: MultiGraph) -> int | _NoCyclicCut:
     with minimum degree 3; nothing is checked again."""
     space = _cut_space(g)
     if space.cyclic is None:
-        space.cyclic = _cyclic_value(g, space)
+        space.cyclic = _cyclic_value(g)
     return space.cyclic
 
 
-def _cyclic_value(g: MultiGraph, space: _CutSpace) -> int | _NoCyclicCut:
+def _cyclic_value(g: MultiGraph) -> int | _NoCyclicCut:
     """The smallest k <= m - n with a k-cut whose sides both span at least
     as many edges as they have vertices, else NO_CYCLIC_CUT.
 
@@ -483,18 +460,9 @@ def _cyclic_value(g: MultiGraph, space: _CutSpace) -> int | _NoCyclicCut:
             side_deg += d * (side & vertices).bit_count()
         return side_deg - cut >= 2 * side.bit_count()
 
-    for side_a, k in space.small:
+    for side_a, k in _cut_sides(g, len(g.edges) - n):
         if spans_cycle(side_a, k) and spans_cycle(full ^ side_a, k):
             return k
-    for side_a, k in space.top_cuts(n):
-        if spans_cycle(side_a, k) and spans_cycle(full ^ side_a, k):
-            return k
-    levels: dict = {}
-    for k in range(_KEPT_CUT_SIZE + 1, len(g.edges) - n + 1):
-        for edge_set in space.zero_sets(k, levels):
-            s = space.side(edge_set)
-            if spans_cycle(s, k) and spans_cycle(full ^ s, k):
-                return k
     return NO_CYCLIC_CUT
 
 
@@ -508,6 +476,20 @@ def cyclically_edge_connected_at_least(g: MultiGraph, k: int) -> bool:
     return cyclic_value_at_least(cyclic_edge_connectivity(g), k)
 
 
+def _separator(g: MultiGraph, max_size: int) -> tuple[int, ...] | None:
+    """The first vertex set of at most max_size vertices, by size and then
+    lexicographically, whose removal leaves a disconnected graph on at
+    least 2 vertices; None when there is none. Brute force, desk scale."""
+    n = g.vertex_count
+    for size in range(min(max_size, n - 2) + 1):
+        for subset in combinations(range(n), size):
+            rest = [v for v in range(n) if v not in subset]
+            sub, _, _ = induced_subgraph(g, rest)
+            if not sub.is_connected():
+                return subset
+    return None
+
+
 def vertex_connectivity_at_most(g: MultiGraph, k: int) -> SeparationWitness:
     """Searches for a separating vertex set of size <= k (k <= 3).
 
@@ -516,16 +498,10 @@ def vertex_connectivity_at_most(g: MultiGraph, k: int) -> SeparationWitness:
     """
     if k > 3:
         raise ValueError("vertex connectivity checks support k <= 3 only")
-    n = g.vertex_count
-    for size in range(0, k + 1):
-        if n - size < 2:
-            break
-        for subset in combinations(range(n), size):
-            rest = [v for v in range(n) if v not in subset]
-            sub, _, _ = induced_subgraph(g, rest)
-            if not sub.is_connected():
-                return SeparationWitness(True, frozenset(subset))
-    return SeparationWitness(False, None)
+    subset = _separator(g, k)
+    if subset is None:
+        return SeparationWitness(False, None)
+    return SeparationWitness(True, frozenset(subset))
 
 
 def vertex_connectivity(g: MultiGraph) -> int:
@@ -533,13 +509,8 @@ def vertex_connectivity(g: MultiGraph) -> int:
     n = g.vertex_count
     if n <= 1:
         return 0
-    for size in range(0, n - 1):
-        for subset in combinations(range(n), size):
-            rest = [v for v in range(n) if v not in subset]
-            sub, _, _ = induced_subgraph(g, rest)
-            if not sub.is_connected():
-                return size
-    return n - 1
+    subset = _separator(g, n - 2)
+    return n - 1 if subset is None else len(subset)
 
 
 def connectivity_report(g: MultiGraph) -> ConnectivityReport:

@@ -525,13 +525,10 @@ def exceptional_canonical() -> bytes:
 
 def _sample_cut_for_identity(g: MultiGraph):
     """The first nontrivial cut of at most 4 edges in enumerate_cuts' order,
-    else the star of vertex 0; only that one Cut is built. Cuts come sorted
-    by size first, so the 4-edge cuts are asked for only when no smaller
-    nontrivial cut exists."""
-    sides = _cut_sides(g, 3, nontrivial_only=True) or _cut_sides(g, 4, nontrivial_only=True)
-    if sides:
-        return make_cut(g, _bits(sides[0][0]))
-    return make_cut(g, {0})
+    else the star of vertex 0; only that one Cut is built, and the cut
+    walk stops at its size."""
+    first = next(_cut_sides(g, 4, nontrivial_only=True), None)
+    return make_cut(g, {0} if first is None else _bits(first[0]))
 
 
 def verify_graph(g: MultiGraph) -> BoundReport:

@@ -8,7 +8,9 @@ from cubicmatch.connectivity import (
     NO_CYCLIC_CUT,
     _connected_side_masks,
     _bits,
+    _cut_sides,
     _cut_space,
+    _separator,
     _has_cycle,
     _side_key,
     bridges,
@@ -18,8 +20,10 @@ from cubicmatch.connectivity import (
     edge_connectivity,
     enumerate_cuts,
     is_cyclic_cut,
+    vertex_connectivity,
     vertex_connectivity_at_most,
 )
+from cubicmatch.harness import verify_graph
 from cubicmatch.multigraph import MultiGraph, from_edge_list, induced_subgraph, make_cut
 from cubicmatch.named_graphs import (
     doubled_c4,
@@ -30,7 +34,7 @@ from cubicmatch.named_graphs import (
     prism,
     three_bond,
 )
-from conftest import analyze16_draws, random_bridgeless_cubic
+from conftest import analyze16_draws, random_bridgeless_cubic, record_zero_set_sizes
 
 
 def bridged_gadget():
@@ -275,6 +279,32 @@ class TestVertexConnectivity:
         with pytest.raises(ValueError):
             vertex_connectivity_at_most(k4(), 4)
 
+    def test_separator_search_matches_networkx(self, catalogs):
+        nx = pytest.importorskip("networkx")
+        catalog = [g for n in (2, 4, 6, 8) for g in catalogs(n)]
+        assert len(catalog) == 24
+        two_k4 = from_edge_list(8, list(k4().edges) + [(u + 4, v + 4) for u, v in k4().edges])
+        k5 = from_edge_list(5, list(combinations(range(5), 2)))
+        for g in catalog + [bridged_gadget(), two_k4, k5]:
+            n = g.vertex_count
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges)
+            expected = nx.node_connectivity(h)
+            assert vertex_connectivity(g) == expected
+            separator = _separator(g, n)
+            if separator is None:
+                # only a complete graph on its simple edges has no separator
+                assert expected == n - 1
+            else:
+                assert len(separator) == expected
+                rest = [v for v in range(n) if v not in separator]
+                assert not induced_subgraph(g, rest)[0].is_connected()
+            for k in range(4):
+                w = vertex_connectivity_at_most(g, k)
+                assert bool(w) == (separator is not None and expected <= k)
+                assert w.vertices == (frozenset(separator) if w else None)
+
 
 class TestReport:
     def test_petersen_report(self):
@@ -355,6 +385,52 @@ class TestCutCensus:
         assert cyclic_edge_connectivity(g) is NO_CYCLIC_CUT
         # the census rides along with the pickled graph
         assert cyclic_edge_connectivity(pickle.loads(pickle.dumps(g))) is NO_CYCLIC_CUT
+
+
+def fresh(g):
+    """A new instance of g, with no cut space cached on it."""
+    return MultiGraph(g.vertex_count, g.edges)
+
+
+class TestCutWalk:
+    """Each cut size is matched the first time a query reaches it, once per
+    graph instance, and never before."""
+
+    def test_sizes_matched_only_up_to_the_query(self, monkeypatch):
+        sizes = record_zero_set_sizes(monkeypatch)
+        for g in (petersen(), exceptional_graph(), random_bridgeless_cubic(12, random.Random(12))):
+            sizes.clear()
+            enumerate_cuts(fresh(g), 2)
+            assert sizes == [0, 1, 2]
+
+    def test_interleaved_walks_equal_their_standalone_lists(self, catalogs, monkeypatch):
+        graphs = [g for g in catalogs(10) if enumerate_cuts(g, 2)]
+        assert len(graphs) > 10
+        sizes = record_zero_set_sizes(monkeypatch)
+        for g in graphs:
+            alone_short = list(_cut_sides(fresh(g), 3))
+            alone_long = list(_cut_sides(fresh(g), 4))
+            h = fresh(g)
+            sizes.clear()
+            short = _cut_sides(h, 3)
+            head = []
+            for cut in short:
+                head.append(cut)
+                if cut[1] == 2:
+                    break
+            # the short walk is paused at size 2 while the long one runs on
+            assert sizes == [0, 1, 2]
+            assert list(_cut_sides(h, 4)) == alone_long
+            assert head + list(short) == alone_short
+            assert sizes == [0, 1, 2, 3, 4]
+
+    def test_verify_graph_matches_each_size_once(self, catalogs, monkeypatch):
+        graphs = [g for n in range(2, 11, 2) for g in catalogs(n)] + [petersen()]
+        sizes = record_zero_set_sizes(monkeypatch)
+        for g in graphs:
+            sizes.clear()
+            verify_graph(fresh(g))
+            assert sizes == list(range(len(sizes)))
 
 
 class CensusReference:
