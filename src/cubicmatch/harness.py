@@ -14,6 +14,16 @@ parent). The rule stays exhaustive because every graph has a 2-factor of
 its largest type, and the sweep of that type meets it. It keeps the same
 representative because types are swept from largest to smallest, so the
 first union of every class already has its largest type.
+
+Each pairing meets the filters cheapest first: the block-quotient test
+(connected and bridgeless), the switch test (two matching edges that
+would join two cycles into one, so a larger type exists), marking its
+symmetry orbit, the depth-first search for a 2-factor of larger type,
+and last `canonical_form`. Both tests before the marking give the same
+verdict on a whole orbit, so a pairing that fails one is dropped without
+marking and exactly the orbit minima that pass both are kept. The switch
+drops only unions that the largest-type rule rejects anyway, so the
+catalog and its representatives do not change.
 """
 
 from __future__ import annotations
@@ -44,7 +54,6 @@ from .matching import (
     _Kernel,
     _matching_profile,
     count_perfect_matchings,
-    enumerate_perfect_matchings,
 )
 from .multigraph import MultiGraph, canonical_form, make_cut
 from .named_graphs import exceptional_graph
@@ -118,21 +127,6 @@ def _two_factor(cycle_type: tuple[int, ...]) -> tuple[list[tuple[int, int]], lis
     return edges, block
 
 
-def _pairings(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Perfect pairings of sorted items, each as pairs (a, b) with a < b in
-    increasing order of a; on vertices the pairings come in strictly
-    increasing order of their pair-code bytes, which orbit marking needs."""
-    if not items:
-        yield ()
-        return
-    a = items[0]
-    for i in range(1, len(items)):
-        b = items[i]
-        rest = items[1:i] + items[i + 1:]
-        for tail in _pairings(rest):
-            yield ((a, b),) + tail
-
-
 _SYMMETRY_CAP = 2048
 
 
@@ -199,12 +193,67 @@ def _block_pair_table(block: list[int]) -> bytes:
 
 def _pairing_codes(n: int) -> list[bytes]:
     """Every pairing of range(n) as its sorted pair codes u*16+v, in
-    `_pairings` order, which is increasing code order.
+    strictly increasing code order, which orbit marking needs.
 
     Pair codes fit in a byte only while u, v < 16, i.e. for n <= 16;
     CATALOG_LIMIT keeps catalogs below that.
     """
-    return [bytes(u * 16 + v for u, v in pm) for pm in _pairings(tuple(range(n)))]
+    return _codes_of(tuple(range(n)), {(): [b""]})
+
+
+def _codes_of(items: tuple[int, ...], memo: dict[tuple[int, ...], list[bytes]]) -> list[bytes]:
+    """`_pairing_codes` of the sorted ``items``: the first item paired with
+    each later one, ahead of every pairing of the rest. The codes of each
+    rest are built once and kept in ``memo``, which the caller owns and
+    drops on return."""
+    found = memo.get(items)
+    if found is None:
+        a = items[0]
+        found = memo[items] = [
+            head + tail
+            for i in range(1, len(items))
+            for head in (bytes([a * 16 + items[i]]),)
+            for tail in _codes_of(items[1:i] + items[i + 1:], memo)
+        ]
+    return found
+
+
+def _switch_tables(block: list[int]) -> tuple[bytes, bytes]:
+    """Two translation tables on pair codes u*16+v (u < v) for the fixed
+    2-factor whose vertex blocks are ``block``: a cross code (u and v in
+    different cycles) maps to the code of (next u, next v) in the first
+    table and of (next u, prev v) in the second, next and prev taken along
+    each vertex's cycle; every other code maps to `_SAME_BLOCK`. Blocks are
+    numbered in vertex order, so next u < next v and prev v."""
+    n = len(block)
+    start = [block.index(b) for b in block]
+    length = [block.count(b) for b in block]
+    succ = [start[v] + (v - start[v] + 1) % length[v] for v in range(n)]
+    pred = [start[v] + (v - start[v] - 1) % length[v] for v in range(n)]
+    next_next = bytearray([_SAME_BLOCK]) * 256
+    next_prev = bytearray([_SAME_BLOCK]) * 256
+    for u in range(n):
+        for v in range(u + 1, n):
+            if block[u] != block[v]:
+                next_next[u * 16 + v] = succ[u] * 16 + succ[v]
+                next_prev[u * 16 + v] = succ[u] * 16 + pred[v]
+    return bytes(next_next), bytes(next_prev)
+
+
+def _has_switchable_pair(codes: bytes, tables: tuple[bytes, bytes]) -> bool:
+    """Whether the pairing ``codes`` holds two cross pairs x1y1 and x2y2
+    with x1x2 an edge of one cycle and y1y2 an edge of another, by the
+    `_switch_tables` of its 2-factor.
+
+    Swapping x1x2 and y1y2 for x1y1 and x2y2 joins the two cycles into one,
+    so the union then has a 2-factor of a larger type. Name the two pairs
+    u1v1 and u2v2, with each u in the lower-numbered cycle, so that
+    u2 = next u1; then v2 is next v1 or prev v1, and one of the tables
+    maps u1*16+v1 to u2*16+v2. A pair within one cycle maps to
+    `_SAME_BLOCK`, which no pair code equals.
+    """
+    next_next, next_prev = tables
+    return not set(codes).isdisjoint(codes.translate(next_next) + codes.translate(next_prev))
 
 
 def _is_orbit_minimal(codes: bytes, tables: list[bytes], marked: set[bytes]) -> bool:
@@ -217,10 +266,11 @@ def _is_orbit_minimal(codes: bytes, tables: list[bytes], marked: set[bytes]) -> 
     themselves marked. ``tables`` form a group, so the images are the
     whole orbit.
 
-    `_candidate_pairings` calls this only on unmarked pairings whose block
-    quotient passes. The quotient verdict is the same on a whole orbit, so
-    it withholds whole orbits only; the first member of every orbit that
-    arrives is still its minimum, and there the call always marks.
+    `_candidate_pairings` calls this only on unmarked pairings that pass
+    the block-quotient and switch tests. Both verdicts are the same on a
+    whole orbit, so they withhold whole orbits only; the first member of
+    every orbit that arrives is still its minimum, and there the call
+    always marks.
     """
     if codes in marked:
         return False
@@ -232,24 +282,32 @@ def _candidate_pairings(
     cycle_type: tuple[int, ...], block: list[int], pairings: list[bytes]
 ) -> Iterator[bytes]:
     """The orbit-minimal ``pairings`` (all pairings, in code order) whose
-    union with the 2-factor of ``cycle_type`` is connected and bridgeless,
-    in code order.
+    union with the 2-factor of ``cycle_type`` is connected and bridgeless
+    and has no switchable pair (`_has_switchable_pair`), in code order.
 
-    The block quotient is tested before the orbit is marked. Every
-    symmetry maps each cycle block to itself, so all pairings of an orbit
-    have the same multiset of block pairs and the same quotient verdict.
-    A pairing whose quotient fails is skipped without marking: the rest of
-    its orbit fails too, and orbits are disjoint, so no other orbit's
-    marks are lost. A pairing whose quotient passes and is not marked is
-    its orbit's minimum, since an earlier member would have passed too and
-    marked it. So exactly the orbit minima that pass are yielded, as when
-    every pairing was marked first. Marked pairings are dropped by
-    ``filterfalse``, which reads the set as it grows, without a Python call
-    each; verdicts are cached per block-pair key.
+    Both tests run before the orbit is marked: first the block quotient,
+    then the switch. Every symmetry maps each cycle block to itself and
+    each cycle edge to a cycle edge of the same block, so all pairings of
+    an orbit have the same multiset of block pairs, hence the same
+    quotient verdict, and a symmetry maps a switchable pair to a switchable
+    pair, so they have the same switch verdict. A pairing that fails
+    either test is skipped without marking: the rest of its orbit fails
+    too, and orbits are disjoint, so no other orbit's marks are lost. A
+    pairing that passes both and is not marked is its orbit's minimum,
+    since an earlier member would have passed too and marked it. So
+    exactly the orbit minima that pass are yielded, as when every pairing
+    was marked first.
+
+    The switch drops only unions that have a 2-factor of a type larger than
+    ``cycle_type``, which the largest-type rule rejects anyway, so the
+    catalog is the same. Marked pairings are dropped by ``filterfalse``,
+    which reads the set as it grows, without a Python call each; quotient
+    verdicts are cached per block-pair key. A single cycle has no switch.
     """
     blocks = len(cycle_type)
     tables = _symmetry_tables(cycle_type, len(block))
     block_table = _block_pair_table(block)
+    switch = _switch_tables(block)
     verdicts: dict[bytes, bool] = {}
     marked: set[bytes] = set()
     for codes in filterfalse(marked.__contains__, pairings):
@@ -258,11 +316,13 @@ def _candidate_pairings(
         if passes is None:
             cross = [divmod(c, 16) for c in key if c != _SAME_BLOCK]
             passes = verdicts[key] = _quotient_connected_bridgeless(cross, blocks)
-        if passes and _is_orbit_minimal(codes, tables, marked):
+        if not passes or (blocks > 1 and _has_switchable_pair(codes, switch)):
+            continue
+        if _is_orbit_minimal(codes, tables, marked):
             yield codes
 
 
-def _two_factor_type(g: MultiGraph, matching: tuple[int, ...]) -> tuple[int, ...]:
+def _two_factor_type(g: MultiGraph, matching: Iterable[int]) -> tuple[int, ...]:
     """Cycle type, lengths non-increasing, of the 2-factor g - matching."""
     parent = list(range(g.vertex_count))
 
@@ -289,9 +349,35 @@ def _has_larger_two_factor(g: MultiGraph, cycle_type: tuple[int, ...]) -> bool:
     earlier. Stops at the first; a Hamiltonian type has none larger."""
     if len(cycle_type) == 1:
         return False
-    return any(
-        _two_factor_type(g, pm) > cycle_type for pm in enumerate_perfect_matchings(g)
-    )
+    return _larger_two_factor_below(g, cycle_type, 0, [])
+
+
+def _larger_two_factor_below(
+    g: MultiGraph, cycle_type: tuple[int, ...], covered: int, matching: list[int]
+) -> bool:
+    """Depth-first search for a perfect matching of g that extends
+    ``matching`` (covering the vertex bitmask ``covered``) and leaves a
+    2-factor of type larger than ``cycle_type``.
+
+    It branches at the lowest uncovered vertex, once per free neighbour:
+    parallel edges to one neighbour leave 2-factors with the same cycles.
+    It only looks for a witness and counts nothing, so it needs no memo.
+    """
+    if covered == (1 << g.vertex_count) - 1:
+        return _two_factor_type(g, matching) > cycle_type
+    low = ~covered & (covered + 1)
+    covered |= low
+    tried = covered
+    for e, w in g.incidence[low.bit_length() - 1]:
+        bit = 1 << w
+        if tried & bit:
+            continue
+        tried |= bit
+        matching.append(e)
+        if _larger_two_factor_below(g, cycle_type, covered | bit, matching):
+            return True
+        matching.pop()
+    return False
 
 
 def _quotient_connected_bridgeless(
@@ -336,11 +422,13 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
 
     Each cycle type T is swept in `_partitions_min2` order with every
     orbit-minimal pairing M on top (`_candidate_pairings`). The cheap,
-    orbit-invariant block-quotient test runs first, and only a pairing
-    that passes it marks its orbit; the accepted pairings are the same
-    orbit minima with a connected bridgeless union as when every orbit is
-    marked. Such a union reaches `canonical_form` only when no 2-factor
-    of it has a type larger than T.
+    orbit-invariant block-quotient and switch tests run first, and only a
+    pairing that passes both marks its orbit; the accepted pairings are
+    the orbit minima with a connected bridgeless union and no switchable
+    pair, as when every orbit is marked first. Such a union reaches
+    `canonical_form` only when the witness search of
+    `_has_larger_two_factor` finds no 2-factor of it with a type larger
+    than T; a switchable union would have failed that search too.
     Exhaustive: every graph has a 2-factor of its largest type, and the
     sweep of that type meets it. Same representative as labelling every
     union: a class first appears at its largest type, where no union of

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -106,6 +107,21 @@ def test_gen_sparse6(capsys):
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 5
     assert all(line.startswith(":") for line in out)
+
+
+@pytest.mark.parametrize(
+    "out_format, digest",
+    [
+        ("edge_list", "26a3011c736a110d441d9765b78101a5784a468f5878ce3096850f66a2e28daf"),
+        ("sparse6", "06793429d6e1ca73a54f656bdef45a5901a9fab48b06499e67b4966bc90d1dea"),
+    ],
+)
+def test_gen_12_keeps_its_representatives(catalogs, capsys, out_format, digest):
+    # the bytes of `gen --n 12`, which name the representative kept for
+    # each class; the catalog comes from the session cache
+    catalogs(12)
+    assert main(["gen", "--n", "12", "--out-format", out_format]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_usage_error_exit_code():

@@ -355,7 +355,7 @@ class TestCutCensus:
                 got = {name: queries[name](h) for name in order}
                 expected = expected or got
                 assert got == expected
-            # sizes above the kept cuts are matched afresh; both must agree
+            # one walk up to size 5 on the unqueried g gives the same 4-cuts
             assert [c for c in enumerate_cuts(g, 5) if c.size <= 4] == expected["cuts4"]
 
     def test_four_edge_cuts_before_or_after_the_other_queries(self, catalogs):

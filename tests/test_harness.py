@@ -198,8 +198,56 @@ def table_orbit_minimal(pm, tables):
     return True
 
 
+def all_pairings(items):
+    """Perfect pairings of sorted items, each as pairs (a, b) with a < b in
+    increasing order of a: the first item paired with each later one in
+    turn, ahead of every pairing of the rest."""
+    if not items:
+        yield ()
+        return
+    a = items[0]
+    for i in range(1, len(items)):
+        rest = items[1:i] + items[i + 1:]
+        for tail in all_pairings(rest):
+            yield ((a, items[i]),) + tail
+
+
 def decode(codes):
     return tuple(divmod(c, 16) for c in codes)
+
+
+def switchable(pm, cycle_type):
+    """Whether two pairs x1y1 and x2y2 of pm have x1x2 on one cycle and
+    y1y2 on another, tried over every two pairs and both ways of matching
+    their ends."""
+    edges = {}  # {u, v} adjacent along a cycle -> the index of that cycle
+    offset = 0
+    for index, c in enumerate(cycle_type):
+        for i in range(c):
+            edges[frozenset((offset + i, offset + (i + 1) % c))] = index
+        offset += c
+    for (a, b), (c, d) in itertools.combinations(pm, 2):
+        for x1, y1, x2, y2 in ((a, b, c, d), (a, b, d, c)):
+            x_cycle = edges.get(frozenset((x1, x2)))
+            y_cycle = edges.get(frozenset((y1, y2)))
+            if x_cycle is not None and y_cycle is not None and x_cycle != y_cycle:
+                return True
+    return False
+
+
+def kernel_has_larger_two_factor(g, cycle_type):
+    """The largest-type test before the witness search: the type of every
+    perfect matching the kernel enumerates, until one is larger."""
+    if len(cycle_type) == 1:
+        return False
+    return any(
+        harness._two_factor_type(g, pm) > cycle_type for pm in enumerate_perfect_matchings(g)
+    )
+
+
+def union(cycle_type, codes):
+    factor_edges, _ = harness._two_factor(cycle_type)
+    return MultiGraph(sum(cycle_type), tuple(factor_edges) + decode(codes))
 
 
 def reference_unions(n):
@@ -209,7 +257,7 @@ def reference_unions(n):
     for cycle_type in harness._partitions_min2(n):
         factor_edges, block = harness._two_factor(cycle_type)
         tables = per_permutation_tables(cycle_type, n)
-        for pm in harness._pairings(tuple(range(n))):
+        for pm in all_pairings(tuple(range(n))):
             if not table_orbit_minimal(pm, tables):
                 continue
             cross = [(block[u], block[v]) for u, v in pm if block[u] != block[v]]
@@ -292,7 +340,7 @@ class TestOrbitFilter:
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_pairings_in_increasing_code_order(self, n):
-        codes = [bytes(u * 16 + v for u, v in pm) for pm in harness._pairings(tuple(range(n)))]
+        codes = [bytes(u * 16 + v for u, v in pm) for pm in all_pairings(tuple(range(n)))]
         assert all(list(c) == sorted(c) and len(set(c)) == n // 2 for c in codes)
         assert all(a < b for a, b in zip(codes, codes[1:]))
         assert harness._pairing_codes(n) == codes
@@ -315,11 +363,13 @@ class TestOrbitFilter:
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_quotient_first_accepts_what_marking_first_accepts(self, n):
+        # less the switchable pairings, which the generator drops unmarked
         pairings = harness._pairing_codes(n)
         for cycle_type in harness._partitions_min2(n):
             _, block = harness._two_factor(cycle_type)
             accepted = list(harness._candidate_pairings(cycle_type, block, pairings))
-            assert accepted == marking_first_pairings(cycle_type, n, pairings)
+            expected = marking_first_pairings(cycle_type, n, pairings)
+            assert accepted == [c for c in expected if not switchable(decode(c), cycle_type)]
 
     def test_composed_tables_equal_per_permutation_tables(self):
         capped = []
@@ -354,6 +404,63 @@ class TestOrbitFilter:
                     )
                     verdicts.add(verdict)
         assert verdicts == {False, True}
+
+
+class TestSwitch:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_tables_find_what_the_pair_search_finds(self, n):
+        verdicts = set()
+        for cycle_type in harness._partitions_min2(n):
+            _, block = harness._two_factor(cycle_type)
+            tables = harness._switch_tables(block)
+            for codes in harness._pairing_codes(n):
+                verdict = harness._has_switchable_pair(codes, tables)
+                assert verdict == switchable(decode(codes), cycle_type)
+                verdicts.add(verdict)
+        assert verdicts == ({False, True} if n > 2 else {False})
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    def test_switch_rejects_only_unions_with_a_larger_two_factor(self, n):
+        # every pairing up to n = 10, a seeded sample at n = 12
+        pairings = harness._pairing_codes(n)
+        rnd = random.Random(n)
+        rejected = 0
+        for cycle_type in harness._partitions_min2(n):
+            _, block = harness._two_factor(cycle_type)
+            tables = harness._switch_tables(block)
+            sample = rnd.sample(pairings, 300) if n == 12 else pairings
+            for codes in sample:
+                if harness._has_switchable_pair(codes, tables):
+                    rejected += 1
+                    assert kernel_has_larger_two_factor(union(cycle_type, codes), cycle_type)
+        assert rejected
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_switch_verdict_is_the_same_on_every_image(self, n):
+        pairings = harness._pairing_codes(n)
+        for cycle_type in harness._partitions_min2(n):
+            _, block = harness._two_factor(cycle_type)
+            switch = harness._switch_tables(block)
+            verdict = {codes: harness._has_switchable_pair(codes, switch) for codes in pairings}
+            for table in per_permutation_tables(cycle_type, n):
+                for codes in pairings:
+                    assert verdict[bytes(sorted(codes.translate(table)))] == verdict[codes]
+
+    def test_catalog_marks_only_unswitchable_orbits_and_builds_no_kernel(self, monkeypatch):
+        monkeypatch.setattr(harness, "_CATALOG_CACHE", {})
+        built = count_kernels(monkeypatch)
+        marks = []
+        is_orbit_minimal = harness._is_orbit_minimal
+
+        def recording(codes, tables, marked):
+            minimal = is_orbit_minimal(codes, tables, marked)
+            marks.append(minimal)
+            return minimal
+
+        monkeypatch.setattr(harness, "_is_orbit_minimal", recording)
+        assert len(bridgeless_cubic_catalog(12)) == 365
+        assert sum(marks) == 1454
+        assert built == []
 
 
 class TestLargestTypeRule:
@@ -391,15 +498,31 @@ class TestLargestTypeRule:
                 self.check_against_subset_walk(g, cycle_types)
 
     def test_hamiltonian_type_returns_at_once(self, catalogs, monkeypatch):
-        def enumerate_forbidden(g):
+        def type_forbidden(g, matching):
             raise AssertionError("no matching is needed for type (n,)")
 
-        # built first: building a catalog legitimately enumerates matchings
+        # built first: building a catalog legitimately takes 2-factor types
         graphs = {n: catalogs(n) for n in range(2, 11, 2)}
-        monkeypatch.setattr(harness, "enumerate_perfect_matchings", enumerate_forbidden)
+        monkeypatch.setattr(harness, "_two_factor_type", type_forbidden)
         for n, catalog in graphs.items():
             for g in catalog:
                 assert not harness._has_larger_two_factor(g, (n,))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_witness_search_equals_kernel_reference(self, n):
+        # on the union of every orbit minimum, before the quotient and switch
+        pairings = harness._pairing_codes(n)
+        verdicts = set()
+        for cycle_type in harness._partitions_min2(n):
+            tables = harness._symmetry_tables(cycle_type, n)
+            marked = set()
+            for codes in pairings:
+                if harness._is_orbit_minimal(codes, tables, marked):
+                    g = union(cycle_type, codes)
+                    verdict = harness._has_larger_two_factor(g, cycle_type)
+                    assert verdict == kernel_has_larger_two_factor(g, cycle_type)
+                    verdicts.add(verdict)
+        assert verdicts == ({False, True} if n > 2 else {False})
 
 
 class TestVerify:
