@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import add
 from typing import Iterable, Sequence
 
 
@@ -356,45 +358,76 @@ def four_cut_completion_vertices(
 # --------------------------------------------------------------------------
 
 DEFAULT_CANONICAL_BOUND = 16
+_BYTE_LIMIT = 255  # the vertex count and every multiplicity are stored in one byte
 
 
-def _invariant_colors(g: MultiGraph, mult: list[list[int]]) -> list[int]:
-    """Isomorphism-invariant vertex colors used to seed the canonical search."""
-    n = g.vertex_count
-    inf = n + 1
-    adj = [sorted(g.neighbors(v)) for v in range(n)]
-    profiles = []
-    for s in range(n):
-        dist = [inf] * n
-        dist[s] = 0
-        queue = [s]
-        for v in queue:
-            for u in adj[v]:
-                if dist[u] == inf:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        profiles.append(tuple(sorted(dist)))
-    tri = [0] * n
-    for v in range(n):
-        av = adj[v]
-        for a in range(len(av)):
-            for b in range(a + 1, len(av)):
-                if mult[av[a]][av[b]]:
-                    tri[v] += 1
+def _invariant_colors(g: MultiGraph, mult: list[list[int]], adj: list[list[int]]) -> list[int]:
+    """Isomorphism-invariant vertex colors used to seed the canonical search.
+
+    ``mult`` is the multiplicity matrix of g and ``adj[v]`` lists the
+    distinct neighbours of v. A vertex's first key is its degree, its
+    sorted edge multiplicities, the number of edges among its neighbours
+    and its distance profile; the colors are then refined by the sorted
+    (multiplicity, color) pairs of the neighbours until the number of
+    colors stops growing. Colors are ranks of keys, so any keys with the
+    same order and the same equalities give the same colors; the keys
+    below are chosen for speed on that basis:
+
+    - edges among the neighbours are counted twice, once from each end;
+    - the distance profile is the number of vertices outside the ball of
+      radius 1, 2, ..., R, where the balls of all vertices grow together,
+      as bitmasks joined along each edge, until none grows or all are
+      full. Two sorted distance tuples first differ at the first radius
+      whose ball sizes differ, and the one with the larger ball is
+      smaller, as is its count outside (unreachable vertices sort last, at
+      distance n + 1, and lie outside every ball). Past R no ball grows,
+      so every profile is decided within its first R entries;
+    - a neighbour pair (multiplicity, color) is mult·(n + 1) + color, which
+      orders as the pair does because every color is below n + 1;
+    - once every color is distinct, refinement cannot split a cell, and a
+      refinement round that adds no color returns ranks equal to the
+      previous ones (each key leads with the previous color), so the
+      colors are returned as soon as they are discrete or stop splitting.
+    """
+    n = len(mult)
+    masks = [sum(map((1).__lshift__, av)) for av in adj]
+    links = set(g.edges)
+    full = (1 << n) - 1
+    balls = [1 << v for v in range(n)]
+    outside = []
+    while True:
+        grown = balls.copy()
+        for u, v in links:
+            grown[u] |= balls[v]
+            grown[v] |= balls[u]
+        if grown == balls:
+            break
+        outside.append(list(map(int.bit_count, map(full.__xor__, grown))))
+        if not any(outside[-1]):
+            break
+        balls = grown
+    profiles = list(zip(*outside)) if outside else [()] * n
     sigs = [
-        (g.degree(v), tuple(sorted(mult[v][u] for u in adj[v])), tri[v], profiles[v])
-        for v in range(n)
+        (sum(row), tuple(sorted(map(row.__getitem__, av))),
+         sum(map(int.bit_count, map(near.__and__, map(masks.__getitem__, av)))),
+         profile)
+        for row, av, near, profile in zip(mult, adj, masks, profiles)
     ]
     colors = _ranks(sigs)
-    while True:
+    count = max(colors) + 1
+    scale = n + 1
+    scaled = [[row[u] * scale for u in av] for row, av in zip(mult, adj)]
+    while count < n:
         refined = [
-            (colors[v], tuple(sorted((mult[v][u], colors[u]) for u in adj[v])))
-            for v in range(n)
+            (c, tuple(sorted(map(add, pairs, map(colors.__getitem__, av)))))
+            for c, pairs, av in zip(colors, scaled, adj)
         ]
         new = _ranks(refined)
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
+        grown_count = max(new) + 1
+        if grown_count == count:
+            break
+        colors, count = new, grown_count
+    return colors
 
 
 def _ranks(keys: list) -> list[int]:
@@ -410,7 +443,9 @@ def canonical_form(g: MultiGraph, max_vertices: int = DEFAULT_CANONICAL_BOUND) -
     lower-triangular multiplicity matrix over all relabelings compatible
     with the invariant vertex coloring. The search is exhaustive with
     invariant and automorphism pruning; intended for vertex_count <=
-    max_vertices. The result is cached on the instance.
+    max_vertices. Every entry takes one byte, so a graph with more than
+    255 vertices or an edge multiplicity above 255 raises ValueError
+    before the search. The result is cached on the instance.
     """
     n = g.vertex_count
     if n > max_vertices:
@@ -421,122 +456,158 @@ def canonical_form(g: MultiGraph, max_vertices: int = DEFAULT_CANONICAL_BOUND) -
     return form
 
 
-def _orbit_ids(generators: list[list[int]], n: int) -> list[int]:
-    """Per vertex, the least vertex of its orbit under the generators."""
-    root = list(range(n))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            x = root[x]
-        return x
-
-    for gen in generators:
-        for v in range(n):
-            a, b = find(v), find(gen[v])
-            if a < b:
-                root[b] = a
-            elif b < a:
-                root[a] = b
-    return [find(v) for v in range(n)]
+def _orbit(seeds: list[int], generators: list[list[int]]) -> set[int]:
+    """The images of the seeds under the group the generators generate."""
+    orbit = set(seeds)
+    stack = list(seeds)
+    while stack:
+        v = stack.pop()
+        for gen in generators:
+            u = gen[v]
+            if u not in orbit:
+                orbit.add(u)
+                stack.append(u)
+    return orbit
 
 
 def _canonical_search(g: MultiGraph) -> bytes:
     """Depth-first search for the smallest matrix over the labelings that
     place the vertices cell by cell in color order.
 
-    Siblings are grouped by their row against the vertices already placed,
-    and groups are tried in row order, so a row whose prefix exceeds the
-    best matrix ends the node. A leaf whose matrix equals the best one
-    yields an automorphism (best labeling -> this labeling). Automorphisms
-    that fix the placed vertices pointwise map the subtree under a child
-    onto the subtree under its image, with the same leaf matrices, so a
-    child in the orbit of an explored sibling is skipped, and the search
-    returns at once to the node where the two labelings part, whose
-    current child is the image of the explored one.
+    Row p of the matrix holds the multiplicities between the vertex at
+    position p and those at positions 0..p-1, and the matrix is the rows in
+    order, so a node's prefix is fixed by the vertices it has placed.
+
+    - **Integer row keys.** Every vertex carries the key
+      sum of mult(v, a_q)·B^(n-1-q) over the placed vertices a_q, where
+      B = max multiplicity + 1. Each digit is below B and the placed
+      positions hold the high digits, so among the candidates of a node
+      integer order is the lexicographic order of their rows against the
+      placed vertices. Placing or unplacing a vertex changes only its
+      neighbours' keys, and placing it also raises its own key by B^n,
+      above every row key, so a node finds its smallest row in one scan
+      of its cell with no test for placed vertices. The bytes are read
+      off the best labeling at the end.
+    - **Only the smallest row is explored.** Let row_1 be the smallest
+      row among a node's candidates and base the node's prefix. Once the
+      subtree under row_1 is searched, the best matrix's prefix through
+      row p is at most base + row_1: it was at least that when the node
+      was entered, and if larger, the first leaf under row_1 became the
+      new best. Any other row exceeds row_1, so its prefix exceeds the
+      best one and every leaf under it would be cut; those siblings are
+      never searched.
+    - **A tie flag instead of comparing prefixes.** ``tie`` says that the
+      node's prefix equals the best matrix's prefix; when it does not, the
+      prefix is smaller (or there is no best yet), so no descendant is cut
+      and every leaf below is a new best. A tied node compares its smallest
+      row with the best matrix's row p alone: larger ends the node, equal
+      keeps the tie, smaller drops it. After its first child a node's
+      children are tied, since that child's subtree either matched the
+      best prefix already or produced the new best.
+    - **Automorphisms.** A tied leaf has the best matrix and yields an
+      automorphism (best labeling -> this labeling). Automorphisms that
+      fix the placed vertices pointwise map the subtree under a child
+      onto the subtree under its image, with the same leaf matrices, so a
+      child in the orbit of an explored sibling is skipped, and the search
+      returns at once to the node where the two labelings part, whose
+      current child is the image of the explored one.
     """
     n = g.vertex_count
+    if n > _BYTE_LIMIT:
+        raise ValueError(f"canonical_form stores the vertex count in one byte: "
+                         f"at most {_BYTE_LIMIT} vertices, got {n}")
     if n == 0:
         return bytes([0])
     mult = [[0] * n for _ in range(n)]
     for u, v in g.edges:
         mult[u][v] += 1
         mult[v][u] += 1
-    colors = _invariant_colors(g, mult)
+    top = max(map(max, mult))
+    if top > _BYTE_LIMIT:
+        raise ValueError(f"canonical_form stores each multiplicity in one byte: "
+                         f"at most {_BYTE_LIMIT} parallel edges, got {top}")
+    weight = [(top + 1) ** (n - 1 - q) for q in range(n)]
+    placed = (top + 1) ** n  # above every row key: a placed vertex is never a smallest row
+    adj = [list(compress(range(n), row)) for row in mult]
+    colors = _invariant_colors(g, mult, adj)
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
-    pos_color = []
+    cell_at: list[list[int]] = []
     for c in sorted(cells):
-        pos_color.extend([c] * len(cells[c]))
+        cell_at.extend([cells[c]] * len(cells[c]))
 
-    best: list[int] | None = None
+    key = [0] * n
+    labels = [0] * n  # labels[q]: the vertex at position q, for q below the depth
+    row_keys = [0] * n  # row_keys[q]: the row key of labels[q] when it was placed
     best_labels: list[int] = []
+    best_keys: list[int] = []
     generators: list[list[int]] = []
-    assigned: list[int] = []
-    flat: list[int] = []
-    taken: set[int] = set()
 
-    def rec(p: int) -> int:
-        """Explores the node with prefix ``assigned``; returns the depth
-        the search resumes at, p + 1 after a full exploration."""
-        nonlocal best, best_labels
+    def rec(p: int, tie: bool) -> int:
+        """Explores the node with prefix ``labels[:p]``, which equals the
+        best matrix's prefix when ``tie``; returns the depth the search
+        resumes at, p + 1 after a full exploration."""
         if p == n:
-            if best is None or flat < best:
-                best = flat.copy()
-                best_labels = assigned.copy()
+            if not tie:
+                best_labels[:] = labels
+                best_keys[:] = row_keys
                 return p + 1
-            # the prefix cut lets no leaf above the best through: flat == best
             gen = [0] * n
-            for a, b in zip(best_labels, assigned):
+            for a, b in zip(best_labels, labels):
                 gen[a] = b
             generators.append(gen)
             k = 0
-            while best_labels[k] == assigned[k]:
+            while best_labels[k] == labels[k]:
                 k += 1
             return k
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for v in cells[pos_color[p]]:
-            if v in taken:
-                continue
-            row = tuple(map(mult[v].__getitem__, assigned))
-            groups.setdefault(row, []).append(v)
-        base_len = len(flat)
+        cell = cell_at[p]
+        low = min(map(key.__getitem__, cell))
+        if tie:
+            if low > best_keys[p]:
+                return p + 1
+            tie = low == best_keys[p]
+        row_keys[p] = low
+        w = weight[p]
         explored: list[int] = []
         known = 0
-        orbit: list[int] = []
-        for row in sorted(groups):
-            flat.extend(row)
-            if best is not None and flat > best[: len(flat)]:
-                del flat[base_len:]
-                break
-            for v in groups[row]:
-                if explored and len(generators) > known:
+        fixing: list[list[int]] = []
+        for v in cell:
+            if key[v] != low:
+                continue
+            if explored:
+                if len(generators) > known:
                     known = len(generators)
+                    fixed = labels[:p]
                     fixing = [
                         gen for gen in generators
-                        if all(gen[a] == a for a in assigned)
+                        if list(map(gen.__getitem__, fixed)) == fixed
                     ]
-                    orbit = _orbit_ids(fixing, n) if fixing else []
-                if orbit and orbit[v] in {orbit[u] for u in explored}:
+                if fixing and v in _orbit(explored, fixing):
                     continue
-                explored.append(v)
-                taken.add(v)
-                assigned.append(v)
-                back = rec(p + 1)
-                assigned.pop()
-                taken.remove(v)
-                if back < p:
-                    del flat[base_len:]
-                    return back
-            del flat[base_len:]
+            explored.append(v)
+            key[v] += placed
+            labels[p] = v
+            row = mult[v]
+            for u in adj[v]:
+                key[u] += row[u] * w
+            back = rec(p + 1, tie)
+            for u in adj[v]:
+                key[u] -= row[u] * w
+            key[v] -= placed
+            if back < p:
+                return back
+            tie = True
         return p + 1
 
     try:
-        rec(0)
+        rec(0, False)
     finally:
         del rec  # the closure refers to itself; free it without the cyclic collector
-    assert best is not None
-    return bytes([n]) + bytes(best)
+    form = bytearray([n])
+    for p in range(1, n):
+        form.extend(map(mult[best_labels[p]].__getitem__, best_labels[:p]))
+    return bytes(form)
 
 
 def from_canonical(data: bytes) -> MultiGraph:

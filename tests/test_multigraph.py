@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from cubicmatch import multigraph
 from cubicmatch.multigraph import (
     MultiGraph,
     canonical_form,
@@ -238,6 +239,42 @@ class TestCanonicalForm:
                 continue
             same = canonical_form(a) == canonical_form(b)
             assert same == nx.is_isomorphic(to_nx(a), to_nx(b))
+
+
+class TestCanonicalEncodingLimits:
+    """The vertex count and each multiplicity take one byte of the form;
+    past that the error names the limit before any search work."""
+
+    @staticmethod
+    def forbid_search(monkeypatch):
+        def search_started(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(multigraph, "_invariant_colors", search_started)
+
+    def test_more_than_255_vertices(self, monkeypatch):
+        rnd = random.Random(256)
+        perm = list(range(256))
+        rnd.shuffle(perm)
+        ring = [(perm[i], perm[(i + 1) % 256]) for i in range(256)]
+        chords = [(perm[i], perm[i + 128]) for i in range(128)]
+        g = from_edge_list(256, ring + chords)
+        assert g.is_cubic()
+        self.forbid_search(monkeypatch)
+        with pytest.raises(ValueError, match="at most 255 vertices, got 256"):
+            canonical_form(g, max_vertices=300)
+
+    def test_more_than_255_parallel_edges(self, monkeypatch):
+        g = from_edge_list(2, [(0, 1)] * 256)
+        self.forbid_search(monkeypatch)
+        with pytest.raises(ValueError, match="at most 255 parallel edges, got 256"):
+            canonical_form(g)
+
+    def test_255_parallel_edges_encode(self):
+        g = from_edge_list(3, [(0, 1)] * 255 + [(1, 2)])
+        form = canonical_form(g)
+        assert sorted(form[1:]) == [0, 1, 255]
+        assert canonical_form(from_canonical(form)) == form
 
 
 class TestCutParity:
