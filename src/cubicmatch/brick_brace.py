@@ -5,17 +5,20 @@ every tight cut of a cubic bridgeless graph has size three, and the pieces
 stay cubic and bridgeless, each inheriting its 3-cuts from its parent.
 A cut of a piece is tight there exactly when it is tight in the input
 (Lovasz 1987), so every 3-cut is decided once, by one forced count on the
-input's matching kernel, and no piece builds a kernel. Polytope
-quantities are exact. The affine rank reads the matching differences on
-co-tree coordinates: a GF(2) basis of them certifies the rank as soon as
-it is as large as the column count, and otherwise integer elimination of
-every difference gives it. Membership uses rational arithmetic.
+input's matching kernel, and no piece builds a kernel. The pieces stay
+masks of the input while the decomposition runs, and are built as graphs
+only when read. Polytope quantities are exact. The affine rank reads the
+matching differences on co-tree coordinates: a GF(2) basis of them
+certifies the rank as soon as it is as large as the column count, and
+otherwise integer elimination of every difference gives it. Membership
+uses rational arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -29,25 +32,72 @@ BRACE = "brace"
 ODD_SET_LIMIT = 16  # exhaustive odd-set checks are capped at this order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Decomposition:
     """Final pieces of the tight-cut decomposition with their kinds.
 
-    cut_trace records every tight cut split, each in the coordinates of
-    the intermediate piece it was found in (original coordinates for the
-    first split).
+    Each piece is kept as the tuple of its contracted parts, as vertex
+    masks of the input graph, and is built into a MultiGraph only when
+    pieces or cut_trace is first read; brick_count and brace_count need
+    no piece. cut_trace records every tight cut split, each in the
+    coordinates of the intermediate piece it was found in (original
+    coordinates for the first split). Equality, hashing and repr read
+    pieces and cut_trace.
     """
 
-    pieces: tuple[tuple[MultiGraph, str], ...]
-    cut_trace: tuple[Cut, ...]
+    _graph: MultiGraph
+    _leaves: tuple[tuple[tuple[int, ...], str], ...]  # (parts, kind)
+    _splits: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]  # (parts, side, cut edges)
 
     @property
     def brick_count(self) -> int:
-        return sum(1 for _, kind in self.pieces if kind == BRICK)
+        return sum(1 for _, kind in self._leaves if kind == BRICK)
 
     @property
     def brace_count(self) -> int:
-        return sum(1 for _, kind in self.pieces if kind == BRACE)
+        return sum(1 for _, kind in self._leaves if kind == BRACE)
+
+    @cached_property
+    def pieces(self) -> tuple[tuple[MultiGraph, str], ...]:
+        g = self._graph
+        return tuple((_piece(g, parts)[0], kind) for parts, kind in self._leaves)
+
+    @cached_property
+    def cut_trace(self) -> tuple[Cut, ...]:
+        trace = []
+        for parts, side, cut_edges in self._splits:
+            h, vmap = _piece(self._graph, parts)
+            image = 0
+            for v in _bits(side):
+                image |= 1 << vmap[v]
+            # a contraction keeps the edges between different parts in order
+            edge_map = []
+            kept = 0
+            for u, v in self._graph.edges:
+                edge_map.append(kept)
+                kept += vmap[u] != vmap[v]
+            trace.append(_side_cut(h, image, tuple(edge_map[e] for e in cut_edges)))
+        return tuple(trace)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Decomposition):
+            return NotImplemented
+        return (self.pieces, self.cut_trace) == (other.pieces, other.cut_trace)
+
+    def __hash__(self) -> int:
+        return hash((self.pieces, self.cut_trace))
+
+    def __repr__(self) -> str:
+        return f"Decomposition(pieces={self.pieces!r}, cut_trace={self.cut_trace!r})"
+
+
+def _piece(g: MultiGraph, parts: tuple[int, ...]) -> tuple[MultiGraph, list[int]]:
+    """g with each part mask contracted in one step, and the vertex map;
+    the numbering and edge order are those of contracting the parts one
+    split at a time (see _decompose). With no part it is g itself."""
+    if not parts:
+        return g, list(range(g.vertex_count))
+    return _contract_parts(g, [frozenset(_bits(p)) for p in parts])
 
 
 def _is_tight_unchecked(kernel: _Kernel, g: MultiGraph, cut: Cut) -> bool:
@@ -118,48 +168,6 @@ def _side_cut(g: MultiGraph, side: int, cut_edges: tuple[int, ...]) -> Cut:
     return Cut(frozenset(_bits(side)), frozenset(_bits(rest)), cut_edges)
 
 
-def _contract_side(
-    h: MultiGraph, part: int, cuts: list[tuple[int, tuple[int, ...]]]
-) -> tuple[MultiGraph, list[tuple[int, tuple[int, ...]]]]:
-    """h with the vertex set `part` contracted, and the nontrivial tight
-    3-cuts of the result in enumerate_cuts order, inherited from h's
-    nontrivial tight 3-cuts `cuts`, each given as (side_a mask, cut edges).
-
-    A cut of h/part is exactly a cut of h that does not cross part, with
-    the same edges. A trivial side of h never contains part (|part| >= 3),
-    so no cut of h/part is missing from cuts. When delta(part) is tight
-    and h matching covered, the perfect matchings of h/part are the
-    restrictions of those of h, so a cut of h/part is tight exactly when
-    it is tight in h.
-
-    part is not checked again: it is a side of a 3-cut of the connected
-    bridgeless h, and each component of a side has at least 2 cut edges
-    (a lone one would be a bridge of h), so the side is connected.
-    """
-    piece, vmap = _contract_parts(h, [frozenset(_bits(part))])
-    edge_map = []
-    kept = 0
-    for u, v in h.edges:
-        edge_map.append(kept)
-        if not (part >> u) & (part >> v) & 1:
-            kept += 1
-    n = piece.vertex_count
-    out = []
-    for side, cut_edges in cuts:
-        inside = side & part
-        if inside and inside != part:
-            continue
-        image = 0
-        for v in _bits(side):
-            image |= 1 << vmap[v]
-        # contract numbers vertex 0 first, so the image keeps vertex 0 in side_a
-        if 3 <= image.bit_count() <= n - 3:
-            out.append((image, tuple(edge_map[e] for e in cut_edges)))
-    # enumerate_cuts' key (size, |side_a|, sorted side_a); every size is 3
-    out.sort(key=lambda c: _side_key(c[0], n))
-    return piece, out
-
-
 def decompose(g: MultiGraph, tight_cut_strategy: str = "first") -> Decomposition:
     """Brick and brace decomposition by repeated tight-cut splits.
 
@@ -178,21 +186,106 @@ def decompose(g: MultiGraph, tight_cut_strategy: str = "first") -> Decomposition
 def _decompose(kernel: _Kernel, g: MultiGraph, tight_cut_strategy: str) -> Decomposition:
     """decompose on a graph already checked cubic, connected and
     bridgeless, through the caller's kernel on g. Only the input's cuts
-    are enumerated and decided; each piece inherits its tight ones."""
+    are enumerated and decided, and no piece is built: every piece stays
+    in the input's coordinates.
+
+    A piece is the tuple of its contracted parts, disjoint vertex masks of
+    g; its vertices are those parts and the vertices of g outside them.
+    Splitting a piece h along the side S of a tight cut (S holds vertex 0)
+    gives h/S, whose parts are S and those of h outside S, and h/(V - S),
+    whose parts are V - S and those of h inside S.
+
+    Cuts are inherited. A cut of h/P is exactly a cut of h that does not
+    cross P, with the same edges, so a cut of a piece is a cut of g, named
+    for good by its side in g (holding vertex 0) and g's edge indices. A
+    trivial side of h never contains P (|P| >= 3), so no cut of h/P is
+    missing from h's. When delta(P) is tight and h matching covered, the
+    perfect matchings of h/P are the restrictions of those of h, so a cut
+    of h/P is tight exactly when it is tight in h, hence in g (Lovasz
+    1987). P needs no connectivity check: it is a side of a 3-cut of the
+    connected bridgeless h, and each component of a side has at least 2
+    cut edges (a lone one would be a bridge of h).
+
+    Cut order is kept. _contract_parts numbers a vertex of a contraction
+    by its smallest member, and each vertex of h/P is a union of vertices
+    of h, so by induction the vertex ids of every piece rank the smallest
+    input vertex of each of its vertices. With reps the mask of those
+    smallest vertices, a side T of a piece maps to a vertex set of size
+    |T & reps|, ordered among the others as T & reps is: its place in
+    enumerate_cuts' order is _side_key(T & reps), the nontrivial test is
+    3 <= |T & reps| <= |reps| - 3, and vertex 0 stays in side_a. So each
+    split picks the same cut as contracting h step by step would.
+
+    The edges of a piece are g's edges between different vertices of it,
+    in g's order; it is a brick exactly when they close an odd cycle.
+    """
     _require_covered(kernel, "decompose")
-    pieces: list[tuple[MultiGraph, str]] = []
-    trace: list[Cut] = []
-    stack = [(g, _tight_cuts(kernel, g))]
+    n = g.vertex_count
+    full = (1 << n) - 1
+    edges = g.edges
+    cuts = _tight_cuts(kernel, g)
+    leaves: list[tuple[tuple[int, ...], str]] = []
+    splits: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
+    # frame: (parts, reps, the piece's nontrivial tight cuts in cut order)
+    stack = [((), full, cuts)]
     while stack:
-        h, cuts = stack.pop()
+        parts, reps, cuts = stack.pop()
         if not cuts:
-            pieces.append((h, BRACE if h.is_bipartite() else BRICK))
+            leaves.append((parts, BRICK if _odd_cycle(n, edges, parts) else BRACE))
             continue
         side, cut_edges = cuts[0] if tight_cut_strategy == "first" else cuts[-1]
-        trace.append(_side_cut(h, side, cut_edges))
-        stack.append(_contract_side(h, side, cuts))
-        stack.append(_contract_side(h, ((1 << h.vertex_count) - 1) & ~side, cuts))
-    return Decomposition(tuple(pieces), tuple(trace))
+        splits.append((parts, side, cut_edges))
+        for part, kept in (
+            (side, [p for p in parts if not p & side]),
+            (full ^ side, [p for p in parts if p & side == p]),
+        ):
+            child_reps = reps & ~part | (part & -part)
+            size = child_reps.bit_count()
+            child_cuts = []
+            for t, t_edges in cuts:
+                inside = t & part
+                if inside and inside != part:
+                    continue
+                if 3 <= (t & child_reps).bit_count() <= size - 3:
+                    child_cuts.append((t, t_edges))
+            child_cuts.sort(key=lambda c: _side_key(c[0] & child_reps, n))
+            stack.append(((*kept, part), child_reps, child_cuts))
+    return Decomposition(g, tuple(leaves), tuple(splits))
+
+
+def _odd_cycle(n: int, edges: tuple[tuple[int, int], ...], parts: tuple[int, ...]) -> bool:
+    """True when the edges between different parts (each vertex outside
+    the parts being a part of its own) close an odd cycle. Union-find on
+    the parts' smallest vertices, each node holding its parity to its
+    parent: an edge inside one tree whose ends have equal parity to the
+    root closes an odd cycle."""
+    region = list(range(n))
+    for p in parts:
+        low = (p & -p).bit_length() - 1
+        for v in _bits(p):
+            region[v] = low
+    parent = list(range(n))
+    parity = [0] * n
+
+    def find(v: int) -> tuple[int, int]:
+        odd = 0
+        while parent[v] != v:
+            odd ^= parity[v]
+            v = parent[v]
+        return v, odd
+
+    for u, v in edges:
+        a, b = region[u], region[v]
+        if a == b:
+            continue
+        (ra, pa), (rb, pb) = find(a), find(b)
+        if ra == rb:
+            if pa == pb:
+                return True
+        else:
+            parent[ra] = rb
+            parity[ra] = pa ^ pb ^ 1
+    return False
 
 
 def is_bicritical(g: MultiGraph) -> bool:

@@ -4,15 +4,17 @@ All routines are pure functions over immutable MultiGraph values. Cut
 queries read the graph's cut space through a spanning forest: every edge
 gets a signature, the set of fundamental cycles through it, and an edge
 set is a cut exactly when its signatures XOR to 0. The cuts of size k
-are the zero-XOR k-edge sets, found by a meet-in-the-middle match, so
-edge connectivity and every query for the cuts up to a fixed size take
-time polynomial in the number of edges m; a cyclic edge connectivity of
-c takes about m^ceil(c/2) steps and as many stored edge sets. Every
-query walks the cut sizes k = 0, 1, 2, ... in order and stops where its
-answer is found; each size is matched the first time any walk reaches
-it, then kept on the graph instance with the signatures. The 2^n
-bipartition scan and the former census of connected sides survive in the
-test suite as oracles.
+are the zero-XOR k-edge sets, found by a meet-in-the-middle match that
+streams the ceil(k/2)-edge sets against a table of the floor(k/2)-edge
+sets, so edge connectivity and every query for the cuts up to a fixed
+size take time polynomial in the number of edges m; a cyclic edge
+connectivity of c takes about m^ceil(c/2) steps and m^floor(c/2) stored
+edge sets. The bridges are the edges of signature 0. Every query walks
+the cut sizes k = 0, 1, 2, ... in order and stops where its answer is
+found; each size is matched the first time any walk reaches it, then
+kept on the graph instance with the signatures. The 2^n bipartition
+scan, the former census of connected sides and Tarjan's bridge search
+survive in the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -82,46 +84,13 @@ def _require(
 def bridges(g: MultiGraph) -> list[int]:
     """Edge indices whose removal disconnects their component.
 
-    Parallel edges are never bridges.
+    They are the edges of cut-space signature 0: a non-tree edge carries
+    its own bit, and a tree edge carries the bits of the non-tree edges
+    leaving the subtree below it, which are none exactly when it is a
+    bridge. Parallel edges are never bridges. The cut space is kept on g
+    for the cut queries that follow.
     """
-    n = g.vertex_count
-    visited = [False] * n
-    disc = [0] * n
-    low = [0] * n
-    out: list[int] = []
-    counter = [0]
-
-    def dfs(root: int) -> None:
-        stack = [(root, -1, iter(g.incidence[root]))]
-        visited[root] = True
-        disc[root] = low[root] = counter[0]
-        counter[0] += 1
-        while stack:
-            v, in_edge, it = stack[-1]
-            advanced = False
-            for ei, u in it:
-                if ei == in_edge:
-                    continue
-                if not visited[u]:
-                    visited[u] = True
-                    disc[u] = low[u] = counter[0]
-                    counter[0] += 1
-                    stack.append((u, ei, iter(g.incidence[u])))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[u])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] > disc[pv]:
-                        out.append(in_edge)
-
-    for s in range(n):
-        if not visited[s]:
-            dfs(s)
-    return sorted(out)
+    return [e for e, s in enumerate(_cut_space(g).sig) if not s]
 
 
 def _has_cycle(g: MultiGraph, side: frozenset[int]) -> bool:
@@ -298,22 +267,16 @@ class _CutSpace:
 
     def zero_sets(self, k: int, levels: dict) -> Iterator[tuple[int, ...]]:
         """Every k-edge set whose signatures XOR to 0, as a sorted tuple of
-        edge indices, each once: its first k // 2 edges are matched against
-        the rest through levels, which caches the j-edge sets by XOR."""
-        if k == 0:
-            yield ()
-            return
+        edge indices, each once: the (k - k // 2)-edge sets are streamed
+        and each is looked up, by its XOR, among the k // 2-edge sets
+        below its first edge. Only the smaller side is kept, in levels,
+        which caches the j-edge sets by XOR; size 3 keeps the single
+        edges, not the pairs."""
         lows = _level(self.sig, k // 2, levels)
-        highs = _level(self.sig, k - k // 2, levels)
-        for x, heads in lows.items():
-            tails = highs.get(x)
-            if not tails:
-                continue
-            for a in heads:
-                last = a[-1] if a else -1
-                for b in tails:
-                    if b[0] > last:
-                        yield a + b
+        for b, x in _xors(self.sig, k - k // 2):
+            for a in lows.get(x, ()):
+                if not a or a[-1] < b[0]:
+                    yield a + b
 
     def side(self, edge_set: tuple[int, ...]) -> int:
         """The side of the cut edge_set that holds no tree root."""
@@ -330,12 +293,19 @@ def _level(sig: tuple[int, ...], j: int, levels: dict) -> dict[int, list[tuple[i
     level = levels.get(j)
     if level is None:
         level = levels[j] = {}
-        for combo in combinations(range(len(sig)), j):
-            x = 0
-            for e in combo:
-                x ^= sig[e]
+        for combo, x in _xors(sig, j):
             level.setdefault(x, []).append(combo)
     return level
+
+
+def _xors(sig: tuple[int, ...], j: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each j-edge set as a sorted index tuple, in lexicographic order,
+    with the XOR of its signatures."""
+    for combo, values in zip(combinations(range(len(sig)), j), combinations(sig, j)):
+        x = 0
+        for s in values:
+            x ^= s
+        yield combo, x
 
 
 def _cut_space(g: MultiGraph) -> _CutSpace:

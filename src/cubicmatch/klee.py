@@ -3,20 +3,21 @@
 A klee-graph is K4 or the result of repeatedly replacing a vertex of a
 klee-graph by a triangle. Recognition runs the replacement backwards:
 contract triangles whose three outgoing edges reach three distinct
-vertices until K4 appears or no such triangle is left.
+vertices until K4 appears or no such triangle is left. The contractions
+run on regions of the input graph, so no contracted graph is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Collection, Iterator
 
 from .connectivity import _require, enumerate_cuts, is_cyclic_cut
 from .matching import _Kernel, _vertex_mask, count_perfect_matchings
 from .multigraph import (
     Cut,
     MultiGraph,
-    _contract_parts,
     canonical_form,
     contract,
     replace_vertex_with_triangle,
@@ -91,26 +92,18 @@ class NiceCutResult:
 def triangles(g: MultiGraph) -> list[tuple[int, int, int]]:
     """All vertex triples a < b < c that are pairwise adjacent, in
     lexicographic order."""
-    nbrs = [g.neighbors(v) for v in range(g.vertex_count)]
-    out = []
-    for a, na in enumerate(nbrs):
+    return list(_triangles({v: g.neighbors(v) for v in range(g.vertex_count)}))
+
+
+def _triangles(nbrs: dict[int, Collection[int]]) -> Iterator[tuple[int, int, int]]:
+    """The triples a < b < c of pairwise adjacent keys of nbrs, which maps
+    each vertex to its neighbours, in lexicographic order."""
+    for a in sorted(nbrs):
+        na = set(nbrs[a])
         for b in sorted(u for u in na if u > a):
-            out.extend((a, b, c) for c in sorted(na & nbrs[b]) if c > b)
-    return out
-
-
-def _contractible_triangles(g: MultiGraph) -> list[tuple[int, int, int]]:
-    """Triangles whose three outgoing edges lead to three distinct vertices."""
-    out = []
-    for tri in triangles(g):
-        tset = set(tri)
-        targets = []
-        for i, (u, v) in enumerate(g.edges):
-            if (u in tset) != (v in tset):
-                targets.append(v if u in tset else u)
-        if len(targets) == 3 and len(set(targets)) == 3:
-            out.append(tri)
-    return out
+            for c in sorted(na.intersection(nbrs[b])):
+                if c > b:
+                    yield a, b, c
 
 
 def is_klee(g: MultiGraph) -> KleeResult:
@@ -120,21 +113,40 @@ def is_klee(g: MultiGraph) -> KleeResult:
 
 
 def _klee_steps(g: MultiGraph) -> KleeResult:
-    """is_klee on a graph already checked cubic and connected."""
+    """is_klee on a graph already checked cubic and connected.
+
+    The current graph is kept as a partition of g into regions, each named
+    by its smallest vertex, with the names of each region's three
+    neighbours (one per outgoing edge of g); no graph is built.
+    _contract_parts numbers a contracted vertex by its smallest member, so
+    by induction the current graph's vertex ids rank the region names:
+    triangles scanned in name order come in the current graph's
+    lexicographic order, and a contraction is recorded by the ranks of its
+    names. The current graph stays cubic, as a contracted triangle has
+    three outgoing edges, and with four vertices it is simple, hence K4,
+    exactly when every region has three distinct neighbours.
+    """
+    nbrs = {v: [u for _, u in g.incidence[v]] for v in range(g.vertex_count)}
     steps: list[tuple[int, int, int]] = []
-    cur = g
     while True:
-        if cur.vertex_count == 4 and cur.is_simple():
-            return KleeResult(True, tuple(steps))
-        if cur.vertex_count <= 4:
+        if len(nbrs) <= 4:
+            k4 = len(nbrs) == 4 and all(len(set(ns)) == 3 for ns in nbrs.values())
+            return KleeResult(k4, tuple(steps))
+        for tri in _triangles(nbrs):
+            targets = [u for x in tri for u in nbrs[x] if u not in tri]
+            if len(targets) == 3 and len(set(targets)) == 3:
+                break
+        else:
             return KleeResult(False, tuple(steps))
-        candidates = _contractible_triangles(cur)
-        if not candidates:
-            return KleeResult(False, tuple(steps))
-        tri = candidates[0]
-        steps.append(tri)
-        # a triangle is connected, so the contraction needs no check
-        cur, _ = _contract_parts(cur, [frozenset(tri)])
+        names = sorted(nbrs)
+        steps.append(tuple(names.index(x) for x in tri))
+        a, b, c = tri
+        # each target has one edge into the triangle; it now leads to a
+        for t in targets:
+            ns = nbrs[t]
+            ns[next(i for i, x in enumerate(ns) if x in tri)] = a
+        del nbrs[b], nbrs[c]
+        nbrs[a] = targets
 
 
 def core(g: MultiGraph) -> MultiGraph:

@@ -28,13 +28,31 @@ def random_bridgeless_cubic(n: int, rnd: random.Random) -> MultiGraph:
             continue
         g = MultiGraph(n, tuple(pairs))
         if g.is_connected() and not bridges(g):
-            return g
+            # a fresh instance: bridges leaves its cut space cached on g
+            return MultiGraph(n, tuple(pairs))
 
 
 def analyze16_draws(seed=1):
     """The order-16 graphs the analyze16 benchmark workload draws for a seed."""
     rnd = random.Random(seed)
     return [random_bridgeless_cubic(16, rnd) for _ in range(100)]
+
+
+def mask_reference_graphs(catalogs):
+    """Inputs on which the mask-based decomposition, klee recognition and
+    3-edge match are compared with the former graph-building ones: the
+    catalogs n <= 12, the analyze16 draws of seeds 1-3, the klee classes of
+    order 14 and 20 seeded graphs at each of n = 14, 16, 18, 20."""
+    from cubicmatch.klee import enumerate_klee
+
+    graphs = [g for n in range(2, 13, 2) for g in catalogs(n)]
+    for seed in (1, 2, 3):
+        graphs += analyze16_draws(seed)
+    graphs += enumerate_klee(14)
+    for n in (14, 16, 18, 20):
+        rnd = random.Random(n)
+        graphs += [random_bridgeless_cubic(n, rnd) for _ in range(20)]
+    return graphs
 
 
 def walk_forbidden(g):
@@ -65,6 +83,19 @@ def record_zero_set_sizes(monkeypatch):
 
     monkeypatch.setattr(connectivity._CutSpace, "zero_sets", recording_zero_sets)
     return sizes
+
+
+def count_multigraphs(monkeypatch):
+    """Records every MultiGraph constructed."""
+    built = []
+    post_init = MultiGraph.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(MultiGraph, "__post_init__", counting_post_init)
+    return built
 
 
 def count_kernels(monkeypatch):

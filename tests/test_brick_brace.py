@@ -19,7 +19,7 @@ from cubicmatch.brick_brace import (
     polytope_dimension,
     polytope_membership,
 )
-from cubicmatch.connectivity import enumerate_cuts
+from cubicmatch.connectivity import _bits, _side_key, enumerate_cuts
 from cubicmatch.matching import (
     _Kernel,
     _vertex_mask,
@@ -27,7 +27,9 @@ from cubicmatch.matching import (
     enumerate_perfect_matchings,
 )
 from cubicmatch.multigraph import (
+    Cut,
     MultiGraph,
+    _contract_parts,
     canonical_form,
     contract,
     from_edge_list,
@@ -48,6 +50,8 @@ from conftest import (
     check_one_kernel_on_input,
     count_cut_spaces,
     count_kernels,
+    count_multigraphs,
+    mask_reference_graphs,
     random_bridgeless_cubic,
     walk_forbidden,
 )
@@ -75,6 +79,51 @@ def reference_decompose(g, strategy):
         trace.append(found)
         stack.append(contract(h, [found.side_a])[0])
         stack.append(contract(h, [found.side_b])[0])
+    return pieces, trace
+
+
+def sequential_contract_side(h, part, cuts):
+    """The former contraction step of the decomposition: h with the vertex
+    set part contracted, and the nontrivial tight 3-cuts of the result,
+    re-indexed from h's cuts (side_a mask, cut edges) in enumerate_cuts
+    order."""
+    piece, vmap = _contract_parts(h, [frozenset(_bits(part))])
+    edge_map = []
+    kept = 0
+    for u, v in h.edges:
+        edge_map.append(kept)
+        if not (part >> u) & (part >> v) & 1:
+            kept += 1
+    n = piece.vertex_count
+    out = []
+    for side, cut_edges in cuts:
+        inside = side & part
+        if inside and inside != part:
+            continue
+        image = 0
+        for v in _bits(side):
+            image |= 1 << vmap[v]
+        if 3 <= image.bit_count() <= n - 3:
+            out.append((image, tuple(edge_map[e] for e in cut_edges)))
+    out.sort(key=lambda c: _side_key(c[0], n))
+    return piece, out
+
+
+def sequential_decompose(g, strategy):
+    """(pieces as (n, edges, kind), cut trace) from the former decomposition,
+    which built both pieces of every split as graphs."""
+    pieces, trace = [], []
+    stack = [(g, _tight_cuts(_Kernel(g), g))]
+    while stack:
+        h, cuts = stack.pop()
+        if not cuts:
+            pieces.append((h.vertex_count, h.edges, BRACE if h.is_bipartite() else BRICK))
+            continue
+        side, cut_edges = cuts[0] if strategy == "first" else cuts[-1]
+        rest = ((1 << h.vertex_count) - 1) & ~side
+        trace.append(Cut(frozenset(_bits(side)), frozenset(_bits(rest)), cut_edges))
+        stack.append(sequential_contract_side(h, side, cuts))
+        stack.append(sequential_contract_side(h, rest, cuts))
     return pieces, trace
 
 
@@ -505,6 +554,62 @@ class TestTightOnce:
             d = decompose(g, tight_cut_strategy=strategy)
             pieces = [(p.vertex_count, p.edges, kind) for p, kind in d.pieces]
             assert (pieces, list(d.cut_trace)) == reference_decompose(g, strategy)
+
+
+class TestMaskDecomposition:
+    """Pieces stay masks of the input until they are read."""
+
+    def test_matches_sequential_contraction(self, catalogs):
+        splits = 0
+        for g in mask_reference_graphs(catalogs):
+            for strategy in ("first", "last"):
+                d = decompose(g, tight_cut_strategy=strategy)
+                pieces, trace = sequential_decompose(g, strategy)
+                assert d.brick_count == sum(kind == BRICK for _, _, kind in pieces)
+                assert d.brace_count == sum(kind == BRACE for _, _, kind in pieces)
+                assert [(p.vertex_count, p.edges, kind) for p, kind in d.pieces] == pieces
+                assert list(d.cut_trace) == trace
+                splits += len(trace)
+        assert splits > 3000
+
+    def test_counts_build_no_piece(self, monkeypatch):
+        built = count_multigraphs(monkeypatch)
+        g = exceptional_graph()
+        built.clear()
+        d = decompose(g)
+        assert (d.brick_count, d.brace_count) == (3, 1)
+        assert polytope_dimension(g) == 4
+        assert built == []
+
+    def test_pieces_and_trace_read_twice(self, monkeypatch):
+        built = count_multigraphs(monkeypatch)
+        for g in (exceptional_graph(), random_bridgeless_cubic(16, random.Random(16))):
+            for strategy in ("first", "last"):
+                d = decompose(g, tight_cut_strategy=strategy)
+                built.clear()
+                pieces, trace = d.pieces, d.cut_trace
+                # one graph per piece and per split but the first (on g itself),
+                # built on the first read only
+                assert len(trace) >= 2
+                assert len(built) == len(pieces) + len(trace) - 1
+                built.clear()
+                assert d.pieces == pieces and d.cut_trace == trace
+                assert built == []
+
+
+    def test_value_semantics(self):
+        # equality, hashing and repr read the pieces and the trace, as they
+        # did when both were stored fields
+        g = exceptional_graph()
+        d = decompose(g)
+        e = decompose(g)
+        assert d == e and hash(d) == hash(e)
+        assert d != decompose(petersen())
+        assert decompose(petersen()) == decompose(petersen())
+        assert repr(d) == f"Decomposition(pieces={d.pieces!r}, cut_trace={d.cut_trace!r})"
+        for name in ("pieces", "cut_trace", "brick_count", "brace_count"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, None)
 
 
 class TestCotreeRank:

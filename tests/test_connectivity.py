@@ -4,14 +4,17 @@ from itertools import combinations, permutations
 
 import pytest
 
+from cubicmatch import connectivity
 from cubicmatch.connectivity import (
     NO_CYCLIC_CUT,
+    _CutSpace,
     _connected_side_masks,
     _bits,
     _cut_sides,
     _cut_space,
     _separator,
     _has_cycle,
+    _level,
     _side_key,
     bridges,
     connectivity_report,
@@ -34,7 +37,12 @@ from cubicmatch.named_graphs import (
     prism,
     three_bond,
 )
-from conftest import analyze16_draws, random_bridgeless_cubic, record_zero_set_sizes
+from conftest import (
+    analyze16_draws,
+    mask_reference_graphs,
+    random_bridgeless_cubic,
+    record_zero_set_sizes,
+)
 
 
 def bridged_gadget():
@@ -89,7 +97,57 @@ def random_multigraph(n, rnd, min_degree=0):
             return g
 
 
+def reference_bridges(g):
+    """Bridges by Tarjan's low-link depth-first search, the former library
+    routine, kept as the oracle for the cut-space signatures."""
+    n = g.vertex_count
+    visited = [False] * n
+    disc = [0] * n
+    low = [0] * n
+    out = []
+    counter = 0
+    for root in range(n):
+        if visited[root]:
+            continue
+        visited[root] = True
+        disc[root] = low[root] = counter
+        counter += 1
+        stack = [(root, -1, iter(g.incidence[root]))]
+        while stack:
+            v, in_edge, it = stack[-1]
+            for ei, u in it:
+                if ei == in_edge:
+                    continue
+                if not visited[u]:
+                    visited[u] = True
+                    disc[u] = low[u] = counter
+                    counter += 1
+                    stack.append((u, ei, iter(g.incidence[u])))
+                    break
+                low[v] = min(low[v], disc[u])
+            else:
+                stack.pop()
+                if stack:
+                    pv = stack[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                    if low[v] > disc[pv]:
+                        out.append(in_edge)
+    return sorted(out)
+
+
 class TestBridges:
+    def test_matches_tarjan(self, catalogs):
+        rnd = random.Random(41)
+        graphs = [g for n in range(2, 11, 2) for g in catalogs(n)]
+        for _ in range(3000):
+            n = rnd.randint(2, 12)
+            pairs = [tuple(rnd.sample(range(n), 2)) for _ in range(rnd.randint(0, 2 * n))]
+            graphs.append(MultiGraph(n, tuple(pairs)))
+        assert sum(not g.is_connected() for g in graphs) > 500
+        assert sum(bool(reference_bridges(g)) for g in graphs) > 1000
+        for g in graphs:
+            assert bridges(g) == reference_bridges(g)
+
     def test_k4_none(self):
         assert bridges(k4()) == []
 
@@ -431,6 +489,72 @@ class TestCutWalk:
             sizes.clear()
             verify_graph(fresh(g))
             assert sizes == list(range(len(sizes)))
+
+
+def pair_table_zero_sets(space, k, levels):
+    """The former match for every size k >= 1: the first k // 2 edges
+    against the rest through the cached j-edge tables, so size 3 builds
+    the table of all edge pairs."""
+    if k == 0:
+        yield ()
+        return
+    lows = _level(space.sig, k // 2, levels)
+    highs = _level(space.sig, k - k // 2, levels)
+    for x, heads in lows.items():
+        for a in heads:
+            last = a[-1] if a else -1
+            for b in highs.get(x, ()):
+                if b[0] > last:
+                    yield a + b
+
+
+class TestThreeEdgeMatch:
+    """The larger half of each edge set is streamed against the table of the
+    smaller half, so size 3 is matched pair by pair against the single-edge
+    table."""
+
+    def test_matches_pair_table(self, catalogs):
+        # sizes 0..6 on the small graphs, size 3 on the larger ones
+        small = [g for n in range(2, 11, 2) for g in catalogs(n)]
+        small += graphs_with_small_cuts(random.Random(43))
+        cases = [(g, range(7)) for g in small]
+        cases += [(g, (3,)) for g in mask_reference_graphs(catalogs)]
+        found = [0] * 7
+        for g, sizes in cases:
+            space = _CutSpace(g)
+            levels, reference_levels = {}, {}
+            for k in sizes:
+                got = list(space.zero_sets(k, levels))
+                expected = list(pair_table_zero_sets(space, k, reference_levels))
+                assert sorted(got) == sorted(expected)
+                assert len(set(got)) == len(got)
+                found[k] += len(got)
+        assert min(found) > 0 and found[3] > 10000
+
+    def test_enumerate_cuts_matches_pair_table(self, catalogs, monkeypatch):
+        graphs = mask_reference_graphs(catalogs)
+        new = [enumerate_cuts(fresh(g), 3) for g in graphs]
+        monkeypatch.setattr(_CutSpace, "zero_sets", pair_table_zero_sets)
+        assert new == [enumerate_cuts(fresh(g), 3) for g in graphs]
+
+    def test_no_pair_table_below_size_four(self, monkeypatch):
+        sizes = []
+        level = connectivity._level
+
+        def recording_level(sig, j, levels):
+            sizes.append(j)
+            return level(sig, j, levels)
+
+        monkeypatch.setattr(connectivity, "_level", recording_level)
+        for g in (petersen(), exceptional_graph(), random_bridgeless_cubic(16, random.Random(16))):
+            sizes.clear()
+            enumerate_cuts(fresh(g), 3)
+            assert 1 in sizes and 2 not in sizes
+            enumerate_cuts(g, 4)
+            assert 2 in sizes
+            # size 5 streams its triples against the pair table
+            enumerate_cuts(g, 5)
+            assert max(sizes) == 2
 
 
 class CensusReference:

@@ -23,6 +23,7 @@ from cubicmatch.harness import (
     bound_table,
     bridgeless_cubic_catalog,
     brute_force_cubic_multigraphs,
+    exceptional_canonical,
     generate_catalog,
     scarce_matching_graphs,
     verify_catalog,
@@ -44,6 +45,7 @@ from conftest import (
     check_one_kernel_on_input,
     count_cut_spaces,
     count_kernels,
+    count_multigraphs,
     random_bridgeless_cubic,
     record_zero_set_sizes,
     walk_forbidden,
@@ -625,6 +627,19 @@ class TestVerify:
             built.clear()
             verify_graph(g)
             assert len(built) == 1 and built[0] is g
+
+    def test_verify_graph_builds_no_graph(self, monkeypatch):
+        # tight-cut pieces and klee contractions stay masks of the input
+        exceptional_canonical()  # the reference graph, built once per process
+        built = count_multigraphs(monkeypatch)
+        graphs = (petersen(), exceptional_graph(), random_bridgeless_cubic(12, random.Random(12)))
+        assert sum(len(decompose(g).cut_trace) for g in graphs) >= 3
+        assert is_klee(graphs[2]).contractions
+        for g in graphs:
+            built.clear()
+            verify_graph(g)
+            decompose(g).brick_count
+            assert built == []
 
     def test_verify_graph_matches_four_edge_cuts_only_on_demand(self, catalogs, monkeypatch):
         # a nontrivial cyclic 3-cut answers the cyclic value and the sampled

@@ -22,12 +22,14 @@ from cubicmatch.klee import (
 from cubicmatch.matching import count_perfect_matchings
 from cubicmatch.multigraph import (
     MultiGraph,
+    _contract_parts,
     canonical_form,
     from_edge_list,
     glue,
     make_cut,
     replace_vertex_with_triangle,
 )
+from conftest import mask_reference_graphs
 from cubicmatch.named_graphs import (
     doubled_c4,
     exceptional_graph,
@@ -37,6 +39,53 @@ from cubicmatch.named_graphs import (
     prism,
     three_bond,
 )
+
+
+def reference_contractible_triangles(g):
+    """The former candidate list: triangles whose three outgoing edges
+    lead to three distinct vertices."""
+    out = []
+    for tri in triangles(g):
+        tset = set(tri)
+        targets = []
+        for u, v in g.edges:
+            if (u in tset) != (v in tset):
+                targets.append(v if u in tset else u)
+        if len(targets) == 3 and len(set(targets)) == 3:
+            out.append(tri)
+    return out
+
+
+def reference_klee_steps(g):
+    """(verdict, contractions) from the former recognition, which built the
+    graph after every triangle contraction."""
+    steps = []
+    cur = g
+    while True:
+        if cur.vertex_count == 4 and cur.is_simple():
+            return True, tuple(steps)
+        if cur.vertex_count <= 4:
+            return False, tuple(steps)
+        candidates = reference_contractible_triangles(cur)
+        if not candidates:
+            return False, tuple(steps)
+        steps.append(candidates[0])
+        cur, _ = _contract_parts(cur, [frozenset(candidates[0])])
+
+
+def connected_cubic_with_bridges(rnd, count):
+    """Seeded connected cubic multigraphs by stub pairing, bridges allowed."""
+    graphs = []
+    while len(graphs) < count:
+        n = rnd.randrange(6, 17, 2)
+        stubs = [v for v in range(n) for _ in range(3)]
+        rnd.shuffle(stubs)
+        pairs = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
+        if all(u != v for u, v in pairs):
+            g = MultiGraph(n, tuple(pairs))
+            if g.is_connected():
+                graphs.append(g)
+    return graphs
 
 
 class TestTriangles:
@@ -88,6 +137,22 @@ class TestIsKlee:
                     assert not is_klee(g)
                     continue
                 assert bool(is_klee(g)) == (canonical_form(g) in klee_forms)
+
+
+class TestRegionRecognition:
+    """Recognition on regions of the input against the former graph-building
+    recognition: same verdict and same contraction certificate."""
+
+    def test_matches_sequential_contraction(self, catalogs):
+        graphs = mask_reference_graphs(catalogs) + list(enumerate_klee(12))
+        graphs += connected_cubic_with_bridges(random.Random(31), 300)
+        steps = klee_count = 0
+        for g in graphs:
+            res = is_klee(g)
+            assert (res.is_klee, res.contractions) == reference_klee_steps(g)
+            steps += len(res.contractions)
+            klee_count += res.is_klee
+        assert klee_count > 80 and steps > 1000
 
 
 class TestCore:
