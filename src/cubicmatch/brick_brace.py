@@ -4,8 +4,8 @@ The decomposition of a cubic bridgeless graph only needs size-3 odd cuts:
 every tight cut of a cubic bridgeless graph has size three, and the pieces
 stay cubic and bridgeless, each inheriting its 3-cuts from its parent.
 A cut of a piece is tight there exactly when it is tight in the input
-(Lovasz 1987), so every 3-cut is decided once, by one forced count on the
-input's matching kernel, and no piece builds a kernel. The pieces stay
+(Lovasz 1987), so every 3-cut is decided once, from the per-edge table of
+the input's matching kernel, and no piece builds a kernel. The pieces stay
 masks of the input while the decomposition runs, and are built as graphs
 only when read. Polytope quantities are exact. The affine rank reads the
 matching differences on co-tree coordinates: a GF(2) basis of them
@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .connectivity import _bits, _cut_sides, _require, _side_key, vertex_connectivity_at_most
-from .matching import _boundary_profile, _Kernel
+from .matching import _Kernel
 from .multigraph import Cut, MultiGraph, _contract_parts
 
 BRICK = "brick"
@@ -100,20 +100,20 @@ def _piece(g: MultiGraph, parts: tuple[int, ...]) -> tuple[MultiGraph, list[int]
     return _contract_parts(g, [frozenset(_bits(p)) for p in parts])
 
 
-def _is_tight_unchecked(kernel: _Kernel, g: MultiGraph, cut: Cut) -> bool:
-    profile = _boundary_profile(kernel, g, cut)
-    return all(
-        profile.m_a[x] * profile.m_b[x] == 0
-        for x in profile.m_a
-        if len(x) != 1
-    )
+def _is_tight_unchecked(kernel: _Kernel, side_size: int, cut_edges: Iterable[int]) -> bool:
+    """Whether delta(S), the cut_edges of a side of side_size vertices, is
+    tight: the cut edges' per-edge counts sum to the sum over all perfect
+    matchings M of |M & delta(S)|, which has the parity of |S|, so with
+    |S| odd they sum to the total exactly when every M uses one."""
+    table = kernel.edge_counts()
+    return side_size % 2 == 1 and sum(table[e] for e in cut_edges) == kernel.count(0)
 
 
 def is_tight(g: MultiGraph, cut: Cut) -> bool:
     """True when every perfect matching uses exactly one cut edge."""
     kernel = _Kernel(g)
     _require_covered(kernel, "is_tight")
-    return _is_tight_unchecked(kernel, g, cut)
+    return _is_tight_unchecked(kernel, len(cut.side_a), cut.cut_edges)
 
 
 def _require_covered(kernel: _Kernel, who: str) -> None:
@@ -139,13 +139,8 @@ def find_nontrivial_tight_cut(g: MultiGraph) -> Cut | None:
 
 def _tight_cuts(kernel: _Kernel, g: MultiGraph) -> list[tuple[int, tuple[int, ...]]]:
     """The nontrivial tight 3-cuts of a matching covered cubic graph g as
-    (side_a mask, cut edges), in enumerate_cuts order.
-
-    A 3-cut has an odd side, so a perfect matching uses one or three of
-    its edges, and the cut is tight exactly when none uses all three:
-    when two cut edges share an end, or else when the kernel counts no
-    perfect matching of g less the six ends of the cut edges.
-    """
+    (side_a mask, cut edges), in enumerate_cuts order, each decided by
+    _is_tight_unchecked on the kernel's per-edge table."""
     edges = g.edges
     out = []
     for side, size in _cut_sides(g, 3, nontrivial_only=True):
@@ -154,11 +149,7 @@ def _tight_cuts(kernel: _Kernel, g: MultiGraph) -> list[tuple[int, tuple[int, ..
         cut_edges = tuple(
             e for e, (u, v) in enumerate(edges) if ((side >> u) ^ (side >> v)) & 1
         )
-        ends = 0
-        for e in cut_edges:
-            u, v = edges[e]
-            ends |= (1 << u) | (1 << v)
-        if ends.bit_count() < 6 or not kernel.count(ends):
+        if _is_tight_unchecked(kernel, side.bit_count(), cut_edges):
             out.append((side, cut_edges))
     return out
 

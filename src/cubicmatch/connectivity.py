@@ -47,11 +47,13 @@ NO_CYCLIC_CUT = _NoCyclicCut()
 
 @dataclass(frozen=True)
 class ConnectivityReport:
+    """cyclic_edge_connectivity None: not computed (disconnected or minimum degree < 3)."""
+
     connected: bool
     bridge_count: int
     edge_connectivity: int
     vertex_connectivity: int
-    cyclic_edge_connectivity: int | _NoCyclicCut
+    cyclic_edge_connectivity: int | _NoCyclicCut | None
 
 
 @dataclass(frozen=True)
@@ -488,8 +490,6 @@ def connectivity_report(g: MultiGraph) -> ConnectivityReport:
     bcount = len(bridges(g))
     ec = edge_connectivity(g)
     vc = vertex_connectivity(g)
-    if connected and all(d >= 3 for d in g.degrees()):
-        cec = cyclic_edge_connectivity(g)
-    else:
-        cec = NO_CYCLIC_CUT
+    searched = connected and all(d >= 3 for d in g.degrees())
+    cec = cyclic_edge_connectivity(g) if searched else None
     return ConnectivityReport(connected, bcount, ec, vc, cec)

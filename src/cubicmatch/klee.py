@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Collection, Iterator
 
 from .connectivity import _require, enumerate_cuts, is_cyclic_cut
-from .matching import _Kernel, _vertex_mask, count_perfect_matchings
+from .matching import _Kernel, _vertex_mask
 from .multigraph import (
     Cut,
     MultiGraph,
@@ -178,14 +178,20 @@ def core(g: MultiGraph) -> MultiGraph:
 def vertex_type(g: MultiGraph, v: int) -> KleeVertexType:
     """Counts (omega; mu1, mu2, mu3) for a degree-3 vertex with distinct
     neighbors, classified into A, B, C, DANGEROUS or GOOD."""
+    return _vertex_type(_Kernel(g), g, v)
+
+
+def _vertex_type(kernel: _Kernel, g: MultiGraph, v: int) -> KleeVertexType:
+    """vertex_type through the caller's kernel on g. With distinct
+    neighbours, mu[i] is the per-edge count of the edge to the i-th."""
     if g.degree(v) != 3:
         raise ValueError(f"vertex {v} has degree {g.degree(v)}, need 3")
     nbrs = [u for _, u in g.incidence[v]]
     if len(set(nbrs)) != 3:
         raise ValueError(f"vertex {v} has repeated neighbors")
-    kernel = _Kernel(g)
     omega = kernel.count(_vertex_mask([v] + nbrs))
-    mu = tuple(kernel.count((1 << v) | (1 << u)) for u in nbrs)
+    table = kernel.edge_counts()
+    mu = tuple(table[e] for e, _ in g.incidence[v])
     return KleeVertexType(omega, mu, _classify(omega, mu))
 
 
@@ -209,10 +215,12 @@ def expand_and_check(g: MultiGraph, v: int) -> tuple[MultiGraph, ExpansionReport
     to the i-th former neighbor has type (mu_i; {mu_i + omega} with the
     other two mu values), compared as multisets.
     """
-    t = vertex_type(g, v)
-    before = count_perfect_matchings(g)
+    kernel = _Kernel(g)
+    t = _vertex_type(kernel, g, v)
+    before = kernel.count(0)
     expanded = replace_vertex_with_triangle(g, v)
-    after = count_perfect_matchings(expanded)
+    kernel = _Kernel(expanded)
+    after = kernel.count(0)
     new_vertices = (v, g.vertex_count, g.vertex_count + 1)
     type_ok = []
     for i, nv in enumerate(new_vertices):
@@ -220,7 +228,7 @@ def expand_and_check(g: MultiGraph, v: int) -> tuple[MultiGraph, ExpansionReport
         expected_mu = sorted(
             [t.mu[i] + t.omega] + [t.mu[j] for j in range(3) if j != i]
         )
-        actual = vertex_type(expanded, nv)
+        actual = _vertex_type(kernel, expanded, nv)
         type_ok.append(
             actual.omega == expected_omega and sorted(actual.mu) == expected_mu
         )
@@ -266,10 +274,11 @@ def klee_stats(g: MultiGraph) -> KleeStats:
     """Matching count, A/B vertex counts, and the potential m - alpha - beta/2."""
     if not is_klee(g):
         raise ValueError("klee_stats requires a klee-graph")
-    m = count_perfect_matchings(g)
+    kernel = _Kernel(g)
+    m = kernel.count(0)
     alpha = beta = 0
     for v in range(g.vertex_count):
-        cls = vertex_type(g, v).vertex_class
+        cls = _vertex_type(kernel, g, v).vertex_class
         if cls == CLASS_A:
             alpha += 1
         elif cls == CLASS_B:
@@ -277,14 +286,15 @@ def klee_stats(g: MultiGraph) -> KleeStats:
     return KleeStats(m, alpha, beta)
 
 
-def _nice_oriented(g: MultiGraph, cut: Cut) -> str | None:
-    """Evaluates the nice-cut clauses with cut.side_a in the 'A' role.
+def _nice_oriented(kernel: _Kernel, g: MultiGraph, cut: Cut) -> str | None:
+    """Evaluates the nice-cut clauses with cut.side_a as 'A', on the caller's kernel.
 
     Returns the clause label that fires, or None. The roles: the cut is
     nice when contracting A leaves a non-klee graph and one of
     (i) contracting B also leaves a non-klee graph, (ii) |A| >= 9,
     (iii) |A| >= 5 and the cut is not tight, (iv) |A| = 3 and at least two
-    perfect matchings contain all three cut edges.
+    perfect matchings contain all three cut edges: the cut edges' per-edge
+    counts sum to the total plus twice that number.
     """
     from .brick_brace import _is_tight_unchecked
 
@@ -297,13 +307,12 @@ def _nice_oriented(g: MultiGraph, cut: Cut) -> str | None:
     a = len(cut.side_a)
     if a >= 9:
         return "ii"
-    if a >= 5 and not _is_tight_unchecked(_Kernel(g), g, cut):
+    if a >= 5 and not _is_tight_unchecked(kernel, a, cut.cut_edges):
         return "iii"
     if a == 3:
-        endpoints = [v for e in cut.cut_edges for v in g.edges[e]]
-        if len(set(endpoints)) == 6:
-            if count_perfect_matchings(g, forced=cut.cut_edges) >= 2:
-                return "iv"
+        table = kernel.edge_counts()
+        if (sum(table[e] for e in cut.cut_edges) - kernel.count(0)) // 2 >= 2:
+            return "iv"
     return None
 
 
@@ -312,10 +321,9 @@ def is_nice_cut(g: MultiGraph, cut: Cut) -> NiceCutResult:
     if cut.size != 3:
         raise ValueError(f"nice cuts must have size 3, got {cut.size}")
     _require(g, "is_nice_cut", cubic=True)
-    clause = _nice_oriented(g, cut)
-    if clause is not None:
-        return NiceCutResult(True, clause, "side_a")
-    clause = _nice_oriented(g, cut.flipped())
-    if clause is not None:
-        return NiceCutResult(True, clause, "side_b")
+    kernel = _Kernel(g)
+    for role, oriented in (("side_a", cut), ("side_b", cut.flipped())):
+        clause = _nice_oriented(kernel, g, oriented)
+        if clause is not None:
+            return NiceCutResult(True, clause, role)
     return NiceCutResult(False, None, None)

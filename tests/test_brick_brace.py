@@ -8,6 +8,7 @@ from cubicmatch.brick_brace import (
     BRACE,
     BRICK,
     _cotree_edges,
+    _decompose,
     _exact_rank,
     _tight_cuts,
     decompose,
@@ -23,6 +24,7 @@ from cubicmatch.connectivity import _bits, _side_key, enumerate_cuts
 from cubicmatch.matching import (
     _Kernel,
     _vertex_mask,
+    boundary_profile,
     count_perfect_matchings,
     enumerate_perfect_matchings,
 )
@@ -34,6 +36,7 @@ from cubicmatch.multigraph import (
     contract,
     from_edge_list,
     make_cut,
+    replace_vertex_with_triangle,
 )
 from cubicmatch.named_graphs import (
     cube,
@@ -61,6 +64,30 @@ def simplified(g):
     return MultiGraph(g.vertex_count, tuple(sorted(set(g.edges))))
 
 
+def profile_tight(g, cut):
+    """The boundary-profile rule: m_a[X] * m_b[X] = 0 for every set X of
+    cut edges but the single ones. Cuts of size <= 4."""
+    profile = boundary_profile(g, cut)
+    return all(profile.m_a[x] * profile.m_b[x] == 0 for x in profile.m_a if len(x) != 1)
+
+
+def six_ends_tight(kernel, g, cut_edges):
+    """The six-ends count rule for a 3-cut: tight exactly when two cut
+    edges share an end or g less the six ends has no perfect matching."""
+    ends = _vertex_mask(v for e in cut_edges for v in g.edges[e])
+    return ends.bit_count() < 6 or not kernel.count(ends)
+
+
+def klee_expansion(n, seed):
+    """The three-bond expanded at seeded random vertices to order n: K4
+    after the first expansion, so a klee-graph."""
+    rnd = random.Random(seed)
+    g = three_bond()
+    while g.vertex_count < n:
+        g = replace_vertex_with_triangle(g, rnd.randrange(g.vertex_count))
+    return g
+
+
 def reference_decompose(g, strategy):
     """(pieces, cut trace) with the cuts of every piece enumerated afresh."""
     pieces, trace, stack = [], [], [g]
@@ -68,7 +95,7 @@ def reference_decompose(g, strategy):
         h = stack.pop()
         found = None
         for cut in enumerate_cuts(h, 3, nontrivial_only=True):
-            if cut.size == 3 and is_tight(h, cut):
+            if cut.size == 3 and profile_tight(h, cut):
                 found = cut
                 if strategy == "first":
                     break
@@ -221,12 +248,17 @@ class TestTightCuts:
             for _ in range(10):
                 side = rnd.sample(range(8), rnd.randrange(1, 8))
                 cut = make_cut(g, side)
-                if cut.size > 4:
-                    continue
                 direct = all(
                     sum(1 for e in pm if e in cut.cut_edges) == 1 for pm in pms
                 )
                 assert is_tight(g, cut) == direct
+        # the five spokes: one matching uses all five and the other five
+        # one each, so the counts sum to 10 against a total of 6
+        g = petersen()
+        cut = make_cut(g, range(5))
+        uses = sorted(len(set(pm) & set(cut.cut_edges)) for pm in enumerate_perfect_matchings(g))
+        assert (cut.size, uses) == (5, [1, 1, 1, 1, 1, 5])
+        assert not is_tight(g, cut)
 
     def test_requires_matching_covered(self):
         # K4 minus an edge: the edge opposite the removed one is in no
@@ -482,14 +514,20 @@ def one_shared_end():
 
 
 class TestTightOnce:
-    def check_forced_count(self, g):
-        # every nontrivial 3-cut, tight by its boundary profile exactly
-        # when the forced count keeps it
+    def check_forced_count(self, g, reference="profile"):
+        # every nontrivial 3-cut, kept by the per-edge rule exactly when a
+        # former rule calls it tight: the boundary profile, or on large
+        # graphs the six-ends count
         kept = {side: cut_edges for side, cut_edges in _tight_cuts(_Kernel(g), g)}
         cuts = [c for c in enumerate_cuts(g, 3, nontrivial_only=True) if c.size == 3]
+        kernel = _Kernel(g)
         for cut in cuts:
             side = _vertex_mask(cut.side_a)
-            assert (side in kept) == is_tight(g, cut)
+            if reference == "profile":
+                tight = profile_tight(g, cut)
+            else:
+                tight = six_ends_tight(kernel, g, cut.cut_edges)
+            assert (side in kept) == tight
             if side in kept:
                 assert kept[side] == cut.cut_edges
         assert len(kept) <= len(cuts)
@@ -510,6 +548,23 @@ class TestTightOnce:
             cuts, tight = cuts + c, tight + t
         assert 0 < tight < cuts
 
+    @pytest.mark.parametrize("n", [32, 48, 64])
+    def test_forced_count_on_klee_expansions(self, n):
+        # a klee-graph is a brick: every one of its many 3-cuts is loose
+        for seed in (1, 2):
+            cuts, tight = self.check_forced_count(klee_expansion(n, seed), "six_ends")
+            assert cuts >= n // 4 and tight == 0
+
+    def test_decompose_adds_no_memo_state(self):
+        # the cuts are decided from the per-edge table, with no count
+        # beyond the one that fills it
+        g = klee_expansion(64, 1)
+        kernel = _Kernel(g)
+        kernel.edge_counts()
+        states = len(kernel._memo)
+        assert _decompose(kernel, g, "first").brick_count == 1
+        assert len(kernel._memo) == states
+
     def test_tight_in_a_piece_exactly_when_tight_in_the_input(self, catalogs):
         # the lemma the single decision rests on, at every split of the
         # reference decomposition: each piece's cut against its preimage
@@ -526,10 +581,10 @@ class TestTightOnce:
                 for cut in enumerate_cuts(h, 3, nontrivial_only=True):
                     if cut.size != 3:
                         continue
-                    tight = is_tight(h, cut)
+                    tight = profile_tight(h, cut)
                     preimage = make_cut(g, frozenset().union(*(blobs[v] for v in cut.side_a)))
                     assert preimage.size == 3
-                    assert tight == is_tight(g, preimage)
+                    assert tight == profile_tight(g, preimage)
                     checked += h is not g
                     if tight and found is None:
                         found = cut

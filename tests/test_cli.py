@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -122,6 +123,17 @@ def test_gen_12_keeps_its_representatives(catalogs, capsys, out_format, digest):
     catalogs(12)
     assert main(["gen", "--n", "12", "--out-format", out_format]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CUBICMATCH_RUN_SLOW"),
+    reason="n=14 generation and verification take about 11 s",
+)
+def test_catalog_verify_14_keeps_its_reports(capsys):
+    # every n = 14 brick count passes through the tight-cut rule
+    assert main(["catalog", "verify", "--n", "14"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "4f227e80600cc6798d552253a69eee6187d0a1c47c79796aded9bfe458df0001"
 
 
 def test_usage_error_exit_code():

@@ -372,6 +372,17 @@ class TestReport:
         assert rep.vertex_connectivity == 3
         assert rep.cyclic_edge_connectivity == 5
 
+    def test_cyclic_value_not_computed(self):
+        # two K4s have a cyclic 0-cut; two triangles joined through a
+        # degree-2 vertex have a cyclic 1-cut. Neither graph is searched.
+        two_k4 = from_edge_list(8, list(k4().edges) + [(u + 4, v + 4) for u, v in k4().edges])
+        two_triangles = MultiGraph(
+            7, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6))
+        )
+        for g in (two_k4, two_triangles):
+            assert connectivity_report(g).cyclic_edge_connectivity is None
+        assert connectivity_report(k4()).cyclic_edge_connectivity is NO_CYCLIC_CUT
+
     def test_edge_connectivity_le_min_degree(self):
         rnd = random.Random(41)
         for _ in range(10):

@@ -1,15 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from cubicmatch.connectivity import enumerate_cuts
 from cubicmatch.klee import (
     CLASS_A,
     CLASS_B,
     CLASS_C,
     DANGEROUS,
     GOOD,
+    NiceCutResult,
+    _classify,
     core,
     enumerate_klee,
     expand_and_check,
@@ -19,17 +23,19 @@ from cubicmatch.klee import (
     triangles,
     vertex_type,
 )
-from cubicmatch.matching import count_perfect_matchings
+from cubicmatch.matching import _Kernel, _vertex_mask, count_perfect_matchings
 from cubicmatch.multigraph import (
     MultiGraph,
     _contract_parts,
     canonical_form,
+    contract,
     from_edge_list,
     glue,
     make_cut,
     replace_vertex_with_triangle,
 )
-from conftest import mask_reference_graphs
+from conftest import count_kernels, mask_reference_graphs
+from test_brick_brace import profile_tight
 from cubicmatch.named_graphs import (
     doubled_c4,
     exceptional_graph,
@@ -71,6 +77,37 @@ def reference_klee_steps(g):
             return False, tuple(steps)
         steps.append(candidates[0])
         cur, _ = _contract_parts(cur, [frozenset(candidates[0])])
+
+
+def reference_vertex_type(g, v):
+    """(omega, mu) from the former per-vertex kernel: mu[i] counts the
+    perfect matchings of g less v and its i-th neighbour."""
+    nbrs = [u for _, u in g.incidence[v]]
+    kernel = _Kernel(g)
+    omega = kernel.count(_vertex_mask([v] + nbrs))
+    return omega, tuple(kernel.count((1 << v) | (1 << u)) for u in nbrs)
+
+
+def reference_nice_oriented(g, cut):
+    """The former nice-cut clauses with cut.side_a in the 'A' role:
+    tightness by the boundary profile, clause iv by a forced count."""
+    g_over_a, _ = contract(g, [cut.side_a])
+    if not g_over_a.is_connected() or is_klee(g_over_a):
+        return None
+    g_over_b, _ = contract(g, [cut.side_b])
+    if g_over_b.is_connected() and not is_klee(g_over_b):
+        return "i"
+    a = len(cut.side_a)
+    if a >= 9:
+        return "ii"
+    if a >= 5 and not profile_tight(g, cut):
+        return "iii"
+    if a == 3:
+        endpoints = [v for e in cut.cut_edges for v in g.edges[e]]
+        if len(set(endpoints)) == 6:
+            if count_perfect_matchings(g, forced=cut.cut_edges) >= 2:
+                return "iv"
+    return None
 
 
 def connected_cubic_with_bridges(rnd, count):
@@ -345,6 +382,28 @@ class TestKleeStats:
         with pytest.raises(ValueError):
             klee_stats(petersen())
 
+    def test_one_kernel_per_graph(self, monkeypatch):
+        # every vertex type is read from one kernel on the graph, with the
+        # values of a kernel per vertex
+        graphs = enumerate_klee(12)
+        expected = []
+        for g in graphs:
+            classes = [_classify(*reference_vertex_type(g, v)) for v in range(12)]
+            expected.append((count_perfect_matchings(g), classes.count(CLASS_A),
+                             classes.count(CLASS_B)))
+        built = count_kernels(monkeypatch)
+        for g, stats in zip(graphs, expected):
+            built.clear()
+            s = klee_stats(g)
+            assert (s.matchings, s.alpha, s.beta) == stats
+            assert len(built) == 1 and built[0] is g
+            built.clear()
+            expanded, report = expand_and_check(g, 0)
+            assert report.ok
+            assert len(built) == 2 and built[0] is g and built[1] is expanded
+        assert any(alpha for _, alpha, _ in expected)
+        assert any(beta for _, _, beta in expected)
+
 
 class TestNiceCuts:
     def test_exceptional_triangle_cut_not_nice(self):
@@ -362,6 +421,25 @@ class TestNiceCuts:
         g = petersen()
         with pytest.raises(ValueError):
             is_nice_cut(g, make_cut(g, {0, 1}))
+
+    def test_matches_former_clauses(self, catalogs):
+        # the clauses read off the per-edge table against the former
+        # boundary profile and forced count, on every nontrivial 3-cut
+        graphs = [g for n in range(2, 11, 2) for g in catalogs(n)] + list(enumerate_klee(12))
+        fired = Counter()
+        for g in graphs:
+            for cut in enumerate_cuts(g, 3, nontrivial_only=True):
+                if cut.size != 3:
+                    continue
+                expected = NiceCutResult(False, None, None)
+                for role, oriented in (("side_a", cut), ("side_b", cut.flipped())):
+                    clause = reference_nice_oriented(g, oriented)
+                    if clause is not None:
+                        expected = NiceCutResult(True, clause, role)
+                        break
+                assert is_nice_cut(g, cut) == expected
+                fired[expected.clause] += 1
+        assert fired["iii"] and fired["iv"]
 
     def test_klee_side_of_order_at_most_8_tight_not_nice(self):
         # tight cut with a small klee side fails every clause
