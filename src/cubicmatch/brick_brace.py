@@ -22,7 +22,14 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .connectivity import _bits, _cut_sides, _require, _side_key, vertex_connectivity_at_most
+from .connectivity import (
+    _bits,
+    _cut_sides,
+    _require,
+    _side_cut,
+    _side_key,
+    vertex_connectivity_at_most,
+)
 from .matching import _Kernel
 from .multigraph import Cut, MultiGraph, _contract_parts
 
@@ -141,22 +148,11 @@ def _tight_cuts(kernel: _Kernel, g: MultiGraph) -> list[tuple[int, tuple[int, ..
     """The nontrivial tight 3-cuts of a matching covered cubic graph g as
     (side_a mask, cut edges), in enumerate_cuts order, each decided by
     _is_tight_unchecked on the kernel's per-edge table."""
-    edges = g.edges
-    out = []
-    for side, size in _cut_sides(g, 3, nontrivial_only=True):
-        if size != 3:
-            continue
-        cut_edges = tuple(
-            e for e, (u, v) in enumerate(edges) if ((side >> u) ^ (side >> v)) & 1
-        )
-        if _is_tight_unchecked(kernel, side.bit_count(), cut_edges):
-            out.append((side, cut_edges))
-    return out
-
-
-def _side_cut(g: MultiGraph, side: int, cut_edges: tuple[int, ...]) -> Cut:
-    rest = ((1 << g.vertex_count) - 1) & ~side
-    return Cut(frozenset(_bits(side)), frozenset(_bits(rest)), cut_edges)
+    return [
+        (side, cut_edges)
+        for side, cut_edges in _cut_sides(g, 3, nontrivial_only=True)
+        if len(cut_edges) == 3 and _is_tight_unchecked(kernel, side.bit_count(), cut_edges)
+    ]
 
 
 def decompose(g: MultiGraph, tight_cut_strategy: str = "first") -> Decomposition:

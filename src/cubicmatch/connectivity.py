@@ -4,17 +4,20 @@ All routines are pure functions over immutable MultiGraph values. Cut
 queries read the graph's cut space through a spanning forest: every edge
 gets a signature, the set of fundamental cycles through it, and an edge
 set is a cut exactly when its signatures XOR to 0. The cuts of size k
-are the zero-XOR k-edge sets, found by a meet-in-the-middle match that
-streams the ceil(k/2)-edge sets against a table of the floor(k/2)-edge
-sets, so edge connectivity and every query for the cuts up to a fixed
-size take time polynomial in the number of edges m; a cyclic edge
-connectivity of c takes about m^ceil(c/2) steps and m^floor(c/2) stored
-edge sets. The bridges are the edges of signature 0. Every query walks
-the cut sizes k = 0, 1, 2, ... in order and stops where its answer is
-found; each size is matched the first time any walk reaches it, then
-kept on the graph instance with the signatures. The 2^n bipartition
-scan, the former census of connected sides and Tarjan's bridge search
-survive in the test suite as oracles.
+are the zero-XOR k-edge sets, found by one meet-in-the-middle rule for
+every k: the k // 2-edge sets are grouped by XOR in a table of edge
+masks, grown from kept lists of fewer edges, and each (k - k // 2)-edge
+set is streamed, as a prefix with one more edge, and looked up in it.
+So edge connectivity and every query for the cuts up to a fixed size
+take time polynomial in the number of edges m; a cyclic edge connectivity of c takes about
+m^ceil(c/2) steps and m^floor(c/2) stored edge masks. The bridges are
+the edges of signature 0. Every query walks the cut sizes k = 0, 1, 2,
+... in order and stops where its answer is found; each size is matched
+the first time any walk reaches it, then kept on the graph instance with
+the signatures, every cut as its side mask beside its edge tuple, so no
+query scans the edges again to rebuild a cut. The 2^n bipartition scan,
+the former census of connected sides, the former pair-table match and
+Tarjan's bridge search survive in the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .multigraph import Cut, MultiGraph, induced_subgraph, make_cut
+from .multigraph import Cut, MultiGraph, induced_subgraph
 
 
 class _NoCyclicCut:
@@ -181,11 +184,22 @@ class _CutSpace:
     no tree root; with several components, every component but vertex 0's
     may also move to the other side.
 
-    by_size[k] holds the side_a masks of the k-edge cuts, one per
-    bipartition, side_a holding vertex 0, in enumerate_cuts' order; it
-    grows by one size each time a walk reaches the first size not yet
-    matched. cyclic is the cyclic edge connectivity once asked for, None
-    before.
+    by_size[k] holds the k-edge cuts as (side_a mask, cut edges) pairs,
+    one per bipartition, side_a holding vertex 0, in enumerate_cuts'
+    order; the cut edges are the zero-XOR edge set the side came from, a
+    sorted tuple of edge indices, shared by the flipped sides of one edge
+    set. by_size grows by one size each time a walk reaches the first
+    size not yet matched. cyclic is the cyclic edge connectivity once
+    asked for, None before.
+
+    The match of size k (zero_sets) keeps, in a levels dict shared by the
+    sizes one walk matches, one table, the k // 2-edge sets as edge masks
+    grouped by XOR, and the j-edge prefix lists it is grown from, j below
+    k // 2, as (sorted index tuple, XOR) in lexicographic order, each
+    built by extending the (j - 1)-edge list. The table is replaced when
+    the size moves past it. The streamed (k - k // 2)-edge sets, and at
+    odd k their prefixes too, are never stored: at k = 2h + 1 the stored
+    state is the C(m, h)-mask table and lists of fewer edges.
     """
 
     __slots__ = ("sig", "below", "components", "by_size", "cyclic")
@@ -239,10 +253,10 @@ class _CutSpace:
         self.sig = tuple(sig)
         self.below = tuple(below)
         self.components = tuple(components)
-        self.by_size: list[tuple[int, ...]] = []
+        self.by_size: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
         self.cyclic: int | _NoCyclicCut | None = None
 
-    def walk(self, max_size: int, n: int) -> Iterator[tuple[int, ...]]:
+    def walk(self, max_size: int, n: int) -> Iterator[tuple[tuple[int, tuple[int, ...]], ...]]:
         """by_size[k] for k = 0..max_size in turn, on an n-vertex graph.
         A size not yet in by_size is matched, sorted and appended before it
         is yielded; the sizes one walk matches share one levels dict. Every
@@ -262,23 +276,99 @@ class _CutSpace:
                     for f in flips:
                         if s ^ f:
                             side_a = full ^ s ^ f
-                            found.append((*_side_key(side_a, n), side_a))
+                            found.append((*_side_key(side_a, n), side_a, edge_set))
+                # the side keys are distinct, so the edge sets are never compared
                 found.sort()
-                by_size.append(tuple(side_a for _, _, side_a in found))
+                by_size.append(tuple((side_a, edges) for _, _, side_a, edges in found))
             yield by_size[k]
 
-    def zero_sets(self, k: int, levels: dict) -> Iterator[tuple[int, ...]]:
+    def zero_sets(self, k: int, levels: dict) -> list[tuple[int, ...]]:
         """Every k-edge set whose signatures XOR to 0, as a sorted tuple of
-        edge indices, each once: the (k - k // 2)-edge sets are streamed
-        and each is looked up, by its XOR, among the k // 2-edge sets
-        below its first edge. Only the smaller side is kept, in levels,
-        which caches the j-edge sets by XOR; size 3 keeps the single
-        edges, not the pairs."""
-        lows = _level(self.sig, k // 2, levels)
-        for b, x in _xors(self.sig, k - k // 2):
-            for a in lows.get(x, ()):
-                if not a or a[-1] < b[0]:
-                    yield a + b
+        edge indices, each once.
+
+        The k // 2-edge sets are grouped by XOR in a table, as edge masks.
+        Each (k - k // 2)-edge set is streamed as a prefix with one more
+        edge and looked up there by its XOR; a match is kept when the
+        table's set lies wholly below the streamed set's first edge, so
+        each zero set is found from its lowest k // 2 edges only. Only
+        what the table is built from is stored: levels keeps the table,
+        under "table", and the prefix lists below its size. At odd k the
+        streamed sets' prefixes are one edge longer than the longest kept
+        list, and are streamed too."""
+        if k == 0:
+            return [()]
+        half = k // 2
+        table = self._table(half, levels)
+        sig = self.sig
+        m = len(sig)
+        kept = max(half - 1, 0)
+        prefixes: Iterable[tuple[tuple[int, ...], int]] = self._prefixes(kept, levels)
+        if k - half - 1 > kept:
+            prefixes = (
+                (p + (d,), x ^ sig[d])
+                for p, x in prefixes
+                for d in range(p[-1] + 1 if p else 0, m)
+            )
+        # a prefix whose first edge has fewer than half edges below it
+        # cannot match, so it is skipped
+        return [
+            _bits(a) + p + (e,)
+            for p, x in prefixes
+            if not p or p[0] >= half
+            for e in range(p[-1] + 1 if p else 0, m)
+            if (y := x ^ sig[e]) in table
+            for a in table[y]
+            if not a >> (p[0] if p else e)
+        ]
+
+    def _prefixes(self, j: int, levels: dict) -> list[tuple[tuple[int, ...], int]]:
+        """The j-edge sets as (sorted index tuple, XOR of signatures), in
+        lexicographic order: the (j - 1)-edge list, each set extended by
+        every later edge. Kept in levels[j] once built."""
+        prefixes = levels.get(j)
+        if prefixes is None:
+            if j == 0:
+                prefixes = [((), 0)]
+            else:
+                sig = self.sig
+                m = len(sig)
+                prefixes = [
+                    (p + (e,), x ^ sig[e])
+                    for p, x in self._prefixes(j - 1, levels)
+                    for e in range(p[-1] + 1 if p else 0, m)
+                ]
+            levels[j] = prefixes
+        return prefixes
+
+    def _table(self, j: int, levels: dict) -> dict[int, list[int]]:
+        """The j-edge sets as edge masks grouped by XOR, grown from the
+        (j - 1)-edge prefixes without listing them. levels["table"] holds
+        (j, table) for one j at a time."""
+        held = levels.get("table")
+        if held is not None and held[0] == j:
+            return held[1]
+        # the former table is dropped before the new one grows
+        del held
+        levels.pop("table", None)
+        table: dict[int, list[int]] = {}
+        if j == 0:
+            table[0] = [0]
+        else:
+            sig = self.sig
+            m = len(sig)
+            for p, x in self._prefixes(j - 1, levels):
+                base = 0
+                for e in p:
+                    base |= 1 << e
+                for e in range(p[-1] + 1 if p else 0, m):
+                    y = x ^ sig[e]
+                    group = table.get(y)
+                    if group is None:
+                        table[y] = [base | 1 << e]
+                    else:
+                        group.append(base | 1 << e)
+        levels["table"] = (j, table)
+        return table
 
     def side(self, edge_set: tuple[int, ...]) -> int:
         """The side of the cut edge_set that holds no tree root."""
@@ -287,27 +377,6 @@ class _CutSpace:
         for e in edge_set:
             s ^= below[e]
         return s
-
-
-def _level(sig: tuple[int, ...], j: int, levels: dict) -> dict[int, list[tuple[int, ...]]]:
-    """The j-edge sets as sorted index tuples, grouped by the XOR of their
-    signatures; built once per levels dict."""
-    level = levels.get(j)
-    if level is None:
-        level = levels[j] = {}
-        for combo, x in _xors(sig, j):
-            level.setdefault(x, []).append(combo)
-    return level
-
-
-def _xors(sig: tuple[int, ...], j: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each j-edge set as a sorted index tuple, in lexicographic order,
-    with the XOR of its signatures."""
-    for combo, values in zip(combinations(range(len(sig)), j), combinations(sig, j)):
-        x = 0
-        for s in values:
-            x ^= s
-        yield combo, x
 
 
 def _cut_space(g: MultiGraph) -> _CutSpace:
@@ -339,17 +408,23 @@ def _side_key(mask: int, n: int) -> tuple[int, int]:
 
 def _cut_sides(
     g: MultiGraph, max_size: int, nontrivial_only: bool = False
-) -> Iterator[tuple[int, int]]:
-    """(side_a mask, size) of every cut of size <= max_size, one per
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(side_a mask, cut edges) of every cut of size <= max_size, one per
     bipartition, in enumerate_cuts' order; see enumerate_cuts. Lazy: a
     size is matched only when the caller reads past the smaller ones."""
     n = g.vertex_count
     if n < 2:
         return
-    for k, sides in enumerate(_cut_space(g).walk(max_size, n)):
-        for side_a in sides:
+    for sides in _cut_space(g).walk(max_size, n):
+        for side_a, edges in sides:
             if not nontrivial_only or 3 <= side_a.bit_count() <= n - 3:
-                yield side_a, k
+                yield side_a, edges
+
+
+def _side_cut(g: MultiGraph, side: int, cut_edges: tuple[int, ...]) -> Cut:
+    """The Cut of g with side_a the vertex mask side, given its edges."""
+    rest = ((1 << g.vertex_count) - 1) & ~side
+    return Cut(frozenset(_bits(side)), frozenset(_bits(rest)), cut_edges)
 
 
 def enumerate_cuts(
@@ -364,8 +439,8 @@ def enumerate_cuts(
     come sorted by (size, |side_a|, sorted side_a).
     """
     return [
-        make_cut(g, _bits(side_a))
-        for side_a, _ in _cut_sides(g, max_size, nontrivial_only)
+        _side_cut(g, side_a, edges)
+        for side_a, edges in _cut_sides(g, max_size, nontrivial_only)
     ]
 
 
@@ -383,7 +458,7 @@ def _edge_connectivity(g: MultiGraph) -> int:
     """edge_connectivity on a graph already known to be connected with at
     least 2 vertices; nothing is checked again. A vertex star is a cut,
     so the walk ends by the minimum degree."""
-    return next(_cut_sides(g, min(g.degrees())))[1]
+    return len(next(_cut_sides(g, min(g.degrees())))[1])
 
 
 def cyclic_edge_connectivity(g: MultiGraph) -> int | _NoCyclicCut:
@@ -432,7 +507,8 @@ def _cyclic_value(g: MultiGraph) -> int | _NoCyclicCut:
             side_deg += d * (side & vertices).bit_count()
         return side_deg - cut >= 2 * side.bit_count()
 
-    for side_a, k in _cut_sides(g, len(g.edges) - n):
+    for side_a, edges in _cut_sides(g, len(g.edges) - n):
+        k = len(edges)
         if spans_cycle(side_a, k) and spans_cycle(full ^ side_a, k):
             return k
     return NO_CYCLIC_CUT

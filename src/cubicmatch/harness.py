@@ -38,11 +38,11 @@ from typing import Iterable, Iterator
 from .brick_brace import _affine_dimension, _decompose
 from .connectivity import (
     NO_CYCLIC_CUT,
-    _bits,
     _cut_sides,
     _cyclic_connectivity,
     _edge_connectivity,
     _require,
+    _side_cut,
     bridges,
     cyclic_value_at_least,
     cyclically_edge_connected_at_least,
@@ -616,7 +616,7 @@ def _sample_cut_for_identity(g: MultiGraph):
     else the star of vertex 0; only that one Cut is built, and the cut
     walk stops at its size."""
     first = next(_cut_sides(g, 4, nontrivial_only=True), None)
-    return make_cut(g, {0} if first is None else _bits(first[0]))
+    return make_cut(g, {0}) if first is None else _side_cut(g, *first)
 
 
 def verify_graph(g: MultiGraph) -> BoundReport:

@@ -40,7 +40,7 @@ def analyze16_draws(seed=1):
 
 def mask_reference_graphs(catalogs):
     """Inputs on which the mask-based decomposition, klee recognition and
-    3-edge match are compared with the former graph-building ones: the
+    cut match are compared with the former graph-building ones: the
     catalogs n <= 12, the analyze16 draws of seeds 1-3, the klee classes of
     order 14 and 20 seeded graphs at each of n = 14, 16, 18, 20."""
     from cubicmatch.klee import enumerate_klee

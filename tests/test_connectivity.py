@@ -4,7 +4,6 @@ from itertools import combinations, permutations
 
 import pytest
 
-from cubicmatch import connectivity
 from cubicmatch.connectivity import (
     NO_CYCLIC_CUT,
     _CutSpace,
@@ -14,7 +13,6 @@ from cubicmatch.connectivity import (
     _cut_space,
     _separator,
     _has_cycle,
-    _level,
     _side_key,
     bridges,
     connectivity_report,
@@ -485,7 +483,7 @@ class TestCutWalk:
             head = []
             for cut in short:
                 head.append(cut)
-                if cut[1] == 2:
+                if len(cut[1]) == 2:
                     break
             # the short walk is paused at size 2 while the long one runs on
             assert sizes == [0, 1, 2]
@@ -502,15 +500,29 @@ class TestCutWalk:
             assert sizes == list(range(len(sizes)))
 
 
-def pair_table_zero_sets(space, k, levels):
+def xor_table(sig, j, tables):
+    """The j-edge sets as sorted index tuples grouped by the XOR of their
+    signatures, from itertools.combinations; built once per tables dict."""
+    table = tables.get(j)
+    if table is None:
+        table = tables[j] = {}
+        for combo in combinations(range(len(sig)), j):
+            x = 0
+            for e in combo:
+                x ^= sig[e]
+            table.setdefault(x, []).append(combo)
+    return table
+
+
+def pair_table_zero_sets(space, k, tables):
     """The former match for every size k >= 1: the first k // 2 edges
     against the rest through the cached j-edge tables, so size 3 builds
     the table of all edge pairs."""
     if k == 0:
         yield ()
         return
-    lows = _level(space.sig, k // 2, levels)
-    highs = _level(space.sig, k - k // 2, levels)
+    lows = xor_table(space.sig, k // 2, tables)
+    highs = xor_table(space.sig, k - k // 2, tables)
     for x, heads in lows.items():
         for a in heads:
             last = a[-1] if a else -1
@@ -521,22 +533,20 @@ def pair_table_zero_sets(space, k, levels):
 
 class TestThreeEdgeMatch:
     """The larger half of each edge set is streamed against the table of the
-    smaller half, so size 3 is matched pair by pair against the single-edge
-    table."""
+    smaller half, one rule for every size, so size 3 is matched pair by pair
+    against the single-edge table; each cut keeps its edges beside its side."""
 
     def test_matches_pair_table(self, catalogs):
-        # sizes 0..6 on the small graphs, size 3 on the larger ones
+        # sizes 0..6 on the small graphs and on the larger ones
         small = [g for n in range(2, 11, 2) for g in catalogs(n)]
         small += graphs_with_small_cuts(random.Random(43))
-        cases = [(g, range(7)) for g in small]
-        cases += [(g, (3,)) for g in mask_reference_graphs(catalogs)]
         found = [0] * 7
-        for g, sizes in cases:
+        for g in small + mask_reference_graphs(catalogs):
             space = _CutSpace(g)
-            levels, reference_levels = {}, {}
-            for k in sizes:
-                got = list(space.zero_sets(k, levels))
-                expected = list(pair_table_zero_sets(space, k, reference_levels))
+            levels, reference_tables = {}, {}
+            for k in range(7):
+                got = space.zero_sets(k, levels)
+                expected = list(pair_table_zero_sets(space, k, reference_tables))
                 assert sorted(got) == sorted(expected)
                 assert len(set(got)) == len(got)
                 found[k] += len(got)
@@ -549,23 +559,47 @@ class TestThreeEdgeMatch:
         assert new == [enumerate_cuts(fresh(g), 3) for g in graphs]
 
     def test_no_pair_table_below_size_four(self, monkeypatch):
-        sizes = []
-        level = connectivity._level
+        # after size k, levels holds the k // 2-edge table and the prefix
+        # lists below its size, never a streamed (k - k // 2)-edge list nor,
+        # at odd k, the prefix list one edge shorter
+        seen = []
+        zero_sets = _CutSpace.zero_sets
 
-        def recording_level(sig, j, levels):
-            sizes.append(j)
-            return level(sig, j, levels)
+        def recording_zero_sets(self, k, levels):
+            found = zero_sets(self, k, levels)
+            seen.append((k, levels.get("table"), sorted(j for j in levels if j != "table")))
+            return found
 
-        monkeypatch.setattr(connectivity, "_level", recording_level)
+        monkeypatch.setattr(_CutSpace, "zero_sets", recording_zero_sets)
         for g in (petersen(), exceptional_graph(), random_bridgeless_cubic(16, random.Random(16))):
-            sizes.clear()
-            enumerate_cuts(fresh(g), 3)
-            assert 1 in sizes and 2 not in sizes
-            enumerate_cuts(g, 4)
-            assert 2 in sizes
-            # size 5 streams its triples against the pair table
-            enumerate_cuts(g, 5)
-            assert max(sizes) == 2
+            seen.clear()
+            enumerate_cuts(fresh(g), 6)
+            assert [k for k, _, _ in seen] == list(range(7))
+            # size 0 is the empty set alone, with no table
+            assert seen.pop(0)[1:] == (None, [])
+            for k, (j, table), kept in seen:
+                assert j == k // 2
+                assert all(a.bit_count() == j for group in table.values() for a in group)
+                assert kept == list(range(max(k // 2, 1)))
+            tables = {k: table for k, table, _ in seen}
+            assert tables[3][0] == 1 and tables[4][0] == 2
+            # size 5 streams its triples against the pair table of size 4
+            assert tables[5] is tables[4]
+
+    def test_kept_edges_match_make_cut(self, catalogs):
+        graphs = [g for n in range(2, 13, 2) for g in catalogs(n)]
+        for seed in (1, 2, 3):
+            graphs += analyze16_draws(seed)
+        small = graphs_with_small_cuts(random.Random(89))
+        checked = flipped = 0
+        for g in graphs + small:
+            sides = list(_cut_sides(fresh(g), 5))
+            for side_a, edges in sides:
+                assert edges == make_cut(g, _bits(side_a)).cut_edges
+            checked += len(sides)
+            # one edge set gives several sides when g is disconnected
+            flipped += len(sides) - len({edges for _, edges in sides})
+        assert checked > 100000 and flipped > 0
 
 
 class CensusReference:
