@@ -379,8 +379,9 @@ def _affine_dimension(kernel: _Kernel, g: MultiGraph) -> int:
     a tree's columns span the vectors y with sum (-1)^depth(v) y_v = 0,
     and an edge between two vertices of one depth parity does not.
 
-    The matchings are streamed, and each difference, taken mod 2 (the
-    co-tree bits of M_i XOR those of M_0), goes into a GF(2) basis keyed
+    The kernel streams each matching's co-tree bits as the XOR of its
+    edges' column bits, and each difference, taken mod 2 (the co-tree
+    bits of M_i XOR those of M_0), goes into a GF(2) basis keyed
     by its top bit. Once the basis holds one vector per co-tree column,
     the rank is the column count: the GF(2) rank of an integer matrix is
     at most its rational rank, since a minor that is nonzero mod 2 is a
@@ -397,10 +398,7 @@ def _affine_dimension(kernel: _Kernel, g: MultiGraph) -> int:
         bit[e] = 1 << j
     masks = []
     basis: dict[int, int] = {}
-    for pm in kernel.matchings(0, []):
-        mask = 0
-        for e in pm:
-            mask |= bit[e]
+    for mask in kernel.xor_walk(0, bit):
         if masks:
             x = mask ^ masks[0]
             while x:

@@ -398,12 +398,19 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _side_key(mask: int, n: int) -> tuple[int, int]:
-    """enumerate_cuts' side order (|S|, sorted S) as two integers, for a
-    mask S of at most n bits. Of two sets of one size, the one holding
-    their lowest differing vertex has the smaller sorted tuple and the
-    larger n-bit reversal, so the reversal, negated, orders them alike."""
-    return mask.bit_count(), -int(bin(mask)[:1:-1].ljust(n, "0"), 2)
+# byte b to 255 minus b with its bits reversed: the lowest bit (vertex)
+# becomes the highest, and a byte holding it compares smaller
+_SIDE_BYTES = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _side_key(mask: int, n: int) -> tuple[int, bytes]:
+    """enumerate_cuts' side order (|S|, sorted S) as an integer and a byte
+    string, for a mask S of at most n bits. Of two sets of one size, the
+    one holding their lowest differing vertex has the smaller sorted
+    tuple; in S's little-endian bytes, each byte bit-reversed and
+    complemented by _SIDE_BYTES, that vertex's byte is the first to differ
+    and is smaller in that set. Keys compare this way only at one n."""
+    return mask.bit_count(), mask.to_bytes((n + 7) >> 3, "little").translate(_SIDE_BYTES)
 
 
 def _cut_sides(

@@ -4,9 +4,11 @@ Counts treat parallel edges as distinguishable objects: the 3-bond has
 three perfect matchings. One memoized kernel answers every count; blossom
 is kept only for Tutte certificates. The kernel branches on the first free
 vertex of least remaining degree, read as popcounts of per-vertex
-neighbour masks. Per-edge counts come from one forward sweep over a
-count's branching, which carries the number of paths to each state, and
-enumeration walks the same branching with an explicit stack. A kernel
+neighbour masks, and each state keeps the branches its count found
+nonzero. Per-edge counts come from one forward sweep over those kept
+branches, which carries the number of paths to each state, and
+enumeration walks them depth first with one explicit stack, yielding
+either edge tuples or the XOR of caller-given edge weights. A kernel
 belongs to one call: the public functions here build their own, and
 verify_graph builds one for its input, shares it between its stages and
 drops it on return, so no memo outlives the call or sits on the graph.
@@ -20,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from .connectivity import _bits
 from .multigraph import Cut, MultiGraph
 
 COUNT_LIMIT = 1 << 63  # counts are required to fit in 64-bit integers
@@ -100,9 +103,10 @@ class _Kernel:
     vertex of minimum remaining degree. The count depends on the mask
     alone, so one memo serves every query made through one kernel: forced
     edges, per-edge counts, boundary tables and vertex deletions are all
-    masks. Per-edge counts come from one forward sweep over a count's
-    branching, and enumeration walks the same branching. A kernel lives as
-    long as the call that built it; nothing keeps it on the graph.
+    masks. While it counts a state, the kernel keeps that state's branches
+    below which the count is positive; the per-edge sweep and enumeration
+    read those kept lists and never branch again. A kernel lives as long
+    as the call that built it; nothing keeps it on the graph.
     """
 
     def __init__(self, g: MultiGraph, forbidden: frozenset[int] = frozenset()) -> None:
@@ -133,7 +137,9 @@ class _Kernel:
         self.inc = inc
         self.levels = levels
         self._memo = {self.full: 1}
-        self._pivots: dict[int, int] = {}  # the count's pivot at each state it filled
+        # (edge, state, count below) for each branch of a state with a
+        # positive count, in incidence order, skipping branches that count 0
+        self._branches: dict[int, list[tuple[int, int, int]]] = {}
         self._tables: dict[int, list[int]] = {}
 
     def pivot(self, mask: int) -> int:
@@ -160,14 +166,21 @@ class _Kernel:
     def _rec(self, mask: int) -> int:
         memo = self._memo
         total = 0
-        v = self._pivots[mask] = self.pivot(mask)
+        v = self.pivot(mask)
         if v >= 0:
+            kept = []
             base = mask | (1 << v)
-            for _, u in self.inc[v]:
+            for i, u in self.inc[v]:
                 if not (mask >> u) & 1:
                     sub = base | (1 << u)
                     below = memo.get(sub)
-                    total += self._rec(sub) if below is None else below
+                    if below is None:
+                        below = self._rec(sub)
+                    if below:
+                        total += below
+                        kept.append((i, sub, below))
+            if kept:
+                self._branches[mask] = kept
         memo[mask] = total
         return total
 
@@ -181,21 +194,6 @@ class _Kernel:
         if result >= COUNT_LIMIT:
             raise OverflowError("perfect matching count exceeds 64-bit range")
         return result
-
-    def _branches(self, mask: int) -> list[tuple[int, int, int]]:
-        """(edge, state, count below) for each branch of the count at a
-        mask with a positive count, in incidence order, skipping those
-        below which the count is 0."""
-        v = self._pivots[mask]
-        base = mask | (1 << v)
-        out = []
-        for i, u in self.inc[v]:
-            if not (mask >> u) & 1:
-                sub = base | (1 << u)
-                below = self._memo[sub]
-                if below:
-                    out.append((i, sub, below))
-        return out
 
     def edge_counts(self, covered: int = 0) -> list[int]:
         """Per edge index, the perfect matchings of G - covered that use
@@ -216,7 +214,7 @@ class _Kernel:
             while self.full not in layer:
                 nxt: dict[int, int] = {}
                 for mask, ways in layer.items():
-                    for i, sub, below in self._branches(mask):
+                    for i, sub, below in self._branches[mask]:
                         table[i] += ways * below
                         nxt[sub] = nxt.get(sub, 0) + ways
                 layer = nxt
@@ -231,29 +229,42 @@ class _Kernel:
 
     def matchings(self, covered: int, chosen: list[int]) -> Iterator[tuple[int, ...]]:
         """Every perfect matching of G - covered together with the edges
-        in chosen, as a sorted tuple, following the count's branching in
-        depth-first order. The stack is explicit, so a suspended
-        enumeration holds no reference cycle."""
+        in chosen, as a sorted tuple, in the order of xor_walk: with edge i
+        weighted 2^i, the XOR of a matching's weights is its edge mask."""
+        chosen_mask = 0
+        for i in chosen:
+            chosen_mask |= 1 << i
+        unit = [1 << i for i in range(self.edge_count)]
+        for edges in self.xor_walk(covered, unit):
+            yield _bits(chosen_mask | edges)
+
+    def xor_walk(self, covered: int, weight: list[int]) -> Iterator[int]:
+        """For each perfect matching of G - covered, the XOR of weight[i]
+        over its edges i, following the kept branches in depth-first
+        order. The stack is explicit, so a suspended walk holds no
+        reference cycle."""
         if not self.count(covered):
             return
         if covered == self.full:
-            yield tuple(sorted(chosen))
+            yield 0
             return
-        stack = [iter(self._branches(covered))]
-        while stack:
-            step = next(stack[-1], None)
+        full = self.full
+        branches = self._branches
+        steps = [iter(branches[covered])]
+        values = [0]
+        while steps:
+            step = next(steps[-1], None)
             if step is None:
-                stack.pop()
-                if stack:
-                    chosen.pop()
+                steps.pop()
+                values.pop()
                 continue
             i, sub, _ = step
-            chosen.append(i)
-            if sub == self.full:
-                yield tuple(sorted(chosen))
-                chosen.pop()
+            value = values[-1] ^ weight[i]
+            if sub == full:
+                yield value
             else:
-                stack.append(iter(self._branches(sub)))
+                steps.append(iter(branches[sub]))
+                values.append(value)
 
 
 def _vertex_mask(vertices: Iterable[int]) -> int:

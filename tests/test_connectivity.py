@@ -798,9 +798,22 @@ class TestCutSpace:
         assert planted_cut in enumerate_cuts(planted, 3, nontrivial_only=True)
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_side_key_sorts_as_sorted_vertex_tuples(n):
     masks = list(range(1 << n))
     by_tuple = sorted(masks, key=lambda s: (s.bit_count(), _bits(s)))
     assert sorted(masks, key=lambda s: _side_key(s, n)) == by_tuple
     assert len({_side_key(s, n) for s in masks}) == len(masks)
+
+
+@pytest.mark.parametrize("n", (16, 64, 94))
+def test_side_key_sorts_random_masks_as_sorted_vertex_tuples(n):
+    # sizes drawn near n / 2 and at the ends, so equal sizes tie often
+    rnd = random.Random(n)
+    masks = set()
+    while len(masks) < 5000:
+        k = rnd.choice((1, 2, 3, n // 2, n // 2 + 1, n - 3))
+        masks.add(sum(1 << v for v in rnd.sample(range(n), k)))
+    masks = list(masks)
+    by_tuple = sorted(masks, key=lambda s: (s.bit_count(), _bits(s)))
+    assert sorted(masks, key=lambda s: _side_key(s, n)) == by_tuple

@@ -5,12 +5,14 @@ run on explicitly built subgraphs; coverage and bicriticality with the
 blossom-backed has_perfect_matching. Inputs are the whole catalogs up to
 order 8.
 
-The kernel's popcount pivot, its per-edge sweep and its enumeration are
-compared with the kernel as first written, kept here: a pivot that
-rescans every incident edge, a count per edge and a recursive
-enumeration. Inputs are the catalogs up to order 10, the analyze16
-benchmark draws for seed 1, and seeded multigraphs with forbidden edges,
-where degrees 0 to 3 and parallel edges occur.
+The kernel's popcount pivot, its kept branch lists, its per-edge sweep
+and its enumeration are compared with the kernel as first written, kept
+here: a pivot that rescans every incident edge, a count per edge and a
+recursive enumeration. Inputs are the catalogs up to order 10 (12 for the
+branch lists), the analyze16 benchmark draws for seed 1, and seeded
+multigraphs with forbidden edges, where degrees 0 to 3 and parallel edges
+occur. The XOR walk is compared with the co-tree masks of the enumerated
+matchings.
 """
 
 import random
@@ -18,7 +20,7 @@ from itertools import combinations
 
 import pytest
 
-from cubicmatch.brick_brace import is_bicritical
+from cubicmatch.brick_brace import _cotree_edges, is_bicritical
 from cubicmatch.connectivity import enumerate_cuts
 from cubicmatch.klee import vertex_type
 from cubicmatch.matching import (
@@ -35,6 +37,7 @@ from conftest import analyze16_draws
 
 ORDERS = (2, 4, 6, 8)
 SWEEP_ORDERS = (2, 4, 6, 8, 10)
+KEPT_ORDERS = (2, 4, 6, 8, 10, 12)
 
 
 class RescanKernel:
@@ -256,6 +259,59 @@ def test_popcount_pivot_matches_rescan_on_multigraphs():
         degrees.update(len(edges) for edges in ref.inc)
         _check_pivot(g, forbidden, 0)
     assert {0, 1, 2, 3} <= degrees and parallel
+
+
+def _check_kept_branches(g, forbidden, covered):
+    """Each state's kept branch list against the branches of the rescan
+    pivot at that state, counted by the rescanning kernel, with the
+    branches that count 0 dropped; states with no positive branch keep
+    none."""
+    kernel = _Kernel(g, forbidden)
+    ref = RescanKernel(g, forbidden)
+    for mask in _filled(kernel, g, covered):
+        want = []
+        v = ref.pivot(mask)
+        if mask != ref.full and v >= 0:
+            for i, u in ref.inc[v]:
+                if not (mask >> u) & 1:
+                    sub = mask | (1 << v) | (1 << u)
+                    if ref.count(sub):
+                        want.append((i, sub, ref.count(sub)))
+        assert kernel._branches.get(mask, []) == want, (g, forbidden, mask)
+
+
+@pytest.mark.parametrize("n", KEPT_ORDERS)
+def test_kept_branches_match_rescan(n, catalogs):
+    rnd = random.Random(n)
+    for g in catalogs(n):
+        _check_kept_branches(g, frozenset(), 0)
+        forced, forbidden = random_constraints(rnd, g)
+        _check_kept_branches(g, forbidden, _mask(v for e in forced for v in g.edges[e]))
+
+
+def test_kept_branches_match_rescan_on_multigraphs():
+    rnd = random.Random(29)
+    for g, forbidden in seeded_multigraphs():
+        forced, _ = random_constraints(rnd, g)
+        _check_kept_branches(g, forbidden, 0)
+        _check_kept_branches(g, forbidden, _mask(v for e in forced - forbidden for v in g.edges[e]))
+
+
+def test_xor_walk_yields_cotree_masks_of_matchings(catalogs):
+    graphs = [g for n in KEPT_ORDERS for g in catalogs(n)]
+    graphs += [g for seed in (1, 2, 3) for g in analyze16_draws(seed)]
+    for g in graphs:
+        bit = [0] * len(g.edges)
+        for j, e in enumerate(_cotree_edges(g)):
+            bit[e] = 1 << j
+        kernel = _Kernel(g)
+        want = []
+        for pm in kernel.matchings(0, []):
+            mask = 0
+            for e in pm:
+                mask |= bit[e]
+            want.append(mask)
+        assert want and list(kernel.xor_walk(0, bit)) == want, g
 
 
 def _check_sweep_against_queries(g, forced, forbidden):
