@@ -31,7 +31,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import filterfalse
+from itertools import repeat
 from math import prod
 from typing import Iterable, Iterator
 
@@ -130,47 +130,45 @@ def _two_factor(cycle_type: tuple[int, ...]) -> tuple[list[tuple[int, int]], lis
 _SYMMETRY_CAP = 2048
 
 
-def _pair_code_table(perm: tuple[int, ...]) -> bytes:
-    """Translation table of a vertex permutation on pair codes: entry
-    u*16+v (u < v) holds the code of the image pair {perm[u], perm[v]}."""
-    table = bytearray(256)
-    n = len(perm)
-    for u in range(n):
-        for v in range(u + 1, n):
-            a, b = perm[u], perm[v]
-            table[u * 16 + v] = a * 16 + b if a < b else b * 16 + a
-    return bytes(table)
+def _symmetries(cycle_type: tuple[int, ...], n: int) -> tuple[list[bytes], list[bytes]]:
+    """The symmetry group of the fixed 2-factor of ``cycle_type`` as
+    (inverse, forward) vertex tables: the product of the dihedral groups of
+    the cycle blocks, or the first block's dihedral group alone when the
+    product has more than `_SYMMETRY_CAP` elements.
 
-
-def _symmetry_tables(cycle_type: tuple[int, ...], n: int) -> list[bytes]:
-    """One `_pair_code_table` per element of the fixed 2-factor's
-    symmetry group: the product of the dihedral groups of the cycle
-    blocks, or the first block's dihedral group alone when the product
-    has more than `_SYMMETRY_CAP` elements.
-
-    These are automorphisms of the 2-factor, so pairings in the same
-    orbit give isomorphic unions; the orbit filter only prunes duplicates
-    and never loses classes. Each block's group gets one table per element,
-    with every other vertex fixed, and the tables of the product are the
-    compositions ``t.translate(b)``: one C call per group element instead
-    of a Python loop over the pair codes.
+    For the i-th element pi, ``forwards[i]`` is a translation table with
+    entry u = pi(u) (every entry from n on is its own index) and
+    ``inverses[i]`` is pi^-1 as n bytes. These are automorphisms of the
+    2-factor, so pairings in the same orbit give isomorphic unions; the
+    orbit filter only prunes duplicates and never loses classes. Each
+    block's group gets one pair of tables per element, with every other
+    vertex fixed, and the tables of the product are their compositions by
+    ``translate``: one C call per table and group element. Blocks are
+    disjoint, so their elements commute and the order of composition does
+    not matter.
     """
-    ident = tuple(range(n))
-    per_block: list[list[bytes]] = []
+    ident = bytes(range(256))
+    per_block: list[list[tuple[bytes, bytes]]] = []
     offset = 0
     for c in cycle_type:
         cycle = ident[offset:offset + c]
         images = {cycle[r:] + cycle[:r] for r in range(c)}
         images |= {image[::-1] for image in images}
-        before, after = ident[:offset], ident[offset + c:]
-        per_block.append([_pair_code_table(before + image + after) for image in images])
+        head, tail = ident[:offset], ident[offset + c:]
+        per_block.append(
+            [(bytes.maketrans(image, cycle), head + image + tail) for image in images]
+        )
         offset += c
-    if prod(len(block_tables) for block_tables in per_block) > _SYMMETRY_CAP:
+    if prod(len(elements) for elements in per_block) > _SYMMETRY_CAP:
         per_block = per_block[:1]
-    tables = [bytes(range(256))]
-    for block_tables in per_block:
-        tables = [t.translate(b) for t in tables for b in block_tables]
-    return tables
+    group = [(ident, ident)]
+    for elements in per_block:
+        group = [
+            (inverse.translate(b_inverse), forward.translate(b_forward))
+            for inverse, forward in group
+            for b_inverse, b_forward in elements
+        ]
+    return [inverse[:n] for inverse, _ in group], [forward for _, forward in group]
 
 
 # No block-pair code reaches it: with n <= 16 and blocks of length >= 2
@@ -218,6 +216,29 @@ def _codes_of(items: tuple[int, ...], memo: dict[tuple[int, ...], list[bytes]]) 
     return found
 
 
+# High and low nibble of every pair code u*16+v.
+_HIGH = bytes(c >> 4 for c in range(256))
+_LOW = bytes(c & 15 for c in range(256))
+
+
+def _partner_table(codes: bytes) -> bytes:
+    """The pairing ``codes`` as a translation table of its fixed-point-free
+    involution: entry u holds the partner of u for every paired u, and
+    every other entry its own index. Built in C from the codes' nibbles."""
+    us = codes.translate(_HIGH)
+    vs = codes.translate(_LOW)
+    return bytes.maketrans(us + vs, vs + us)
+
+
+def _pairings(n: int) -> tuple[list[bytes], list[bytes]]:
+    """Every pairing of range(n) as its partner array (index u holds the
+    partner of u: the first n bytes of `_partner_table`) and, at the same
+    index of a second list, its pair codes, both in the increasing code
+    order of `_pairing_codes`."""
+    codes = _pairing_codes(n)
+    return [_partner_table(c)[:n] for c in codes], codes
+
+
 def _switch_tables(block: list[int]) -> tuple[bytes, bytes]:
     """Two translation tables on pair codes u*16+v (u < v) for the fixed
     2-factor whose vertex blocks are ``block``: a cross code (u and v in
@@ -250,21 +271,32 @@ def _has_switchable_pair(codes: bytes, tables: tuple[bytes, bytes]) -> bool:
     u1v1 and u2v2, with each u in the lower-numbered cycle, so that
     u2 = next u1; then v2 is next v1 or prev v1, and one of the tables
     maps u1*16+v1 to u2*16+v2. A pair within one cycle maps to
-    `_SAME_BLOCK`, which no pair code equals.
+    `_SAME_BLOCK`, which no pair code equals. The test builds no set: a
+    translated code that is also a code of the pairing is deleted by
+    ``translate(None, codes)``, which shortens the result.
     """
     next_next, next_prev = tables
-    return not set(codes).isdisjoint(codes.translate(next_next) + codes.translate(next_prev))
+    k = len(codes)
+    return (
+        len(codes.translate(next_next).translate(None, codes)) < k
+        or len(codes.translate(next_prev).translate(None, codes)) < k
+    )
 
 
-def _is_orbit_minimal(codes: bytes, tables: list[bytes], marked: set[bytes]) -> bool:
-    """Whether the pairing ``codes`` is the smallest of its orbit under the
-    symmetries whose `_pair_code_table`s are ``tables``.
+def _is_orbit_minimal(
+    partner: bytes, symmetries: tuple[list[bytes], list[bytes]], marked: set[bytes]
+) -> bool:
+    """Whether the pairing with partner array ``partner`` is the first of
+    its orbit to arrive under the group whose (inverse, forward) vertex
+    tables are ``symmetries`` (`_symmetries`).
 
     Pairings must arrive in increasing code order, all with the same
-    ``marked`` set. The first pairing of an orbit to arrive is then its
-    minimum: it marks every image and is accepted; later members find
-    themselves marked. ``tables`` form a group, so the images are the
-    whole orbit.
+    ``marked`` set of partner arrays. The first pairing of an orbit to
+    arrive is then its minimum: it marks every image and is accepted;
+    later members find themselves marked. The image of p under pi is
+    pi p pi^-1, i.e. ``inverse.translate(table of p).translate(forward)``:
+    two C calls per group element, with no sort. The tables form a group,
+    so the images are the whole orbit.
 
     `_candidate_pairings` calls this only on unmarked pairings that pass
     the block-quotient and switch tests. Both verdicts are the same on a
@@ -272,45 +304,53 @@ def _is_orbit_minimal(codes: bytes, tables: list[bytes], marked: set[bytes]) -> 
     every orbit that arrives is still its minimum, and there the call
     always marks.
     """
-    if codes in marked:
+    if partner in marked:
         return False
-    marked.update(bytes(sorted(codes.translate(table))) for table in tables)
+    inverses, forwards = symmetries
+    # Entries from n on are never read: every inverse entry is below n.
+    table = partner.ljust(256, b"\0")
+    marked.update(map(bytes.translate, map(bytes.translate, inverses, repeat(table)), forwards))
     return True
 
 
 def _candidate_pairings(
-    cycle_type: tuple[int, ...], block: list[int], pairings: list[bytes]
+    cycle_type: tuple[int, ...], block: list[int], pairings: tuple[list[bytes], list[bytes]]
 ) -> Iterator[bytes]:
-    """The orbit-minimal ``pairings`` (all pairings, in code order) whose
+    """The pair codes of the orbit-minimal ``pairings`` (every pairing as
+    its partner array and its codes, in code order; see `_pairings`) whose
     union with the 2-factor of ``cycle_type`` is connected and bridgeless
     and has no switchable pair (`_has_switchable_pair`), in code order.
 
-    Both tests run before the orbit is marked: first the block quotient,
-    then the switch. Every symmetry maps each cycle block to itself and
-    each cycle edge to a cycle edge of the same block, so all pairings of
-    an orbit have the same multiset of block pairs, hence the same
-    quotient verdict, and a symmetry maps a switchable pair to a switchable
-    pair, so they have the same switch verdict. A pairing that fails
-    either test is skipped without marking: the rest of its orbit fails
-    too, and orbits are disjoint, so no other orbit's marks are lost. A
-    pairing that passes both and is not marked is its orbit's minimum,
-    since an earlier member would have passed too and marked it. So
-    exactly the orbit minima that pass are yielded, as when every pairing
-    was marked first.
+    Orbits are marked on partner arrays, whose images are two byte
+    translates each (`_is_orbit_minimal`); the quotient and switch tests
+    read the codes kept beside each array. Both tests run before the orbit
+    is marked: first the block quotient, then the switch. Every symmetry
+    maps each cycle block to itself and each cycle edge to a cycle edge of
+    the same block, so all pairings of an orbit have the same multiset of
+    block pairs, hence the same quotient verdict, and a symmetry maps a
+    switchable pair to a switchable pair, so they have the same switch
+    verdict. A pairing that fails either test is skipped without marking:
+    the rest of its orbit fails too, and orbits are disjoint, so no other
+    orbit's marks are lost. A pairing that passes both and is not marked
+    is its orbit's minimum, since an earlier member would have passed too
+    and marked it. So exactly the orbit minima that pass are yielded, as
+    when every pairing was marked first.
 
     The switch drops only unions that have a 2-factor of a type larger than
     ``cycle_type``, which the largest-type rule rejects anyway, so the
-    catalog is the same. Marked pairings are dropped by ``filterfalse``,
-    which reads the set as it grows, without a Python call each; quotient
-    verdicts are cached per block-pair key. A single cycle has no switch.
+    catalog is the same. Quotient verdicts are cached per block-pair key,
+    the codes translated by `_block_pair_table`: far fewer distinct keys
+    than partner arrays would give. A single cycle has no switch.
     """
     blocks = len(cycle_type)
-    tables = _symmetry_tables(cycle_type, len(block))
+    symmetries = _symmetries(cycle_type, len(block))
     block_table = _block_pair_table(block)
     switch = _switch_tables(block)
     verdicts: dict[bytes, bool] = {}
     marked: set[bytes] = set()
-    for codes in filterfalse(marked.__contains__, pairings):
+    for partner, codes in zip(*pairings):
+        if partner in marked:
+            continue
         key = codes.translate(block_table)
         passes = verdicts.get(key)
         if passes is None:
@@ -318,7 +358,7 @@ def _candidate_pairings(
             passes = verdicts[key] = _quotient_connected_bridgeless(cross, blocks)
         if not passes or (blocks > 1 and _has_switchable_pair(codes, switch)):
             continue
-        if _is_orbit_minimal(codes, tables, marked):
+        if _is_orbit_minimal(partner, symmetries, marked):
             yield codes
 
 
@@ -421,11 +461,15 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     of order n, sorted by canonical form.
 
     Each cycle type T is swept in `_partitions_min2` order with every
-    orbit-minimal pairing M on top (`_candidate_pairings`). The cheap,
-    orbit-invariant block-quotient and switch tests run first, and only a
-    pairing that passes both marks its orbit; the accepted pairings are
-    the orbit minima with a connected bridgeless union and no switchable
-    pair, as when every orbit is marked first. Such a union reaches
+    orbit-minimal pairing M on top (`_candidate_pairings`). Every pairing
+    is held as its partner array next to its pair codes (`_pairings`). The
+    cheap, orbit-invariant block-quotient test (cached per block-pair key
+    of the codes) and switch test run first, and only a pairing that
+    passes both marks its orbit: the partner arrays of its images, each
+    two byte translates through the (inverse, forward) vertex tables of a
+    symmetry (`_symmetries`). The accepted pairings are the orbit minima
+    with a connected bridgeless union and no switchable pair, as when
+    every orbit is marked first. Such a union reaches
     `canonical_form` only when the witness search of
     `_has_larger_two_factor` finds no 2-factor of it with a type larger
     than T; a switchable union would have failed that search too.
@@ -433,7 +477,12 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     sweep of that type meets it. Same representative as labelling every
     union: a class first appears at its largest type, where no union of
     it is skipped.
+
+    ``n`` must be an ``int`` (not a ``bool``): a float such as 6.0 hashes
+    like 6, so it is refused before the cache is read.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"catalog order must be an int, got {n!r}")
     if n % 2 or n < 2:
         raise ValueError("catalogs require even n >= 2")
     if n > CATALOG_LIMIT:
@@ -441,7 +490,7 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     if n in _CATALOG_CACHE:
         return _CATALOG_CACHE[n]
     seen: dict[bytes, MultiGraph] = {}
-    pairings = _pairing_codes(n)
+    pairings = _pairings(n)
     for cycle_type in _partitions_min2(n):
         factor_edges, block = _two_factor(cycle_type)
         for codes in _candidate_pairings(cycle_type, block, pairings):

@@ -131,6 +131,17 @@ class TestCatalog:
         with pytest.raises(ValueError):
             generate_catalog(16)
 
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("n", [6.0, True, "6", None])
+    def test_non_int_order_rejected(self, monkeypatch, warm, n):
+        # 6.0 hashes like 6 and True like 1, so a warm cache would answer
+        cache = {6: bridgeless_cubic_catalog(6), 1: ()} if warm else {}
+        monkeypatch.setattr(harness, "_CATALOG_CACHE", cache)
+        for build in (bridgeless_cubic_catalog, generate_catalog):
+            with pytest.raises(ValueError, match="must be an int"):
+                build(n)
+        assert harness._CATALOG_CACHE == cache
+
     @pytest.mark.skipif(
         not os.environ.get("CUBICMATCH_RUN_SLOW"),
         reason="n=14 exhaustive generation takes about 30 s",
@@ -169,8 +180,76 @@ def two_factor_symmetries(cycle_type, n):
     return perms
 
 
+def pair_code_table(perm):
+    """Translation table of a vertex permutation on pair codes: entry
+    u*16+v (u < v) holds the code of the image pair {perm[u], perm[v]}.
+    The generator's symmetry tables before they were vertex tables."""
+    table = bytearray(256)
+    n = len(perm)
+    for u in range(n):
+        for v in range(u + 1, n):
+            a, b = perm[u], perm[v]
+            table[u * 16 + v] = a * 16 + b if a < b else b * 16 + a
+    return bytes(table)
+
+
 def per_permutation_tables(cycle_type, n):
-    return [harness._pair_code_table(p) for p in two_factor_symmetries(cycle_type, n)]
+    return [pair_code_table(p) for p in two_factor_symmetries(cycle_type, n)]
+
+
+def symmetry_tables(cycle_type, n):
+    """The pair-code tables of the symmetry group as the generator composed
+    them before partner arrays: one table per element of each block's
+    dihedral group, composed by ``translate``."""
+    ident = tuple(range(n))
+    per_block = []
+    offset = 0
+    for c in cycle_type:
+        cycle = ident[offset:offset + c]
+        images = {cycle[r:] + cycle[:r] for r in range(c)}
+        images |= {image[::-1] for image in images}
+        before, after = ident[:offset], ident[offset + c:]
+        per_block.append([pair_code_table(before + image + after) for image in images])
+        offset += c
+    if math.prod(len(block_tables) for block_tables in per_block) > harness._SYMMETRY_CAP:
+        per_block = per_block[:1]
+    tables = [bytes(range(256))]
+    for block_tables in per_block:
+        tables = [t.translate(b) for t in tables for b in block_tables]
+    return tables
+
+
+def code_orbit_minimal(codes, tables, marked):
+    """Orbit marking on pair codes before partner arrays: every image is
+    the sorted translation of the codes by one symmetry's table."""
+    if codes in marked:
+        return False
+    marked.update(bytes(sorted(codes.translate(table))) for table in tables)
+    return True
+
+
+def code_table_candidates(cycle_type, block, pairings):
+    """The generator's pairing sweep before partner arrays: marking on
+    pair codes by `symmetry_tables`, and a switch test that builds the set
+    of the pairing's codes."""
+    blocks = len(cycle_type)
+    tables = symmetry_tables(cycle_type, len(block))
+    block_table = harness._block_pair_table(block)
+    next_next, next_prev = harness._switch_tables(block)
+    marked = set()
+    out = []
+    for codes in pairings:
+        if codes in marked:
+            continue
+        cross = [divmod(c, 16) for c in codes.translate(block_table) if c != harness._SAME_BLOCK]
+        if not harness._quotient_connected_bridgeless(cross, blocks):
+            continue
+        turned = codes.translate(next_next) + codes.translate(next_prev)
+        if blocks > 1 and not set(codes).isdisjoint(turned):
+            continue
+        if code_orbit_minimal(codes, tables, marked):
+            out.append(codes)
+    return out
 
 
 def sorted_key_orbit_minimal(pm, perms):
@@ -216,6 +295,11 @@ def all_pairings(items):
 
 def decode(codes):
     return tuple(divmod(c, 16) for c in codes)
+
+
+def partner_pairs(partner):
+    """The pairs (u, p[u]) with u < p[u] of a partner array, in order of u."""
+    return tuple((u, v) for u, v in enumerate(partner) if u < v)
 
 
 def switchable(pm, cycle_type):
@@ -276,7 +360,7 @@ def marking_first_pairings(cycle_type, n, pairings):
     marked = set()
     out = []
     for codes in pairings:
-        if not harness._is_orbit_minimal(codes, tables, marked):
+        if not code_orbit_minimal(codes, tables, marked):
             continue
         cross = [(block[u], block[v]) for u, v in decode(codes) if block[u] != block[v]]
         if harness._quotient_connected_bridgeless(cross, len(cycle_type)):
@@ -331,14 +415,14 @@ class TestOrbitFilter:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_tables_accept_what_sorted_keys_accept(self, n):
         # marking, fed every pairing in code order with one set per type
-        pairings = harness._pairing_codes(n)
+        partners, pairings = harness._pairings(n)
         for cycle_type in harness._partitions_min2(n):
             perms = two_factor_symmetries(cycle_type, n)
-            tables = harness._symmetry_tables(cycle_type, n)
+            symmetries = harness._symmetries(cycle_type, n)
             marked = set()
-            for codes in pairings:
+            for partner, codes in zip(partners, pairings):
                 expected = sorted_key_orbit_minimal(decode(codes), perms)
-                assert harness._is_orbit_minimal(codes, tables, marked) == expected
+                assert harness._is_orbit_minimal(partner, symmetries, marked) == expected
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_pairings_in_increasing_code_order(self, n):
@@ -348,39 +432,61 @@ class TestOrbitFilter:
         assert harness._pairing_codes(n) == codes
         assert len(codes) == math.prod(range(1, n, 2))
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_partner_arrays_are_involutions_in_code_order(self, n):
+        partners, pairings = harness._pairings(n)
+        assert pairings == harness._pairing_codes(n)
+        assert len(partners) == len(pairings)
+        assert len(set(partners)) == len(partners)
+        for partner, codes in zip(partners, pairings):
+            assert len(partner) == n
+            assert all(partner[u] != u and partner[partner[u]] == u for u in range(n))
+            assert bytes(u * 16 + v for u, v in partner_pairs(partner)) == codes
+            assert harness._partner_table(codes)[:n] == partner
+
     def test_same_representatives(self, catalogs, monkeypatch):
         orders = (2, 4, 6, 8, 10)
         tabled = {n: [g.edges for g in catalogs(n)] for n in orders}
         monkeypatch.setattr(harness, "_CATALOG_CACHE", {})
         # permutations in place of tables, and the stateless sorted-key
         # filter in place of marking: nothing is ever marked
-        monkeypatch.setattr(harness, "_symmetry_tables", two_factor_symmetries)
+        monkeypatch.setattr(harness, "_symmetries", two_factor_symmetries)
         monkeypatch.setattr(
             harness,
             "_is_orbit_minimal",
-            lambda codes, perms, marked: sorted_key_orbit_minimal(decode(codes), perms),
+            lambda partner, perms, marked: sorted_key_orbit_minimal(partner_pairs(partner), perms),
         )
         for n in orders:
             assert [g.edges for g in bridgeless_cubic_catalog(n)] == tabled[n]
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_quotient_first_accepts_what_marking_first_accepts(self, n):
-        # less the switchable pairings, which the generator drops unmarked
-        pairings = harness._pairing_codes(n)
+        # less the switchable pairings, which the generator drops unmarked;
+        # and exactly what the sweep on pair-code tables accepted
+        pairings = harness._pairings(n)
+        _, codes = pairings
         for cycle_type in harness._partitions_min2(n):
             _, block = harness._two_factor(cycle_type)
             accepted = list(harness._candidate_pairings(cycle_type, block, pairings))
-            expected = marking_first_pairings(cycle_type, n, pairings)
+            expected = marking_first_pairings(cycle_type, n, codes)
             assert accepted == [c for c in expected if not switchable(decode(c), cycle_type)]
+            assert accepted == code_table_candidates(cycle_type, block, codes)
 
     def test_composed_tables_equal_per_permutation_tables(self):
+        # (inverse, forward) vertex tables against the permutations
         capped = []
         for n in range(2, 17, 2):
             for cycle_type in harness._partitions_min2(n):
-                composed = harness._symmetry_tables(cycle_type, n)
-                expected = per_permutation_tables(cycle_type, n)
-                assert sorted(composed) == sorted(expected)
-                if len(composed) < math.prod(2 * c if c > 2 else 2 for c in cycle_type):
+                inverses, forwards = harness._symmetries(cycle_type, n)
+                perms = two_factor_symmetries(cycle_type, n)
+                assert len(inverses) == len(forwards) == len(perms)
+                assert all(len(inverse) == n and len(forward) == 256 for inverse, forward
+                           in zip(inverses, forwards))
+                assert all(forward[n:] == bytes(range(n, 256)) for forward in forwards)
+                assert sorted(forward[:n] for forward in forwards) == sorted(map(bytes, perms))
+                for inverse, forward in zip(inverses, forwards):
+                    assert inverse.translate(forward) == bytes(range(n))
+                if len(perms) < math.prod(2 * c if c > 2 else 2 for c in cycle_type):
                     capped.append(cycle_type)
         assert (3, 3, 3, 3, 2) in capped
 
@@ -452,16 +558,19 @@ class TestSwitch:
         monkeypatch.setattr(harness, "_CATALOG_CACHE", {})
         built = count_kernels(monkeypatch)
         marks = []
+        images = []
         is_orbit_minimal = harness._is_orbit_minimal
 
-        def recording(codes, tables, marked):
-            minimal = is_orbit_minimal(codes, tables, marked)
+        def recording(partner, symmetries, marked):
+            minimal = is_orbit_minimal(partner, symmetries, marked)
             marks.append(minimal)
+            images.append(len(symmetries[0]))
             return minimal
 
         monkeypatch.setattr(harness, "_is_orbit_minimal", recording)
         assert len(bridgeless_cubic_catalog(12)) == 365
         assert sum(marks) == 1454
+        assert sum(images) == 127_532
         assert built == []
 
 
@@ -513,13 +622,13 @@ class TestLargestTypeRule:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_witness_search_equals_kernel_reference(self, n):
         # on the union of every orbit minimum, before the quotient and switch
-        pairings = harness._pairing_codes(n)
+        partners, pairings = harness._pairings(n)
         verdicts = set()
         for cycle_type in harness._partitions_min2(n):
-            tables = harness._symmetry_tables(cycle_type, n)
+            symmetries = harness._symmetries(cycle_type, n)
             marked = set()
-            for codes in pairings:
-                if harness._is_orbit_minimal(codes, tables, marked):
+            for partner, codes in zip(partners, pairings):
+                if harness._is_orbit_minimal(partner, symmetries, marked):
                     g = union(cycle_type, codes)
                     verdict = harness._has_larger_two_factor(g, cycle_type)
                     assert verdict == kernel_has_larger_two_factor(g, cycle_type)
