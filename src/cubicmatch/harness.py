@@ -16,14 +16,11 @@ representative because types are swept from largest to smallest, so the
 first union of every class already has its largest type.
 
 Each pairing meets the filters cheapest first: the block-quotient test
-(connected and bridgeless), the switch test (two matching edges that
-would join two cycles into one, so a larger type exists), marking its
-symmetry orbit, the depth-first search for a 2-factor of larger type,
-and last `canonical_form`. Both tests before the marking give the same
-verdict on a whole orbit, so a pairing that fails one is dropped without
-marking and exactly the orbit minima that pass both are kept. The switch
-drops only unions that the largest-type rule rejects anyway, so the
-catalog and its representatives do not change.
+(connected and bridgeless), marking its symmetry orbit, the depth-first
+search for a 2-factor of larger type, and last `canonical_form`. The
+quotient verdict is the same on a whole orbit, so a pairing that fails
+it is dropped without marking and exactly the orbit minima that pass
+are kept.
 """
 
 from __future__ import annotations
@@ -239,50 +236,6 @@ def _pairings(n: int) -> tuple[list[bytes], list[bytes]]:
     return [_partner_table(c)[:n] for c in codes], codes
 
 
-def _switch_tables(block: list[int]) -> tuple[bytes, bytes]:
-    """Two translation tables on pair codes u*16+v (u < v) for the fixed
-    2-factor whose vertex blocks are ``block``: a cross code (u and v in
-    different cycles) maps to the code of (next u, next v) in the first
-    table and of (next u, prev v) in the second, next and prev taken along
-    each vertex's cycle; every other code maps to `_SAME_BLOCK`. Blocks are
-    numbered in vertex order, so next u < next v and prev v."""
-    n = len(block)
-    start = [block.index(b) for b in block]
-    length = [block.count(b) for b in block]
-    succ = [start[v] + (v - start[v] + 1) % length[v] for v in range(n)]
-    pred = [start[v] + (v - start[v] - 1) % length[v] for v in range(n)]
-    next_next = bytearray([_SAME_BLOCK]) * 256
-    next_prev = bytearray([_SAME_BLOCK]) * 256
-    for u in range(n):
-        for v in range(u + 1, n):
-            if block[u] != block[v]:
-                next_next[u * 16 + v] = succ[u] * 16 + succ[v]
-                next_prev[u * 16 + v] = succ[u] * 16 + pred[v]
-    return bytes(next_next), bytes(next_prev)
-
-
-def _has_switchable_pair(codes: bytes, tables: tuple[bytes, bytes]) -> bool:
-    """Whether the pairing ``codes`` holds two cross pairs x1y1 and x2y2
-    with x1x2 an edge of one cycle and y1y2 an edge of another, by the
-    `_switch_tables` of its 2-factor.
-
-    Swapping x1x2 and y1y2 for x1y1 and x2y2 joins the two cycles into one,
-    so the union then has a 2-factor of a larger type. Name the two pairs
-    u1v1 and u2v2, with each u in the lower-numbered cycle, so that
-    u2 = next u1; then v2 is next v1 or prev v1, and one of the tables
-    maps u1*16+v1 to u2*16+v2. A pair within one cycle maps to
-    `_SAME_BLOCK`, which no pair code equals. The test builds no set: a
-    translated code that is also a code of the pairing is deleted by
-    ``translate(None, codes)``, which shortens the result.
-    """
-    next_next, next_prev = tables
-    k = len(codes)
-    return (
-        len(codes.translate(next_next).translate(None, codes)) < k
-        or len(codes.translate(next_prev).translate(None, codes)) < k
-    )
-
-
 def _is_orbit_minimal(
     partner: bytes, symmetries: tuple[list[bytes], list[bytes]], marked: set[bytes]
 ) -> bool:
@@ -299,10 +252,9 @@ def _is_orbit_minimal(
     so the images are the whole orbit.
 
     `_candidate_pairings` calls this only on unmarked pairings that pass
-    the block-quotient and switch tests. Both verdicts are the same on a
-    whole orbit, so they withhold whole orbits only; the first member of
-    every orbit that arrives is still its minimum, and there the call
-    always marks.
+    the block-quotient test. Its verdict is the same on a whole orbit, so
+    it withholds whole orbits only; the first member of every orbit that
+    arrives is still its minimum, and there the call always marks.
     """
     if partner in marked:
         return False
@@ -318,34 +270,28 @@ def _candidate_pairings(
 ) -> Iterator[bytes]:
     """The pair codes of the orbit-minimal ``pairings`` (every pairing as
     its partner array and its codes, in code order; see `_pairings`) whose
-    union with the 2-factor of ``cycle_type`` is connected and bridgeless
-    and has no switchable pair (`_has_switchable_pair`), in code order.
+    union with the 2-factor of ``cycle_type`` is connected and bridgeless,
+    in code order.
 
     Orbits are marked on partner arrays, whose images are two byte
-    translates each (`_is_orbit_minimal`); the quotient and switch tests
-    read the codes kept beside each array. Both tests run before the orbit
-    is marked: first the block quotient, then the switch. Every symmetry
-    maps each cycle block to itself and each cycle edge to a cycle edge of
-    the same block, so all pairings of an orbit have the same multiset of
-    block pairs, hence the same quotient verdict, and a symmetry maps a
-    switchable pair to a switchable pair, so they have the same switch
-    verdict. A pairing that fails either test is skipped without marking:
-    the rest of its orbit fails too, and orbits are disjoint, so no other
-    orbit's marks are lost. A pairing that passes both and is not marked
-    is its orbit's minimum, since an earlier member would have passed too
-    and marked it. So exactly the orbit minima that pass are yielded, as
-    when every pairing was marked first.
+    translates each (`_is_orbit_minimal`); the quotient test reads the
+    codes kept beside each array and runs before the orbit is marked.
+    Every symmetry maps each cycle block to itself, so all pairings of an
+    orbit have the same multiset of block pairs, hence the same quotient
+    verdict. A pairing that fails it is skipped without marking: the rest
+    of its orbit fails too, and orbits are disjoint, so no other orbit's
+    marks are lost. A pairing that passes and is not marked is its orbit's
+    minimum, since an earlier member would have passed too and marked it.
+    So exactly the orbit minima that pass are yielded, as when every
+    pairing was marked first.
 
-    The switch drops only unions that have a 2-factor of a type larger than
-    ``cycle_type``, which the largest-type rule rejects anyway, so the
-    catalog is the same. Quotient verdicts are cached per block-pair key,
-    the codes translated by `_block_pair_table`: far fewer distinct keys
-    than partner arrays would give. A single cycle has no switch.
+    Quotient verdicts are cached per block-pair key, the codes translated
+    by `_block_pair_table`: far fewer distinct keys than partner arrays
+    would give.
     """
     blocks = len(cycle_type)
     symmetries = _symmetries(cycle_type, len(block))
     block_table = _block_pair_table(block)
-    switch = _switch_tables(block)
     verdicts: dict[bytes, bool] = {}
     marked: set[bytes] = set()
     for partner, codes in zip(*pairings):
@@ -356,9 +302,7 @@ def _candidate_pairings(
         if passes is None:
             cross = [divmod(c, 16) for c in key if c != _SAME_BLOCK]
             passes = verdicts[key] = _quotient_connected_bridgeless(cross, blocks)
-        if not passes or (blocks > 1 and _has_switchable_pair(codes, switch)):
-            continue
-        if _is_orbit_minimal(partner, symmetries, marked):
+        if passes and _is_orbit_minimal(partner, symmetries, marked):
             yield codes
 
 
@@ -386,7 +330,13 @@ def _two_factor_type(g: MultiGraph, matching: Iterable[int]) -> tuple[int, ...]:
 def _has_larger_two_factor(g: MultiGraph, cycle_type: tuple[int, ...]) -> bool:
     """Whether some 2-factor of cubic g has a cycle type lexicographically
     larger than ``cycle_type``, i.e. one that `_partitions_min2` yields
-    earlier. Stops at the first; a Hamiltonian type has none larger."""
+    earlier. Stops at the first; a Hamiltonian type has none larger.
+
+    This is the generator's one larger-type rule. It also drops every
+    union where two matching edges could replace a cycle edge on each of
+    two cycles: joining cycles of lengths a and b into one of length
+    a + b gives a larger sorted type, and the search tries every 2-factor.
+    """
     if len(cycle_type) == 1:
         return False
     return _larger_two_factor_below(g, cycle_type, 0, [])
@@ -464,19 +414,17 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     orbit-minimal pairing M on top (`_candidate_pairings`). Every pairing
     is held as its partner array next to its pair codes (`_pairings`). The
     cheap, orbit-invariant block-quotient test (cached per block-pair key
-    of the codes) and switch test run first, and only a pairing that
-    passes both marks its orbit: the partner arrays of its images, each
-    two byte translates through the (inverse, forward) vertex tables of a
-    symmetry (`_symmetries`). The accepted pairings are the orbit minima
-    with a connected bridgeless union and no switchable pair, as when
-    every orbit is marked first. Such a union reaches
-    `canonical_form` only when the witness search of
+    of the codes) runs first, and only a pairing that passes it marks its
+    orbit: the partner arrays of its images, each two byte translates
+    through the (inverse, forward) vertex tables of a symmetry
+    (`_symmetries`). The accepted pairings are the orbit minima with a
+    connected bridgeless union, as when every orbit is marked first. Such
+    a union reaches `canonical_form` only when the witness search of
     `_has_larger_two_factor` finds no 2-factor of it with a type larger
-    than T; a switchable union would have failed that search too.
-    Exhaustive: every graph has a 2-factor of its largest type, and the
-    sweep of that type meets it. Same representative as labelling every
-    union: a class first appears at its largest type, where no union of
-    it is skipped.
+    than T. Exhaustive: every graph has a 2-factor of its largest type,
+    and the sweep of that type meets it. Same representative as labelling
+    every union: a class first appears at its largest type, where no union
+    of it is skipped.
 
     ``n`` must be an ``int`` (not a ``bool``): a float such as 6.0 hashes
     like 6, so it is refused before the cache is read.

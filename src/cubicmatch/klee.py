@@ -18,6 +18,7 @@ from .matching import _Kernel, _vertex_mask
 from .multigraph import (
     Cut,
     MultiGraph,
+    _require_vertex,
     canonical_form,
     contract,
     replace_vertex_with_triangle,
@@ -184,6 +185,7 @@ def vertex_type(g: MultiGraph, v: int) -> KleeVertexType:
 def _vertex_type(kernel: _Kernel, g: MultiGraph, v: int) -> KleeVertexType:
     """vertex_type through the caller's kernel on g. With distinct
     neighbours, mu[i] is the per-edge count of the edge to the i-th."""
+    _require_vertex(g, v)
     if g.degree(v) != 3:
         raise ValueError(f"vertex {v} has degree {g.degree(v)}, need 3")
     nbrs = [u for _, u in g.incidence[v]]
@@ -248,7 +250,12 @@ _KLEE_CACHE: dict[int, tuple[MultiGraph, ...]] = {}
 def enumerate_klee(n: int) -> tuple[MultiGraph, ...]:
     """All isomorphism classes of klee-graphs of order n, sorted by
     canonical form. Generated by expanding every vertex of every class
-    two vertices smaller, with isomorph rejection."""
+    two vertices smaller, with isomorph rejection.
+
+    ``n`` must be an ``int`` (not a ``bool``): a float such as 6.0 hashes
+    like 6, so it is refused before the cache is read."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"klee order must be an int, got {n!r}")
     if n % 2 or not 4 <= n <= 16:
         raise ValueError("enumerate_klee requires even n with 4 <= n <= 16")
     if n in _KLEE_CACHE:

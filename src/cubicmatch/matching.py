@@ -80,20 +80,31 @@ class BoundaryProfile:
 
 
 def _validate_constraints(
-    g: MultiGraph, forced: frozenset[int], forbidden: frozenset[int]
-) -> None:
+    g: MultiGraph, forced: Iterable[int], forbidden: Iterable[int]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The forced and forbidden edge indices as frozensets, once each is
+    known to be an int edge index of g (a bool is refused: True would
+    stand for edge 1) and the forced edges form a matching that shares no
+    edge with the forbidden ones."""
+    forced_edges = tuple(forced)
+    forbidden_edges = tuple(forbidden)
     m = len(g.edges)
-    for e in forced | forbidden:
+    for e in forced_edges + forbidden_edges:
+        if isinstance(e, bool) or not isinstance(e, int):
+            raise ValueError(f"edge index must be an int, got {e!r}")
         if not 0 <= e < m:
             raise ValueError(f"edge index {e} out of range")
-    if forced & forbidden:
+    forced_set = frozenset(forced_edges)
+    forbidden_set = frozenset(forbidden_edges)
+    if forced_set & forbidden_set:
         raise ValueError("forced and forbidden edges overlap")
     used: set[int] = set()
-    for e in forced:
+    for e in forced_set:
         u, v = g.edges[e]
         if u in used or v in used:
             raise ValueError("forced edges do not form a matching")
         used.update((u, v))
+    return forced_set, forbidden_set
 
 
 class _Kernel:
@@ -280,9 +291,7 @@ def count_perfect_matchings(
 ) -> int:
     """Exact number of perfect matchings containing all forced edges and
     avoiding all forbidden ones."""
-    forced = frozenset(forced)
-    forbidden = frozenset(forbidden)
-    _validate_constraints(g, forced, forbidden)
+    forced, forbidden = _validate_constraints(g, forced, forbidden)
     return _Kernel(g, forbidden).count(_forced_mask(g, forced))
 
 
@@ -292,9 +301,7 @@ def count_perfect_matchings_oracle(
     """Brute-force oracle: walks the 2^|E| edge-subset tree in index order,
     counting subsets that are perfect matchings. Kept deliberately free of
     the optimized counter's heuristics."""
-    forced = frozenset(forced)
-    forbidden = frozenset(forbidden)
-    _validate_constraints(g, forced, forbidden)
+    forced, forbidden = _validate_constraints(g, forced, forbidden)
     n = g.vertex_count
     m = len(g.edges)
     full = (1 << n) - 1
@@ -318,9 +325,7 @@ def enumerate_perfect_matchings(
 ) -> Iterator[tuple[int, ...]]:
     """Yields every perfect matching as a sorted tuple of edge indices,
     following the kernel's branching and skipping branches that count 0."""
-    forced = frozenset(forced)
-    forbidden = frozenset(forbidden)
-    _validate_constraints(g, forced, forbidden)
+    forced, forbidden = _validate_constraints(g, forced, forbidden)
     yield from _Kernel(g, forbidden).matchings(_forced_mask(g, forced), list(forced))
 
 
@@ -448,9 +453,7 @@ def has_perfect_matching(
     included); on failure it carries a Tutte barrier of the constrained
     residual graph, mapped back to original vertex ids.
     """
-    forced = frozenset(forced)
-    forbidden = frozenset(forbidden)
-    _validate_constraints(g, forced, forbidden)
+    forced, forbidden = _validate_constraints(g, forced, forbidden)
     keep, adj, edge_of = _residual(g, forced, forbidden)
     n = len(keep)
     match = _max_matching(n, adj)
@@ -504,9 +507,7 @@ def matching_profile(
 ) -> MatchingProfile:
     """Total and per-edge perfect matching counts; flags matching covered
     and double covered via the per-edge table."""
-    forced = frozenset(forced)
-    forbidden = frozenset(forbidden)
-    _validate_constraints(g, forced, forbidden)
+    forced, forbidden = _validate_constraints(g, forced, forbidden)
     return _matching_profile(_Kernel(g, forbidden), g, forced)
 
 
@@ -554,6 +555,4 @@ def _boundary_profile(kernel: _Kernel, g: MultiGraph, cut: Cut) -> BoundaryProfi
 
 def count_avoiding(g: MultiGraph, e: int) -> int:
     """Perfect matchings avoiding the single edge e."""
-    if not 0 <= e < len(g.edges):
-        raise ValueError(f"edge index {e} out of range")
     return count_perfect_matchings(g, forbidden=(e,))

@@ -31,8 +31,9 @@ class MultiGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.vertex_count < 0:
-            raise ValueError("vertex_count must be non-negative")
+        n = self.vertex_count
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValueError(f"vertex_count must be a non-negative int, got {n!r}")
         norm = []
         for u, v in self.edges:
             if u == v:
@@ -131,11 +132,20 @@ class Cut:
         return Cut(self.side_b, self.side_a, self.cut_edges)
 
 
+def _require_vertex(g: MultiGraph, v: int) -> None:
+    """Raises ValueError unless v is a vertex id of g: an int (not a bool)
+    in 0..vertex_count-1."""
+    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < g.vertex_count:
+        raise ValueError(f"{v!r} is not a vertex of a graph of order {g.vertex_count}")
+
+
 def make_cut(g: MultiGraph, side: Iterable[int]) -> Cut:
     """Builds the Cut determined by one side of a bipartition."""
     side_a = frozenset(side)
-    if not side_a or not all(0 <= v < g.vertex_count for v in side_a):
-        raise ValueError("cut side must be a non-empty set of valid vertex ids")
+    if not side_a:
+        raise ValueError("cut side must be non-empty")
+    for v in side_a:
+        _require_vertex(g, v)
     side_b = frozenset(range(g.vertex_count)) - side_a
     if not side_b:
         raise ValueError("cut side must be a proper subset of the vertices")
@@ -240,6 +250,7 @@ def replace_vertex_with_triangle(g: MultiGraph, v: int) -> MultiGraph:
     i-th triangle vertex; triangle vertices are v itself plus two fresh
     vertices n and n+1, and the three triangle edges are appended last.
     """
+    _require_vertex(g, v)
     if g.degree(v) != 3:
         raise ValueError(f"vertex {v} has degree {g.degree(v)}, need 3")
     n = g.vertex_count
@@ -272,6 +283,8 @@ def glue(
     slot_map[i] of v. Gluing with K4 is the same as replacing u by a
     triangle, up to isomorphism.
     """
+    _require_vertex(g, u)
+    _require_vertex(h, v)
     if g.degree(u) != 3 or h.degree(v) != 3:
         raise ValueError("glue requires degree-3 vertices on both sides")
     if sorted(slot_map) != [0, 1, 2]:

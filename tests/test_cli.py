@@ -136,6 +136,18 @@ def test_catalog_verify_14_keeps_its_reports(capsys):
     assert digest == "4f227e80600cc6798d552253a69eee6187d0a1c47c79796aded9bfe458df0001"
 
 
+@pytest.mark.skipif(
+    not os.environ.get("CUBICMATCH_RUN_SLOW"),
+    reason="n=14 generation takes about 6 s",
+)
+def test_gen_14_keeps_its_representatives(capsys):
+    # the edge lists kept for each n = 14 class, which `catalog verify`
+    # does not show: its reports name canonical forms
+    assert main(["gen", "--n", "14", "--out-format", "sparse6"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "f89f059be4207f100df1bca069f789612db85e724975a7b0015feca0aad6bd31"
+
+
 def test_usage_error_exit_code():
     assert main(["count"]) == 2
     assert main(["nonsense"]) == 2

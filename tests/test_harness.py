@@ -229,13 +229,12 @@ def code_orbit_minimal(codes, tables, marked):
 
 
 def code_table_candidates(cycle_type, block, pairings):
-    """The generator's pairing sweep before partner arrays: marking on
-    pair codes by `symmetry_tables`, and a switch test that builds the set
-    of the pairing's codes."""
+    """The generator's pairing sweep before partner arrays: the cached
+    quotient key's verdict, then marking on pair codes by
+    `symmetry_tables`."""
     blocks = len(cycle_type)
     tables = symmetry_tables(cycle_type, len(block))
     block_table = harness._block_pair_table(block)
-    next_next, next_prev = harness._switch_tables(block)
     marked = set()
     out = []
     for codes in pairings:
@@ -243,9 +242,6 @@ def code_table_candidates(cycle_type, block, pairings):
             continue
         cross = [divmod(c, 16) for c in codes.translate(block_table) if c != harness._SAME_BLOCK]
         if not harness._quotient_connected_bridgeless(cross, blocks):
-            continue
-        turned = codes.translate(next_next) + codes.translate(next_prev)
-        if blocks > 1 and not set(codes).isdisjoint(turned):
             continue
         if code_orbit_minimal(codes, tables, marked):
             out.append(codes)
@@ -461,15 +457,13 @@ class TestOrbitFilter:
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_quotient_first_accepts_what_marking_first_accepts(self, n):
-        # less the switchable pairings, which the generator drops unmarked;
-        # and exactly what the sweep on pair-code tables accepted
+        # the same pairings as the sweep on pair-code tables
         pairings = harness._pairings(n)
         _, codes = pairings
         for cycle_type in harness._partitions_min2(n):
             _, block = harness._two_factor(cycle_type)
             accepted = list(harness._candidate_pairings(cycle_type, block, pairings))
-            expected = marking_first_pairings(cycle_type, n, codes)
-            assert accepted == [c for c in expected if not switchable(decode(c), cycle_type)]
+            assert accepted == marking_first_pairings(cycle_type, n, codes)
             assert accepted == code_table_candidates(cycle_type, block, codes)
 
     def test_composed_tables_equal_per_permutation_tables(self):
@@ -515,46 +509,23 @@ class TestOrbitFilter:
 
 
 class TestSwitch:
-    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
-    def test_tables_find_what_the_pair_search_finds(self, n):
-        verdicts = set()
-        for cycle_type in harness._partitions_min2(n):
-            _, block = harness._two_factor(cycle_type)
-            tables = harness._switch_tables(block)
-            for codes in harness._pairing_codes(n):
-                verdict = harness._has_switchable_pair(codes, tables)
-                assert verdict == switchable(decode(codes), cycle_type)
-                verdicts.add(verdict)
-        assert verdicts == ({False, True} if n > 2 else {False})
-
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
     def test_switch_rejects_only_unions_with_a_larger_two_factor(self, n):
+        # the witness search drops every union with a switchable pair:
         # every pairing up to n = 10, a seeded sample at n = 12
         pairings = harness._pairing_codes(n)
         rnd = random.Random(n)
-        rejected = 0
+        switchable_unions = 0
         for cycle_type in harness._partitions_min2(n):
-            _, block = harness._two_factor(cycle_type)
-            tables = harness._switch_tables(block)
             sample = rnd.sample(pairings, 300) if n == 12 else pairings
             for codes in sample:
-                if harness._has_switchable_pair(codes, tables):
-                    rejected += 1
-                    assert kernel_has_larger_two_factor(union(cycle_type, codes), cycle_type)
-        assert rejected
+                if switchable(decode(codes), cycle_type):
+                    switchable_unions += 1
+                    g = union(cycle_type, codes)
+                    assert harness._has_larger_two_factor(g, cycle_type)
+        assert switchable_unions
 
-    @pytest.mark.parametrize("n", [4, 6, 8, 10])
-    def test_switch_verdict_is_the_same_on_every_image(self, n):
-        pairings = harness._pairing_codes(n)
-        for cycle_type in harness._partitions_min2(n):
-            _, block = harness._two_factor(cycle_type)
-            switch = harness._switch_tables(block)
-            verdict = {codes: harness._has_switchable_pair(codes, switch) for codes in pairings}
-            for table in per_permutation_tables(cycle_type, n):
-                for codes in pairings:
-                    assert verdict[bytes(sorted(codes.translate(table)))] == verdict[codes]
-
-    def test_catalog_marks_only_unswitchable_orbits_and_builds_no_kernel(self, monkeypatch):
+    def test_catalog_marks_every_passing_orbit_and_builds_no_kernel(self, monkeypatch):
         monkeypatch.setattr(harness, "_CATALOG_CACHE", {})
         built = count_kernels(monkeypatch)
         marks = []
@@ -569,8 +540,9 @@ class TestSwitch:
 
         monkeypatch.setattr(harness, "_is_orbit_minimal", recording)
         assert len(bridgeless_cubic_catalog(12)) == 365
-        assert sum(marks) == 1454
-        assert sum(images) == 127_532
+        assert all(marks)
+        assert sum(marks) == 2006
+        assert sum(images) == 230_740
         assert built == []
 
 
@@ -621,7 +593,7 @@ class TestLargestTypeRule:
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_witness_search_equals_kernel_reference(self, n):
-        # on the union of every orbit minimum, before the quotient and switch
+        # on the union of every orbit minimum, before the quotient test
         partners, pairings = harness._pairings(n)
         verdicts = set()
         for cycle_type in harness._partitions_min2(n):

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from cubicmatch import klee
 from cubicmatch.connectivity import enumerate_cuts
 from cubicmatch.klee import (
     CLASS_A,
@@ -228,6 +229,14 @@ class TestVertexTypes:
         with pytest.raises(ValueError):
             vertex_type(three_bond(), 0)
 
+    @pytest.mark.parametrize("v", [-1, 4, 0.0, True])
+    def test_vertex_must_be_a_vertex_id(self, v):
+        # -1 used to raise "negative shift count" and 4 an IndexError
+        with pytest.raises(ValueError, match="is not a vertex of a graph of order 4"):
+            vertex_type(k4(), v)
+        with pytest.raises(ValueError, match="is not a vertex of a graph of order 4"):
+            expand_and_check(k4(), v)
+
     def test_classification_is_partition(self):
         # classes partition all type tuples seen across the enumeration
         seen = set()
@@ -325,6 +334,15 @@ class TestEnumeration:
             enumerate_klee(5)
         with pytest.raises(ValueError):
             enumerate_klee(18)
+
+    @pytest.mark.parametrize("n", [6.0, True, "6"])
+    def test_non_int_order_rejected(self, monkeypatch, n):
+        # 6.0 used to be cached under its own key beside 6
+        cache = {}
+        monkeypatch.setattr(klee, "_KLEE_CACHE", cache)
+        with pytest.raises(ValueError, match="klee order must be an int"):
+            enumerate_klee(n)
+        assert cache == {}
 
     def test_unique_twelve_class_outside_expansions(self):
         # exactly one 12-vertex class is not an expansion of the two

@@ -71,6 +71,23 @@ class TestCounts:
         with pytest.raises(ValueError):
             count_perfect_matchings(g, forced=(99,))
 
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, False, "1", None])
+    @pytest.mark.parametrize("role", ["forced", "forbidden"])
+    def test_edge_index_must_be_an_int(self, index, role):
+        # a float used to pass the range check and match no edge, and a
+        # bool used to stand for edge 0 or 1
+        g = petersen()
+        calls = [
+            count_perfect_matchings,
+            count_perfect_matchings_oracle,
+            matching_profile,
+            has_perfect_matching,
+            lambda g, **kw: list(enumerate_perfect_matchings(g, **kw)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="edge index must be an int"):
+                call(g, **{role: [index]})
+
 
 class TestOracleEquivalence:
     def test_unconstrained(self):
@@ -308,3 +325,9 @@ class TestAvoiding:
         g = exceptional_graph()
         for e in range(len(g.edges)):
             assert count_avoiding(g, e) == count_perfect_matchings(g, forbidden=(e,))
+
+    @pytest.mark.parametrize("e", [1.5, 1.0, True, -1, 15])
+    def test_bad_edge_rejected(self, e):
+        # 1.5 used to return the unconstrained count 6
+        with pytest.raises(ValueError, match="edge index"):
+            count_avoiding(petersen(), e)

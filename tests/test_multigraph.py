@@ -29,6 +29,19 @@ from cubicmatch.named_graphs import (
 )
 
 
+class TestVertexIds:
+    @pytest.mark.parametrize("n", [4.0, True, -1, "4"])
+    def test_vertex_count_must_be_a_non_negative_int(self, n):
+        with pytest.raises(ValueError, match="vertex_count must be a non-negative int"):
+            MultiGraph(n, ())
+
+    @pytest.mark.parametrize("side", [[0.5], [-1], [10], [True], [0, 1.0]])
+    def test_cut_side_must_hold_vertex_ids(self, side):
+        # [0.5] used to give a Cut with side_a {0.5}
+        with pytest.raises(ValueError, match="is not a vertex of a graph of order 10"):
+            make_cut(petersen(), side)
+
+
 def relabeled(g, perm):
     return MultiGraph(g.vertex_count, tuple((perm[u], perm[v]) for u, v in g.edges))
 
@@ -110,6 +123,12 @@ class TestTriangleReplacement:
         with pytest.raises(ValueError):
             replace_vertex_with_triangle(g, 0)
 
+    @pytest.mark.parametrize("v", [-1, 4, 1.0, True])
+    def test_vertex_must_be_a_vertex_id(self, v):
+        # -1 used to expand vertex 3 through negative indexing
+        with pytest.raises(ValueError, match="is not a vertex of a graph of order 4"):
+            replace_vertex_with_triangle(k4(), v)
+
     def test_expand_contract_roundtrip(self):
         rnd = random.Random(3)
         for g in (k4(), prism(), petersen()):
@@ -141,6 +160,12 @@ class TestGlue:
         g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(ValueError):
             glue(g, 0, k4(), 0)
+
+    def test_glue_vertex_ids_checked(self):
+        with pytest.raises(ValueError, match="is not a vertex"):
+            glue(k4(), -1, k4(), 0)
+        with pytest.raises(ValueError, match="is not a vertex"):
+            glue(k4(), 0, k4(), 4)
 
     def test_glue_cubic_preserved(self):
         g = glue(petersen(), 3, prism(), 4, slot_map=(2, 0, 1))
