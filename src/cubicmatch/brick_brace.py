@@ -155,22 +155,20 @@ def _tight_cuts(kernel: _Kernel, g: MultiGraph) -> list[tuple[int, tuple[int, ..
     ]
 
 
-def decompose(g: MultiGraph, tight_cut_strategy: str = "first") -> Decomposition:
+def decompose(g: MultiGraph) -> Decomposition:
     """Brick and brace decomposition by repeated tight-cut splits.
 
-    Each split contracts one side of a nontrivial tight cut; recursion
-    stops at pieces without nontrivial tight cuts, classified as braces
-    when bipartite and bricks otherwise. The strategy ("first" or "last"
-    in cut enumeration order) only affects intermediate splits: the final
-    multiset of pieces is unique up to edge multiplicities.
+    Each split contracts one side of the first nontrivial tight cut in
+    enumerate_cuts order; recursion stops at pieces without nontrivial
+    tight cuts, classified as braces when bipartite and bricks otherwise.
+    Up to edge multiplicities the pieces do not depend on which tight cuts
+    are split (Lovasz 1987).
     """
-    if tight_cut_strategy not in ("first", "last"):
-        raise ValueError("tight_cut_strategy must be 'first' or 'last'")
     _require(g, "decompose", cubic=True, connected=True, bridgeless=True)
-    return _decompose(_Kernel(g), g, tight_cut_strategy)
+    return _decompose(_Kernel(g), g)
 
 
-def _decompose(kernel: _Kernel, g: MultiGraph, tight_cut_strategy: str) -> Decomposition:
+def _decompose(kernel: _Kernel, g: MultiGraph) -> Decomposition:
     """decompose on a graph already checked cubic, connected and
     bridgeless, through the caller's kernel on g. Only the input's cuts
     are enumerated and decided, and no piece is built: every piece stays
@@ -220,7 +218,7 @@ def _decompose(kernel: _Kernel, g: MultiGraph, tight_cut_strategy: str) -> Decom
         if not cuts:
             leaves.append((parts, BRICK if _odd_cycle(n, edges, parts) else BRACE))
             continue
-        side, cut_edges = cuts[0] if tight_cut_strategy == "first" else cuts[-1]
+        side, cut_edges = cuts[0]
         splits.append((parts, side, cut_edges))
         for part, kept in (
             (side, [p for p in parts if not p & side]),

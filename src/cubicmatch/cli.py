@@ -92,6 +92,8 @@ def _read_one(path: str, fmt: str) -> MultiGraph:
         graphs = list(parse(path, fmt))
     if not graphs:
         raise ParseError("no graph in input", path)
+    if len(graphs) > 1:
+        raise ParseError(f"expected one graph, found {len(graphs)}", path)
     return graphs[0]
 
 

@@ -29,7 +29,6 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from math import prod
 from typing import Iterable, Iterator
 
 from .brick_brace import _affine_dimension, _decompose
@@ -124,14 +123,10 @@ def _two_factor(cycle_type: tuple[int, ...]) -> tuple[list[tuple[int, int]], lis
     return edges, block
 
 
-_SYMMETRY_CAP = 2048
-
-
 def _symmetries(cycle_type: tuple[int, ...], n: int) -> tuple[list[bytes], list[bytes]]:
     """The symmetry group of the fixed 2-factor of ``cycle_type`` as
     (inverse, forward) vertex tables: the product of the dihedral groups of
-    the cycle blocks, or the first block's dihedral group alone when the
-    product has more than `_SYMMETRY_CAP` elements.
+    the cycle blocks.
 
     For the i-th element pi, ``forwards[i]`` is a translation table with
     entry u = pi(u) (every entry from n on is its own index) and
@@ -156,8 +151,6 @@ def _symmetries(cycle_type: tuple[int, ...], n: int) -> tuple[list[bytes], list[
             [(bytes.maketrans(image, cycle), head + image + tail) for image in images]
         )
         offset += c
-    if prod(len(elements) for elements in per_block) > _SYMMETRY_CAP:
-        per_block = per_block[:1]
     group = [(ident, ident)]
     for elements in per_block:
         group = [
@@ -636,7 +629,7 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     # the first edge of largest count leaves the fewest matchings behind
     heaviest = max(counts.per_edge, key=counts.per_edge.__getitem__)
     min_avoiding = pm - counts.per_edge[heaviest]
-    dec = _decompose(kernel, g, "first")
+    dec = _decompose(kernel, g)
     dim = len(g.edges) - n + 1 - dec.brick_count
     affine = _affine_dimension(kernel, g)
     # g passed _require above, so neither value checks it again

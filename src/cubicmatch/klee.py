@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterator
 
+from .brick_brace import _is_tight_unchecked
 from .connectivity import _require, enumerate_cuts, is_cyclic_cut
 from .matching import _Kernel, _vertex_mask
 from .multigraph import (
@@ -23,6 +24,7 @@ from .multigraph import (
     contract,
     replace_vertex_with_triangle,
 )
+from .named_graphs import k4
 
 CLASS_A = "A"
 CLASS_B = "B"
@@ -261,8 +263,6 @@ def enumerate_klee(n: int) -> tuple[MultiGraph, ...]:
     if n in _KLEE_CACHE:
         return _KLEE_CACHE[n]
     if n == 4:
-        from .named_graphs import k4
-
         result = (k4(),)
     else:
         seen: dict[bytes, MultiGraph] = {}
@@ -303,8 +303,6 @@ def _nice_oriented(kernel: _Kernel, g: MultiGraph, cut: Cut) -> str | None:
     perfect matchings contain all three cut edges: the cut edges' per-edge
     counts sum to the total plus twice that number.
     """
-    from .brick_brace import _is_tight_unchecked
-
     g_over_a, _ = contract(g, [cut.side_a])
     if not g_over_a.is_connected() or is_klee(g_over_a):
         return None

@@ -36,6 +36,11 @@ class MultiGraph:
             raise ValueError(f"vertex_count must be a non-negative int, got {n!r}")
         norm = []
         for u, v in self.edges:
+            # the vertex rule of _require_vertex: ints, and no bools
+            if isinstance(u, bool) or isinstance(v, bool) or not (
+                isinstance(u, int) and isinstance(v, int)
+            ):
+                raise ValueError(f"edge ({u!r},{v!r}) endpoints must be ints")
             if u == v:
                 raise ValueError(f"loop edge ({u},{v}) not allowed")
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):

@@ -310,15 +310,18 @@ class TestDecompose:
                 assert not bridges(piece)
 
     def test_uniqueness_across_strategies(self):
+        # Lovasz: splitting on the last tight cut instead of the first
+        # gives the same pieces up to edge multiplicities
         rnd = random.Random(71)
         graphs = [exceptional_graph()] + [random_bridgeless_cubic(10, rnd) for _ in range(10)]
         for g in graphs:
-            first = decompose(g, tight_cut_strategy="first")
-            last = decompose(g, tight_cut_strategy="last")
+            first = decompose(g)
+            last, _ = reference_decompose(g, "last")
             key_first = sorted(canonical_form(simplified(p)) for p, _ in first.pieces)
-            key_last = sorted(canonical_form(simplified(p)) for p, _ in last.pieces)
+            key_last = sorted(canonical_form(simplified(MultiGraph(n, edges)))
+                              for n, edges, _ in last)
             assert key_first == key_last
-            assert first.brick_count == last.brick_count
+            assert first.brick_count == sum(kind == BRICK for _, _, kind in last)
 
     def test_matches_piecewise_enumeration(self, catalogs):
         # pieces inherit their cuts; the reference enumerates each piece's
@@ -328,22 +331,20 @@ class TestDecompose:
             graphs += [random_bridgeless_cubic(n, rnd) for _ in range(6)]
         splits = 0
         for g in graphs:
-            for strategy in ("first", "last"):
-                d = decompose(g, tight_cut_strategy=strategy)
-                pieces = [(p.vertex_count, p.edges, kind) for p, kind in d.pieces]
-                assert (pieces, list(d.cut_trace)) == reference_decompose(g, strategy)
-                splits += len(d.cut_trace)
+            d = decompose(g)
+            pieces = [(p.vertex_count, p.edges, kind) for p, kind in d.pieces]
+            assert (pieces, list(d.cut_trace)) == reference_decompose(g, "first")
+            splits += len(d.cut_trace)
         assert splits > 100
 
     def test_builds_cut_space_on_input_only(self, monkeypatch):
         # no exponential walk, and one cut space, on the input graph only
         monkeypatch.setattr(connectivity, "_connected_side_masks", walk_forbidden)
         built = count_cut_spaces(monkeypatch)
-        for strategy in ("first", "last"):
-            for g in (exceptional_graph(), random_bridgeless_cubic(16, random.Random(16))):
-                built.clear()
-                assert len(decompose(g, tight_cut_strategy=strategy).cut_trace) >= 2
-                assert len(built) == 1 and built[0] is g
+        for g in (exceptional_graph(), random_bridgeless_cubic(16, random.Random(16))):
+            built.clear()
+            assert len(decompose(g).cut_trace) >= 2
+            assert len(built) == 1 and built[0] is g
 
     def test_builds_one_kernel_on_input(self, monkeypatch):
         # every cut is decided once on the input; no piece builds a kernel
@@ -356,10 +357,9 @@ class TestDecompose:
         )
         splits = 0
         for g in graphs:
-            for strategy in ("first", "last"):
-                built.clear()
-                splits += len(decompose(g, tight_cut_strategy=strategy).cut_trace)
-                check_one_kernel_on_input(built, g)
+            built.clear()
+            splits += len(decompose(g).cut_trace)
+            check_one_kernel_on_input(built, g)
             built.clear()
             find_nontrivial_tight_cut(g)
             check_one_kernel_on_input(built, g)
@@ -562,7 +562,7 @@ class TestTightOnce:
         kernel = _Kernel(g)
         kernel.edge_counts()
         states = len(kernel._memo)
-        assert _decompose(kernel, g, "first").brick_count == 1
+        assert _decompose(kernel, g).brick_count == 1
         assert len(kernel._memo) == states
 
     def test_tight_in_a_piece_exactly_when_tight_in_the_input(self, catalogs):
@@ -605,10 +605,9 @@ class TestTightOnce:
         assert cut.size == 3 and len(set(ends)) == 5
         assert is_tight(g, cut)
         assert (_vertex_mask(cut.side_a), cut.cut_edges) in _tight_cuts(_Kernel(g), g)
-        for strategy in ("first", "last"):
-            d = decompose(g, tight_cut_strategy=strategy)
-            pieces = [(p.vertex_count, p.edges, kind) for p, kind in d.pieces]
-            assert (pieces, list(d.cut_trace)) == reference_decompose(g, strategy)
+        d = decompose(g)
+        pieces = [(p.vertex_count, p.edges, kind) for p, kind in d.pieces]
+        assert (pieces, list(d.cut_trace)) == reference_decompose(g, "first")
 
 
 class TestMaskDecomposition:
@@ -617,15 +616,14 @@ class TestMaskDecomposition:
     def test_matches_sequential_contraction(self, catalogs):
         splits = 0
         for g in mask_reference_graphs(catalogs):
-            for strategy in ("first", "last"):
-                d = decompose(g, tight_cut_strategy=strategy)
-                pieces, trace = sequential_decompose(g, strategy)
-                assert d.brick_count == sum(kind == BRICK for _, _, kind in pieces)
-                assert d.brace_count == sum(kind == BRACE for _, _, kind in pieces)
-                assert [(p.vertex_count, p.edges, kind) for p, kind in d.pieces] == pieces
-                assert list(d.cut_trace) == trace
-                splits += len(trace)
-        assert splits > 3000
+            d = decompose(g)
+            pieces, trace = sequential_decompose(g, "first")
+            assert d.brick_count == sum(kind == BRICK for _, _, kind in pieces)
+            assert d.brace_count == sum(kind == BRACE for _, _, kind in pieces)
+            assert [(p.vertex_count, p.edges, kind) for p, kind in d.pieces] == pieces
+            assert list(d.cut_trace) == trace
+            splits += len(trace)
+        assert splits > 1500
 
     def test_counts_build_no_piece(self, monkeypatch):
         built = count_multigraphs(monkeypatch)
@@ -639,17 +637,16 @@ class TestMaskDecomposition:
     def test_pieces_and_trace_read_twice(self, monkeypatch):
         built = count_multigraphs(monkeypatch)
         for g in (exceptional_graph(), random_bridgeless_cubic(16, random.Random(16))):
-            for strategy in ("first", "last"):
-                d = decompose(g, tight_cut_strategy=strategy)
-                built.clear()
-                pieces, trace = d.pieces, d.cut_trace
-                # one graph per piece and per split but the first (on g itself),
-                # built on the first read only
-                assert len(trace) >= 2
-                assert len(built) == len(pieces) + len(trace) - 1
-                built.clear()
-                assert d.pieces == pieces and d.cut_trace == trace
-                assert built == []
+            d = decompose(g)
+            built.clear()
+            pieces, trace = d.pieces, d.cut_trace
+            # one graph per piece and per split but the first (on g itself),
+            # built on the first read only
+            assert len(trace) >= 2
+            assert len(built) == len(pieces) + len(trace) - 1
+            built.clear()
+            assert d.pieces == pieces and d.cut_trace == trace
+            assert built == []
 
 
     def test_value_semantics(self):

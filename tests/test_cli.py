@@ -160,6 +160,30 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "count", "decompose"])
+def test_single_graph_commands_refuse_two_graphs(tmp_path, capsys, command):
+    two = tmp_path / "two.el"
+    two.write_text(write_edge_list(petersen()) + write_edge_list(exceptional_graph()))
+    assert main([command, str(two)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "expected one graph, found 2" in err
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("analyze", "5080ef0dd1fee4c2256fee36f58489cc415933641651b32ffd7ebdb4d1cc1168"),
+        ("count", "3d38a955f015104901fcbd587cb6767668dbd95a5bcd0093cb8ceb495233d032"),
+    ],
+)
+def test_single_graph_commands_keep_their_bytes(petersen_file, capsys, command, digest):
+    # the bytes each command printed on Petersen before it refused more
+    # than one graph; test_decompose pins those of decompose
+    assert main([command, petersen_file]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_analyze_exceptional(tmp_path, capsys):
     p = tmp_path / "ex.el"
     p.write_text(write_edge_list(exceptional_graph()))

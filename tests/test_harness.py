@@ -154,8 +154,7 @@ class TestCatalog:
 
 def two_factor_symmetries(cycle_type, n):
     """Vertex permutations from the dihedral group of each cycle block,
-    one full permutation per group element; above `_SYMMETRY_CAP`
-    elements, the first block's dihedral group alone. The generator's
+    one full permutation per element of their product. The generator's
     symmetries as first written, before their tables were composed."""
     per_cycle = []
     offset = 0
@@ -168,8 +167,6 @@ def two_factor_symmetries(cycle_type, n):
             elems.add(rot[::-1])
         per_cycle.append((idx, sorted(elems)))
         offset += c
-    if math.prod(len(elems) for _, elems in per_cycle) > harness._SYMMETRY_CAP:
-        per_cycle = per_cycle[:1]
     perms = []
     for combo in itertools.product(*(elems for _, elems in per_cycle)):
         perm = list(range(n))
@@ -211,8 +208,6 @@ def symmetry_tables(cycle_type, n):
         before, after = ident[:offset], ident[offset + c:]
         per_block.append([pair_code_table(before + image + after) for image in images])
         offset += c
-    if math.prod(len(block_tables) for block_tables in per_block) > harness._SYMMETRY_CAP:
-        per_block = per_block[:1]
     tables = [bytes(range(256))]
     for block_tables in per_block:
         tables = [t.translate(b) for t in tables for b in block_tables]
@@ -466,23 +461,35 @@ class TestOrbitFilter:
             assert accepted == marking_first_pairings(cycle_type, n, codes)
             assert accepted == code_table_candidates(cycle_type, block, codes)
 
+    def test_full_group_at_n14(self):
+        # the three largest groups at n = 14 (2,160 to 2,592 elements); no
+        # type at n <= 12 has more than 1,296
+        pairings = harness._pairings(14)
+        for cycle_type in [(5, 3, 3, 3), (4, 4, 3, 3), (3, 3, 3, 3, 2)]:
+            _, block = harness._two_factor(cycle_type)
+            tables = per_permutation_tables(cycle_type, 14)
+            accepted = list(harness._candidate_pairings(cycle_type, block, pairings))
+            assert accepted
+            for codes in accepted:
+                assert min(bytes(sorted(codes.translate(t))) for t in tables) == codes
+                cross = [(block[u], block[v]) for u, v in decode(codes) if block[u] != block[v]]
+                assert harness._quotient_connected_bridgeless(cross, len(cycle_type))
+
     def test_composed_tables_equal_per_permutation_tables(self):
-        # (inverse, forward) vertex tables against the permutations
-        capped = []
+        # (inverse, forward) vertex tables against the permutations; every
+        # type gets its full product group
         for n in range(2, 17, 2):
             for cycle_type in harness._partitions_min2(n):
                 inverses, forwards = harness._symmetries(cycle_type, n)
                 perms = two_factor_symmetries(cycle_type, n)
                 assert len(inverses) == len(forwards) == len(perms)
+                assert len(perms) == math.prod(2 * c if c > 2 else 2 for c in cycle_type)
                 assert all(len(inverse) == n and len(forward) == 256 for inverse, forward
                            in zip(inverses, forwards))
                 assert all(forward[n:] == bytes(range(n, 256)) for forward in forwards)
                 assert sorted(forward[:n] for forward in forwards) == sorted(map(bytes, perms))
                 for inverse, forward in zip(inverses, forwards):
                     assert inverse.translate(forward) == bytes(range(n))
-                if len(perms) < math.prod(2 * c if c > 2 else 2 for c in cycle_type):
-                    capped.append(cycle_type)
-        assert (3, 3, 3, 3, 2) in capped
 
     def test_block_pair_key_gives_the_same_verdict(self):
         rnd = random.Random(10)

@@ -35,6 +35,19 @@ class TestVertexIds:
         with pytest.raises(ValueError, match="vertex_count must be a non-negative int"):
             MultiGraph(n, ())
 
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            # a float end built, and counting it raised TypeError
+            (4, ((0.0, 1), (0, 1), (0, 1), (2, 3), (2, 3), (2, 3))),
+            # a bool end built, and was stored as the edge (0, True)
+            (2, ((True, 0), (0, 1), (0, 1))),
+        ],
+    )
+    def test_edge_ends_must_be_ints(self, n, edges):
+        with pytest.raises(ValueError, match="endpoints must be ints"):
+            MultiGraph(n, edges)
+
     @pytest.mark.parametrize("side", [[0.5], [-1], [10], [True], [0, 1.0]])
     def test_cut_side_must_hold_vertex_ids(self, side):
         # [0.5] used to give a Cut with side_a {0.5}
