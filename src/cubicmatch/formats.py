@@ -185,44 +185,45 @@ def parse_graph6(line: str | bytes, where: str = "graph6") -> MultiGraph:
 
 
 def write_sparse6(g: MultiGraph) -> str:
+    """The sparse6 line of g, without header or newline.
+
+    Each edge's bits are packed into one int, and every complete group of
+    six is emitted as soon as it is there, so the int never holds more
+    than one edge's bits plus five."""
     n = g.vertex_count
     k = 1
     while (1 << k) < n:
         k += 1
-
-    def enc(x: int) -> list[int]:
-        return [(x >> (k - 1 - i)) & 1 for i in range(k)]
-
-    edges = sorted((max(u, v), min(u, v)) for u, v in g.edges)
-    bits: list[int] = []
-    curv = 0
-    for v, u in edges:
+    out = bytearray(b":")
+    out += bytes(d + 63 for d in _n_to_data(n))
+    stream = length = curv = 0
+    for v, u in sorted((max(u, v), min(u, v)) for u, v in g.edges):
         if v == curv:
-            bits.append(0)
-            bits.extend(enc(u))
+            # bit 0, then u
+            stream = (stream << (k + 1)) | u
+            length += k + 1
         elif v == curv + 1:
-            curv += 1
-            bits.append(1)
-            bits.extend(enc(u))
-        else:
+            # bit 1 moves to v, then u
             curv = v
-            bits.append(1)
-            bits.extend(enc(v))
-            bits.append(0)
-            bits.extend(enc(u))
-    pad = (-len(bits)) % 6
-    # padding with all 1s would decode as an edge at vertex n-1 when n is a
-    # power of two and enough bits remain; lead with a 0 bit in that case
-    if k < 6 and n == (1 << k) and pad >= k and curv < n - 1:
-        bits.append(0)
-        pad = (-len(bits)) % 6
-    bits.extend([1] * pad)
-    out = b":" + bytes(d + 63 for d in _n_to_data(n))
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = (val << 1) | b
-        out += bytes([val + 63])
+            stream = (stream << (k + 1)) | (1 << k) | u
+            length += k + 1
+        else:
+            # bit 1 and v set the current vertex, then bit 0 and u
+            curv = v
+            stream = (stream << (2 * k + 2)) | (1 << (2 * k + 1)) | (v << (k + 1)) | u
+            length += 2 * k + 2
+        while length >= 6:
+            length -= 6
+            out.append(((stream >> length) & 63) + 63)
+        stream &= (1 << length) - 1
+    if length:
+        pad = 6 - length
+        # padding with all 1s would decode as an edge at vertex n-1 when n
+        # is a power of two and enough bits remain; lead with a 0 bit then
+        if k < 6 and n == (1 << k) and pad >= k and curv < n - 1:
+            pad -= 1
+            stream <<= 1
+        out.append(((stream << pad) | ((1 << pad) - 1)) + 63)
     return out.decode("ascii")
 
 

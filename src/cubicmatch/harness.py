@@ -20,7 +20,10 @@ Each pairing meets the filters cheapest first: the block-quotient test
 search for a 2-factor of larger type, and last `canonical_form`. The
 quotient verdict is the same on a whole orbit, so a pairing that fails
 it is dropped without marking and exactly the orbit minima that pass
-are kept.
+are kept. Every filter before `canonical_form` runs on arrays: the
+pairing's partner array and pair codes, the cycle type's fixed ring and
+the block quotient's incidence lists. A `MultiGraph` is built only for
+a union that passes them all, to be labelled.
 """
 
 from __future__ import annotations
@@ -179,54 +182,54 @@ def _block_pair_table(block: list[int]) -> bytes:
     return bytes(table)
 
 
-def _pairing_codes(n: int) -> list[bytes]:
-    """Every pairing of range(n) as its sorted pair codes u*16+v, in
-    strictly increasing code order, which orbit marking needs.
+def _pairings(n: int) -> tuple[list[bytes], list[bytes]]:
+    """Every pairing of range(n) as its partner array (index u holds the
+    partner of u) and, at the same index of a second list, its sorted pair
+    codes u*16+v, both in strictly increasing code order, which orbit
+    marking needs.
 
     Pair codes fit in a byte only while u, v < 16, i.e. for n <= 16;
     CATALOG_LIMIT keeps catalogs below that.
     """
-    return _codes_of(tuple(range(n)), {(): [b""]})
+    swaps = {
+        a * 16 + b: bytes.maketrans(bytes((a, b)), bytes((b, a)))
+        for a in range(n)
+        for b in range(a + 1, n)
+    }
+    return _pairings_of(tuple(range(n)), {(): ([bytes(range(n))], [b""])}, swaps)
 
 
-def _codes_of(items: tuple[int, ...], memo: dict[tuple[int, ...], list[bytes]]) -> list[bytes]:
-    """`_pairing_codes` of the sorted ``items``: the first item paired with
-    each later one, ahead of every pairing of the rest. The codes of each
-    rest are built once and kept in ``memo``, which the caller owns and
-    drops on return."""
+def _pairings_of(
+    items: tuple[int, ...],
+    memo: dict[tuple[int, ...], tuple[list[bytes], list[bytes]]],
+    swaps: dict[int, bytes],
+) -> tuple[list[bytes], list[bytes]]:
+    """`_pairings` of the sorted ``items``: the first item a paired with
+    each later one b, ahead of every pairing of the rest. A pairing of the
+    rest leaves a and b at their own index in its partner array, so one
+    translate by the a-b swap in ``swaps`` (keyed by pair code) sets both.
+    Each rest is built once and kept in ``memo``, which the caller owns and
+    drops on return; a rest of the full set is read once, so it is dropped
+    as soon as it is used."""
     found = memo.get(items)
     if found is None:
         a = items[0]
-        found = memo[items] = [
-            head + tail
-            for i in range(1, len(items))
-            for head in (bytes([a * 16 + items[i]]),)
-            for tail in _codes_of(items[1:i] + items[i + 1:], memo)
-        ]
+        partners: list[bytes] = []
+        codes: list[bytes] = []
+        for i in range(1, len(items)):
+            code = a * 16 + items[i]
+            swap = swaps[code]
+            head = bytes((code,))
+            rest = items[1:i] + items[i + 1:]
+            tail_partners, tail_codes = _pairings_of(rest, memo, swaps)
+            if a == 0:
+                # only the full set holds vertex 0, so no other set reaches
+                # this rest again: free it at once
+                del memo[rest]
+            partners += map(bytes.translate, tail_partners, repeat(swap))
+            codes += map(head.__add__, tail_codes)
+        found = memo[items] = partners, codes
     return found
-
-
-# High and low nibble of every pair code u*16+v.
-_HIGH = bytes(c >> 4 for c in range(256))
-_LOW = bytes(c & 15 for c in range(256))
-
-
-def _partner_table(codes: bytes) -> bytes:
-    """The pairing ``codes`` as a translation table of its fixed-point-free
-    involution: entry u holds the partner of u for every paired u, and
-    every other entry its own index. Built in C from the codes' nibbles."""
-    us = codes.translate(_HIGH)
-    vs = codes.translate(_LOW)
-    return bytes.maketrans(us + vs, vs + us)
-
-
-def _pairings(n: int) -> tuple[list[bytes], list[bytes]]:
-    """Every pairing of range(n) as its partner array (index u holds the
-    partner of u: the first n bytes of `_partner_table`) and, at the same
-    index of a second list, its pair codes, both in the increasing code
-    order of `_pairing_codes`."""
-    codes = _pairing_codes(n)
-    return [_partner_table(c)[:n] for c in codes], codes
 
 
 def _is_orbit_minimal(
@@ -260,11 +263,11 @@ def _is_orbit_minimal(
 
 def _candidate_pairings(
     cycle_type: tuple[int, ...], block: list[int], pairings: tuple[list[bytes], list[bytes]]
-) -> Iterator[bytes]:
-    """The pair codes of the orbit-minimal ``pairings`` (every pairing as
-    its partner array and its codes, in code order; see `_pairings`) whose
-    union with the 2-factor of ``cycle_type`` is connected and bridgeless,
-    in code order.
+) -> Iterator[tuple[bytes, bytes]]:
+    """The orbit-minimal ``pairings`` (every pairing as its partner array
+    and its codes, in code order; see `_pairings`) whose union with the
+    2-factor of ``cycle_type`` is connected and bridgeless, as (partner
+    array, codes) in code order. No graph is built.
 
     Orbits are marked on partner arrays, whose images are two byte
     translates each (`_is_orbit_minimal`); the quotient test reads the
@@ -296,34 +299,40 @@ def _candidate_pairings(
             cross = [divmod(c, 16) for c in key if c != _SAME_BLOCK]
             passes = verdicts[key] = _quotient_connected_bridgeless(cross, blocks)
         if passes and _is_orbit_minimal(partner, symmetries, marked):
-            yield codes
+            yield partner, codes
 
 
-def _two_factor_type(g: MultiGraph, matching: Iterable[int]) -> tuple[int, ...]:
-    """Cycle type, lengths non-increasing, of the 2-factor g - matching."""
-    parent = list(range(g.vertex_count))
+def _ring(cycle_type: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """The fixed 2-factor of ``cycle_type`` (laid out as in `_two_factor`)
+    as three per-vertex lists: the distinct ring neighbours above the
+    vertex, one ring neighbour, and the sum of both ring neighbours (twice
+    the other end on a digon)."""
+    above: list[tuple[int, ...]] = []
+    first: list[int] = []
+    sums: list[int] = []
+    offset = 0
+    for length in cycle_type:
+        last = offset + length - 1
+        for v in range(offset, last + 1):
+            after = v + 1 if v < last else offset
+            before = v - 1 if v > offset else last
+            above.append(tuple(sorted({w for w in (after, before) if w > v})))
+            first.append(after)
+            sums.append(after + before)
+        offset += length
+    return above, first, sums
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    skip = set(matching)
-    for i, (u, v) in enumerate(g.edges):
-        if i not in skip:
-            parent[find(u)] = find(v)
-    sizes: dict[int, int] = {}
-    for x in range(g.vertex_count):
-        root = find(x)
-        sizes[root] = sizes.get(root, 0) + 1
-    return tuple(sorted(sizes.values(), reverse=True))
-
-
-def _has_larger_two_factor(g: MultiGraph, cycle_type: tuple[int, ...]) -> bool:
-    """Whether some 2-factor of cubic g has a cycle type lexicographically
-    larger than ``cycle_type``, i.e. one that `_partitions_min2` yields
-    earlier. Stops at the first; a Hamiltonian type has none larger.
+def _has_larger_two_factor(
+    cycle_type: tuple[int, ...],
+    ring: tuple[list[tuple[int, ...]], list[int], list[int]],
+    partner: bytes,
+) -> bool:
+    """Whether some 2-factor of the union of the fixed 2-factor of
+    ``cycle_type`` (its `_ring`) with the pairing ``partner`` has a cycle
+    type lexicographically larger than ``cycle_type``, i.e. one that
+    `_partitions_min2` yields earlier. Stops at the first; a Hamiltonian
+    type has none larger. Works on the arrays alone: no graph is built.
 
     This is the generator's one larger-type rule. It also drops every
     union where two matching edges could replace a cycle edge on each of
@@ -332,35 +341,77 @@ def _has_larger_two_factor(g: MultiGraph, cycle_type: tuple[int, ...]) -> bool:
     """
     if len(cycle_type) == 1:
         return False
-    return _larger_two_factor_below(g, cycle_type, 0, [])
+    above, first, sums = ring
+    # each vertex's free neighbours once branching reaches it: every lower
+    # vertex is covered by then
+    options = [
+        ups + (p,) if p > u and p not in ups else ups
+        for u, (ups, p) in enumerate(zip(above, partner))
+    ]
+    mate = [-1] * len(partner)
+    return _larger_two_factor_below(cycle_type, options, (first, sums, partner), mate, 0)
 
 
 def _larger_two_factor_below(
-    g: MultiGraph, cycle_type: tuple[int, ...], covered: int, matching: list[int]
+    cycle_type: tuple[int, ...],
+    options: list[tuple[int, ...]],
+    union: tuple[list[int], list[int], bytes],
+    mate: list[int],
+    u: int,
 ) -> bool:
-    """Depth-first search for a perfect matching of g that extends
-    ``matching`` (covering the vertex bitmask ``covered``) and leaves a
-    2-factor of type larger than ``cycle_type``.
+    """Depth-first search for a perfect matching of the union that extends
+    ``mate`` (-1 at each uncovered vertex; every vertex below ``u`` is
+    covered) and leaves a 2-factor of type larger than ``cycle_type``.
 
-    It branches at the lowest uncovered vertex, once per free neighbour:
-    parallel edges to one neighbour leave 2-factors with the same cycles.
-    It only looks for a witness and counts nothing, so it needs no memo.
+    It branches at the lowest uncovered vertex, once per free neighbour in
+    ``options``: parallel edges to one neighbour leave 2-factors with the
+    same cycles. It only looks for a witness and counts nothing, so it
+    needs no memo.
     """
-    if covered == (1 << g.vertex_count) - 1:
-        return _two_factor_type(g, matching) > cycle_type
-    low = ~covered & (covered + 1)
-    covered |= low
-    tried = covered
-    for e, w in g.incidence[low.bit_length() - 1]:
-        bit = 1 << w
-        if tried & bit:
-            continue
-        tried |= bit
-        matching.append(e)
-        if _larger_two_factor_below(g, cycle_type, covered | bit, matching):
-            return True
-        matching.pop()
+    n = len(mate)
+    while u < n and mate[u] >= 0:
+        u += 1
+    if u == n:
+        return _two_factor_lengths(union, mate) > cycle_type
+    for w in options[u]:
+        if mate[w] < 0:
+            mate[u] = w
+            mate[w] = u
+            if _larger_two_factor_below(cycle_type, options, union, mate, u + 1):
+                return True
+            mate[w] = -1
+    mate[u] = -1
     return False
+
+
+def _two_factor_lengths(
+    union: tuple[list[int], list[int], bytes], mate: list[int]
+) -> tuple[int, ...]:
+    """Cycle lengths, non-increasing, of the 2-factor the perfect matching
+    ``mate`` leaves in the union whose ring lists (`_ring`) and partner
+    array are ``union``.
+
+    Each cycle is walked: the step after vertex x, entered from y, is
+    (sum of the three neighbours of x) - mate[x] - y. Neighbour sums count
+    parallel edges, so digons and a matching edge beside a parallel ring
+    edge need no special case.
+    """
+    first, sums, partner = union
+    seen = [False] * len(mate)
+    lengths = []
+    for start, matched in enumerate(mate):
+        if seen[start]:
+            continue
+        # step off along the partner edge, unless that is the matched one
+        here = partner[start] if partner[start] != matched else first[start]
+        before, length = start, 1
+        while here != start:
+            seen[here] = True
+            here, before = sums[here] + partner[here] - mate[here] - before, here
+            length += 1
+        lengths.append(length)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
 
 
 def _quotient_connected_bridgeless(
@@ -370,30 +421,48 @@ def _quotient_connected_bridgeless(
 
     Cycle blocks are internally 2-edge-connected, so the whole union is
     connected and bridgeless exactly when the quotient over blocks by the
-    cross matching edges is.
+    cross matching edges is. One depth-first lowpoint walk over the
+    quotient's own incidence lists decides both (`_lowpoint`).
     """
-
-    def connected(skip: int) -> bool:
-        parent = list(range(blocks))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, (a, b) in enumerate(cross):
-            if i == skip:
-                continue
-            parent[find(a)] = find(b)
-        return len({find(x) for x in range(blocks)}) == 1
-
-    if not connected(-1):
-        return False
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(blocks)]
     for i, (a, b) in enumerate(cross):
-        if cross.count((a, b)) + cross.count((b, a)) == 1 and not connected(i):
-            return False
-    return True
+        incident[a].append((b, i))
+        incident[b].append((a, i))
+    order = [0] * blocks
+    order[0] = 1
+    reached = [0]
+    return _lowpoint(0, -1, incident, order, reached) > 0 and len(reached) == blocks
+
+
+def _lowpoint(
+    v: int, via: int, incident: list[list[tuple[int, int]]], order: list[int], reached: list[int]
+) -> int:
+    """The smallest discovery number among block v and the blocks that its
+    depth-first subtree, entered by cross edge ``via``, reaches by one
+    back edge; 0 when some tree edge in the subtree is a bridge.
+
+    ``order`` holds discovery numbers from 1 (0 is unvisited) and
+    ``reached`` the blocks visited so far. The tree edge to a child w is a
+    bridge when w's subtree reaches nothing discovered before w. Edges are
+    told apart by index, not by their other end, so a doubled cross edge
+    is no bridge. Blocks number at most 8, so the recursion stays shallow.
+    """
+    low = here = order[v]
+    for w, i in incident[v]:
+        if i == via:
+            continue
+        seen = order[w]
+        if not seen:
+            reached.append(w)
+            order[w] = len(reached)
+            below = _lowpoint(w, i, incident, order, reached)
+            if not below or below > here:
+                return 0
+            if below < low:
+                low = below
+        elif seen < low:
+            low = seen
+    return low
 
 
 _CATALOG_CACHE: dict[int, tuple[MultiGraph, ...]] = {}
@@ -411,13 +480,14 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     orbit: the partner arrays of its images, each two byte translates
     through the (inverse, forward) vertex tables of a symmetry
     (`_symmetries`). The accepted pairings are the orbit minima with a
-    connected bridgeless union, as when every orbit is marked first. Such
-    a union reaches `canonical_form` only when the witness search of
-    `_has_larger_two_factor` finds no 2-factor of it with a type larger
-    than T. Exhaustive: every graph has a 2-factor of its largest type,
-    and the sweep of that type meets it. Same representative as labelling
-    every union: a class first appears at its largest type, where no union
-    of it is skipped.
+    connected bridgeless union, as when every orbit is marked first. The
+    witness search of `_has_larger_two_factor` then looks for a 2-factor
+    with a type larger than T on T's ring (`_ring`) and M's partner array.
+    Only a union where it finds none is built as a `MultiGraph`, and
+    only to reach `canonical_form`. Exhaustive: every graph has a 2-factor
+    of its largest type, and the sweep of that type meets it. Same
+    representative as labelling every union: a class first appears at its
+    largest type, where no union of it is skipped.
 
     ``n`` must be an ``int`` (not a ``bool``): a float such as 6.0 hashes
     like 6, so it is refused before the cache is read.
@@ -434,10 +504,11 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     pairings = _pairings(n)
     for cycle_type in _partitions_min2(n):
         factor_edges, block = _two_factor(cycle_type)
-        for codes in _candidate_pairings(cycle_type, block, pairings):
-            g = MultiGraph(n, tuple(factor_edges) + tuple(divmod(c, 16) for c in codes))
-            if _has_larger_two_factor(g, cycle_type):
+        ring = _ring(cycle_type)
+        for partner, codes in _candidate_pairings(cycle_type, block, pairings):
+            if _has_larger_two_factor(cycle_type, ring, partner):
                 continue
+            g = MultiGraph(n, tuple(factor_edges) + tuple(divmod(c, 16) for c in codes))
             key = canonical_form(g)
             if key not in seen:
                 seen[key] = g

@@ -9,6 +9,7 @@ from cubicmatch.formats import (
     GRAPH6,
     SPARSE6,
     ParseError,
+    _n_to_data,
     parse,
     parse_graph6,
     parse_sparse6,
@@ -17,6 +18,8 @@ from cubicmatch.formats import (
     write_graph6,
     write_sparse6,
 )
+from cubicmatch.harness import bridgeless_cubic_catalog
+from cubicmatch.klee import enumerate_klee
 from cubicmatch.multigraph import MultiGraph
 from cubicmatch.named_graphs import k4, petersen, three_bond
 
@@ -88,6 +91,61 @@ class TestGraph6:
             parse_graph6("I")  # header says n=10, no adjacency bytes
 
 
+def bit_list_sparse6(g):
+    """sparse6 by a list of single bits, six of them per output byte: the
+    writer before it packed its bits into an int."""
+    n = g.vertex_count
+    k = 1
+    while (1 << k) < n:
+        k += 1
+
+    def enc(x):
+        return [(x >> (k - 1 - i)) & 1 for i in range(k)]
+
+    edges = sorted((max(u, v), min(u, v)) for u, v in g.edges)
+    bits = []
+    curv = 0
+    for v, u in edges:
+        if v == curv:
+            bits.append(0)
+            bits.extend(enc(u))
+        elif v == curv + 1:
+            curv += 1
+            bits.append(1)
+            bits.extend(enc(u))
+        else:
+            curv = v
+            bits.append(1)
+            bits.extend(enc(v))
+            bits.append(0)
+            bits.extend(enc(u))
+    pad = (-len(bits)) % 6
+    if k < 6 and n == (1 << k) and pad >= k and curv < n - 1:
+        bits.append(0)
+        pad = (-len(bits)) % 6
+    bits.extend([1] * pad)
+    out = b":" + bytes(d + 63 for d in _n_to_data(n))
+    for i in range(0, len(bits), 6):
+        val = 0
+        for b in bits[i:i + 6]:
+            val = (val << 1) | b
+        out += bytes([val + 63])
+    return out.decode("ascii")
+
+
+def takes_padding_branch(g):
+    """Whether writing g leads its padding with a 0 bit: n = 2^k with
+    k < 6, at least k padding bits, and no edge at vertex n - 1."""
+    n = g.vertex_count
+    k = max(1, (n - 1).bit_length())
+    edges = sorted((max(u, v), min(u, v)) for u, v in g.edges)
+    length = curv = 0
+    for v, _ in edges:
+        length += k + 1 if v - curv in (0, 1) else 2 * k + 2
+        curv = v
+    return k < 6 and n == 1 << k and (-length) % 6 >= k and curv < n - 1
+
+
 class TestSparse6:
     def test_three_bond(self):
         s = write_sparse6(three_bond())
@@ -128,6 +186,37 @@ class TestSparse6:
                 G.add_edges_from(g.edges)
                 assert write_sparse6(g) == nx.to_sparse6_bytes(G, header=False).decode().strip()
                 assert sorted(parse_sparse6(write_sparse6(g)).edges) == sorted(g.edges)
+
+    def test_packed_writer_equals_bit_list_writer(self):
+        graphs = [g for n in range(2, 13, 2) for g in bridgeless_cubic_catalog(n)]
+        graphs += [g for n in range(4, 17, 2) for g in enumerate_klee(n)]
+        rnd = random.Random(211)
+        graphs += [random_multigraph(rnd, 40) for _ in range(300)]
+        graphs += [MultiGraph(0, ()), MultiGraph(1, ())]
+        for g in graphs:
+            assert write_sparse6(g) == bit_list_sparse6(g)
+
+    def test_packed_writer_takes_the_padding_branch(self):
+        # at n = 2 every edge ends at vertex 1 = n - 1, so no graph of
+        # order 2 takes the branch; those below check the plain padding
+        plain = [
+            MultiGraph(2, ()),
+            MultiGraph(2, ((0, 1),)),
+            MultiGraph(2, ((0, 1), (0, 1), (0, 1))),
+        ]
+        branch = [
+            MultiGraph(4, ((0, 1),)),
+            MultiGraph(4, ((0, 2), (1, 2))),
+            MultiGraph(8, ((0, 1), (1, 2))),
+            MultiGraph(8, ((0, 3), (1, 3), (2, 3), (0, 4))),
+            MultiGraph(16, ((0, 1), (1, 2), (2, 3), (3, 4))),
+            MultiGraph(16, ((0, 9), (0, 9), (3, 14))),
+        ]
+        assert not any(takes_padding_branch(g) for g in plain)
+        assert all(takes_padding_branch(g) for g in branch)
+        for g in plain + branch:
+            assert write_sparse6(g) == bit_list_sparse6(g)
+            assert sorted(parse_sparse6(write_sparse6(g)).edges) == sorted(g.edges)
 
 
 class TestFrontDoor:

@@ -312,14 +312,116 @@ def switchable(pm, cycle_type):
     return False
 
 
+def partner_table(codes):
+    """The pairing ``codes`` as a translation table of its fixed-point-free
+    involution, built from the codes' nibbles: the generator's partner
+    arrays before one recursion built them with the codes."""
+    high = bytes(c >> 4 for c in range(256))
+    low = bytes(c & 15 for c in range(256))
+    us = codes.translate(high)
+    vs = codes.translate(low)
+    return bytes.maketrans(us + vs, vs + us)
+
+
+def two_factor_type(g, matching):
+    """Cycle type, lengths non-increasing, of the 2-factor g - matching, by
+    a union-find over the edges of g: the witness search's leaf before it
+    walked partner arrays."""
+    parent = list(range(g.vertex_count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    skip = set(matching)
+    for i, (u, v) in enumerate(g.edges):
+        if i not in skip:
+            parent[find(u)] = find(v)
+    sizes = {}
+    for x in range(g.vertex_count):
+        root = find(x)
+        sizes[root] = sizes.get(root, 0) + 1
+    return tuple(sorted(sizes.values(), reverse=True))
+
+
 def kernel_has_larger_two_factor(g, cycle_type):
     """The largest-type test before the witness search: the type of every
     perfect matching the kernel enumerates, until one is larger."""
     if len(cycle_type) == 1:
         return False
-    return any(
-        harness._two_factor_type(g, pm) > cycle_type for pm in enumerate_perfect_matchings(g)
-    )
+    return any(two_factor_type(g, pm) > cycle_type for pm in enumerate_perfect_matchings(g))
+
+
+def has_larger_two_factor(cycle_type, partner):
+    """The generator's witness search on the union of the fixed 2-factor
+    of ``cycle_type`` with the pairing ``partner``."""
+    return harness._has_larger_two_factor(cycle_type, harness._ring(cycle_type), partner)
+
+
+def ring_forms(g):
+    """(cycle type, partner array) for every perfect matching M of cubic g:
+    g relabelled so that the 2-factor g - M is the generator's fixed
+    2-factor of its type, and M is the pairing. The union of the two is
+    isomorphic to g."""
+    n = g.vertex_count
+    for pm in enumerate_perfect_matchings(g):
+        skip = set(pm)
+        incident = [[] for _ in range(n)]
+        for i, (u, v) in enumerate(g.edges):
+            if i not in skip:
+                incident[u].append((v, i))
+                incident[v].append((u, i))
+        cycles, seen = [], set()
+        for start in range(n):
+            if start in seen:
+                continue
+            cycle, here, via = [start], start, None
+            seen.add(start)
+            while True:
+                w, via = next((w, i) for w, i in incident[here] if i != via)
+                if w == start:
+                    break
+                cycle.append(w)
+                seen.add(w)
+                here = w
+            cycles.append(cycle)
+        cycles.sort(key=len, reverse=True)
+        label = {v: i for i, v in enumerate(v for cycle in cycles for v in cycle)}
+        partner = bytearray(n)
+        for e in pm:
+            u, v = g.edges[e]
+            partner[label[u]], partner[label[v]] = label[v], label[u]
+        yield tuple(map(len, cycles)), bytes(partner)
+
+
+def union_find_quotient(cross, blocks):
+    """Connectivity plus bridgelessness of the block quotient by one
+    union-find over the cross edges, and one more without each single
+    cross edge: the generator's quotient test before its lowpoint walk."""
+
+    def connected(skip):
+        parent = list(range(blocks))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i, (a, b) in enumerate(cross):
+            if i == skip:
+                continue
+            parent[find(a)] = find(b)
+        return len({find(x) for x in range(blocks)}) == 1
+
+    if not connected(-1):
+        return False
+    for i, (a, b) in enumerate(cross):
+        if cross.count((a, b)) + cross.count((b, a)) == 1 and not connected(i):
+            return False
+    return True
 
 
 def union(cycle_type, codes):
@@ -420,20 +522,19 @@ class TestOrbitFilter:
         codes = [bytes(u * 16 + v for u, v in pm) for pm in all_pairings(tuple(range(n)))]
         assert all(list(c) == sorted(c) and len(set(c)) == n // 2 for c in codes)
         assert all(a < b for a, b in zip(codes, codes[1:]))
-        assert harness._pairing_codes(n) == codes
+        assert harness._pairings(n)[1] == codes
         assert len(codes) == math.prod(range(1, n, 2))
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_partner_arrays_are_involutions_in_code_order(self, n):
         partners, pairings = harness._pairings(n)
-        assert pairings == harness._pairing_codes(n)
         assert len(partners) == len(pairings)
         assert len(set(partners)) == len(partners)
         for partner, codes in zip(partners, pairings):
             assert len(partner) == n
             assert all(partner[u] != u and partner[partner[u]] == u for u in range(n))
             assert bytes(u * 16 + v for u, v in partner_pairs(partner)) == codes
-            assert harness._partner_table(codes)[:n] == partner
+            assert partner_table(codes)[:n] == partner
 
     def test_same_representatives(self, catalogs, monkeypatch):
         orders = (2, 4, 6, 8, 10)
@@ -458,6 +559,8 @@ class TestOrbitFilter:
         for cycle_type in harness._partitions_min2(n):
             _, block = harness._two_factor(cycle_type)
             accepted = list(harness._candidate_pairings(cycle_type, block, pairings))
+            assert all(partner_table(c)[:n] == partner for partner, c in accepted)
+            accepted = [c for _, c in accepted]
             assert accepted == marking_first_pairings(cycle_type, n, codes)
             assert accepted == code_table_candidates(cycle_type, block, codes)
 
@@ -470,7 +573,7 @@ class TestOrbitFilter:
             tables = per_permutation_tables(cycle_type, 14)
             accepted = list(harness._candidate_pairings(cycle_type, block, pairings))
             assert accepted
-            for codes in accepted:
+            for _, codes in accepted:
                 assert min(bytes(sorted(codes.translate(t))) for t in tables) == codes
                 cross = [(block[u], block[v]) for u, v in decode(codes) if block[u] != block[v]]
                 assert harness._quotient_connected_bridgeless(cross, len(cycle_type))
@@ -508,11 +611,45 @@ class TestOrbitFilter:
                     by_block = [(block[u], block[v]) for u, v in pm if block[u] != block[v]]
                     assert by_key == by_block
                     verdict = harness._quotient_connected_bridgeless(by_key, len(cycle_type))
-                    assert verdict == harness._quotient_connected_bridgeless(
-                        by_block, len(cycle_type)
-                    )
+                    assert verdict == union_find_quotient(by_block, len(cycle_type))
                     verdicts.add(verdict)
         assert verdicts == {False, True}
+
+    def test_lowpoint_walk_equals_union_find_on_every_key(self):
+        # every block-pair key of every pairing, so every key the sweep
+        # reaches, for n <= 14
+        verdicts = set()
+        for n in range(2, 15, 2):
+            _, pairings = harness._pairings(n)
+            for cycle_type in harness._partitions_min2(n):
+                _, block = harness._two_factor(cycle_type)
+                table = harness._block_pair_table(block)
+                for key in set(map(bytes.translate, pairings, itertools.repeat(table))):
+                    cross = [divmod(c, 16) for c in key if c != harness._SAME_BLOCK]
+                    verdict = harness._quotient_connected_bridgeless(cross, len(cycle_type))
+                    assert verdict == union_find_quotient(cross, len(cycle_type))
+                    verdicts.add(verdict)
+        assert verdicts == {False, True}
+
+    def test_lowpoint_walk_equals_union_find_on_random_quotients(self):
+        # few blocks and many edges, so parallel cross edges are common and
+        # often all that keeps a pair of blocks from a bridge
+        rnd = random.Random(20)
+        outcomes = set()
+        for _ in range(3000):
+            blocks = rnd.randint(1, 8)
+            cross = []
+            if blocks > 1:
+                for _ in range(rnd.randint(0, 2 * blocks)):
+                    a, b = rnd.sample(range(blocks), 2)
+                    cross.append((a, b))
+                    if rnd.random() < 0.3:
+                        cross.append((b, a) if rnd.random() < 0.5 else (a, b))
+            verdict = harness._quotient_connected_bridgeless(cross, blocks)
+            assert verdict == union_find_quotient(cross, blocks)
+            doubled = len({tuple(sorted(e)) for e in cross}) < len(cross)
+            outcomes.add((verdict, doubled))
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 class TestSwitch:
@@ -520,16 +657,15 @@ class TestSwitch:
     def test_switch_rejects_only_unions_with_a_larger_two_factor(self, n):
         # the witness search drops every union with a switchable pair:
         # every pairing up to n = 10, a seeded sample at n = 12
-        pairings = harness._pairing_codes(n)
+        pairings = list(zip(*harness._pairings(n)))
         rnd = random.Random(n)
         switchable_unions = 0
         for cycle_type in harness._partitions_min2(n):
             sample = rnd.sample(pairings, 300) if n == 12 else pairings
-            for codes in sample:
+            for partner, codes in sample:
                 if switchable(decode(codes), cycle_type):
                     switchable_unions += 1
-                    g = union(cycle_type, codes)
-                    assert harness._has_larger_two_factor(g, cycle_type)
+                    assert has_larger_two_factor(cycle_type, partner)
         assert switchable_unions
 
     def test_catalog_marks_every_passing_orbit_and_builds_no_kernel(self, monkeypatch):
@@ -552,6 +688,43 @@ class TestSwitch:
         assert sum(images) == 230_740
         assert built == []
 
+    @staticmethod
+    def count_generator_work(monkeypatch, n):
+        """Witness searches, MultiGraphs built and `canonical_form` calls of
+        one cold `bridgeless_cubic_catalog(n)`."""
+        monkeypatch.setattr(harness, "_CATALOG_CACHE", {})
+        searches = []
+        labelled = []
+        has_larger = harness._has_larger_two_factor
+        label = harness.canonical_form
+
+        def searching(cycle_type, ring, partner):
+            searches.append(partner)
+            return has_larger(cycle_type, ring, partner)
+
+        def labelling(g):
+            labelled.append(g)
+            return label(g)
+
+        monkeypatch.setattr(harness, "_has_larger_two_factor", searching)
+        monkeypatch.setattr(harness, "canonical_form", labelling)
+        graphs = count_multigraphs(monkeypatch)
+        classes = len(bridgeless_cubic_catalog(n))
+        assert list(map(id, graphs)) == list(map(id, labelled))
+        return classes, len(searches), len(graphs), len(labelled)
+
+    def test_catalog_builds_a_graph_only_for_what_it_labels(self, monkeypatch):
+        # every orbit minimum that passes the quotient test is searched on
+        # its arrays; only the 593 survivors become graphs, each labelled
+        assert self.count_generator_work(monkeypatch, 12) == (365, 2006, 593, 593)
+
+    @pytest.mark.skipif(
+        not os.environ.get("CUBICMATCH_RUN_SLOW"),
+        reason="a cold n=14 catalog takes 5-10 s",
+    )
+    def test_catalog_builds_a_graph_only_for_what_it_labels_n14(self, monkeypatch):
+        assert self.count_generator_work(monkeypatch, 14) == (2602, 21_085, 5626, 5626)
+
 
 class TestLargestTypeRule:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
@@ -565,38 +738,40 @@ class TestLargestTypeRule:
     def test_reference_generator_representatives_n12(self, catalogs):
         assert [g.edges for g in catalogs(12)] == [g.edges for g in reference_catalog(12)]
 
-    def check_against_subset_walk(self, g, cycle_types):
+    def check_against_subset_walk(self, g):
+        """Every 2-factor type of g by the subset walk, after checking the
+        kernel's types and the witness search on every ring form of g."""
         types = two_factor_types_by_subsets(g)
-        kernel_types = {
-            harness._two_factor_type(g, pm) for pm in enumerate_perfect_matchings(g)
-        }
+        kernel_types = {two_factor_type(g, pm) for pm in enumerate_perfect_matchings(g)}
         assert kernel_types == types
-        for cycle_type in cycle_types:
+        for cycle_type, partner in ring_forms(g):
             larger = any(t > cycle_type for t in types)
-            assert harness._has_larger_two_factor(g, cycle_type) == larger
+            assert has_larger_two_factor(cycle_type, partner) == larger
         return types
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_every_union_against_subset_walk(self, n):
         for cycle_type, g in reference_unions(n):
-            assert cycle_type in self.check_against_subset_walk(g, [cycle_type])
+            assert cycle_type in self.check_against_subset_walk(g)
+            partner = partner_table(bytes(u * 16 + v for u, v in g.edges[n:]))[:n]
+            larger = kernel_has_larger_two_factor(g, cycle_type)
+            assert has_larger_two_factor(cycle_type, partner) == larger
 
     def test_catalog_against_subset_walk(self, catalogs):
         for n in range(2, 11, 2):
-            cycle_types = list(harness._partitions_min2(n))
             for g in catalogs(n):
-                self.check_against_subset_walk(g, cycle_types)
+                self.check_against_subset_walk(g)
 
-    def test_hamiltonian_type_returns_at_once(self, catalogs, monkeypatch):
-        def type_forbidden(g, matching):
-            raise AssertionError("no matching is needed for type (n,)")
+    def test_hamiltonian_type_returns_at_once(self, monkeypatch):
+        def search_forbidden(*args):
+            raise AssertionError("type (n,) needs no search")
 
-        # built first: building a catalog legitimately takes 2-factor types
-        graphs = {n: catalogs(n) for n in range(2, 11, 2)}
-        monkeypatch.setattr(harness, "_two_factor_type", type_forbidden)
-        for n, catalog in graphs.items():
-            for g in catalog:
-                assert not harness._has_larger_two_factor(g, (n,))
+        monkeypatch.setattr(harness, "_larger_two_factor_below", search_forbidden)
+        monkeypatch.setattr(harness, "_two_factor_lengths", search_forbidden)
+        for n in range(2, 11, 2):
+            ring = harness._ring((n,))
+            for partner in harness._pairings(n)[0]:
+                assert not harness._has_larger_two_factor((n,), ring, partner)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_witness_search_equals_kernel_reference(self, n):
@@ -608,11 +783,24 @@ class TestLargestTypeRule:
             marked = set()
             for partner, codes in zip(partners, pairings):
                 if harness._is_orbit_minimal(partner, symmetries, marked):
+                    verdict = has_larger_two_factor(cycle_type, partner)
                     g = union(cycle_type, codes)
-                    verdict = harness._has_larger_two_factor(g, cycle_type)
                     assert verdict == kernel_has_larger_two_factor(g, cycle_type)
                     verdicts.add(verdict)
         assert verdicts == ({False, True} if n > 2 else {False})
+
+    def test_witness_search_equals_kernel_reference_n14_sample(self):
+        # 15 seeded pairings per cycle type
+        rnd = random.Random(14)
+        pairings = list(zip(*harness._pairings(14)))
+        verdicts = set()
+        for cycle_type in harness._partitions_min2(14):
+            for partner, codes in rnd.sample(pairings, 15):
+                verdict = has_larger_two_factor(cycle_type, partner)
+                g = union(cycle_type, codes)
+                assert verdict == kernel_has_larger_two_factor(g, cycle_type)
+                verdicts.add(verdict)
+        assert verdicts == {False, True}
 
 
 class TestVerify:
