@@ -31,7 +31,7 @@ from .connectivity import (
     vertex_connectivity_at_most,
 )
 from .matching import _Kernel
-from .multigraph import Cut, MultiGraph, _contract_parts
+from .multigraph import Cut, MultiGraph, _contract_parts, _require_cut
 
 BRICK = "brick"
 BRACE = "brace"
@@ -118,6 +118,7 @@ def _is_tight_unchecked(kernel: _Kernel, side_size: int, cut_edges: Iterable[int
 
 def is_tight(g: MultiGraph, cut: Cut) -> bool:
     """True when every perfect matching uses exactly one cut edge."""
+    _require_cut(g, cut)
     kernel = _Kernel(g)
     _require_covered(kernel, "is_tight")
     return _is_tight_unchecked(kernel, len(cut.side_a), cut.cut_edges)
@@ -334,35 +335,17 @@ def pm_affine_dimension(g: MultiGraph) -> int:
 
 
 def _cotree_edges(g: MultiGraph) -> list[int]:
-    """The edges outside a BFS spanning forest of g, less one edge closing
-    an odd cycle in each non-bipartite component, in index order:
-    m - n + (number of bipartite components) edges."""
-    n = g.vertex_count
-    depth = [-1] * n
-    dropped = [False] * len(g.edges)
-    for root in range(n):
-        if depth[root] >= 0:
-            continue
-        depth[root] = 0
-        component = [root]
-        for v in component:
-            for e, u in g.incidence[v]:
-                if depth[u] < 0:
-                    depth[u] = depth[v] + 1
-                    dropped[e] = True
-                    component.append(u)
-        odd = next(
-            (
-                e
-                for v in component
-                for e, u in g.incidence[v]
-                if depth[u] == depth[v] and not dropped[e]
-            ),
-            None,
-        )
-        if odd is not None:
-            dropped[odd] = True
-    return [e for e, d in enumerate(dropped) if not d]
+    """The edges outside g's BFS spanning forest, less the first edge of
+    each component (in visiting order) joining two vertices of one depth,
+    which closes an odd cycle; in index order, m - n + (number of
+    bipartite components) edges."""
+    forest = g.forest
+    depth = forest.depth
+    dropped = set(forest.parent_edge)
+    for component in forest.components():
+        odd = [e for v in component for e, u in g.incidence[v] if depth[u] == depth[v]]
+        dropped.update(odd[:1])
+    return [e for e in range(len(g.edges)) if e not in dropped]
 
 
 def _affine_dimension(kernel: _Kernel, g: MultiGraph) -> int:

@@ -1,9 +1,10 @@
 """Bridges, cut enumeration, edge/vertex connectivity, cyclic edge-connectivity.
 
 All routines are pure functions over immutable MultiGraph values. Cut
-queries read the graph's cut space through a spanning forest: every edge
-gets a signature, the set of fundamental cycles through it, and an edge
-set is a cut exactly when its signatures XOR to 0. The cuts of size k
+queries read the graph's cut space through its cached BFS spanning forest
+(`MultiGraph.forest`): every edge gets a signature, the set of fundamental
+cycles through it, and an edge set is a cut exactly when its signatures
+XOR to 0. The cuts of size k
 are the zero-XOR k-edge sets, found by one meet-in-the-middle rule for
 every k: the k // 2-edge sets are grouped by XOR in a table of edge
 masks, grown from kept lists of fewer edges, and each (k - k // 2)-edge
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .multigraph import Cut, MultiGraph, induced_subgraph
+from .multigraph import Cut, MultiGraph, _is_int, _require_cut, induced_subgraph
 
 
 class _NoCyclicCut:
@@ -99,33 +100,19 @@ def bridges(g: MultiGraph) -> list[int]:
 
 
 def _has_cycle(g: MultiGraph, side: frozenset[int]) -> bool:
-    """True when the subgraph induced by `side` contains a cycle.
+    """True when the subgraph induced by `side` has more edges than its
+    spanning forest, that is, contains a cycle.
 
     A parallel pair counts as a cycle, consistent with contraction
     semantics.
     """
     sub, _, _ = induced_subgraph(g, side)
-    if len(sub.edges) >= len(side):
-        return True
-    comp = 0
-    seen = [False] * sub.vertex_count
-    for s in range(sub.vertex_count):
-        if seen[s]:
-            continue
-        comp += 1
-        stack = [s]
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            for _, u in sub.incidence[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-    return len(sub.edges) > sub.vertex_count - comp
+    return len(sub.edges) > sub.vertex_count - len(sub.forest.starts)
 
 
 def is_cyclic_cut(g: MultiGraph, cut: Cut) -> bool:
     """True when both sides of the cut induce a subgraph containing a cycle."""
+    _require_cut(g, cut)
     return _has_cycle(g, cut.side_a) and _has_cycle(g, cut.side_b)
 
 
@@ -172,7 +159,7 @@ def _connected_side_masks(g: MultiGraph) -> Iterator[tuple[int, int]]:
 
 
 class _CutSpace:
-    """A graph's cut space, read through a BFS spanning forest.
+    """A graph's cut space, read through its cached BFS spanning forest.
 
     sig[e] holds the fundamental cycles through edge e as bits: the i-th
     non-tree edge owns bit i, and a tree edge carries the bits of the
@@ -207,26 +194,8 @@ class _CutSpace:
     def __init__(self, g: MultiGraph) -> None:
         n = g.vertex_count
         edges = g.edges
-        parent_edge = [-1] * n
-        seen = [False] * n
-        order: list[int] = []
-        components = []
-        for root in range(n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            start = len(order)
-            order.append(root)
-            i = start
-            while i < len(order):
-                v = order[i]
-                i += 1
-                for e, u in g.incidence[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        parent_edge[u] = e
-                        order.append(u)
-            components.append(sum(1 << v for v in order[start:]))
+        forest = g.forest
+        parent_edge = forest.parent_edge
         tree = set(parent_edge)
         sig = [0] * len(edges)
         # at[v]: XOR of the bits of the non-tree edges at v, then of those
@@ -241,7 +210,7 @@ class _CutSpace:
                 bit <<= 1
         below = [0] * len(edges)
         sub = [1 << v for v in range(n)]
-        for v in reversed(order):
+        for v in reversed(forest.order):
             e = parent_edge[v]
             if e >= 0:
                 sig[e] = at[v]
@@ -252,7 +221,7 @@ class _CutSpace:
                 sub[p] |= sub[v]
         self.sig = tuple(sig)
         self.below = tuple(below)
-        self.components = tuple(components)
+        self.components = tuple(sum(1 << v for v in comp) for comp in forest.components())
         self.by_size: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
         self.cyclic: int | _NoCyclicCut | None = None
 
@@ -445,6 +414,8 @@ def enumerate_cuts(
     least 3 vertices. side_a is always the side containing vertex 0; cuts
     come sorted by (size, |side_a|, sorted side_a).
     """
+    if not _is_int(max_size):
+        raise ValueError(f"max_size must be an int, got {max_size!r}")
     return [
         _side_cut(g, side_a, edges)
         for side_a, edges in _cut_sides(g, max_size, nontrivial_only)
@@ -551,8 +522,8 @@ def vertex_connectivity_at_most(g: MultiGraph, k: int) -> SeparationWitness:
     Returns a truthy witness holding the separating set when one exists.
     A disconnected graph is separated by the empty set.
     """
-    if k > 3:
-        raise ValueError("vertex connectivity checks support k <= 3 only")
+    if not _is_int(k) or k > 3:
+        raise ValueError(f"vertex connectivity checks support an int k <= 3 only, got {k!r}")
     subset = _separator(g, k)
     if subset is None:
         return SeparationWitness(False, None)

@@ -7,6 +7,7 @@ follow the published format specification.
 
 from __future__ import annotations
 
+import os
 from typing import IO, Iterable, Iterator
 
 from .multigraph import MultiGraph
@@ -271,7 +272,8 @@ def parse_sparse6(line: str | bytes, where: str = "sparse6") -> MultiGraph:
 def parse(source: str | IO[str], fmt: str = EDGE_LIST) -> Iterator[MultiGraph]:
     """Parses a path, text, or stream into a stream of MultiGraphs.
 
-    A string argument naming an existing readable path is opened; any
+    A string argument naming an existing path is opened, and an OSError
+    from opening it (a directory, no read permission) is raised; any
     other string is treated as literal content. A one-line string that
     names no file and does not parse is reported as a missing file.
     """
@@ -284,6 +286,8 @@ def parse(source: str | IO[str], fmt: str = EDGE_LIST) -> Iterator[MultiGraph]:
             if "\n" not in source:
                 missing = source
         except (OSError, ValueError):  # ValueError: a NUL in the string
+            if os.path.exists(source):
+                raise  # a directory, or a file that cannot be read
             handle = None
         if handle is None:
             text = source

@@ -52,9 +52,10 @@ from .matching import (
     _boundary_profile,
     _Kernel,
     _matching_profile,
+    _validate_constraints,
     count_perfect_matchings,
 )
-from .multigraph import MultiGraph, canonical_form, make_cut
+from .multigraph import MultiGraph, _is_int, canonical_form, make_cut
 from .named_graphs import exceptional_graph
 
 CATALOG_CLASSES = (
@@ -77,8 +78,8 @@ class BipartiteBoundTable:
 
 
 def bound_table(max_k: int) -> BipartiteBoundTable:
-    if max_k < 3:
-        raise ValueError("bound_table requires max_k >= 3")
+    if not _is_int(max_k) or max_k < 3:
+        raise ValueError(f"bound_table requires an int max_k >= 3, got {max_k!r}")
     g = {3: 4}
     for k in range(4, max_k + 1):
         g[k] = -((-4 * g[k - 1]) // 3)
@@ -492,7 +493,7 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     ``n`` must be an ``int`` (not a ``bool``): a float such as 6.0 hashes
     like 6, so it is refused before the cache is read.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
+    if not _is_int(n):
         raise ValueError(f"catalog order must be an int, got {n!r}")
     if n % 2 or n < 2:
         raise ValueError("catalogs require even n >= 2")
@@ -856,7 +857,8 @@ class CompanionResult:
 def bipartite_companion_check(g: MultiGraph, e: int) -> CompanionResult:
     """For cyclically 5-edge-connected cubic g where G-e is not matching
     covered, searches for an edge f making G-{e,f} bipartite and matching
-    covered. NOT_APPLICABLE when the hypotheses fail."""
+    covered. NOT_APPLICABLE when the hypotheses fail; e must be an edge of g."""
+    _validate_constraints(g, (), (e,))
     if not g.is_cubic() or bridges(g):
         return CompanionResult(NOT_APPLICABLE, None)
     if not cyclically_edge_connected_at_least(g, 5):

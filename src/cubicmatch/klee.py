@@ -19,6 +19,8 @@ from .matching import _Kernel, _vertex_mask
 from .multigraph import (
     Cut,
     MultiGraph,
+    _is_int,
+    _require_cut,
     _require_vertex,
     canonical_form,
     contract,
@@ -256,7 +258,7 @@ def enumerate_klee(n: int) -> tuple[MultiGraph, ...]:
 
     ``n`` must be an ``int`` (not a ``bool``): a float such as 6.0 hashes
     like 6, so it is refused before the cache is read."""
-    if isinstance(n, bool) or not isinstance(n, int):
+    if not _is_int(n):
         raise ValueError(f"klee order must be an int, got {n!r}")
     if n % 2 or not 4 <= n <= 16:
         raise ValueError("enumerate_klee requires even n with 4 <= n <= 16")
@@ -323,6 +325,7 @@ def _nice_oriented(kernel: _Kernel, g: MultiGraph, cut: Cut) -> str | None:
 
 def is_nice_cut(g: MultiGraph, cut: Cut) -> NiceCutResult:
     """Nice 3-edge-cut test; both orientations of the cut are tried."""
+    _require_cut(g, cut)
     if cut.size != 3:
         raise ValueError(f"nice cuts must have size 3, got {cut.size}")
     _require(g, "is_nice_cut", cubic=True)

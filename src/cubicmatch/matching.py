@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .connectivity import _bits
-from .multigraph import Cut, MultiGraph
+from .multigraph import Cut, MultiGraph, _is_int, _require_cut, delete_vertices
 
 COUNT_LIMIT = 1 << 63  # counts are required to fit in 64-bit integers
 
@@ -90,7 +90,7 @@ def _validate_constraints(
     forbidden_edges = tuple(forbidden)
     m = len(g.edges)
     for e in forced_edges + forbidden_edges:
-        if isinstance(e, bool) or not isinstance(e, int):
+        if not _is_int(e):
             raise ValueError(f"edge index must be an int, got {e!r}")
         if not 0 <= e < m:
             raise ValueError(f"edge index {e} out of range")
@@ -473,23 +473,9 @@ def has_perfect_matching(
             d_set.append(v)
     d_mask = set(d_set)
     a_set = sorted({u for v in d_set for u in adj[v]} - d_mask)
-    barrier_local = set(a_set)
-    odd = 0
-    seen = [False] * n
-    for s in range(n):
-        if seen[s] or s in barrier_local:
-            continue
-        comp = 0
-        stack = [s]
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp += 1
-            for u in adj[v]:
-                if not seen[u] and u not in barrier_local:
-                    seen[u] = True
-                    stack.append(u)
-        odd += comp % 2
+    residual = MultiGraph(n, tuple((v, u) for v in range(n) for u in adj[v] if v < u))
+    outside, _, _ = delete_vertices(residual, a_set)
+    odd = sum(len(c) % 2 for c in outside.forest.components())
     barrier = TutteBarrier(frozenset(keep[v] for v in a_set), odd)
     return MatchingCertificate(False, None, barrier)
 
@@ -529,6 +515,7 @@ def boundary_profile(g: MultiGraph, cut: Cut) -> BoundaryProfile:
     Cut sizes up to 4 are supported; the total count of g equals
     sum over X of m_a[X] * m_b[X].
     """
+    _require_cut(g, cut)
     return _boundary_profile(_Kernel(g), g, cut)
 
 

@@ -3,6 +3,11 @@
 Vertices are the integers 0..vertex_count-1.  Parallel edges are distinct
 entries of the edge list and every edge is identified by its index in that
 list.  Loops are never allowed; contraction drops them.
+
+Each graph caches one breadth-first spanning forest beside its incidence
+lists. Connectivity, bipartiteness, the cycle test of a cut side, the cut
+space, the co-tree of the affine rank and the odd components of a Tutte
+barrier all read it instead of a search of their own.
 """
 
 from __future__ import annotations
@@ -11,7 +16,29 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+
+def _is_int(x: object) -> bool:
+    """True for an int that is not a bool: True would stand for 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+class SpanningForest(NamedTuple):
+    """A breadth-first spanning forest: roots in index order, each vertex's
+    edges in index order. Component i is order[starts[i]:starts[i + 1]];
+    parent_edge[v] is v's tree edge towards its root (-1 at a root) and
+    depth[v] its distance from that root."""
+
+    order: tuple[int, ...]
+    parent_edge: tuple[int, ...]
+    depth: tuple[int, ...]
+    starts: tuple[int, ...]
+
+    def components(self) -> list[tuple[int, ...]]:
+        """Each component's vertices in visiting order, root first."""
+        ends = self.starts[1:] + (len(self.order),)
+        return [self.order[a:b] for a, b in zip(self.starts, ends)]
 
 
 @dataclass(frozen=True)
@@ -22,9 +49,9 @@ class MultiGraph:
         vertex_count: number of vertices (ids 0..vertex_count-1).
         edges: tuple of (u, v) pairs with u < v; parallel edges repeat.
 
-    Data derived from the edges, such as the incidence lists and the cut
-    space of the connectivity module, is cached on the instance; equality
-    and hashing ignore it.
+    Data derived from the edges, such as the incidence lists, the spanning
+    forest and the cut space of the connectivity module, is cached on the
+    instance; equality and hashing ignore it.
     """
 
     vertex_count: int
@@ -32,14 +59,11 @@ class MultiGraph:
 
     def __post_init__(self):
         n = self.vertex_count
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             raise ValueError(f"vertex_count must be a non-negative int, got {n!r}")
         norm = []
         for u, v in self.edges:
-            # the vertex rule of _require_vertex: ints, and no bools
-            if isinstance(u, bool) or isinstance(v, bool) or not (
-                isinstance(u, int) and isinstance(v, int)
-            ):
+            if not (_is_int(u) and _is_int(v)):
                 raise ValueError(f"edge ({u!r},{v!r}) endpoints must be ints")
             if u == v:
                 raise ValueError(f"loop edge ({u},{v}) not allowed")
@@ -56,6 +80,11 @@ class MultiGraph:
             inc[u].append((i, v))
             inc[v].append((i, u))
         return tuple(tuple(x) for x in inc)
+
+    @cached_property
+    def forest(self) -> SpanningForest:
+        """The breadth-first spanning forest of _spanning_forest."""
+        return _spanning_forest(self)
 
     def degree(self, v: int) -> int:
         return len(self.incidence[v])
@@ -77,36 +106,12 @@ class MultiGraph:
         return len(set(self.edges)) == len(self.edges)
 
     def is_connected(self) -> bool:
-        n = self.vertex_count
-        if n <= 1:
-            return True
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for _, u in self.incidence[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        return all(seen)
+        return len(self.forest.starts) <= 1
 
     def is_bipartite(self) -> bool:
-        color = [-1] * self.vertex_count
-        for s in range(self.vertex_count):
-            if color[s] != -1:
-                continue
-            color[s] = 0
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for _, u in self.incidence[v]:
-                    if color[u] == -1:
-                        color[u] = 1 - color[v]
-                        stack.append(u)
-                    elif color[u] == color[v]:
-                        return False
-        return True
+        """No edge joins two vertices of one depth (it would close an odd cycle)."""
+        depth = self.forest.depth
+        return all(depth[u] != depth[v] for u, v in self.edges)
 
     def degree_profile(self) -> tuple[int, ...]:
         """The multiset of degrees different from three, sorted.
@@ -116,13 +121,38 @@ class MultiGraph:
         return tuple(sorted(d for d in self.degrees() if d != 3))
 
 
+def _spanning_forest(g: MultiGraph) -> SpanningForest:
+    """Breadth-first search from each unvisited vertex in index order."""
+    n = g.vertex_count
+    parent_edge = [-1] * n
+    depth = [-1] * n
+    order: list[int] = []
+    starts = []
+    for root in range(n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        component = [root]
+        for v in component:  # the list grows while it is read
+            below = depth[v] + 1
+            for e, u in g.incidence[v]:
+                if depth[u] < 0:
+                    depth[u] = below
+                    parent_edge[u] = e
+                    component.append(u)
+        starts.append(len(order))
+        order += component
+    return SpanningForest(tuple(order), tuple(parent_edge), tuple(depth), tuple(starts))
+
+
 @dataclass(frozen=True)
 class Cut:
     """A vertex bipartition with its crossing edges.
 
     side_a and side_b partition the vertex set; cut_edges lists the indices
     of edges with one end on each side. For cubic graphs the size of the cut
-    is congruent to |side_a| mod 2.
+    is congruent to |side_a| mod 2. A public function taking (g, cut)
+    raises ValueError when the cut is not one of g (_require_cut).
     """
 
     side_a: frozenset[int]
@@ -140,7 +170,7 @@ class Cut:
 def _require_vertex(g: MultiGraph, v: int) -> None:
     """Raises ValueError unless v is a vertex id of g: an int (not a bool)
     in 0..vertex_count-1."""
-    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < g.vertex_count:
+    if not _is_int(v) or not 0 <= v < g.vertex_count:
         raise ValueError(f"{v!r} is not a vertex of a graph of order {g.vertex_count}")
 
 
@@ -154,10 +184,25 @@ def make_cut(g: MultiGraph, side: Iterable[int]) -> Cut:
     side_b = frozenset(range(g.vertex_count)) - side_a
     if not side_b:
         raise ValueError("cut side must be a proper subset of the vertices")
-    cut_edges = tuple(
-        i for i, (u, v) in enumerate(g.edges) if (u in side_a) != (v in side_a)
-    )
-    return Cut(side_a, side_b, cut_edges)
+    return Cut(side_a, side_b, _crossing_edges(g, side_a))
+
+
+def _crossing_edges(g: MultiGraph, side: frozenset[int]) -> tuple[int, ...]:
+    """The indices of the edges with exactly one end in side."""
+    return tuple(i for i, (u, v) in enumerate(g.edges) if (u in side) != (v in side))
+
+
+def _require_cut(g: MultiGraph, cut: Cut) -> None:
+    """Raises ValueError unless cut is a cut of g: its sides are non-empty
+    and partition the vertices 0..vertex_count-1, and cut_edges holds each
+    edge crossing them once, and no other."""
+    n = g.vertex_count
+    a, b = cut.side_a, cut.side_b
+    if not a or not b or a & b or a | b != frozenset(range(n)):
+        raise ValueError(f"the cut's sides do not partition the vertices of a graph of order {n}")
+    crossing = _crossing_edges(g, a)
+    if len(cut.cut_edges) != len(crossing) or set(cut.cut_edges) != set(crossing):
+        raise ValueError("the cut's edges are not the edges crossing its sides")
 
 
 def from_edge_list(n: int, pairs: Sequence[tuple[int, int]]) -> MultiGraph:
@@ -314,6 +359,7 @@ def glue(
 
 
 def _four_cut_attachments(g: MultiGraph, cut: Cut) -> list[int]:
+    _require_cut(g, cut)
     if cut.size != 4:
         raise ValueError(f"cut has size {cut.size}, need 4")
     att = []

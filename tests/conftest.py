@@ -38,6 +38,23 @@ def analyze16_draws(seed=1):
     return [random_bridgeless_cubic(16, rnd) for _ in range(100)]
 
 
+def sparse_multigraphs(seed=211, per_order=12):
+    """Seeded loopless multigraphs of every order 0-20 with 0 to 3n/2
+    random edges: many are disconnected or have isolated vertices, and
+    about half repeat one edge (a digon)."""
+    rnd = random.Random(seed)
+    graphs = []
+    for n in range(21):
+        for _ in range(per_order):
+            pairs = []
+            if n >= 2:
+                pairs = [tuple(rnd.sample(range(n), 2)) for _ in range(rnd.randint(0, 3 * n // 2))]
+            if pairs and rnd.random() < 0.5:
+                pairs.append(rnd.choice(pairs))
+            graphs.append(MultiGraph(n, tuple(pairs)))
+    return graphs
+
+
 def mask_reference_graphs(catalogs):
     """Inputs on which the mask-based decomposition, klee recognition and
     cut match are compared with the former graph-building ones: the

@@ -56,6 +56,7 @@ from conftest import (
     count_multigraphs,
     mask_reference_graphs,
     random_bridgeless_cubic,
+    sparse_multigraphs,
     walk_forbidden,
 )
 
@@ -664,9 +665,43 @@ class TestMaskDecomposition:
                 setattr(d, name, None)
 
 
+def reference_cotree_edges(g):
+    """_cotree_edges as first written, with a BFS of its own: the edges
+    outside a BFS spanning forest (roots in index order, edges in
+    incidence order), less the first edge joining two vertices of one
+    depth in each component, scanned in visiting order."""
+    n = g.vertex_count
+    depth = [-1] * n
+    dropped = [False] * len(g.edges)
+    for root in range(n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        component = [root]
+        for v in component:
+            for e, u in g.incidence[v]:
+                if depth[u] < 0:
+                    depth[u] = depth[v] + 1
+                    dropped[e] = True
+                    component.append(u)
+        odd = next(
+            (
+                e
+                for v in component
+                for e, u in g.incidence[v]
+                if depth[u] == depth[v] and not dropped[e]
+            ),
+            None,
+        )
+        if odd is not None:
+            dropped[odd] = True
+    return [e for e, d in enumerate(dropped) if not d]
+
+
 class TestCotreeRank:
     def check(self, g):
         cols = _cotree_edges(g)
+        assert cols == reference_cotree_edges(g)
         assert cols == sorted(set(cols))
         assert len(cols) == len(g.edges) - g.vertex_count + bipartite_components(g)
         rank = pm_affine_dimension(g)
@@ -714,6 +749,16 @@ class TestCotreeRank:
                 graphs.append(g)
         for g in graphs:
             assert self.check(g) == polytope_dimension(g)
+
+    def test_columns_on_sparse_multigraphs(self):
+        # several components, isolated vertices and digons; the rank needs
+        # a perfect matching, so only the columns are compared here
+        graphs = sparse_multigraphs()
+        assert any(len(g.forest.starts) >= 3 and not g.is_bipartite() for g in graphs)
+        for g in graphs:
+            cols = _cotree_edges(g)
+            assert cols == reference_cotree_edges(g)
+            assert len(cols) == len(g.edges) - g.vertex_count + bipartite_components(g)
 
     def test_disconnected(self):
         assert self.check(disjoint_union(k4(), k4())) == 4

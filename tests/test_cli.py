@@ -160,6 +160,23 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_directory_named_like_graph_text_is_an_error(tmp_path, capsys, monkeypatch):
+    # "C~" is also K4 in graph6; the directory must not be read as that text
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("C~")
+    assert main(["count", "C~", "--format", "graph6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "C~" in err
+
+
+def test_directory_input_is_an_error(tmp_path, capsys):
+    assert main(["analyze", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert str(tmp_path) in err and "expected header" not in err
+
+
 @pytest.mark.parametrize("command", ["analyze", "count", "decompose"])
 def test_single_graph_commands_refuse_two_graphs(tmp_path, capsys, command):
     two = tmp_path / "two.el"

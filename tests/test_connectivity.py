@@ -40,6 +40,7 @@ from conftest import (
     mask_reference_graphs,
     random_bridgeless_cubic,
     record_zero_set_sizes,
+    sparse_multigraphs,
 )
 
 
@@ -175,6 +176,23 @@ class TestCyclicCuts:
         g = doubled_c4()
         assert is_cyclic_cut(g, make_cut(g, {0, 1}))
 
+    def test_has_cycle_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rnd = random.Random(223)
+        for g in sparse_multigraphs():
+            n = g.vertex_count
+            for _ in range(4):
+                side = frozenset(rnd.sample(range(n), rnd.randint(0, n)))
+                h = nx.MultiGraph()
+                h.add_nodes_from(side)
+                h.add_edges_from((u, v) for u, v in g.edges if u in side and v in side)
+                try:
+                    nx.find_cycle(h)
+                    expected = True
+                except nx.NetworkXNoCycle:
+                    expected = False
+                assert _has_cycle(g, side) == expected
+
     def test_min_degree_three_observation(self):
         # in a min-degree-3 graph, a k-cut with both sides >= k-1 vertices
         # is cyclic
@@ -226,6 +244,11 @@ class TestEnumerateCuts:
         assert len(cuts) == 4
         assert all(c.size == 3 for c in cuts)
         assert all(min(len(c.side_a), len(c.side_b)) == 1 for c in cuts)
+
+    @pytest.mark.parametrize("max_size", [1.5, 3.0, True, "3"])
+    def test_max_size_must_be_an_int(self, max_size):
+        with pytest.raises(ValueError, match="must be an int"):
+            enumerate_cuts(k4(), max_size)
 
     def test_petersen_no_nontrivial_small_cuts(self):
         assert enumerate_cuts(petersen(), 3, nontrivial_only=True) == []
@@ -334,6 +357,11 @@ class TestVertexConnectivity:
     def test_k_above_three_rejected(self):
         with pytest.raises(ValueError):
             vertex_connectivity_at_most(k4(), 4)
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "2"])
+    def test_k_must_be_an_int(self, k):
+        with pytest.raises(ValueError, match="an int k"):
+            vertex_connectivity_at_most(k4(), k)
 
     def test_separator_search_matches_networkx(self, catalogs):
         nx = pytest.importorskip("networkx")

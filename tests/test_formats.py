@@ -1,4 +1,6 @@
+import errno
 import io
+import os
 import random
 
 import networkx as nx
@@ -243,6 +245,23 @@ class TestFrontDoor:
             list(parse(missing, EDGE_LIST))
         assert "no such file" in str(err.value) and missing in str(err.value)
 
+    def test_existing_path_that_cannot_be_opened_is_an_error(self, tmp_path):
+        # a directory named like K4's graph6 line is not read as that line
+        directory = tmp_path / "C~"
+        directory.mkdir()
+        for fmt in (GRAPH6, EDGE_LIST):
+            with pytest.raises(OSError) as err:
+                list(parse(str(directory), fmt))
+            assert str(directory) in str(err.value)
+
+    def test_text_too_long_for_a_file_name_still_parses(self):
+        g = MultiGraph(400, tuple((v, (v + 1) % 400) for v in range(400)))
+        text = write_sparse6(g)
+        with pytest.raises(OSError) as err:
+            open(text, "rb")
+        assert err.value.errno == errno.ENAMETOOLONG
+        assert [sorted(h.edges) for h in parse(text, SPARSE6)] == [sorted(g.edges)]
+
     def test_one_line_text_still_parses(self):
         assert [g.vertex_count for g in parse(write_graph6(k4()), GRAPH6)] == [4]
 
@@ -281,7 +300,12 @@ class TestFuzz:
         rnd = random.Random(109)
 
         def edge_list(text):
-            return list(parse(text, EDGE_LIST))
+            try:
+                return list(parse(text, EDGE_LIST))
+            except OSError:
+                # a text naming an existing path, such as ".", is opened
+                assert os.path.exists(text)
+                return []
 
         for _ in range(3000):
             text = "".join(rnd.choice(self.ALPHABET) for _ in range(rnd.randint(0, 12)))

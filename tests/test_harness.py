@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from cubicmatch import connectivity, harness, matching
+from cubicmatch import connectivity, harness, matching, multigraph
+from cubicmatch.formats import SPARSE6, parse
 from cubicmatch.connectivity import (
     NO_CYCLIC_CUT,
     bridges,
@@ -67,6 +68,11 @@ class TestBoundTable:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             bound_table(2)
+
+    @pytest.mark.parametrize("max_k", [3.5, 4.0, True, "4"])
+    def test_max_k_must_be_an_int(self, max_k):
+        with pytest.raises(ValueError):
+            bound_table(max_k)
 
 
 class TestCatalog:
@@ -904,6 +910,25 @@ class TestVerify:
             verify_graph(g)
             assert len(built) == 1 and built[0] is g
 
+    def test_verify_graph_builds_one_forest_on_its_input(self, monkeypatch):
+        # connectivity, the cut space, bipartiteness and the co-tree all
+        # read the one spanning forest cached on the input
+        built = []
+        build = multigraph._spanning_forest
+
+        def counting_build(g):
+            built.append(g)
+            return build(g)
+
+        monkeypatch.setattr(multigraph, "_spanning_forest", counting_build)
+        path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "catalog12.s6")
+        graphs = list(parse(path, SPARSE6))
+        assert len(graphs) == 365
+        for g in graphs:
+            built.clear()
+            verify_graph(g)
+            assert len(built) == 1 and built[0] is g
+
     def test_verify_graph_builds_no_graph(self, monkeypatch):
         # tight-cut pieces and klee contractions stay masks of the input
         exceptional_canonical()  # the reference graph, built once per process
@@ -1117,6 +1142,12 @@ class TestCompanion:
     def test_low_connectivity_not_applicable(self):
         res = bipartite_companion_check(prism(), 0)
         assert res.status == NOT_APPLICABLE
+
+    @pytest.mark.parametrize("e", [99, 15, -1, 1.5, True, "0"])
+    def test_edge_must_be_an_edge_of_g(self, e):
+        # Petersen's edges are 0..14
+        with pytest.raises(ValueError, match="edge index"):
+            bipartite_companion_check(petersen(), e)
 
     def test_catalog_sweep(self, catalogs):
         # the lemma promises a partner whenever the hypotheses hold; at

@@ -1,10 +1,16 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from cubicmatch import multigraph
+from cubicmatch.brick_brace import is_tight
+from cubicmatch.connectivity import is_cyclic_cut
+from cubicmatch.klee import is_nice_cut
+from cubicmatch.matching import boundary_profile
 from cubicmatch.multigraph import (
+    Cut,
     MultiGraph,
     canonical_form,
     contract,
@@ -27,6 +33,7 @@ from cubicmatch.named_graphs import (
     prism,
     three_bond,
 )
+from conftest import sparse_multigraphs
 
 
 class TestVertexIds:
@@ -331,3 +338,112 @@ class TestCutParity:
             make_cut(k4(), set())
         with pytest.raises(ValueError):
             make_cut(k4(), {0, 1, 2, 3})
+
+
+class TestSpanningForest:
+    """The one cached BFS forest and its readers, against networkx."""
+
+    def as_networkx(self, g):
+        h = nx.MultiGraph()
+        h.add_nodes_from(range(g.vertex_count))
+        h.add_edges_from(g.edges)
+        return h
+
+    def test_inputs_cover_the_awkward_cases(self):
+        graphs = sparse_multigraphs()
+        assert {g.vertex_count for g in graphs} == set(range(21))
+        assert any(not g.is_connected() for g in graphs)
+        assert any(0 in g.degrees() for g in graphs if g.vertex_count > 1)
+        assert any(len(set(g.edges)) < len(g.edges) for g in graphs)
+
+    def test_is_connected_and_is_bipartite_match_networkx(self):
+        for g in sparse_multigraphs():
+            h = self.as_networkx(g)
+            # networkx calls the null graph neither connected nor disconnected
+            assert g.is_connected() == (g.vertex_count == 0 or nx.is_connected(h))
+            assert g.is_bipartite() == nx.is_bipartite(h)
+
+    def test_forest_is_breadth_first(self):
+        for g in sparse_multigraphs():
+            forest = g.forest
+            h = self.as_networkx(g)
+            components = forest.components()
+            # roots in index order: each component starts at its smallest vertex
+            expected = sorted(nx.connected_components(h), key=min)
+            assert [set(c) for c in components] == expected
+            assert [c[0] for c in components] == [min(c) for c in expected]
+            for c in components:
+                distance = nx.single_source_shortest_path_length(h, c[0])
+                assert [forest.depth[v] for v in c] == [distance[v] for v in c]
+                assert forest.parent_edge[c[0]] == -1
+                for v in c[1:]:
+                    u, w = g.edges[forest.parent_edge[v]]
+                    assert v in (u, w) and forest.depth[u + w - v] == forest.depth[v] - 1
+
+    def test_forest_is_cached(self):
+        g = petersen()
+        assert g.forest is g.forest
+        assert g == MultiGraph(g.vertex_count, g.edges)
+
+
+class TestCutOfAnotherGraph:
+    """Every public (g, cut) entry point refuses a cut that is not g's."""
+
+    ENTRY_POINTS = {
+        "is_tight": is_tight,
+        "boundary_profile": boundary_profile,
+        "is_cyclic_cut": is_cyclic_cut,
+        "is_nice_cut": is_nice_cut,
+        "four_cut_completion_edges": (
+            lambda g, cut: four_cut_completion_edges(g, cut, (0, 1))
+        ),
+        "four_cut_completion_vertices": (
+            lambda g, cut: four_cut_completion_vertices(g, cut, (0, 1))
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_cut_of_another_order(self, entry):
+        with pytest.raises(ValueError, match="do not partition"):
+            self.ENTRY_POINTS[entry](cube(), make_cut(petersen(), {0, 1, 2, 3}))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_cut_of_another_edge_order(self, entry):
+        g = cube()
+        # the same graph with its edges listed in reverse: same sides, other indices
+        h = MultiGraph(8, tuple(reversed(g.edges)))
+        cut = make_cut(h, {0, 1, 2, 3})
+        assert sorted(cut.cut_edges) != sorted(make_cut(g, {0, 1, 2, 3}).cut_edges)
+        with pytest.raises(ValueError, match="edges crossing"):
+            self.ENTRY_POINTS[entry](g, cut)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_cut_missing_an_edge(self, entry):
+        g = cube()
+        cut = make_cut(g, {0, 1, 2, 3})
+        with pytest.raises(ValueError, match="edges crossing"):
+            self.ENTRY_POINTS[entry](g, Cut(cut.side_a, cut.side_b, cut.cut_edges[1:]))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_empty_side(self, entry):
+        g = cube()
+        with pytest.raises(ValueError, match="do not partition"):
+            self.ENTRY_POINTS[entry](g, Cut(frozenset(), frozenset(range(8)), ()))
+
+    def test_the_reported_cases(self):
+        with pytest.raises(ValueError):
+            is_tight(petersen(), make_cut(prism(), {0, 1, 2}))
+        with pytest.raises(ValueError):
+            boundary_profile(k4(), make_cut(petersen(), {0}))
+        with pytest.raises(ValueError):
+            is_cyclic_cut(k4(), make_cut(petersen(), {0, 1, 2, 3, 4}))
+
+    def test_cuts_of_the_graph_pass(self):
+        g = cube()
+        cut = make_cut(g, {0, 1, 2, 3})
+        # the edges of a cut may come in any order
+        shuffled = Cut(cut.side_a, cut.side_b, tuple(reversed(cut.cut_edges)))
+        for entry in ("is_tight", "boundary_profile", "is_cyclic_cut",
+                      "four_cut_completion_edges", "four_cut_completion_vertices"):
+            self.ENTRY_POINTS[entry](g, shuffled)
+        self.ENTRY_POINTS["is_nice_cut"](g, make_cut(g, {0}))
