@@ -16,9 +16,12 @@ the edges of signature 0. Every query walks the cut sizes k = 0, 1, 2,
 ... in order and stops where its answer is found; each size is matched
 the first time any walk reaches it, then kept on the graph instance with
 the signatures, every cut as its side mask beside its edge tuple, so no
-query scans the edges again to rebuild a cut. The 2^n bipartition scan,
-the former census of connected sides, the former pair-table match and
-Tarjan's bridge search survive in the test suite as oracles.
+query scans the edges again to rebuild a cut. Each value has one checked
+public entry point and no unchecked copy: the checks read the graph's
+cached forest and incidence lists, so they cost no traversal. The 2^n
+bipartition scan, the former census of connected sides, the former
+pair-table match and Tarjan's bridge search survive in the test suite as
+oracles.
 """
 
 from __future__ import annotations
@@ -423,19 +426,11 @@ def enumerate_cuts(
 
 
 def edge_connectivity(g: MultiGraph) -> int:
-    """Minimum edge-cut size; 0 for disconnected graphs."""
-    n = g.vertex_count
-    if n <= 1:
+    """Minimum edge-cut size; 0 for disconnected graphs and for graphs of
+    at most one vertex. A vertex star is a cut, so the walk ends by the
+    minimum degree."""
+    if g.vertex_count <= 1 or not g.is_connected():
         return 0
-    if not g.is_connected():
-        return 0
-    return _edge_connectivity(g)
-
-
-def _edge_connectivity(g: MultiGraph) -> int:
-    """edge_connectivity on a graph already known to be connected with at
-    least 2 vertices; nothing is checked again. A vertex star is a cut,
-    so the walk ends by the minimum degree."""
     return len(next(_cut_sides(g, min(g.degrees())))[1])
 
 
@@ -449,17 +444,12 @@ def cyclic_edge_connectivity(g: MultiGraph) -> int | _NoCyclicCut:
     and the graph is connected. A connected side with a cycle spans at
     least as many edges as it has vertices, so a minimum cyclic k-cut has
     m >= n + k: the search over cuts by size stops at k = m - n and
-    reports NO_CYCLIC_CUT when none of them is cyclic.
+    reports NO_CYCLIC_CUT when none of them is cyclic. The value is kept
+    on the graph's cut space, so it is searched for once per graph.
     """
     _require(g, "cyclic_edge_connectivity", connected=True)
     if any(d < 3 for d in g.degrees()):
         raise ValueError("cyclic_edge_connectivity requires minimum degree 3")
-    return _cyclic_connectivity(g)
-
-
-def _cyclic_connectivity(g: MultiGraph) -> int | _NoCyclicCut:
-    """cyclic_edge_connectivity on a graph already known to be connected
-    with minimum degree 3; nothing is checked again."""
     space = _cut_space(g)
     if space.cyclic is None:
         space.cyclic = _cyclic_value(g)

@@ -52,6 +52,8 @@ def _parse_edge_list(lines: list[str]) -> Iterator[MultiGraph]:
             n, m = int(header[0]), int(header[1])
         except ValueError:
             raise ParseError("non-integer header fields", f"line {idx + 1}")
+        if m < 0:
+            raise ParseError(f"negative edge count {m}", f"line {idx + 1}")
         idx += 1
         pairs = []
         for k in range(m):
@@ -162,14 +164,19 @@ def parse_graph6(line: str | bytes, where: str = "graph6") -> MultiGraph:
     data = _check_bytes(raw, where)
     n, rest = _data_to_n(data, where)
     need = n * (n - 1) // 2
+    # the bits fill whole bytes; padding bits may be anything
+    size = -(-need // 6)
+    if len(rest) != size:
+        # the position of the first missing or extra byte
+        at = len(data) - len(rest) + min(len(rest), size)
+        raise ParseError(
+            f"expected {size} adjacency bytes for {n} vertices, found {len(rest)}",
+            f"{where}, byte {at}",
+        )
     bits = []
     for d in rest:
         for shift in range(5, -1, -1):
             bits.append((d >> shift) & 1)
-    if len(bits) < need:
-        raise ParseError(
-            f"truncated adjacency bits: need {need}, have {len(bits)}", where
-        )
     edges = []
     pos = 0
     for j in range(1, n):

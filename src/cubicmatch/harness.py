@@ -38,16 +38,15 @@ from .brick_brace import _affine_dimension, _decompose
 from .connectivity import (
     NO_CYCLIC_CUT,
     _cut_sides,
-    _cyclic_connectivity,
-    _edge_connectivity,
     _require,
     _side_cut,
     bridges,
+    cyclic_edge_connectivity,
     cyclic_value_at_least,
     cyclically_edge_connected_at_least,
     edge_connectivity,
 )
-from .klee import _klee_steps
+from .klee import is_klee
 from .matching import (
     _boundary_profile,
     _Kernel,
@@ -688,7 +687,8 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     cyclic connectivity, 2-edge-cuts) are computed here; a theorem is
     evaluated exactly when its hypothesis holds.
 
-    g is checked once, and one matching kernel on g serves the profile, the
+    The hypotheses come from the public, checked queries, whose checks read
+    g's cached forest. One matching kernel on g serves the profile, the
     decomposition's tight cuts, the affine rank and the sampled cut; it is
     freed on return. A failed avoiding bound carries its arg-min edge as
     its witness, and a failed cut identity its cut.
@@ -704,12 +704,11 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     dec = _decompose(kernel, g)
     dim = len(g.edges) - n + 1 - dec.brick_count
     affine = _affine_dimension(kernel, g)
-    # g passed _require above, so neither value checks it again
-    ec = _edge_connectivity(g)
-    cyc = _cyclic_connectivity(g)
+    ec = edge_connectivity(g)
+    cyc = cyclic_edge_connectivity(g)
     cyc5 = cyclic_value_at_least(cyc, 5)
     bip = g.is_bipartite()
-    klee = bool(_klee_steps(g))
+    klee = bool(is_klee(g))
     exceptional = canonical_form(g) == exceptional_canonical()
     invariants = {
         "bridgeless": True,

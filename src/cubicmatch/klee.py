@@ -5,6 +5,8 @@ klee-graph by a triangle. Recognition runs the replacement backwards:
 contract triangles whose three outgoing edges reach three distinct
 vertices until K4 appears or no such triangle is left. The contractions
 run on regions of the input graph, so no contracted graph is built.
+is_klee checks its input, cubic and connected, before it contracts; the
+check reads the graph's cached forest, so no unchecked copy is kept.
 """
 
 from __future__ import annotations
@@ -112,17 +114,12 @@ def _triangles(nbrs: dict[int, Collection[int]]) -> Iterator[tuple[int, int, int
 
 
 def is_klee(g: MultiGraph) -> KleeResult:
-    """Klee-graph test with the triangle contraction sequence as certificate."""
-    _require(g, "is_klee", cubic=True, connected=True)
-    return _klee_steps(g)
+    """Klee-graph test with the triangle contraction sequence as certificate.
 
-
-def _klee_steps(g: MultiGraph) -> KleeResult:
-    """is_klee on a graph already checked cubic and connected.
-
-    The current graph is kept as a partition of g into regions, each named
-    by its smallest vertex, with the names of each region's three
-    neighbours (one per outgoing edge of g); no graph is built.
+    Requires a cubic connected graph. The current graph is kept as a
+    partition of g into regions, each named by its smallest vertex, with
+    the names of each region's three neighbours (one per outgoing edge of
+    g); no graph is built.
     _contract_parts numbers a contracted vertex by its smallest member, so
     by induction the current graph's vertex ids rank the region names:
     triangles scanned in name order come in the current graph's
@@ -131,6 +128,7 @@ def _klee_steps(g: MultiGraph) -> KleeResult:
     three outgoing edges, and with four vertices it is simple, hence K4,
     exactly when every region has three distinct neighbours.
     """
+    _require(g, "is_klee", cubic=True, connected=True)
     nbrs = {v: [u for _, u in g.incidence[v]] for v in range(g.vertex_count)}
     steps: list[tuple[int, int, int]] = []
     while True:

@@ -249,7 +249,7 @@ def contract(
     part_sets = [frozenset(p) for p in parts]
     seen: set[int] = set()
     for p in part_sets:
-        if not p or not all(0 <= v < g.vertex_count for v in p):
+        if not p or not all(_is_int(v) and 0 <= v < g.vertex_count for v in p):
             raise ValueError("contraction part out of range or empty")
         if p & seen:
             raise ValueError("contraction parts overlap")
@@ -373,7 +373,7 @@ def _four_cut_attachments(g: MultiGraph, cut: Cut) -> list[int]:
 
 def _normalize_pairing(pairing: tuple[int, int]) -> tuple[int, int, int, int]:
     i, j = pairing
-    if not {i, j} < {0, 1, 2, 3} or i == j:
+    if not (_is_int(i) and _is_int(j)) or not {i, j} < {0, 1, 2, 3} or i == j:
         raise ValueError("pairing must be two distinct indices from 0..3")
     k, l = sorted({0, 1, 2, 3} - {i, j})
     return i, j, k, l

@@ -160,6 +160,20 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, fmt",
+    [("4 -1\n", "edge_list"), ("C~~\n", "graph6"), ("C~?\n", "graph6")],
+)
+def test_malformed_header_or_length_is_a_parse_error(tmp_path, capsys, text, fmt):
+    # each used to exit 0: "4 -1" printed 0, and both graph6 lines K4's 3
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert main(["count", str(bad), "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_directory_named_like_graph_text_is_an_error(tmp_path, capsys, monkeypatch):
     # "C~" is also K4 in graph6; the directory must not be read as that text
     monkeypatch.chdir(tmp_path)

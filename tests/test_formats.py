@@ -59,6 +59,13 @@ class TestEdgeList:
         with pytest.raises(ParseError):
             list(parse("2 1\n1 1\n", EDGE_LIST))
 
+    @pytest.mark.parametrize("text, line", [("4 -1\n", 1), ("2 0\n\n4 -3\n0 1\n", 3)])
+    def test_negative_edge_count(self, text, line):
+        # "4 -1" used to read no edges and give the empty graph on 4 vertices
+        with pytest.raises(ParseError, match="negative edge count") as err:
+            list(parse(text, EDGE_LIST))
+        assert err.value.position == f"line {line}"
+
 
 class TestGraph6:
     def test_k4_is_c_tilde(self):
@@ -91,6 +98,47 @@ class TestGraph6:
     def test_truncated_bits(self):
         with pytest.raises(ParseError):
             parse_graph6("I")  # header says n=10, no adjacency bytes
+
+    @pytest.mark.parametrize("line, byte", [("C~~", 2), ("C~?", 2), ("@?", 1), ("~??C~~", 5)])
+    def test_trailing_bytes(self, line, byte):
+        # "C~~" and "C~?" used to parse as K4
+        with pytest.raises(ParseError, match="adjacency bytes") as err:
+            parse_graph6(line)
+        assert err.value.position == f"graph6, byte {byte}"
+
+    def test_padding_bits_are_ignored(self):
+        # as in networkx: K2 is "A_", and "A~" sets its five padding bits
+        assert parse_graph6("A~").edges == parse_graph6("A_").edges == ((0, 1),)
+
+    def test_catalog_lines_agree_with_networkx(self, catalogs):
+        # a simple graph's line, and the line one byte longer or shorter
+        graphs = [g for n in range(2, 11, 2) for g in catalogs(n) if g.is_simple()]
+        graphs += [k4(), petersen(), MultiGraph(0, ()), MultiGraph(1, ())]
+        for g in graphs:
+            line = write_graph6(g)
+            assert sorted(parse_graph6(line).edges) == sorted(networkx_graph6(line))
+            for wrong in (line + "?", line[:-1]):
+                assert graph6_verdicts(wrong) == (False, False)
+
+
+def networkx_graph6(line):
+    """networkx's reading of a graph6 line, as sorted (u, v) pairs with u < v."""
+    return sorted(tuple(sorted(e)) for e in nx.from_graph6_bytes(line.encode()).edges())
+
+
+def graph6_verdicts(line):
+    """Whether parse_graph6 and networkx each accept the line."""
+    try:
+        parse_graph6(line)
+        mine = True
+    except ParseError:
+        mine = False
+    try:
+        networkx_graph6(line)
+        theirs = True
+    except (nx.NetworkXError, ValueError, IndexError):
+        theirs = False
+    return mine, theirs
 
 
 def bit_list_sparse6(g):
@@ -289,12 +337,17 @@ class TestFuzz:
     def test_sparse6_and_graph6_payloads(self):
         rnd = random.Random(107)
         errors = []
+        accepted = 0
         for _ in range(3000):
             body = "".join(chr(rnd.randint(63, 126)) for _ in range(rnd.randint(0, 12)))
             errors += self.parse_errors(parse_sparse6, ":" + body)
             errors += self.parse_errors(parse_graph6, body)
+            mine, theirs = graph6_verdicts(body)
+            assert mine == theirs, body
+            accepted += mine
         # some payloads decode to loops, which a MultiGraph refuses
         assert any("loop" in e for e in errors)
+        assert accepted
 
     def test_arbitrary_text(self):
         rnd = random.Random(109)

@@ -987,22 +987,24 @@ class TestVerify:
         verify_graph(g)
         assert calls == [g]
 
-    def test_verify_graph_tests_connectivity_once(self, monkeypatch):
-        # once on the input by the validator; the cut values and the
-        # contractions of tight-cut sides and triangles check nothing again
+    def test_verify_graph_asks_each_hypothesis_once(self, monkeypatch):
+        # the hypotheses come from the checked public queries, each asked
+        # once on the input; contractions of tight-cut sides and triangles
+        # ask none of them
         graphs = [petersen(), exceptional_graph(), random_bridgeless_cubic(12, random.Random(12))]
-        calls = []
-        is_connected = MultiGraph.is_connected
+        calls = {name: [] for name in ("edge_connectivity", "cyclic_edge_connectivity", "is_klee")}
+        for name, seen in calls.items():
+            def counting(g, seen=seen, query=getattr(harness, name)):
+                seen.append(g)
+                return query(g)
 
-        def counting_is_connected(g):
-            calls.append(g)
-            return is_connected(g)
-
-        monkeypatch.setattr(MultiGraph, "is_connected", counting_is_connected)
+            monkeypatch.setattr(harness, name, counting)
         for g in graphs:
-            calls.clear()
+            for seen in calls.values():
+                seen.clear()
             verify_graph(g)
-            assert len(calls) == 1 and calls[0] is g
+            for seen in calls.values():
+                assert len(seen) == 1 and seen[0] is g
         assert decompose(graphs[1]).cut_trace and is_klee(graphs[1]).contractions
 
     def test_verify_graph_leaves_no_kernel_for_the_collector(self):

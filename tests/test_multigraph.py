@@ -122,6 +122,12 @@ class TestContract:
         with pytest.raises(ValueError):
             contract(k4(), [(0, 1), (1, 2)])
 
+    @pytest.mark.parametrize("part", [[True, 2], [0.0, 1], [-1, 0], [4]])
+    def test_part_must_hold_vertex_ids(self, part):
+        # [True, 2] used to contract {1, 2}, and [0.0, 1] raised TypeError
+        with pytest.raises(ValueError, match="contraction part out of range or empty"):
+            contract(k4(), [part])
+
 
 class TestTriangleReplacement:
     def test_k4_becomes_prism(self):
@@ -225,6 +231,16 @@ class TestFourCutCompletions:
         g = prism()
         with pytest.raises(ValueError):
             four_cut_completion_edges(g, make_cut(g, {0, 1, 2}), (0, 1))
+
+    @pytest.mark.parametrize(
+        "completion", [four_cut_completion_edges, four_cut_completion_vertices]
+    )
+    @pytest.mark.parametrize("pairing", [(True, 2), (1.0, 2), (0, 4), (1, 1)])
+    def test_pairing_must_hold_two_index_ints(self, completion, pairing):
+        # (True, 2) used to pair (1, 2), and (1.0, 2) raised TypeError
+        g, cut = self.cube_cut()
+        with pytest.raises(ValueError, match="pairing must be two distinct indices from 0..3"):
+            completion(g, cut, pairing)
 
 
 class TestCanonicalForm:
