@@ -30,7 +30,7 @@ from .connectivity import (
     _side_key,
     vertex_connectivity_at_most,
 )
-from .matching import _Kernel
+from .matching import _covered, _Kernel
 from .multigraph import Cut, MultiGraph, _contract_parts, _require_cut
 
 BRICK = "brick"
@@ -64,6 +64,11 @@ class Decomposition:
     def brace_count(self) -> int:
         return sum(1 for _, kind in self._leaves if kind == BRACE)
 
+    @property
+    def dimension(self) -> int:
+        """Dimension m - n + 1 - b of the input's perfect matching polytope."""
+        return len(self._graph.edges) - self._graph.vertex_count + 1 - self.brick_count
+
     @cached_property
     def pieces(self) -> tuple[tuple[MultiGraph, str], ...]:
         g = self._graph
@@ -73,16 +78,10 @@ class Decomposition:
     def cut_trace(self) -> tuple[Cut, ...]:
         trace = []
         for parts, side, cut_edges in self._splits:
-            h, vmap = _piece(self._graph, parts)
+            h, vmap, edge_map = _piece(self._graph, parts)
             image = 0
             for v in _bits(side):
                 image |= 1 << vmap[v]
-            # a contraction keeps the edges between different parts in order
-            edge_map = []
-            kept = 0
-            for u, v in self._graph.edges:
-                edge_map.append(kept)
-                kept += vmap[u] != vmap[v]
             trace.append(_side_cut(h, image, tuple(edge_map[e] for e in cut_edges)))
         return tuple(trace)
 
@@ -98,12 +97,13 @@ class Decomposition:
         return f"Decomposition(pieces={self.pieces!r}, cut_trace={self.cut_trace!r})"
 
 
-def _piece(g: MultiGraph, parts: tuple[int, ...]) -> tuple[MultiGraph, list[int]]:
-    """g with each part mask contracted in one step, and the vertex map;
-    the numbering and edge order are those of contracting the parts one
-    split at a time (see _decompose). With no part it is g itself."""
+def _piece(g: MultiGraph, parts: tuple[int, ...]) -> tuple[MultiGraph, list[int], list[int]]:
+    """g with each part mask contracted in one step, with the vertex and
+    edge maps of `_contract_parts`; the numbering and edge order are those
+    of contracting the parts one split at a time (see _decompose). With no
+    part it is g itself."""
     if not parts:
-        return g, list(range(g.vertex_count))
+        return g, list(range(g.vertex_count)), list(range(len(g.edges)))
     return _contract_parts(g, [frozenset(_bits(p)) for p in parts])
 
 
@@ -127,7 +127,7 @@ def is_tight(g: MultiGraph, cut: Cut) -> bool:
 def _require_covered(kernel: _Kernel, who: str) -> None:
     """The matching covered precondition, read from the kernel's per-edge
     table."""
-    if not kernel.matching_covered():
+    if not _covered(kernel.edge_counts(), kernel.forbidden, 1):
         raise ValueError(f"{who} requires a matching covered graph")
 
 
@@ -294,8 +294,7 @@ def is_brick(g: MultiGraph) -> bool:
 
 def polytope_dimension(g: MultiGraph) -> int:
     """Dimension |E| - |V| + 1 - b(G) of the perfect matching polytope."""
-    b = decompose(g).brick_count
-    return len(g.edges) - g.vertex_count + 1 - b
+    return decompose(g).dimension
 
 
 def _exact_rank(rows: list[list[int]]) -> int:

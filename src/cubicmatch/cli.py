@@ -13,7 +13,7 @@ import sys
 from typing import Sequence
 
 from .brick_brace import decompose
-from .formats import EDGE_LIST, GRAPH6, SPARSE6, ParseError, parse, write
+from .formats import EDGE_LIST, FORMATS, ParseError, parse, write
 from .harness import (
     CATALOG_CLASSES,
     generate_catalog,
@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("path", help="input file (or '-' for stdin)")
         p.add_argument(
             "--format",
-            choices=[EDGE_LIST, GRAPH6, SPARSE6],
+            choices=FORMATS,
             default=EDGE_LIST,
             help="input format (default edge_list)",
         )
@@ -61,8 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     klee_sub = p_klee.add_subparsers(dest="klee_command", required=True)
     p_kenum = klee_sub.add_parser("enum", help="enumerate klee-graphs of order n")
     p_kenum.add_argument("--n", type=int, required=True)
-    p_kenum.add_argument("--out-format", choices=[EDGE_LIST, GRAPH6, SPARSE6],
-                         default=EDGE_LIST)
+    p_kenum.add_argument("--out-format", choices=FORMATS, default=EDGE_LIST)
 
     p_cat = sub.add_parser("catalog", help="catalog sweeps")
     cat_sub = p_cat.add_subparsers(dest="catalog_command", required=True)
@@ -78,8 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--class", dest="klass", choices=CATALOG_CLASSES,
                        default="all_bridgeless_cubic")
     p_gen.add_argument("--simple-only", action="store_true")
-    p_gen.add_argument("--out-format", choices=[EDGE_LIST, GRAPH6, SPARSE6],
-                       default=EDGE_LIST)
+    p_gen.add_argument("--out-format", choices=FORMATS, default=EDGE_LIST)
     return top
 
 
@@ -125,7 +123,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         print(f"piece {i} kind={kind} n={piece.vertex_count} m={len(piece.edges)}")
     print(f"bricks {dec.brick_count}")
     print(f"braces {dec.brace_count}")
-    print(f"dimension {len(g.edges) - g.vertex_count + 1 - dec.brick_count}")
+    print(f"dimension {dec.dimension}")
     return 0
 
 

@@ -15,6 +15,7 @@ from .multigraph import MultiGraph
 EDGE_LIST = "edge_list"
 GRAPH6 = "graph6"
 SPARSE6 = "sparse6"
+FORMATS = (EDGE_LIST, GRAPH6, SPARSE6)
 
 
 class ParseError(ValueError):
@@ -114,22 +115,27 @@ def _data_to_n(data: list[int], where: str) -> tuple[int, list[int]]:
     raise ParseError("truncated vertex count", where)
 
 
-def _payload(line: str | bytes, header: bytes, where: str) -> bytes:
-    """The line as stripped ASCII bytes, without its optional header."""
+def _payload(line: str | bytes, header: bytes, where: str) -> tuple[bytes, int]:
+    """The line as stripped ASCII bytes, without its optional header, and
+    the index in the line of the payload's first byte."""
     if isinstance(line, str):
         try:
             line = line.encode("ascii")
         except UnicodeEncodeError as exc:
             raise ParseError("non-ASCII character", f"{where}, character {exc.start}")
-    raw = line.strip()
-    return raw[len(header):] if raw.startswith(header) else raw
+    start = len(line) - len(line.lstrip())
+    if line.startswith(header, start):
+        start += len(header)
+    return line[start:].rstrip(), start
 
 
-def _check_bytes(payload: bytes, where: str) -> list[int]:
+def _check_bytes(payload: bytes, start: int, where: str) -> list[int]:
+    """The payload's bytes less 63; an error names the index in the line,
+    where the payload starts at ``start``."""
     data = []
     for pos, byte in enumerate(payload):
         if not 63 <= byte <= 126:
-            raise ParseError(f"invalid byte {byte!r}", f"{where}, byte {pos}")
+            raise ParseError(f"invalid byte {byte!r}", f"{where}, byte {start + pos}")
         data.append(byte - 63)
     return data
 
@@ -160,15 +166,15 @@ def write_graph6(g: MultiGraph) -> str:
 
 
 def parse_graph6(line: str | bytes, where: str = "graph6") -> MultiGraph:
-    raw = _payload(line, b">>graph6<<", where)
-    data = _check_bytes(raw, where)
+    raw, start = _payload(line, b">>graph6<<", where)
+    data = _check_bytes(raw, start, where)
     n, rest = _data_to_n(data, where)
     need = n * (n - 1) // 2
     # the bits fill whole bytes; padding bits may be anything
     size = -(-need // 6)
     if len(rest) != size:
-        # the position of the first missing or extra byte
-        at = len(data) - len(rest) + min(len(rest), size)
+        # the position in the line of the first missing or extra byte
+        at = start + len(data) - len(rest) + min(len(rest), size)
         raise ParseError(
             f"expected {size} adjacency bytes for {n} vertices, found {len(rest)}",
             f"{where}, byte {at}",
@@ -236,10 +242,10 @@ def write_sparse6(g: MultiGraph) -> str:
 
 
 def parse_sparse6(line: str | bytes, where: str = "sparse6") -> MultiGraph:
-    raw = _payload(line, b">>sparse6<<", where)
+    raw, start = _payload(line, b">>sparse6<<", where)
     if not raw.startswith(b":"):
         raise ParseError("sparse6 line must start with ':'", where)
-    data = _check_bytes(raw[1:], where)
+    data = _check_bytes(raw[1:], start + 1, where)
     n, rest = _data_to_n(data, where)
     k = 1
     while (1 << k) < n:
@@ -319,16 +325,13 @@ def _parse_text(text: str, fmt: str) -> Iterator[MultiGraph]:
     lines = text.splitlines()
     if fmt == EDGE_LIST:
         yield from _parse_edge_list(lines)
-    elif fmt == GRAPH6:
-        for i, line in enumerate(lines):
-            if line.strip():
-                yield parse_graph6(line, where=f"line {i + 1}")
-    elif fmt == SPARSE6:
-        for i, line in enumerate(lines):
-            if line.strip():
-                yield parse_sparse6(line, where=f"line {i + 1}")
-    else:
+        return
+    parse_line = {GRAPH6: parse_graph6, SPARSE6: parse_sparse6}.get(fmt)
+    if parse_line is None:
         raise ValueError(f"unknown format {fmt!r}")
+    for i, line in enumerate(lines):
+        if line.strip():
+            yield parse_line(line, where=f"line {i + 1}")
 
 
 def write(graphs: Iterable[MultiGraph], fmt: str = EDGE_LIST) -> str:

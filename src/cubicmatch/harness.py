@@ -53,6 +53,7 @@ from .matching import (
     _matching_profile,
     _validate_constraints,
     count_perfect_matchings,
+    matching_profile,
 )
 from .multigraph import MultiGraph, _is_int, canonical_form, make_cut
 from .named_graphs import exceptional_graph
@@ -106,24 +107,6 @@ def _partitions_min2(n: int) -> Iterator[tuple[int, ...]]:
                 yield (part,) + rest
 
     yield from rec(n, n)
-
-
-def _two_factor(cycle_type: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[int]]:
-    """Edges of the fixed 2-factor with the given cycle lengths, plus the
-    block id of each vertex. A length-2 cycle is a doubled edge."""
-    edges: list[tuple[int, int]] = []
-    block: list[int] = []
-    offset = 0
-    for bid, length in enumerate(cycle_type):
-        block.extend([bid] * length)
-        if length == 2:
-            edges.append((offset, offset + 1))
-            edges.append((offset, offset + 1))
-        else:
-            for i in range(length):
-                edges.append((offset + i, offset + (i + 1) % length))
-        offset += length
-    return edges, block
 
 
 def _symmetries(cycle_type: tuple[int, ...], n: int) -> tuple[list[bytes], list[bytes]]:
@@ -263,15 +246,17 @@ def _is_orbit_minimal(
 
 def _candidate_pairings(
     cycle_type: tuple[int, ...], block: list[int], pairings: tuple[list[bytes], list[bytes]]
-) -> Iterator[tuple[bytes, bytes]]:
+) -> Iterator[bytes]:
     """The orbit-minimal ``pairings`` (every pairing as its partner array
     and its codes, in code order; see `_pairings`) whose union with the
-    2-factor of ``cycle_type`` is connected and bridgeless, as (partner
-    array, codes) in code order. No graph is built.
+    2-factor of ``cycle_type`` is connected and bridgeless, as partner
+    arrays in code order. ``block`` holds each vertex's block id (`_ring`).
+    No graph is built.
 
     Orbits are marked on partner arrays, whose images are two byte
     translates each (`_is_orbit_minimal`); the quotient test reads the
-    codes kept beside each array and runs before the orbit is marked.
+    codes kept beside each array, whose only use is its block-pair key,
+    and runs before the orbit is marked.
     Every symmetry maps each cycle block to itself, so all pairings of an
     orbit have the same multiset of block pairs, hence the same quotient
     verdict. A pairing that fails it is skipped without marking: the rest
@@ -299,19 +284,24 @@ def _candidate_pairings(
             cross = [divmod(c, 16) for c in key if c != _SAME_BLOCK]
             passes = verdicts[key] = _quotient_connected_bridgeless(cross, blocks)
         if passes and _is_orbit_minimal(partner, symmetries, marked):
-            yield partner, codes
+            yield partner
 
 
-def _ring(cycle_type: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-    """The fixed 2-factor of ``cycle_type`` (laid out as in `_two_factor`)
-    as three per-vertex lists: the distinct ring neighbours above the
-    vertex, one ring neighbour, and the sum of both ring neighbours (twice
-    the other end on a digon)."""
+_Ring = tuple[list[tuple[int, ...]], list[int], list[int], list[int]]
+
+
+def _ring(cycle_type: tuple[int, ...]) -> _Ring:
+    """The fixed 2-factor of ``cycle_type``, its cycles on consecutive
+    vertices, as four per-vertex lists: the distinct ring neighbours above
+    the vertex, the next ring vertex (the last of a cycle is followed by
+    its first), the sum of both ring neighbours (twice the other end on a
+    digon), and the block id, the index of the vertex's cycle."""
     above: list[tuple[int, ...]] = []
     first: list[int] = []
     sums: list[int] = []
+    block: list[int] = []
     offset = 0
-    for length in cycle_type:
+    for bid, length in enumerate(cycle_type):
         last = offset + length - 1
         for v in range(offset, last + 1):
             after = v + 1 if v < last else offset
@@ -319,14 +309,22 @@ def _ring(cycle_type: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int]
             above.append(tuple(sorted({w for w in (after, before) if w > v})))
             first.append(after)
             sums.append(after + before)
+            block.append(bid)
         offset += length
-    return above, first, sums
+    return above, first, sums, block
+
+
+def _union(ring: _Ring, partner: bytes) -> MultiGraph:
+    """The union of the 2-factor ``ring`` (`_ring`) and the pairing
+    ``partner``: the edges (v, next ring vertex) for every v, then
+    (u, partner[u]) for every u < partner[u]. A digon's two ends give its
+    two parallel edges."""
+    pairs = tuple((u, p) for u, p in enumerate(partner) if u < p)
+    return MultiGraph(len(partner), tuple(enumerate(ring[1])) + pairs)
 
 
 def _has_larger_two_factor(
-    cycle_type: tuple[int, ...],
-    ring: tuple[list[tuple[int, ...]], list[int], list[int]],
-    partner: bytes,
+    cycle_type: tuple[int, ...], ring: _Ring, partner: bytes
 ) -> bool:
     """Whether some 2-factor of the union of the fixed 2-factor of
     ``cycle_type`` (its `_ring`) with the pairing ``partner`` has a cycle
@@ -341,7 +339,7 @@ def _has_larger_two_factor(
     """
     if len(cycle_type) == 1:
         return False
-    above, first, sums = ring
+    above, first, sums, _ = ring
     # each vertex's free neighbours once branching reaches it: every lower
     # vertex is covered by then
     options = [
@@ -503,12 +501,11 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     seen: dict[bytes, MultiGraph] = {}
     pairings = _pairings(n)
     for cycle_type in _partitions_min2(n):
-        factor_edges, block = _two_factor(cycle_type)
         ring = _ring(cycle_type)
-        for partner, codes in _candidate_pairings(cycle_type, block, pairings):
+        for partner in _candidate_pairings(cycle_type, ring[3], pairings):
             if _has_larger_two_factor(cycle_type, ring, partner):
                 continue
-            g = MultiGraph(n, tuple(factor_edges) + tuple(divmod(c, 16) for c in codes))
+            g = _union(ring, partner)
             key = canonical_form(g)
             if key not in seen:
                 seen[key] = g
@@ -695,6 +692,8 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     """
     _require(g, "verify_graph", cubic=True, connected=True, bridgeless=True)
     n = g.vertex_count
+    if not n:  # cubic, connected and bridgeless hold vacuously
+        raise ValueError("verify_graph requires a graph with at least one vertex")
     kernel = _Kernel(g)
     counts = _matching_profile(kernel, g, frozenset())
     pm = counts.total
@@ -702,7 +701,7 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     heaviest = max(counts.per_edge, key=counts.per_edge.__getitem__)
     min_avoiding = pm - counts.per_edge[heaviest]
     dec = _decompose(kernel, g)
-    dim = len(g.edges) - n + 1 - dec.brick_count
+    dim = dec.dimension
     affine = _affine_dimension(kernel, g)
     ec = edge_connectivity(g)
     cyc = cyclic_edge_connectivity(g)
@@ -829,6 +828,8 @@ def scarce_matching_graphs(max_n: int) -> list[tuple[int, str, int]]:
     """Graphs in the catalogs up to max_n with at most n/2 + 1 perfect
     matchings, reported as (n, canonical hex, pm count). Reported only:
     the sweep cannot bound the full family."""
+    if not _is_int(max_n):
+        raise ValueError(f"catalog order must be an int, got {max_n!r}")
     out = []
     for n in range(2, max_n + 1, 2):
         for g in bridgeless_cubic_catalog(n):
@@ -862,15 +863,9 @@ def bipartite_companion_check(g: MultiGraph, e: int) -> CompanionResult:
         return CompanionResult(NOT_APPLICABLE, None)
     if not cyclically_edge_connected_at_least(g, 5):
         return CompanionResult(NOT_APPLICABLE, None)
-    m = len(g.edges)
-
-    def covered_without(removed: frozenset[int]) -> bool:
-        """Every remaining edge lies in a perfect matching of G - removed."""
-        return _Kernel(g, removed).matching_covered()
-
-    if covered_without(frozenset((e,))):
+    if matching_profile(g, forbidden=(e,)).matching_covered:
         return CompanionResult(NOT_APPLICABLE, None)
-    for f in range(m):
+    for f in range(len(g.edges)):
         if f == e:
             continue
         reduced = MultiGraph(
@@ -879,6 +874,6 @@ def bipartite_companion_check(g: MultiGraph, e: int) -> CompanionResult:
         )
         if not reduced.is_bipartite():
             continue
-        if covered_without(frozenset((e, f))):
+        if matching_profile(g, forbidden=(e, f)).matching_covered:
             return CompanionResult(FOUND, f)
     return CompanionResult(NOT_FOUND, None)

@@ -19,6 +19,7 @@ from .brick_brace import _is_tight_unchecked
 from .connectivity import _require, enumerate_cuts, is_cyclic_cut
 from .matching import _Kernel, _vertex_mask
 from .multigraph import (
+    DEFAULT_CANONICAL_BOUND,
     Cut,
     MultiGraph,
     _is_int,
@@ -258,7 +259,7 @@ def enumerate_klee(n: int) -> tuple[MultiGraph, ...]:
     like 6, so it is refused before the cache is read."""
     if not _is_int(n):
         raise ValueError(f"klee order must be an int, got {n!r}")
-    if n % 2 or not 4 <= n <= 16:
+    if n % 2 or not 4 <= n <= DEFAULT_CANONICAL_BOUND:
         raise ValueError("enumerate_klee requires even n with 4 <= n <= 16")
     if n in _KLEE_CACHE:
         return _KLEE_CACHE[n]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .connectivity import _bits
 from .multigraph import Cut, MultiGraph, _is_int, _require_cut, delete_vertices
@@ -57,11 +57,19 @@ class MatchingProfile:
 
     @property
     def matching_covered(self) -> bool:
-        return all(c >= 1 for c in self.per_edge.values())
+        return _covered(self.per_edge, self.forbidden, 1)
 
     @property
     def double_covered(self) -> bool:
-        return all(c >= 2 for c in self.per_edge.values())
+        return _covered(self.per_edge, self.forbidden, 2)
+
+
+def _covered(counts: Sequence[int] | dict[int, int], forbidden: frozenset[int], times: int) -> bool:
+    """The one covering rule: some edge is not forbidden, and each such
+    edge lies in at least ``times`` counted matchings. ``counts[e]`` is
+    edge e's count (a kernel's per-edge table or a profile's per_edge)."""
+    kept = [counts[e] for e in range(len(counts)) if e not in forbidden]
+    return bool(kept) and min(kept) >= times
 
 
 @dataclass
@@ -231,12 +239,6 @@ class _Kernel:
                 layer = nxt
         self._tables[covered] = table
         return table
-
-    def matching_covered(self) -> bool:
-        """Whether some edge is kept and every kept edge lies in a perfect
-        matching."""
-        kept = [c for i, c in enumerate(self.edge_counts()) if i not in self.forbidden]
-        return bool(kept) and all(kept)
 
     def matchings(self, covered: int, chosen: list[int]) -> Iterator[tuple[int, ...]]:
         """Every perfect matching of G - covered together with the edges
@@ -506,7 +508,7 @@ def _matching_profile(kernel: _Kernel, g: MultiGraph, forced: frozenset[int]) ->
 
 
 def is_matching_covered(g: MultiGraph) -> bool:
-    return _Kernel(g).matching_covered()
+    return matching_profile(g).matching_covered
 
 
 def boundary_profile(g: MultiGraph, cut: Cut) -> BoundaryProfile:

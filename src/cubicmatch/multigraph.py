@@ -257,14 +257,18 @@ def contract(
         sub, _, _ = induced_subgraph(g, p)
         if not sub.is_connected():
             raise ValueError(f"contraction part {sorted(p)} is not connected")
-    return _contract_parts(g, part_sets)
+    h, vmap, _ = _contract_parts(g, part_sets)
+    return h, vmap
 
 
 def _contract_parts(
     g: MultiGraph, part_sets: Sequence[frozenset[int]]
-) -> tuple[MultiGraph, list[int]]:
+) -> tuple[MultiGraph, list[int], list[int]]:
     """contract on parts the caller already knows to be nonempty,
-    disjoint, in range and connected; nothing is checked again."""
+    disjoint, in range and connected; nothing is checked again. Returns
+    the contracted graph, the vertex map, and the edge map: the kept edges
+    (those between different parts) keep their order, and edge_map[e] is
+    the new index of edge e, or -1 when e lies inside a part."""
     owner = {}
     for idx, p in enumerate(part_sets):
         for v in p:
@@ -286,11 +290,13 @@ def _contract_parts(
             vmap[v] = next_id
             next_id += 1
     new_edges = []
+    edge_map = []
     for u, v in g.edges:
         a, b = vmap[u], vmap[v]
+        edge_map.append(len(new_edges) if a != b else -1)
         if a != b:
             new_edges.append((a, b))
-    return MultiGraph(next_id, tuple(new_edges)), vmap
+    return MultiGraph(next_id, tuple(new_edges)), vmap, edge_map
 
 
 def replace_vertex_with_triangle(g: MultiGraph, v: int) -> MultiGraph:
@@ -358,25 +364,28 @@ def glue(
     return MultiGraph(off + len(h_keep), tuple(edges))
 
 
-def _four_cut_attachments(g: MultiGraph, cut: Cut) -> list[int]:
+def _four_cut_side(
+    g: MultiGraph, cut: Cut, pairing: tuple[int, int]
+) -> tuple[MultiGraph, tuple[int, ...]]:
+    """The preamble of both 4-cut completions: the induced side_a, and its
+    attachments a_i, a_j, a_k, a_l in that graph's vertex ids, where {i, j}
+    is the pairing and k < l the other two indices."""
     _require_cut(g, cut)
     if cut.size != 4:
         raise ValueError(f"cut has size {cut.size}, need 4")
     att = []
-    for i in cut.cut_edges:
-        u, v = g.edges[i]
+    for e in cut.cut_edges:
+        u, v = g.edges[e]
         att.append(u if u in cut.side_a else v)
     if len(set(att)) != 4:
         raise ValueError("attachment vertices on the kept side are not distinct")
-    return att
-
-
-def _normalize_pairing(pairing: tuple[int, int]) -> tuple[int, int, int, int]:
     i, j = pairing
     if not (_is_int(i) and _is_int(j)) or not {i, j} < {0, 1, 2, 3} or i == j:
         raise ValueError("pairing must be two distinct indices from 0..3")
     k, l = sorted({0, 1, 2, 3} - {i, j})
-    return i, j, k, l
+    sub, old_ids, _ = induced_subgraph(g, cut.side_a)
+    index = {v: p for p, v in enumerate(old_ids)}
+    return sub, tuple(index[att[x]] for x in (i, j, k, l))
 
 
 def four_cut_completion_edges(
@@ -388,14 +397,8 @@ def four_cut_completion_edges(
     result is the induced side plus edges a_i a_j and a_k a_l. Complementary
     pairings give the same graph.
     """
-    att = _four_cut_attachments(g, cut)
-    i, j, k, l = _normalize_pairing(pairing)
-    sub, old_ids, _ = induced_subgraph(g, cut.side_a)
-    index = {v: p for p, v in enumerate(old_ids)}
-    edges = list(sub.edges)
-    edges.append(tuple(sorted((index[att[i]], index[att[j]]))))
-    edges.append(tuple(sorted((index[att[k]], index[att[l]]))))
-    return MultiGraph(sub.vertex_count, tuple(edges))
+    sub, (a_i, a_j, a_k, a_l) = _four_cut_side(g, cut, pairing)
+    return MultiGraph(sub.vertex_count, sub.edges + ((a_i, a_j), (a_k, a_l)))
 
 
 def four_cut_completion_vertices(
@@ -406,15 +409,10 @@ def four_cut_completion_vertices(
     Adds adjacent vertices x, y with x joined to a_i, a_j and y to a_k, a_l;
     the result has |side_a| + 2 vertices.
     """
-    att = _four_cut_attachments(g, cut)
-    i, j, k, l = _normalize_pairing(pairing)
-    sub, old_ids, _ = induced_subgraph(g, cut.side_a)
-    index = {v: p for p, v in enumerate(old_ids)}
+    sub, (a_i, a_j, a_k, a_l) = _four_cut_side(g, cut, pairing)
     x, y = sub.vertex_count, sub.vertex_count + 1
-    edges = list(sub.edges)
-    edges += [(index[att[i]], x), (index[att[j]], x),
-              (index[att[k]], y), (index[att[l]], y), (x, y)]
-    return MultiGraph(sub.vertex_count + 2, tuple(edges))
+    edges = ((a_i, x), (a_j, x), (a_k, y), (a_l, y), (x, y))
+    return MultiGraph(sub.vertex_count + 2, sub.edges + edges)
 
 
 # --------------------------------------------------------------------------

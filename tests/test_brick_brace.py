@@ -115,7 +115,7 @@ def sequential_contract_side(h, part, cuts):
     set part contracted, and the nontrivial tight 3-cuts of the result,
     re-indexed from h's cuts (side_a mask, cut edges) in enumerate_cuts
     order."""
-    piece, vmap = _contract_parts(h, [frozenset(_bits(part))])
+    piece, vmap, _ = _contract_parts(h, [frozenset(_bits(part))])
     edge_map = []
     kept = 0
     for u, v in h.edges:
@@ -410,6 +410,14 @@ class TestDimensions:
         assert polytope_dimension(k4()) == 2
         assert polytope_dimension(k33()) == 4
         assert polytope_dimension(petersen()) == 5
+
+    def test_decomposition_dimension_is_the_formula(self, catalogs):
+        # m - n + 1 - b, read by polytope_dimension and the report alike
+        for n in (2, 4, 6, 8):
+            for g in catalogs(n):
+                dec = decompose(g)
+                assert dec.dimension == len(g.edges) - n + 1 - dec.brick_count
+                assert polytope_dimension(g) == dec.dimension
 
     def test_affine_values(self):
         assert pm_affine_dimension(k4()) == 2

@@ -125,6 +125,20 @@ def test_gen_12_keeps_its_representatives(catalogs, capsys, out_format, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_catalog_verify_12_keeps_its_reports(catalogs, capsys):
+    # the reports on stdout and the summary on stderr; the catalog comes
+    # from the session cache
+    catalogs(12)
+    assert main(["catalog", "verify", "--n", "12"]) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6afcb81d59a3c66062d4683d75126273a830c7a35ad322065d8aa2eada35d280"
+    )
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "f70c5eb204b54f0f1331a15fee827784bdfc710fd35a68a4bee0a2107e7ca921"
+    )
+
+
 @pytest.mark.skipif(
     not os.environ.get("CUBICMATCH_RUN_SLOW"),
     reason="n=14 generation and verification take about 11 s",
@@ -172,6 +186,16 @@ def test_malformed_header_or_length_is_a_parse_error(tmp_path, capsys, text, fmt
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_analyze_refuses_the_order_zero_graph(tmp_path, capsys):
+    # it used to print "error: max() arg is an empty sequence"
+    empty = tmp_path / "empty.el"
+    empty.write_text("0 0\n")
+    assert main(["analyze", str(empty)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: verify_graph requires a graph with at least one vertex\n"
 
 
 def test_directory_named_like_graph_text_is_an_error(tmp_path, capsys, monkeypatch):

@@ -106,6 +106,16 @@ class TestGraph6:
             parse_graph6(line)
         assert err.value.position == f"graph6, byte {byte}"
 
+    @pytest.mark.parametrize(
+        "line, byte",
+        [(">>graph6<<C~~", 12), ("  C~~", 4), (b" >>graph6<<C~?", 13), ("\tC\x01~", 2)],
+    )
+    def test_byte_positions_count_from_the_line_as_passed(self, line, byte):
+        # leading blanks and the header are counted, not skipped
+        with pytest.raises(ParseError) as err:
+            parse_graph6(line)
+        assert err.value.position == f"graph6, byte {byte}"
+
     def test_padding_bits_are_ignored(self):
         # as in networkx: K2 is "A_", and "A~" sets its five padding bits
         assert parse_graph6("A~").edges == parse_graph6("A_").edges == ((0, 1),)
@@ -205,6 +215,21 @@ class TestSparse6:
     def test_missing_colon(self):
         with pytest.raises(ParseError):
             parse_sparse6("A_")
+
+    @pytest.mark.parametrize(
+        "line, byte",
+        [(":A\x01", 2), (">>sparse6<<:A\x01", 13), ("  :A\x01", 4), (b"\t:\x01", 2)],
+    )
+    def test_byte_positions_count_from_the_line_as_passed(self, line, byte):
+        # the ':', the header and leading blanks are counted, not skipped
+        with pytest.raises(ParseError, match="invalid byte") as err:
+            parse_sparse6(line)
+        assert err.value.position == f"sparse6, byte {byte}"
+
+    def test_stream_position_names_line_and_byte(self):
+        with pytest.raises(ParseError) as err:
+            list(parse(":A_\n >>sparse6<<:A\x01\n", SPARSE6))
+        assert err.value.position == "line 2, byte 14"
 
     def test_roundtrip_vs_networkx(self):
         rnd = random.Random(101)

@@ -430,8 +430,27 @@ def union_find_quotient(cross, blocks):
     return True
 
 
+def two_factor_reference(cycle_type):
+    """The generator's former fixed 2-factor: its edges, each cycle laid
+    out on consecutive vertices, and the block id of each vertex. A
+    length-2 cycle is a doubled edge."""
+    edges = []
+    block = []
+    offset = 0
+    for bid, length in enumerate(cycle_type):
+        block.extend([bid] * length)
+        if length == 2:
+            edges.append((offset, offset + 1))
+            edges.append((offset, offset + 1))
+        else:
+            for i in range(length):
+                edges.append((offset + i, offset + (i + 1) % length))
+        offset += length
+    return edges, block
+
+
 def union(cycle_type, codes):
-    factor_edges, _ = harness._two_factor(cycle_type)
+    factor_edges, _ = two_factor_reference(cycle_type)
     return MultiGraph(sum(cycle_type), tuple(factor_edges) + decode(codes))
 
 
@@ -440,7 +459,7 @@ def reference_unions(n):
     marking: (cycle type, union) for every orbit-minimal pairing whose
     union is connected and bridgeless."""
     for cycle_type in harness._partitions_min2(n):
-        factor_edges, block = harness._two_factor(cycle_type)
+        factor_edges, block = two_factor_reference(cycle_type)
         tables = per_permutation_tables(cycle_type, n)
         for pm in all_pairings(tuple(range(n))):
             if not table_orbit_minimal(pm, tables):
@@ -454,7 +473,7 @@ def marking_first_pairings(cycle_type, n, pairings):
     """The generator's pairing loop before the quotient moved first: every
     pairing marks its orbit if unmarked, then the orbit minima are tested
     on the (block[u], block[v]) list of their cross pairs."""
-    _, block = harness._two_factor(cycle_type)
+    _, block = two_factor_reference(cycle_type)
     tables = per_permutation_tables(cycle_type, n)
     marked = set()
     out = []
@@ -563,10 +582,9 @@ class TestOrbitFilter:
         pairings = harness._pairings(n)
         _, codes = pairings
         for cycle_type in harness._partitions_min2(n):
-            _, block = harness._two_factor(cycle_type)
+            _, block = two_factor_reference(cycle_type)
             accepted = list(harness._candidate_pairings(cycle_type, block, pairings))
-            assert all(partner_table(c)[:n] == partner for partner, c in accepted)
-            accepted = [c for _, c in accepted]
+            accepted = [bytes(u * 16 + v for u, v in partner_pairs(p)) for p in accepted]
             assert accepted == marking_first_pairings(cycle_type, n, codes)
             assert accepted == code_table_candidates(cycle_type, block, codes)
 
@@ -575,11 +593,12 @@ class TestOrbitFilter:
         # type at n <= 12 has more than 1,296
         pairings = harness._pairings(14)
         for cycle_type in [(5, 3, 3, 3), (4, 4, 3, 3), (3, 3, 3, 3, 2)]:
-            _, block = harness._two_factor(cycle_type)
+            _, block = two_factor_reference(cycle_type)
             tables = per_permutation_tables(cycle_type, 14)
             accepted = list(harness._candidate_pairings(cycle_type, block, pairings))
             assert accepted
-            for _, codes in accepted:
+            for partner in accepted:
+                codes = bytes(u * 16 + v for u, v in partner_pairs(partner))
                 assert min(bytes(sorted(codes.translate(t))) for t in tables) == codes
                 cross = [(block[u], block[v]) for u, v in decode(codes) if block[u] != block[v]]
                 assert harness._quotient_connected_bridgeless(cross, len(cycle_type))
@@ -600,12 +619,30 @@ class TestOrbitFilter:
                 for inverse, forward in zip(inverses, forwards):
                     assert inverse.translate(forward) == bytes(range(n))
 
+    def test_ring_layout_equals_former_two_factor(self):
+        # every cycle type with n <= 16, five seeded pairings each: the
+        # ring's block ids and each union's edges as the former layout
+        rnd = random.Random(16)
+        for n in range(2, 17, 2):
+            for cycle_type in harness._partitions_min2(n):
+                factor_edges, block = two_factor_reference(cycle_type)
+                ring = harness._ring(cycle_type)
+                assert ring[3] == block
+                for _ in range(5):
+                    vertices = list(range(n))
+                    rnd.shuffle(vertices)
+                    partner = bytearray(n)
+                    for u, v in zip(vertices[::2], vertices[1::2]):
+                        partner[u], partner[v] = v, u
+                    former = MultiGraph(n, tuple(factor_edges) + partner_pairs(partner))
+                    assert harness._union(ring, bytes(partner)).edges == former.edges
+
     def test_block_pair_key_gives_the_same_verdict(self):
         rnd = random.Random(10)
         verdicts = set()
         for n in range(2, 17, 2):
             for cycle_type in harness._partitions_min2(n):
-                _, block = harness._two_factor(cycle_type)
+                _, block = two_factor_reference(cycle_type)
                 table = harness._block_pair_table(block)
                 for _ in range(20):
                     vertices = list(range(n))
@@ -628,7 +665,7 @@ class TestOrbitFilter:
         for n in range(2, 15, 2):
             _, pairings = harness._pairings(n)
             for cycle_type in harness._partitions_min2(n):
-                _, block = harness._two_factor(cycle_type)
+                _, block = two_factor_reference(cycle_type)
                 table = harness._block_pair_table(block)
                 for key in set(map(bytes.translate, pairings, itertools.repeat(table))):
                     cross = [divmod(c, 16) for c in key if c != harness._SAME_BLOCK]
@@ -849,6 +886,16 @@ class TestVerify:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             verify_graph(from_edge_list(2, [(0, 1)]))
+
+    def test_rejects_order_zero_graph_before_any_kernel(self, monkeypatch):
+        # cubic, connected and bridgeless hold vacuously; it used to fail
+        # inside max() on the empty per-edge table
+        built = count_kernels(monkeypatch)
+        empty = MultiGraph(0, ())
+        for verify in (verify_graph, lambda g: verify_catalog([g])):
+            with pytest.raises(ValueError, match="^verify_graph requires a graph with at least one vertex$"):
+                verify(empty)
+        assert built == []
 
     def test_rejects_disconnected_up_front(self):
         two_bonds = from_edge_list(4, [(0, 1)] * 3 + [(2, 3)] * 3)
@@ -1132,6 +1179,13 @@ class TestScarceReport:
         rows = scarce_matching_graphs(6)
         # reported, never asserted to be a specific count
         assert all(pm <= n // 2 + 1 for n, _, pm in rows)
+
+
+    @pytest.mark.parametrize("n", [6.0, True, "6"])
+    def test_non_int_order_rejected(self, n):
+        # 6.0 raised TypeError from range(), and True returned []
+        with pytest.raises(ValueError, match="must be an int"):
+            scarce_matching_graphs(n)
 
 
 class TestCompanion:

@@ -77,7 +77,7 @@ def reference_klee_steps(g):
         if not candidates:
             return False, tuple(steps)
         steps.append(candidates[0])
-        cur, _ = _contract_parts(cur, [frozenset(candidates[0])])
+        cur, _, _ = _contract_parts(cur, [frozenset(candidates[0])])
 
 
 def reference_vertex_type(g, v):

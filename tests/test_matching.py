@@ -129,6 +129,30 @@ class TestProfile:
         assert all(c == 1 for c in prof.per_edge.values())
         assert prof.matching_covered and not prof.double_covered
 
+    def test_covered_rule_agrees_with_edge_deletion(self, catalogs):
+        # one covering rule: forbidding edge e reads as deleting it, for
+        # every edge of every catalog graph with n <= 8 and Petersen
+        cases = [(g, e) for n in range(2, 9, 2) for g in catalogs(n) for e in range(len(g.edges))]
+        cases.append((petersen(), 0))
+        readings = set()
+        for g, e in cases:
+            less = MultiGraph(g.vertex_count, g.edges[:e] + g.edges[e + 1:])
+            forbidden = matching_profile(g, forbidden=(e,))
+            covered = matching.is_matching_covered(less)
+            assert forbidden.matching_covered == covered == matching_profile(less).matching_covered
+            assert forbidden.double_covered == matching_profile(less).double_covered
+            readings.add(covered)
+        assert readings == {False, True}
+        # the profile used to say False here, is_matching_covered True
+        assert matching_profile(petersen(), forbidden=(0,)).matching_covered
+
+    def test_order_zero_graph_is_not_matching_covered(self):
+        # no edge is left to cover
+        empty = MultiGraph(0, ())
+        assert not matching_profile(empty).matching_covered
+        assert not matching_profile(empty).double_covered
+        assert not matching.is_matching_covered(empty)
+
     def test_prism_profile(self):
         # rungs lie in two perfect matchings, triangle edges in one
         g = prism()

@@ -114,6 +114,20 @@ class TestContract:
             c, _ = contract(g, [part])
             assert all(d % 2 == 1 for d in c.degrees())
 
+    def test_edge_map_numbers_the_kept_edges(self):
+        # edge e of g becomes edge edge_map[e] of the contraction, in order,
+        # and an edge inside a part is dropped (-1)
+        g = petersen()
+        parts = [frozenset({0, 1, 2}), frozenset({5, 7})]
+        c, vmap, edge_map = multigraph._contract_parts(g, parts)
+        kept = [e for e, (u, v) in enumerate(g.edges) if vmap[u] != vmap[v]]
+        assert [edge_map[e] for e in kept] == list(range(len(c.edges)))
+        assert all(edge_map[e] == -1 for e in range(len(g.edges)) if e not in kept)
+        for e in kept:
+            u, v = g.edges[e]
+            assert c.edges[edge_map[e]] == tuple(sorted((vmap[u], vmap[v])))
+        assert contract(g, parts) == (c, vmap)
+
     def test_disconnected_part_rejected(self):
         with pytest.raises(ValueError):
             contract(k33(), [(0, 1)])  # same class, no edge between
