@@ -100,9 +100,12 @@ def _n_to_data(n: int) -> list[int]:
     raise ValueError("vertex count too large for graph6/sparse6")
 
 
-def _data_to_n(data: list[int], where: str) -> tuple[int, list[int]]:
+def _data_to_n(data: list[int], start: int, where: str) -> tuple[int, list[int]]:
+    """The vertex count at the head of ``data`` (payload bytes less 63) and
+    the bytes after it. An error names the first missing byte by its index
+    in the line, where the payload starts at ``start``."""
     if not data:
-        raise ParseError("missing vertex count", where)
+        raise ParseError("missing vertex count", f"{where}, byte {start}")
     if data[0] <= 62:
         return data[0], data[1:]
     if len(data) >= 4 and data[1] <= 62:
@@ -112,7 +115,7 @@ def _data_to_n(data: list[int], where: str) -> tuple[int, list[int]]:
         for d in data[2:8]:
             n = (n << 6) + d
         return n, data[8:]
-    raise ParseError("truncated vertex count", where)
+    raise ParseError("truncated vertex count", f"{where}, byte {start + len(data)}")
 
 
 def _payload(line: str | bytes, header: bytes, where: str) -> tuple[bytes, int]:
@@ -168,7 +171,7 @@ def write_graph6(g: MultiGraph) -> str:
 def parse_graph6(line: str | bytes, where: str = "graph6") -> MultiGraph:
     raw, start = _payload(line, b">>graph6<<", where)
     data = _check_bytes(raw, start, where)
-    n, rest = _data_to_n(data, where)
+    n, rest = _data_to_n(data, start, where)
     need = n * (n - 1) // 2
     # the bits fill whole bytes; padding bits may be anything
     size = -(-need // 6)
@@ -244,9 +247,9 @@ def write_sparse6(g: MultiGraph) -> str:
 def parse_sparse6(line: str | bytes, where: str = "sparse6") -> MultiGraph:
     raw, start = _payload(line, b">>sparse6<<", where)
     if not raw.startswith(b":"):
-        raise ParseError("sparse6 line must start with ':'", where)
+        raise ParseError("sparse6 line must start with ':'", f"{where}, byte {start}")
     data = _check_bytes(raw[1:], start + 1, where)
-    n, rest = _data_to_n(data, where)
+    n, rest = _data_to_n(data, start + 1, where)
     k = 1
     while (1 << k) < n:
         k += 1

@@ -15,6 +15,14 @@ its largest type, and the sweep of that type meets it. It keeps the same
 representative because types are swept from largest to smallest, so the
 first union of every class already has its largest type.
 
+Each class is labelled once. A union that is kept marks every other way
+of building it from its type: each 2-factor of that type, laid on the
+fixed 2-factor, with the rest of the union as the pairing. Those
+pairings are then skipped like orbit images. The first union of a class
+at its largest type is the code-minimum of all these pairings, so every
+one they mark comes later in the sweep and would have been labelled only
+to be dropped as a duplicate; the representatives do not change.
+
 Each pairing meets the filters cheapest first: the block-quotient test
 (connected and bridgeless), marking its symmetry orbit, the depth-first
 search for a 2-factor of larger type, and last `canonical_form`. The
@@ -31,7 +39,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import groupby, permutations, product, repeat
 from typing import Iterable, Iterator
 
 from .brick_brace import _affine_dimension, _decompose
@@ -234,6 +242,10 @@ def _is_orbit_minimal(
     the block-quotient test. Its verdict is the same on a whole orbit, so
     it withholds whole orbits only; the first member of every orbit that
     arrives is still its minimum, and there the call always marks.
+    `bridgeless_cubic_catalog` also calls it, out of order, on the
+    unmarked relabellings of each union it keeps (`_same_type_partners`).
+    Their orbits all lie later in code order than that union, so they are
+    marked before any member arrives and never yielded.
     """
     if partner in marked:
         return False
@@ -245,13 +257,18 @@ def _is_orbit_minimal(
 
 
 def _candidate_pairings(
-    cycle_type: tuple[int, ...], block: list[int], pairings: tuple[list[bytes], list[bytes]]
+    cycle_type: tuple[int, ...],
+    block: list[int],
+    pairings: tuple[list[bytes], list[bytes]],
+    symmetries: tuple[list[bytes], list[bytes]],
+    marked: set[bytes],
 ) -> Iterator[bytes]:
     """The orbit-minimal ``pairings`` (every pairing as its partner array
     and its codes, in code order; see `_pairings`) whose union with the
     2-factor of ``cycle_type`` is connected and bridgeless, as partner
-    arrays in code order. ``block`` holds each vertex's block id (`_ring`).
-    No graph is built.
+    arrays in code order. ``block`` holds each vertex's block id (`_ring`),
+    ``symmetries`` the type's group (`_symmetries`) and ``marked`` the
+    partner arrays of the orbits marked so far. No graph is built.
 
     Orbits are marked on partner arrays, whose images are two byte
     translates each (`_is_orbit_minimal`); the quotient test reads the
@@ -266,15 +283,17 @@ def _candidate_pairings(
     So exactly the orbit minima that pass are yielded, as when every
     pairing was marked first.
 
+    ``marked`` is read afresh for every pairing, so orbits that the caller
+    marks between two yields (`bridgeless_cubic_catalog` marks the
+    relabellings of each union it keeps) are skipped too.
+
     Quotient verdicts are cached per block-pair key, the codes translated
     by `_block_pair_table`: far fewer distinct keys than partner arrays
     would give.
     """
     blocks = len(cycle_type)
-    symmetries = _symmetries(cycle_type, len(block))
     block_table = _block_pair_table(block)
     verdicts: dict[bytes, bool] = {}
-    marked: set[bytes] = set()
     for partner, codes in zip(*pairings):
         if partner in marked:
             continue
@@ -323,22 +342,28 @@ def _union(ring: _Ring, partner: bytes) -> MultiGraph:
     return MultiGraph(len(partner), tuple(enumerate(ring[1])) + pairs)
 
 
-def _has_larger_two_factor(
+def _same_type_matchings(
     cycle_type: tuple[int, ...], ring: _Ring, partner: bytes
-) -> bool:
-    """Whether some 2-factor of the union of the fixed 2-factor of
-    ``cycle_type`` (its `_ring`) with the pairing ``partner`` has a cycle
-    type lexicographically larger than ``cycle_type``, i.e. one that
-    `_partitions_min2` yields earlier. Stops at the first; a Hamiltonian
-    type has none larger. Works on the arrays alone: no graph is built.
+) -> list[list[int]] | None:
+    """The witness search on the union of the fixed 2-factor of
+    ``cycle_type`` (its `_ring`) with the pairing ``partner``: None when
+    some 2-factor of the union has a cycle type lexicographically larger
+    than ``cycle_type``, i.e. one that `_partitions_min2` yields earlier;
+    otherwise every perfect matching of the union whose 2-factor has
+    exactly ``cycle_type``, each as a mate list (entry u the vertex matched
+    to u), once per set of vertex pairs. Works on the arrays alone: no
+    graph is built.
+
+    It stops at the first larger type. A union it does not stop on has had
+    every perfect matching visited, so the list is complete; the
+    Hamiltonian type has no larger type, and its search always walks to
+    the end.
 
     This is the generator's one larger-type rule. It also drops every
     union where two matching edges could replace a cycle edge on each of
     two cycles: joining cycles of lengths a and b into one of length
     a + b gives a larger sorted type, and the search tries every 2-factor.
     """
-    if len(cycle_type) == 1:
-        return False
     above, first, sums, _ = ring
     # each vertex's free neighbours once branching reaches it: every lower
     # vertex is covered by then
@@ -347,7 +372,10 @@ def _has_larger_two_factor(
         for u, (ups, p) in enumerate(zip(above, partner))
     ]
     mate = [-1] * len(partner)
-    return _larger_two_factor_below(cycle_type, options, (first, sums, partner), mate, 0)
+    same: list[list[int]] = []
+    if _larger_two_factor_below(cycle_type, options, (first, sums, partner), mate, 0, same):
+        return None
+    return same
 
 
 def _larger_two_factor_below(
@@ -356,10 +384,13 @@ def _larger_two_factor_below(
     union: tuple[list[int], list[int], bytes],
     mate: list[int],
     u: int,
+    same: list[list[int]],
 ) -> bool:
     """Depth-first search for a perfect matching of the union that extends
     ``mate`` (-1 at each uncovered vertex; every vertex below ``u`` is
     covered) and leaves a 2-factor of type larger than ``cycle_type``.
+    Each perfect matching met on the way whose 2-factor has exactly
+    ``cycle_type`` is appended to ``same`` as a copy of ``mate``.
 
     It branches at the lowest uncovered vertex, once per free neighbour in
     ``options``: parallel edges to one neighbour leave 2-factors with the
@@ -370,24 +401,28 @@ def _larger_two_factor_below(
     while u < n and mate[u] >= 0:
         u += 1
     if u == n:
-        return _two_factor_lengths(union, mate) > cycle_type
+        lengths = _two_factor_lengths(union, mate)
+        if lengths == cycle_type:
+            same.append(mate[:])
+        return lengths > cycle_type
     for w in options[u]:
         if mate[w] < 0:
             mate[u] = w
             mate[w] = u
-            if _larger_two_factor_below(cycle_type, options, union, mate, u + 1):
+            if _larger_two_factor_below(cycle_type, options, union, mate, u + 1, same):
                 return True
             mate[w] = -1
     mate[u] = -1
     return False
 
 
-def _two_factor_lengths(
+def _two_factor_cycles(
     union: tuple[list[int], list[int], bytes], mate: list[int]
-) -> tuple[int, ...]:
-    """Cycle lengths, non-increasing, of the 2-factor the perfect matching
-    ``mate`` leaves in the union whose ring lists (`_ring`) and partner
-    array are ``union``.
+) -> list[list[int]]:
+    """The cycles of the 2-factor that the perfect matching ``mate`` leaves
+    in the union whose ring lists (`_ring`) and partner array are
+    ``union``, each as its vertices in walk order, in the order of their
+    least vertex.
 
     Each cycle is walked: the step after vertex x, entered from y, is
     (sum of the three neighbours of x) - mate[x] - y. Neighbour sums count
@@ -396,20 +431,54 @@ def _two_factor_lengths(
     """
     first, sums, partner = union
     seen = [False] * len(mate)
-    lengths = []
+    cycles = []
     for start, matched in enumerate(mate):
         if seen[start]:
             continue
         # step off along the partner edge, unless that is the matched one
         here = partner[start] if partner[start] != matched else first[start]
-        before, length = start, 1
+        before, cycle = start, [start]
         while here != start:
             seen[here] = True
+            cycle.append(here)
             here, before = sums[here] + partner[here] - mate[here] - before, here
-            length += 1
-        lengths.append(length)
-    lengths.sort(reverse=True)
-    return tuple(lengths)
+        cycles.append(cycle)
+    return cycles
+
+
+def _two_factor_lengths(
+    union: tuple[list[int], list[int], bytes], mate: list[int]
+) -> tuple[int, ...]:
+    """Cycle lengths, non-increasing, of the 2-factor the perfect matching
+    ``mate`` leaves in the union ``union`` (`_two_factor_cycles`)."""
+    return tuple(sorted(map(len, _two_factor_cycles(union, mate)), reverse=True))
+
+
+def _same_type_partners(
+    ring: _Ring, partner: bytes, mates: list[list[int]]
+) -> Iterator[bytes]:
+    """Partner arrays of the union of ``ring`` (`_ring`) and the pairing
+    ``partner``, relabelled onto the same ring, once for each perfect
+    matching in ``mates`` (`_same_type_matchings`) and each way of laying
+    that matching's 2-factor on the ring blocks.
+
+    Every cycle goes to a block of its length, which holds it from one
+    start in one direction: the block's dihedral group maps that choice
+    onto every other, so the orbit of the array covers them. Equal-length
+    cycles go to equal-length blocks in every order, since the group swaps
+    no blocks. Blocks of one length are consecutive in the ring, longest
+    first, as are the cycles once sorted by length. Each array pairs the
+    labels of the matched ends of the matching, so its union with the ring
+    is isomorphic to the union of ``ring`` and ``partner``.
+    """
+    union = (ring[1], ring[2], partner)
+    for mate in mates:
+        cycles = sorted(_two_factor_cycles(union, mate), key=len, reverse=True)
+        runs = [list(group) for _, group in groupby(cycles, key=len)]
+        for layout in product(*map(permutations, runs)):
+            order = [v for run in layout for cycle in run for v in cycle]
+            label = {v: i for i, v in enumerate(order)}
+            yield bytes([label[mate[v]] for v in order])
 
 
 def _quotient_connected_bridgeless(
@@ -479,13 +548,27 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     through the (inverse, forward) vertex tables of a symmetry
     (`_symmetries`). The accepted pairings are the orbit minima with a
     connected bridgeless union, as when every orbit is marked first. The
-    witness search of `_has_larger_two_factor` then looks for a 2-factor
+    witness search of `_same_type_matchings` then looks for a 2-factor
     with a type larger than T on T's ring (`_ring`) and M's partner array.
     Only a union where it finds none is built as a `MultiGraph`, and
     only to reach `canonical_form`. Exhaustive: every graph has a 2-factor
-    of its largest type, and the sweep of that type meets it. Same
-    representative as labelling every union: a class first appears at its
-    largest type, where no union of it is skipped.
+    of its largest type, and the sweep of that type meets it.
+
+    A union that reaches `canonical_form` is kept, and marks its other
+    labellings of type T: the search has met every perfect matching of
+    the union, and each one whose 2-factor has type T is laid on the ring
+    in every way up to the group (`_same_type_partners`); each such
+    partner array not yet marked marks its orbit in the set the sweep of T
+    reads. So every class is labelled once. The representatives are those
+    of labelling every union and keeping the first of each class. A class
+    first appears at its largest type T, since the search drops it at
+    every earlier type. There the code-minimum of all its type-T
+    labellings arrives first and is kept: it is the minimum of its own
+    orbit, the marks of other kept unions are labellings of other
+    classes, and it passes the quotient test and the search, as every
+    labelling of the class does. Every labelling the rule marks is
+    therefore later in code order and of a class already kept, so it
+    would only have been dropped as a duplicate.
 
     ``n`` must be an ``int`` (not a ``bool``): a float such as 6.0 hashes
     like 6, so it is refused before the cache is read.
@@ -502,13 +585,18 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     pairings = _pairings(n)
     for cycle_type in _partitions_min2(n):
         ring = _ring(cycle_type)
-        for partner in _candidate_pairings(cycle_type, ring[3], pairings):
-            if _has_larger_two_factor(cycle_type, ring, partner):
+        symmetries = _symmetries(cycle_type, n)
+        marked: set[bytes] = set()
+        for partner in _candidate_pairings(cycle_type, ring[3], pairings, symmetries, marked):
+            mates = _same_type_matchings(cycle_type, ring, partner)
+            if mates is None:
                 continue
             g = _union(ring, partner)
-            key = canonical_form(g)
-            if key not in seen:
-                seen[key] = g
+            seen.setdefault(canonical_form(g), g)
+            for relabelled in _same_type_partners(ring, partner, mates):
+                # tested here, so that every call marks a new orbit
+                if relabelled not in marked:
+                    _is_orbit_minimal(relabelled, symmetries, marked)
     result = tuple(seen[k] for k in sorted(seen))
     _CATALOG_CACHE[n] = result
     return result

@@ -139,6 +139,13 @@ def test_catalog_verify_12_keeps_its_reports(catalogs, capsys):
     )
 
 
+def test_catalog_verify_help_says_what_the_scarce_line_counts(capsys):
+    assert main(["catalog", "verify", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "perfect matchings up to n=N' counts such graphs over every even order" in text
+    assert "it ignores --class and --simple-only" in text
+
+
 @pytest.mark.skipif(
     not os.environ.get("CUBICMATCH_RUN_SLOW"),
     reason="n=14 generation and verification take about 11 s",

@@ -116,6 +116,19 @@ class TestGraph6:
             parse_graph6(line)
         assert err.value.position == f"graph6, byte {byte}"
 
+    @pytest.mark.parametrize(
+        "line, message, byte",
+        [
+            ("  ~?", "truncated vertex count", 4),
+            (" >>graph6<<~~??", "truncated vertex count", 15),
+            ("  >>graph6<<", "missing vertex count", 12),
+        ],
+    )
+    def test_vertex_count_errors_name_the_first_missing_byte(self, line, message, byte):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_graph6(line)
+        assert err.value.position == f"graph6, byte {byte}"
+
     def test_padding_bits_are_ignored(self):
         # as in networkx: K2 is "A_", and "A~" sets its five padding bits
         assert parse_graph6("A~").edges == parse_graph6("A_").edges == ((0, 1),)
@@ -223,6 +236,23 @@ class TestSparse6:
     def test_byte_positions_count_from_the_line_as_passed(self, line, byte):
         # the ':', the header and leading blanks are counted, not skipped
         with pytest.raises(ParseError, match="invalid byte") as err:
+            parse_sparse6(line)
+        assert err.value.position == f"sparse6, byte {byte}"
+
+    @pytest.mark.parametrize(
+        "line, message, byte",
+        [
+            ("  A_", "must start with ':'", 2),
+            (" >>sparse6<<A_", "must start with ':'", 12),
+            ("  :", "missing vertex count", 3),
+            (" >>sparse6<<:", "missing vertex count", 13),
+            ("  :~?", "truncated vertex count", 5),
+            (" >>sparse6<<:~~???", "truncated vertex count", 18),
+        ],
+    )
+    def test_header_and_count_errors_name_a_byte(self, line, message, byte):
+        # the byte where ':' was expected, or the first missing count byte
+        with pytest.raises(ParseError, match=message) as err:
             parse_sparse6(line)
         assert err.value.position == f"sparse6, byte {byte}"
 

@@ -360,10 +360,25 @@ def kernel_has_larger_two_factor(g, cycle_type):
     return any(two_factor_type(g, pm) > cycle_type for pm in enumerate_perfect_matchings(g))
 
 
+def kernel_same_type_matchings(g, cycle_type):
+    """The vertex pairs of every perfect matching of g, by the kernel,
+    whose 2-factor has type ``cycle_type``."""
+    return {
+        frozenset(tuple(sorted(g.edges[e])) for e in pm)
+        for pm in enumerate_perfect_matchings(g)
+        if two_factor_type(g, pm) == cycle_type
+    }
+
+
+def mate_pairs(mates):
+    """Each mate list as the set of its vertex pairs (u, mate[u]), u < mate[u]."""
+    return [frozenset((u, w) for u, w in enumerate(mate) if u < w) for mate in mates]
+
+
 def has_larger_two_factor(cycle_type, partner):
     """The generator's witness search on the union of the fixed 2-factor
     of ``cycle_type`` with the pairing ``partner``."""
-    return harness._has_larger_two_factor(cycle_type, harness._ring(cycle_type), partner)
+    return harness._same_type_matchings(cycle_type, harness._ring(cycle_type), partner) is None
 
 
 def ring_forms(g):
@@ -583,7 +598,8 @@ class TestOrbitFilter:
         _, codes = pairings
         for cycle_type in harness._partitions_min2(n):
             _, block = two_factor_reference(cycle_type)
-            accepted = list(harness._candidate_pairings(cycle_type, block, pairings))
+            symmetries = harness._symmetries(cycle_type, n)
+            accepted = list(harness._candidate_pairings(cycle_type, block, pairings, symmetries, set()))
             accepted = [bytes(u * 16 + v for u, v in partner_pairs(p)) for p in accepted]
             assert accepted == marking_first_pairings(cycle_type, n, codes)
             assert accepted == code_table_candidates(cycle_type, block, codes)
@@ -595,7 +611,8 @@ class TestOrbitFilter:
         for cycle_type in [(5, 3, 3, 3), (4, 4, 3, 3), (3, 3, 3, 3, 2)]:
             _, block = two_factor_reference(cycle_type)
             tables = per_permutation_tables(cycle_type, 14)
-            accepted = list(harness._candidate_pairings(cycle_type, block, pairings))
+            symmetries = harness._symmetries(cycle_type, 14)
+            accepted = list(harness._candidate_pairings(cycle_type, block, pairings, symmetries, set()))
             assert accepted
             for partner in accepted:
                 codes = bytes(u * 16 + v for u, v in partner_pairs(partner))
@@ -733,23 +750,23 @@ class TestSwitch:
 
     @staticmethod
     def count_generator_work(monkeypatch, n):
-        """Witness searches, MultiGraphs built and `canonical_form` calls of
-        one cold `bridgeless_cubic_catalog(n)`."""
+        """Classes, witness searches, MultiGraphs built and `canonical_form`
+        calls of one cold `bridgeless_cubic_catalog(n)`."""
         monkeypatch.setattr(harness, "_CATALOG_CACHE", {})
         searches = []
         labelled = []
-        has_larger = harness._has_larger_two_factor
+        search = harness._same_type_matchings
         label = harness.canonical_form
 
         def searching(cycle_type, ring, partner):
             searches.append(partner)
-            return has_larger(cycle_type, ring, partner)
+            return search(cycle_type, ring, partner)
 
         def labelling(g):
             labelled.append(g)
             return label(g)
 
-        monkeypatch.setattr(harness, "_has_larger_two_factor", searching)
+        monkeypatch.setattr(harness, "_same_type_matchings", searching)
         monkeypatch.setattr(harness, "canonical_form", labelling)
         graphs = count_multigraphs(monkeypatch)
         classes = len(bridgeless_cubic_catalog(n))
@@ -757,16 +774,50 @@ class TestSwitch:
         return classes, len(searches), len(graphs), len(labelled)
 
     def test_catalog_builds_a_graph_only_for_what_it_labels(self, monkeypatch):
-        # every orbit minimum that passes the quotient test is searched on
-        # its arrays; only the 593 survivors become graphs, each labelled
-        assert self.count_generator_work(monkeypatch, 12) == (365, 2006, 593, 593)
+        # every orbit minimum that passes the quotient test and is not a
+        # relabelling of a kept union is searched on its arrays; only the
+        # 365 survivors become graphs, each labelled
+        assert self.count_generator_work(monkeypatch, 12) == (365, 1_778, 365, 365)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_catalog_labels_each_class_once(self, monkeypatch, n):
+        # n = 12 is pinned above
+        classes, _, built, labelled = self.count_generator_work(monkeypatch, n)
+        assert classes == built == labelled
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_every_marked_relabelling_is_an_isomorph_of_its_kept_union(self, monkeypatch, n):
+        # each partner array a kept union marks, laid on the ring, gives a
+        # union with the kept union's canonical form
+        monkeypatch.setattr(harness, "_CATALOG_CACHE", {})
+        relabel = harness._same_type_partners
+        kept = []
+
+        def recording(ring, partner, mates):
+            arrays = list(relabel(ring, partner, mates))
+            kept.append((ring, partner, arrays))
+            return arrays
+
+        monkeypatch.setattr(harness, "_same_type_partners", recording)
+        classes = bridgeless_cubic_catalog(n)
+        assert len(kept) == len(classes)
+        relabellings = 0
+        for ring, partner, arrays in kept:
+            form = canonical_form(harness._union(ring, partner))
+            assert partner in arrays
+            for array in arrays:
+                assert sorted(array) == list(range(n))
+                assert all(array[u] != u and array[array[u]] == u for u in range(n))
+                assert canonical_form(harness._union(ring, array)) == form
+            relabellings += len(set(arrays)) - 1
+        assert relabellings or n < 6
 
     @pytest.mark.skipif(
         not os.environ.get("CUBICMATCH_RUN_SLOW"),
         reason="a cold n=14 catalog takes 5-10 s",
     )
     def test_catalog_builds_a_graph_only_for_what_it_labels_n14(self, monkeypatch):
-        assert self.count_generator_work(monkeypatch, 14) == (2602, 21_085, 5626, 5626)
+        assert self.count_generator_work(monkeypatch, 14) == (2602, 18_061, 2602, 2602)
 
 
 class TestLargestTypeRule:
@@ -805,16 +856,17 @@ class TestLargestTypeRule:
             for g in catalogs(n):
                 self.check_against_subset_walk(g)
 
-    def test_hamiltonian_type_returns_at_once(self, monkeypatch):
-        def search_forbidden(*args):
-            raise AssertionError("type (n,) needs no search")
-
-        monkeypatch.setattr(harness, "_larger_two_factor_below", search_forbidden)
-        monkeypatch.setattr(harness, "_two_factor_lengths", search_forbidden)
+    def test_hamiltonian_type_collects_every_hamiltonian_matching(self):
+        # type (n,) has no larger type, so its search walks to the end and
+        # returns every perfect matching that leaves a Hamiltonian cycle
         for n in range(2, 11, 2):
             ring = harness._ring((n,))
-            for partner in harness._pairings(n)[0]:
-                assert not harness._has_larger_two_factor((n,), ring, partner)
+            for partner, codes in zip(*harness._pairings(n)):
+                mates = harness._same_type_matchings((n,), ring, partner)
+                assert mates is not None
+                pairs = mate_pairs(mates)
+                assert len(set(pairs)) == len(pairs)
+                assert set(pairs) == kernel_same_type_matchings(union((n,), codes), (n,))
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_witness_search_equals_kernel_reference(self, n):
@@ -823,13 +875,20 @@ class TestLargestTypeRule:
         verdicts = set()
         for cycle_type in harness._partitions_min2(n):
             symmetries = harness._symmetries(cycle_type, n)
+            ring = harness._ring(cycle_type)
             marked = set()
             for partner, codes in zip(partners, pairings):
                 if harness._is_orbit_minimal(partner, symmetries, marked):
-                    verdict = has_larger_two_factor(cycle_type, partner)
+                    mates = harness._same_type_matchings(cycle_type, ring, partner)
+                    verdict = mates is None
                     g = union(cycle_type, codes)
                     assert verdict == kernel_has_larger_two_factor(g, cycle_type)
                     verdicts.add(verdict)
+                    if mates is not None:
+                        # a union with no larger type has had every matching visited
+                        pairs = mate_pairs(mates)
+                        assert len(set(pairs)) == len(pairs)
+                        assert set(pairs) == kernel_same_type_matchings(g, cycle_type)
         assert verdicts == ({False, True} if n > 2 else {False})
 
     def test_witness_search_equals_kernel_reference_n14_sample(self):
