@@ -1,4 +1,5 @@
-"""Tight cuts, brick-and-brace decomposition, and the matching polytope.
+"""Tight cuts, brick-and-brace decomposition, and the matching polytope's
+dimension.
 
 The decomposition of a cubic bridgeless graph only needs size-3 odd cuts:
 every tight cut of a cubic bridgeless graph has size three, and the pieces
@@ -10,17 +11,15 @@ masks of the input while the decomposition runs, and are built as graphs
 only when read. Polytope quantities are exact. The affine rank reads the
 matching differences on co-tree coordinates: a GF(2) basis of them
 certifies the rank as soon as it is as large as the column count, and
-otherwise integer elimination of every difference gives it. Membership
-uses rational arithmetic.
+otherwise integer elimination of every difference gives it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .connectivity import (
     _bits,
@@ -35,8 +34,6 @@ from .multigraph import Cut, MultiGraph, _contract_parts, _require_cut
 
 BRICK = "brick"
 BRACE = "brace"
-
-ODD_SET_LIMIT = 16  # exhaustive odd-set checks are capped at this order
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -400,47 +397,3 @@ def _affine_dimension(kernel: _Kernel, g: MultiGraph) -> int:
     ]
     return _exact_rank(rows)
 
-
-def polytope_membership(
-    g: MultiGraph, w: Sequence[Fraction | int]
-) -> tuple[bool, tuple | None]:
-    """Edmonds' conditions for membership in the perfect matching polytope.
-
-    Checks non-negativity, unit vertex sums, and (for non-bipartite graphs)
-    every odd-set cut sum at least one, by exhaustive odd-set enumeration.
-    Returns (ok, witness); witnesses are ("negative_entry", e),
-    ("vertex_sum", v, sum) or ("odd_set", S, sum).
-    """
-    m = len(g.edges)
-    if len(w) != m:
-        raise ValueError(f"vector length {len(w)} != edge count {m}")
-    vec = [Fraction(x) for x in w]
-    for e, x in enumerate(vec):
-        if x < 0:
-            return False, ("negative_entry", e)
-    for v in range(g.vertex_count):
-        s = sum(vec[i] for i, _ in g.incidence[v])
-        if s != 1:
-            return False, ("vertex_sum", v, s)
-    if g.is_bipartite():
-        # conditions (i) and (ii) suffice on bipartite graphs
-        return True, None
-    n = g.vertex_count
-    if n > ODD_SET_LIMIT:
-        raise ValueError(f"odd-set enumeration capped at {ODD_SET_LIMIT} vertices")
-    edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
-    # every odd set and its complement cut the same edges; fixing vertex 0
-    # in S covers each bipartition once, and n even keeps both sides odd
-    for bits in range(1 << (n - 1)):
-        mask = (bits << 1) | 1
-        size = mask.bit_count()
-        if size % 2 == 0 or size == n:
-            continue
-        s = Fraction(0)
-        for i, em in enumerate(edge_masks):
-            hit = em & mask
-            if hit and hit != em:
-                s += vec[i]
-        if s < 1:
-            return False, ("odd_set", frozenset(_bits(mask)), s)
-    return True, None

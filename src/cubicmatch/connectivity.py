@@ -1,4 +1,5 @@
-"""Bridges, cut enumeration, edge/vertex connectivity, cyclic edge-connectivity.
+"""Bridges, cut enumeration, edge connectivity, cyclic edge-connectivity, and
+the small vertex separators of the brick test.
 
 All routines are pure functions over immutable MultiGraph values. Cut
 queries read the graph's cut space through its cached BFS spanning forest
@@ -50,17 +51,6 @@ class _NoCyclicCut:
 
 
 NO_CYCLIC_CUT = _NoCyclicCut()
-
-
-@dataclass(frozen=True)
-class ConnectivityReport:
-    """cyclic_edge_connectivity None: not computed (disconnected or minimum degree < 3)."""
-
-    connected: bool
-    bridge_count: int
-    edge_connectivity: int
-    vertex_connectivity: int
-    cyclic_edge_connectivity: int | _NoCyclicCut | None
 
 
 @dataclass(frozen=True)
@@ -507,33 +497,17 @@ def _separator(g: MultiGraph, max_size: int) -> tuple[int, ...] | None:
 
 
 def vertex_connectivity_at_most(g: MultiGraph, k: int) -> SeparationWitness:
-    """Searches for a separating vertex set of size <= k (k <= 3).
+    """Searches for a separating vertex set of size <= k (0 <= k <= 3).
 
     Returns a truthy witness holding the separating set when one exists.
     A disconnected graph is separated by the empty set.
     """
-    if not _is_int(k) or k > 3:
-        raise ValueError(f"vertex connectivity checks support an int k <= 3 only, got {k!r}")
+    if not _is_int(k) or not 0 <= k <= 3:
+        raise ValueError(
+            f"vertex connectivity checks support an int k with 0 <= k <= 3 only, got {k!r}"
+        )
     subset = _separator(g, k)
     if subset is None:
         return SeparationWitness(False, None)
     return SeparationWitness(True, frozenset(subset))
 
-
-def vertex_connectivity(g: MultiGraph) -> int:
-    """Exact vertex connectivity by brute force, desk scale."""
-    n = g.vertex_count
-    if n <= 1:
-        return 0
-    subset = _separator(g, n - 2)
-    return n - 1 if subset is None else len(subset)
-
-
-def connectivity_report(g: MultiGraph) -> ConnectivityReport:
-    connected = g.is_connected()
-    bcount = len(bridges(g))
-    ec = edge_connectivity(g)
-    vc = vertex_connectivity(g)
-    searched = connected and all(d >= 3 for d in g.degrees())
-    cec = cyclic_edge_connectivity(g) if searched else None
-    return ConnectivityReport(connected, bcount, ec, vc, cec)

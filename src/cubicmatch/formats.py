@@ -8,14 +8,14 @@ follow the published format specification.
 from __future__ import annotations
 
 import os
-from typing import IO, Iterable, Iterator
+from functools import partial
+from typing import IO, Callable, Iterable, Iterator
 
 from .multigraph import MultiGraph
 
 EDGE_LIST = "edge_list"
 GRAPH6 = "graph6"
 SPARSE6 = "sparse6"
-FORMATS = (EDGE_LIST, GRAPH6, SPARSE6)
 
 
 class ParseError(ValueError):
@@ -324,24 +324,33 @@ def parse(source: str | IO[str], fmt: str = EDGE_LIST) -> Iterator[MultiGraph]:
         raise ParseError("no such file, and not valid graph text", missing) from exc
 
 
-def _parse_text(text: str, fmt: str) -> Iterator[MultiGraph]:
-    lines = text.splitlines()
-    if fmt == EDGE_LIST:
-        yield from _parse_edge_list(lines)
-        return
-    parse_line = {GRAPH6: parse_graph6, SPARSE6: parse_sparse6}.get(fmt)
-    if parse_line is None:
-        raise ValueError(f"unknown format {fmt!r}")
+def _each_line(parse_line: Callable[..., MultiGraph], lines: list[str]) -> Iterator[MultiGraph]:
+    """One graph per non-blank line, each error naming its line."""
     for i, line in enumerate(lines):
         if line.strip():
             yield parse_line(line, where=f"line {i + 1}")
 
 
+# each format's writer of one graph's text, newline included, and its
+# reader of a text's lines; FORMATS, write and parse all read it
+_CODECS = {
+    EDGE_LIST: (write_edge_list, _parse_edge_list),
+    GRAPH6: (lambda g: write_graph6(g) + "\n", partial(_each_line, parse_graph6)),
+    SPARSE6: (lambda g: write_sparse6(g) + "\n", partial(_each_line, parse_sparse6)),
+}
+FORMATS = tuple(_CODECS)
+
+
+def _codec(fmt: str) -> tuple[Callable, Callable]:
+    """The (writer, reader) pair of fmt."""
+    if fmt not in _CODECS:
+        raise ValueError(f"unknown format {fmt!r}")
+    return _CODECS[fmt]
+
+
+def _parse_text(text: str, fmt: str) -> Iterator[MultiGraph]:
+    yield from _codec(fmt)[1](text.splitlines())
+
+
 def write(graphs: Iterable[MultiGraph], fmt: str = EDGE_LIST) -> str:
-    if fmt == EDGE_LIST:
-        return "".join(write_edge_list(g) for g in graphs)
-    if fmt == GRAPH6:
-        return "".join(write_graph6(g) + "\n" for g in graphs)
-    if fmt == SPARSE6:
-        return "".join(write_sparse6(g) + "\n" for g in graphs)
-    raise ValueError(f"unknown format {fmt!r}")
+    return "".join(map(_codec(fmt)[0], graphs))

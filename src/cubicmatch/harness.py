@@ -633,49 +633,6 @@ def generate_catalog(
     return out
 
 
-def brute_force_cubic_multigraphs(n: int) -> list[MultiGraph]:
-    """Independent oracle: all connected cubic multigraphs of order n by
-    exhausting upper-triangular multiplicity matrices with row sums 3.
-
-    Intended for tiny n; returns isomorphism class representatives sorted
-    by canonical form (bridged graphs included)."""
-    if n % 2 or n < 2:
-        return []
-    seen: dict[bytes, MultiGraph] = {}
-    row = [[0] * n for _ in range(n)]
-    residual = [3] * n
-
-    def rec(i: int, j: int) -> None:
-        if i == n - 1:
-            if residual[i] == 0:
-                edges = []
-                for a in range(n):
-                    for b in range(a + 1, n):
-                        edges.extend([(a, b)] * row[a][b])
-                g = MultiGraph(n, tuple(edges))
-                if g.is_connected():
-                    key = canonical_form(g)
-                    if key not in seen:
-                        seen[key] = g
-            return
-        if j == n:
-            if residual[i] == 0:
-                rec(i + 1, i + 2)
-            return
-        limit = min(residual[i], residual[j], 3)
-        for m in range(limit + 1):
-            row[i][j] = m
-            residual[i] -= m
-            residual[j] -= m
-            rec(i, j + 1)
-            residual[i] += m
-            residual[j] += m
-            row[i][j] = 0
-
-    rec(0, 1)
-    return [seen[k] for k in sorted(seen)]
-
-
 # --------------------------------------------------------------------------
 # Per-instance verification
 # --------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Exact perfect-matching existence, counting, and boundary profiles.
 
 Counts treat parallel edges as distinguishable objects: the 3-bond has
-three perfect matchings. One memoized kernel answers every count; blossom
-is kept only for Tutte certificates. The kernel branches on the first free
+three perfect matchings. One memoized kernel answers every count and
+every existence question. The kernel branches on the first free
 vertex of least remaining degree, read as popcounts of per-vertex
 neighbour masks, and each state keeps the branches its count found
 nonzero. Per-edge counts come from one forward sweep over those kept
@@ -13,37 +13,18 @@ belongs to one call: the public functions here build their own, and
 verify_graph builds one for its input, shares it between its stages and
 drops it on return, so no memo outlives the call or sits on the graph.
 The kernel is guarded by a plain edge-subset oracle that walks the full
-inclusion/exclusion tree.
+inclusion/exclusion tree; the tests also hold a blossom existence oracle.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .connectivity import _bits
-from .multigraph import Cut, MultiGraph, _is_int, _require_cut, delete_vertices
+from .multigraph import Cut, MultiGraph, _is_int, _require_cut
 
 COUNT_LIMIT = 1 << 63  # counts are required to fit in 64-bit integers
-
-
-@dataclass(frozen=True)
-class TutteBarrier:
-    """A set S whose removal leaves more than |S| odd components."""
-
-    vertices: frozenset[int]
-    odd_component_count: int
-
-
-@dataclass(frozen=True)
-class MatchingCertificate:
-    exists: bool
-    matching: tuple[int, ...] | None
-    barrier: TutteBarrier | None
-
-    def __bool__(self) -> bool:
-        return self.exists
 
 
 @dataclass(frozen=True)
@@ -331,162 +312,12 @@ def enumerate_perfect_matchings(
     yield from _Kernel(g, forbidden).matchings(_forced_mask(g, forced), list(forced))
 
 
-# --------------------------------------------------------------------------
-# Maximum matching (blossom) and Tutte barriers
-# --------------------------------------------------------------------------
-
-
-def _max_matching(n: int, adj: list[list[int]]) -> list[int]:
-    """Maximum matching on a simple graph via blossom contraction."""
-    match = [-1] * n
-    for v in range(n):
-        if match[v] == -1:
-            for u in adj[v]:
-                if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
-                    break
-    p = [-1] * n
-    base = list(range(n))
-    used = [False] * n
-    blossom = [False] * n
-
-    def lca(a: int, b: int) -> int:
-        used2 = [False] * n
-        while True:
-            a = base[a]
-            used2[a] = True
-            if match[a] == -1:
-                break
-            a = p[match[a]]
-        while True:
-            b = base[b]
-            if used2[b]:
-                return b
-            b = p[match[b]]
-
-    def mark_path(v: int, b: int, child: int) -> None:
-        while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
-            p[v] = child
-            child = match[v]
-            v = p[match[v]]
-
-    def find_path(root: int) -> bool:
-        nonlocal p, base, used
-        used = [False] * n
-        p = [-1] * n
-        base = list(range(n))
-        used[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    cur = lca(v, to)
-                    for i in range(n):
-                        blossom[i] = False
-                    mark_path(v, cur, to)
-                    mark_path(to, cur, v)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = cur
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif p[to] == -1:
-                    p[to] = v
-                    if match[to] == -1:
-                        u = to
-                        while u != -1:
-                            pv = p[u]
-                            ppv = match[pv]
-                            match[u] = pv
-                            match[pv] = u
-                            u = ppv
-                        return True
-                    used[match[to]] = True
-                    queue.append(match[to])
-        return False
-
-    for v in range(n):
-        if match[v] == -1:
-            find_path(v)
-    return match
-
-
-def _matching_size(n: int, adj: list[list[int]]) -> int:
-    return sum(1 for v in _max_matching(n, adj) if v != -1) // 2
-
-
-def _residual(
-    g: MultiGraph, forced: frozenset[int], forbidden: frozenset[int]
-) -> tuple[list[int], list[list[int]], dict[tuple[int, int], int]]:
-    """Deletes forced endpoints and forbidden edges; returns kept vertex ids,
-    a simple adjacency on reindexed vertices, and a map back to edge ids."""
-    blocked = set()
-    for e in forced:
-        blocked.update(g.edges[e])
-    keep = [v for v in range(g.vertex_count) if v not in blocked]
-    index = {v: i for i, v in enumerate(keep)}
-    adj: list[set[int]] = [set() for _ in keep]
-    edge_of: dict[tuple[int, int], int] = {}
-    for i, (u, v) in enumerate(g.edges):
-        if i in forbidden or u in blocked or v in blocked:
-            continue
-        a, b = index[u], index[v]
-        adj[a].add(b)
-        adj[b].add(a)
-        key = (min(a, b), max(a, b))
-        if key not in edge_of:
-            edge_of[key] = i
-    return keep, [sorted(s) for s in adj], edge_of
-
-
-def has_perfect_matching(
-    g: MultiGraph, forced: Iterable[int] = (), forbidden: Iterable[int] = ()
-) -> MatchingCertificate:
-    """Decides constrained perfect matching existence.
-
-    On success the certificate carries a matching (edge indices, forced
-    included); on failure it carries a Tutte barrier of the constrained
-    residual graph, mapped back to original vertex ids.
-    """
-    forced, forbidden = _validate_constraints(g, forced, forbidden)
-    keep, adj, edge_of = _residual(g, forced, forbidden)
-    n = len(keep)
-    match = _max_matching(n, adj)
-    if all(x != -1 for x in match):
-        edges = set(forced)
-        for v, u in enumerate(match):
-            if v < u:
-                edges.add(edge_of[(v, u)])
-        return MatchingCertificate(True, tuple(sorted(edges)), None)
-    nu = sum(1 for x in match if x != -1) // 2
-    # Gallai-Edmonds: D = vertices missed by some maximum matching,
-    # computed by deletion probes; the barrier is A = N(D) - D.
-    d_set = []
-    for v in range(n):
-        sub_adj = [[u - (u > v) for u in adj[w] if u != v] for w in range(n) if w != v]
-        if _matching_size(n - 1, sub_adj) == nu:
-            d_set.append(v)
-    d_mask = set(d_set)
-    a_set = sorted({u for v in d_set for u in adj[v]} - d_mask)
-    residual = MultiGraph(n, tuple((v, u) for v in range(n) for u in adj[v] if v < u))
-    outside, _, _ = delete_vertices(residual, a_set)
-    odd = sum(len(c) % 2 for c in outside.forest.components())
-    barrier = TutteBarrier(frozenset(keep[v] for v in a_set), odd)
-    return MatchingCertificate(False, None, barrier)
-
-
 # Existence is a kernel lookup; the name stays because perfbench/run.py
 # traces it by name as part of the matching layer.
 def _has_pm(g: MultiGraph, forced: frozenset[int] = frozenset(),
             forbidden: frozenset[int] = frozenset()) -> bool:
-    """Existence-only fast path, no certificates."""
+    """True when some perfect matching holds the forced edges and avoids
+    the forbidden ones."""
     return _Kernel(g, forbidden).count(_forced_mask(g, forced)) > 0
 
 

@@ -6,8 +6,8 @@ list.  Loops are never allowed; contraction drops them.
 
 Each graph caches one breadth-first spanning forest beside its incidence
 lists. Connectivity, bipartiteness, the cycle test of a cut side, the cut
-space, the co-tree of the affine rank and the odd components of a Tutte
-barrier all read it instead of a search of their own.
+space and the co-tree of the affine rank all read it instead of a search
+of their own.
 """
 
 from __future__ import annotations
@@ -325,45 +325,6 @@ def replace_vertex_with_triangle(g: MultiGraph, v: int) -> MultiGraph:
     return MultiGraph(n + 2, tuple(new_edges))
 
 
-def glue(
-    g: MultiGraph,
-    u: int,
-    h: MultiGraph,
-    v: int,
-    slot_map: tuple[int, int, int] = (0, 1, 2),
-) -> MultiGraph:
-    """Glues g and h through degree-3 vertices u and v.
-
-    The result is the disjoint union of g minus u and h minus v, plus three
-    edges joining the former edge slots: slot i of u is matched with slot
-    slot_map[i] of v. Gluing with K4 is the same as replacing u by a
-    triangle, up to isomorphism.
-    """
-    _require_vertex(g, u)
-    _require_vertex(h, v)
-    if g.degree(u) != 3 or h.degree(v) != 3:
-        raise ValueError("glue requires degree-3 vertices on both sides")
-    if sorted(slot_map) != [0, 1, 2]:
-        raise ValueError("slot_map must be a permutation of (0, 1, 2)")
-    g_keep = [w for w in range(g.vertex_count) if w != u]
-    h_keep = [w for w in range(h.vertex_count) if w != v]
-    g_index = {w: i for i, w in enumerate(g_keep)}
-    off = len(g_keep)
-    h_index = {w: off + i for i, w in enumerate(h_keep)}
-    edges = []
-    for a, b in g.edges:
-        if u not in (a, b):
-            edges.append((g_index[a], g_index[b]))
-    for a, b in h.edges:
-        if v not in (a, b):
-            edges.append((h_index[a], h_index[b]))
-    g_stubs = [g_index[other] for _, other in g.incidence[u]]
-    h_stubs = [h_index[other] for _, other in h.incidence[v]]
-    for i in range(3):
-        edges.append((g_stubs[i], h_stubs[slot_map[i]]))
-    return MultiGraph(off + len(h_keep), tuple(edges))
-
-
 def _four_cut_side(
     g: MultiGraph, cut: Cut, pairing: tuple[int, int]
 ) -> tuple[MultiGraph, tuple[int, ...]]:
@@ -671,20 +632,3 @@ def _canonical_search(g: MultiGraph) -> bytes:
         form.extend(map(mult[best_labels[p]].__getitem__, best_labels[:p]))
     return bytes(form)
 
-
-def from_canonical(data: bytes) -> MultiGraph:
-    """Rebuilds the canonical representative encoded by canonical_form."""
-    if not data:
-        raise ValueError("empty canonical string")
-    n = data[0]
-    tri = data[1:]
-    if len(tri) != n * (n - 1) // 2:
-        raise ValueError("canonical string has wrong length")
-    edges = []
-    pos = 0
-    for p in range(1, n):
-        for q in range(p):
-            for _ in range(tri[pos]):
-                edges.append((q, p))
-            pos += 1
-    return MultiGraph(n, tuple(edges))

@@ -18,7 +18,6 @@ from cubicmatch.brick_brace import (
     is_tight,
     pm_affine_dimension,
     polytope_dimension,
-    polytope_membership,
 )
 from cubicmatch.connectivity import _bits, _side_key, enumerate_cuts
 from cubicmatch.matching import (
@@ -59,6 +58,7 @@ from conftest import (
     sparse_multigraphs,
     walk_forbidden,
 )
+from oracles import polytope_membership
 
 
 def simplified(g):

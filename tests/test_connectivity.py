@@ -15,13 +15,11 @@ from cubicmatch.connectivity import (
     _has_cycle,
     _side_key,
     bridges,
-    connectivity_report,
     cyclic_edge_connectivity,
     cyclically_edge_connected_at_least,
     edge_connectivity,
     enumerate_cuts,
     is_cyclic_cut,
-    vertex_connectivity,
     vertex_connectivity_at_most,
 )
 from cubicmatch.harness import verify_graph
@@ -358,7 +356,7 @@ class TestVertexConnectivity:
         with pytest.raises(ValueError):
             vertex_connectivity_at_most(k4(), 4)
 
-    @pytest.mark.parametrize("k", [1.5, 2.0, True, "2"])
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "2", -1])
     def test_k_must_be_an_int(self, k):
         with pytest.raises(ValueError, match="an int k"):
             vertex_connectivity_at_most(k4(), k)
@@ -375,7 +373,6 @@ class TestVertexConnectivity:
             h.add_nodes_from(range(n))
             h.add_edges_from(g.edges)
             expected = nx.node_connectivity(h)
-            assert vertex_connectivity(g) == expected
             separator = _separator(g, n)
             if separator is None:
                 # only a complete graph on its simple edges has no separator
@@ -392,22 +389,24 @@ class TestVertexConnectivity:
 
 class TestReport:
     def test_petersen_report(self):
-        rep = connectivity_report(petersen())
-        assert rep.connected and rep.bridge_count == 0
-        assert rep.edge_connectivity == 3
-        assert rep.vertex_connectivity == 3
-        assert rep.cyclic_edge_connectivity == 5
+        g = petersen()
+        assert g.is_connected() and bridges(g) == []
+        assert edge_connectivity(g) == 3
+        assert not vertex_connectivity_at_most(g, 2)
+        assert cyclic_edge_connectivity(g) == 5
 
     def test_cyclic_value_not_computed(self):
         # two K4s have a cyclic 0-cut; two triangles joined through a
-        # degree-2 vertex have a cyclic 1-cut. Neither graph is searched.
+        # degree-2 vertex have a cyclic 1-cut. Neither graph is searched:
+        # one is disconnected, the other has minimum degree 2.
         two_k4 = from_edge_list(8, list(k4().edges) + [(u + 4, v + 4) for u, v in k4().edges])
         two_triangles = MultiGraph(
             7, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6))
         )
         for g in (two_k4, two_triangles):
-            assert connectivity_report(g).cyclic_edge_connectivity is None
-        assert connectivity_report(k4()).cyclic_edge_connectivity is NO_CYCLIC_CUT
+            with pytest.raises(ValueError):
+                cyclic_edge_connectivity(g)
+        assert cyclic_edge_connectivity(k4()) is NO_CYCLIC_CUT
 
     def test_edge_connectivity_le_min_degree(self):
         rnd = random.Random(41)

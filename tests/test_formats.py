@@ -8,6 +8,7 @@ import pytest
 
 from cubicmatch.formats import (
     EDGE_LIST,
+    FORMATS,
     GRAPH6,
     SPARSE6,
     ParseError,
@@ -326,15 +327,19 @@ class TestSparse6:
 
 class TestFrontDoor:
     def test_write_parse_all_formats(self):
+        # write and parse read one table, whose keys FORMATS lists in order
+        assert FORMATS == (EDGE_LIST, GRAPH6, SPARSE6)
         gs = [k4(), petersen()]
-        for fmt in (EDGE_LIST, GRAPH6, SPARSE6):
+        for fmt in FORMATS:
             text = write(gs, fmt)
             back = list(parse(text, fmt))
             assert [sorted(g.edges) for g in back] == [sorted(g.edges) for g in gs]
 
     def test_unknown_format(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown format 'dot'"):
             write([k4()], "dot")
+        with pytest.raises(ValueError, match="unknown format 'dot'"):
+            list(parse(write([k4()]), "dot"))
 
     def test_parse_from_path(self, tmp_path):
         p = tmp_path / "g.el"

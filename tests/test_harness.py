@@ -23,7 +23,6 @@ from cubicmatch.harness import (
     bipartite_companion_check,
     bound_table,
     bridgeless_cubic_catalog,
-    brute_force_cubic_multigraphs,
     exceptional_canonical,
     generate_catalog,
     scarce_matching_graphs,
@@ -51,6 +50,7 @@ from conftest import (
     record_zero_set_sizes,
     walk_forbidden,
 )
+from oracles import brute_force_cubic_multigraphs
 
 
 class TestBoundTable:

@@ -2,8 +2,8 @@
 
 Boundary tables and vertex types are compared with the subset-walk oracle
 run on explicitly built subgraphs; coverage and bicriticality with the
-blossom-backed has_perfect_matching. Inputs are the whole catalogs up to
-order 8.
+blossom existence oracle of tests/oracles.py. Inputs are the whole
+catalogs up to order 8.
 
 The kernel's popcount pivot, its kept branch lists, its per-edge sweep
 and its enumeration are compared with the kernel as first written, kept
@@ -28,12 +28,12 @@ from cubicmatch.matching import (
     boundary_profile,
     count_perfect_matchings_oracle,
     enumerate_perfect_matchings,
-    has_perfect_matching,
     is_matching_covered,
     matching_profile,
 )
 from cubicmatch.multigraph import MultiGraph, delete_vertices, induced_subgraph
 from conftest import analyze16_draws
+from oracles import has_perfect_matching
 
 ORDERS = (2, 4, 6, 8)
 SWEEP_ORDERS = (2, 4, 6, 8, 10)
@@ -200,7 +200,7 @@ def test_matching_covered_matches_blossom(n, catalogs):
             MultiGraph(n, g.edges[:e] + g.edges[e + 1:]) for e in range(len(g.edges))
         ]:
             expected = all(
-                has_perfect_matching(h, forced=(e,)) for e in range(len(h.edges))
+                has_perfect_matching(h, forced=(e,)) is not None for e in range(len(h.edges))
             )
             assert is_matching_covered(h) == expected
 
@@ -209,7 +209,7 @@ def test_matching_covered_matches_blossom(n, catalogs):
 def test_bicritical_matches_blossom(n, catalogs):
     for g in catalogs(n):
         expected = all(
-            has_perfect_matching(delete_vertices(g, pair)[0])
+            has_perfect_matching(delete_vertices(g, pair)[0]) is not None
             for pair in combinations(range(n), 2)
         )
         assert is_bicritical(g) == expected

@@ -31,11 +31,11 @@ from cubicmatch.multigraph import (
     canonical_form,
     contract,
     from_edge_list,
-    glue,
     make_cut,
     replace_vertex_with_triangle,
 )
 from conftest import count_kernels, mask_reference_graphs
+from oracles import glue
 from test_brick_brace import profile_tight
 from cubicmatch.named_graphs import (
     doubled_c4,

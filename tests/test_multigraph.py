@@ -16,9 +16,7 @@ from cubicmatch.multigraph import (
     contract,
     four_cut_completion_edges,
     four_cut_completion_vertices,
-    from_canonical,
     from_edge_list,
-    glue,
     make_cut,
     replace_vertex_with_triangle,
 )
@@ -34,6 +32,7 @@ from cubicmatch.named_graphs import (
     three_bond,
 )
 from conftest import sparse_multigraphs
+from oracles import from_canonical, glue
 
 
 class TestVertexIds:

@@ -1,0 +1,154 @@
+"""The public surface and its preconditions, pinned in one table.
+
+Every function cubicmatch exports whose first parameter is a MultiGraph
+has one entry: an invalid call and the ValueError message it must raise,
+or None for a function that answers every MultiGraph. The key set must
+equal the exported set, so a new export brings its precondition case with
+it and a deleted one takes its case away. Classes are result types built
+by these functions, not entry points, and are left out.
+"""
+
+import inspect
+
+import pytest
+
+import cubicmatch as cm
+from cubicmatch.multigraph import Cut, MultiGraph, from_edge_list
+from cubicmatch.named_graphs import k4, petersen
+
+TWO_K4 = from_edge_list(8, list(k4().edges) + [(u + 4, v + 4) for u, v in k4().edges])
+# two digon-ended blocks joined by the bridge (2, 3)
+BRIDGED = MultiGraph(
+    6, ((0, 1), (0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (4, 5))
+)
+TRIANGLE = MultiGraph(3, ((0, 1), (1, 2), (0, 2)))
+PATH = MultiGraph(3, ((0, 1), (1, 2)))
+# K4's vertex 0 on side_a, but the cut edges left empty
+BAD_CUT = Cut(frozenset({0}), frozenset({1, 2, 3}), ())
+K4_STAR = cm.make_cut(k4(), [0])
+
+
+PRECONDITIONS = {
+    "bipartite_companion_check": (
+        lambda: cm.bipartite_companion_check(k4(), 6), "edge index 6 out of range"
+    ),
+    "boundary_profile": (
+        lambda: cm.boundary_profile(k4(), BAD_CUT),
+        "the cut's edges are not the edges crossing its sides",
+    ),
+    "bridges": None,
+    "canonical_form": (
+        lambda: cm.canonical_form(petersen(), max_vertices=4), "limited to 4 vertices"
+    ),
+    "contract": (lambda: cm.contract(k4(), [[]]), "contraction part out of range or empty"),
+    "core": (lambda: cm.core(k4()), "overlapping triangles"),
+    "count_avoiding": (lambda: cm.count_avoiding(k4(), 6), "edge index 6 out of range"),
+    "count_perfect_matchings": (
+        lambda: cm.count_perfect_matchings(k4(), forced=(99,)), "edge index 99 out of range"
+    ),
+    "count_perfect_matchings_oracle": (
+        lambda: cm.count_perfect_matchings_oracle(k4(), forbidden=(1.5,)),
+        "edge index must be an int",
+    ),
+    "cyclic_edge_connectivity": (
+        lambda: cm.cyclic_edge_connectivity(TWO_K4), "requires a connected graph"
+    ),
+    "cyclically_edge_connected_at_least": (
+        lambda: cm.cyclically_edge_connected_at_least(PATH, 3), "requires minimum degree 3"
+    ),
+    "decompose": (lambda: cm.decompose(BRIDGED), "decompose requires a bridgeless graph"),
+    "edge_connectivity": None,
+    "enumerate_cuts": (lambda: cm.enumerate_cuts(k4(), 1.5), "max_size must be an int"),
+    "enumerate_perfect_matchings": (
+        lambda: list(cm.enumerate_perfect_matchings(k4(), forced=(0,), forbidden=(0,))),
+        "forced and forbidden edges overlap",
+    ),
+    "expand_and_check": (
+        lambda: cm.expand_and_check(k4(), 4), "4 is not a vertex of a graph of order 4"
+    ),
+    "find_nontrivial_tight_cut": (
+        lambda: cm.find_nontrivial_tight_cut(TWO_K4),
+        "find_nontrivial_tight_cut requires a connected graph",
+    ),
+    "four_cut_completion_edges": (
+        lambda: cm.four_cut_completion_edges(k4(), K4_STAR, (0, 1)),
+        "cut has size 3, need 4",
+    ),
+    "four_cut_completion_vertices": (
+        lambda: cm.four_cut_completion_vertices(k4(), K4_STAR, (0, 1)),
+        "cut has size 3, need 4",
+    ),
+    "is_bicritical": (
+        lambda: cm.is_bicritical(TRIANGLE), "requires an even number of vertices"
+    ),
+    "is_brick": None,
+    "is_cyclic_cut": (
+        lambda: cm.is_cyclic_cut(k4(), BAD_CUT),
+        "the cut's edges are not the edges crossing its sides",
+    ),
+    "is_klee": (lambda: cm.is_klee(PATH), "is_klee requires a cubic graph"),
+    "is_matching_covered": None,
+    "is_nice_cut": (
+        lambda: cm.is_nice_cut(petersen(), cm.make_cut(petersen(), range(5))),
+        "nice cuts must have size 3, got 5",
+    ),
+    "is_tight": (
+        lambda: cm.is_tight(BRIDGED, cm.make_cut(BRIDGED, [2])),
+        "is_tight requires a matching covered graph",
+    ),
+    "klee_stats": (lambda: cm.klee_stats(petersen()), "klee_stats requires a klee-graph"),
+    "make_cut": (lambda: cm.make_cut(k4(), [9]), "9 is not a vertex of a graph of order 4"),
+    "matching_profile": (
+        lambda: cm.matching_profile(k4(), forced=(True,)), "edge index must be an int"
+    ),
+    "pm_affine_dimension": (
+        lambda: cm.pm_affine_dimension(MultiGraph(2, ())),
+        "requires at least one perfect matching",
+    ),
+    "polytope_dimension": (
+        lambda: cm.polytope_dimension(PATH), "decompose requires a cubic graph"
+    ),
+    "replace_vertex_with_triangle": (
+        lambda: cm.replace_vertex_with_triangle(PATH, 0), "vertex 0 has degree 1, need 3"
+    ),
+    "verify_graph": (
+        lambda: cm.verify_graph(MultiGraph(0, ())),
+        "verify_graph requires a graph with at least one vertex",
+    ),
+    "vertex_connectivity_at_most": (
+        lambda: cm.vertex_connectivity_at_most(petersen(), -1), "an int k"
+    ),
+    "vertex_type": (lambda: cm.vertex_type(BRIDGED, 0), "vertex 0 has repeated neighbors"),
+}
+
+
+def _graph_taking_functions():
+    names = set()
+    for name in dir(cm):
+        obj = getattr(cm, name)
+        if name.startswith("_") or not inspect.isfunction(obj):
+            continue
+        params = list(inspect.signature(obj).parameters.values())
+        if params and params[0].annotation in ("MultiGraph", MultiGraph):
+            names.add(name)
+    return names
+
+
+def test_table_covers_every_graph_taking_export():
+    assert set(PRECONDITIONS) == _graph_taking_functions()
+
+
+@pytest.mark.parametrize("name", sorted(k for k, v in PRECONDITIONS.items() if v))
+def test_invalid_call_raises_its_message(name):
+    call, message = PRECONDITIONS[name]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("name", sorted(k for k, v in PRECONDITIONS.items() if v is None))
+@pytest.mark.parametrize(
+    "g", [TWO_K4, BRIDGED, TRIANGLE, PATH, MultiGraph(0, ())],
+    ids=["two_k4", "bridged", "triangle", "path", "empty"],
+)
+def test_total_functions_answer_every_graph(name, g):
+    getattr(cm, name)(g)
