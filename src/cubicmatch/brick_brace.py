@@ -291,7 +291,8 @@ def is_brick(g: MultiGraph) -> bool:
 
 def polytope_dimension(g: MultiGraph) -> int:
     """Dimension |E| - |V| + 1 - b(G) of the perfect matching polytope."""
-    return decompose(g).dimension
+    _require(g, "polytope_dimension", cubic=True, connected=True, bridgeless=True)
+    return _decompose(_Kernel(g), g).dimension
 
 
 def _exact_rank(rows: list[list[int]]) -> int:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from contextlib import nullcontext
 from typing import Sequence
 
 from .brick_brace import decompose
@@ -50,18 +50,22 @@ def _build_parser() -> argparse.ArgumentParser:
                          metavar="EDGE", help="edge index that must be avoided")
     p_count.add_argument("--oracle", action="store_true",
                          help="use the brute-force subset oracle")
+    p_count.set_defaults(run=_cmd_count)
 
     p_dec = sub.add_parser("decompose", help="brick and brace decomposition")
     add_input(p_dec)
+    p_dec.set_defaults(run=_cmd_decompose)
 
     p_an = sub.add_parser("analyze", help="full bound report as JSON")
     add_input(p_an)
+    p_an.set_defaults(run=_cmd_analyze)
 
     p_klee = sub.add_parser("klee", help="klee-graph utilities")
     klee_sub = p_klee.add_subparsers(dest="klee_command", required=True)
     p_kenum = klee_sub.add_parser("enum", help="enumerate klee-graphs of order n")
     p_kenum.add_argument("--n", type=int, required=True)
     p_kenum.add_argument("--out-format", choices=FORMATS, default=EDGE_LIST)
+    p_kenum.set_defaults(run=_cmd_klee_enum)
 
     p_cat = sub.add_parser("catalog", help="catalog sweeps")
     cat_sub = p_cat.add_subparsers(dest="catalog_command", required=True)
@@ -80,6 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="all_bridgeless_cubic")
     p_cver.add_argument("--out", help="write JSONL reports here")
     p_cver.add_argument("--simple-only", action="store_true")
+    p_cver.set_defaults(run=_cmd_catalog_verify)
 
     p_gen = sub.add_parser("gen", help="emit a catalog")
     p_gen.add_argument("--n", type=int, required=True)
@@ -87,16 +92,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="all_bridgeless_cubic")
     p_gen.add_argument("--simple-only", action="store_true")
     p_gen.add_argument("--out-format", choices=FORMATS, default=EDGE_LIST)
+    p_gen.set_defaults(run=_cmd_gen)
     return top
 
 
 def _read_one(path: str, fmt: str) -> MultiGraph:
-    if path == "-":
-        graphs = list(parse(sys.stdin, fmt))
-    else:
-        if not os.path.exists(path):
-            raise OSError(f"cannot open input file {path!r}")
-        graphs = list(parse(path, fmt))
+    """The one graph in the file at ``path``, or on stdin when ``path`` is
+    '-'. An OSError from opening the file is raised unchanged."""
+    graphs = list(parse(sys.stdin if path == "-" else path, fmt))
     if not graphs:
         raise ParseError("no graph in input", path)
     if len(graphs) > 1:
@@ -152,13 +155,9 @@ def _cmd_klee_enum(args: argparse.Namespace) -> int:
 def _cmd_catalog_verify(args: argparse.Namespace) -> int:
     graphs = generate_catalog(args.n, args.klass, simple_only=args.simple_only)
     reports = verify_catalog(graphs)
-    lines = [json.dumps(r.to_json(), sort_keys=True) for r in reports]
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-    else:
-        for line in lines:
-            print(line)
+    sink = open(args.out, "w", encoding="ascii") if args.out else nullcontext(sys.stdout)
+    with sink as out:
+        out.writelines(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in reports)
     ok = all(r.all_satisfied for r in reports)
     scarce = scarce_matching_graphs(args.n)
     print(
@@ -195,22 +194,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "count":
-            return _cmd_count(args)
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "klee":
-            return _cmd_klee_enum(args)
-        if args.command == "catalog":
-            return _cmd_catalog_verify(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
+        return args.run(args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -71,10 +71,8 @@ def _parse_edge_list(lines: list[str]) -> Iterator[MultiGraph]:
                 u, v = int(fields[0]), int(fields[1])
             except ValueError:
                 raise ParseError("non-integer edge endpoints", f"line {idx + 1}")
-            try:
-                pairs.append((u, v))
-            finally:
-                idx += 1
+            pairs.append((u, v))
+            idx += 1
         try:
             yield MultiGraph(n, tuple(pairs))
         except ValueError as exc:
@@ -285,43 +283,26 @@ def parse_sparse6(line: str | bytes, where: str = "sparse6") -> MultiGraph:
 # --------------------------------------------------------------------------
 
 
-def parse(source: str | IO[str], fmt: str = EDGE_LIST) -> Iterator[MultiGraph]:
-    """Parses a path, text, or stream into a stream of MultiGraphs.
+def parse(source: str | os.PathLike | IO[str], fmt: str = EDGE_LIST) -> Iterator[MultiGraph]:
+    """The graphs in ``source``, a path or an open text stream.
 
-    A string argument naming an existing path is opened, and an OSError
-    from opening it (a directory, no read permission) is raised; any
-    other string is treated as literal content. A one-line string that
-    names no file and does not parse is reported as a missing file.
+    A path (a ``str`` or an ``os.PathLike``) is always opened as a file;
+    a string is never read as graph text, so text already in hand goes
+    through ``io.StringIO``. An OSError from opening the path is raised
+    unchanged, and a non-ASCII byte in the file raises ParseError naming
+    its index.
     """
-    missing = None
-    if isinstance(source, str):
+    read_lines = _codec(fmt)[1]
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as handle:
+            raw = handle.read()
         try:
-            handle: IO[bytes] | None = open(source, "rb")
-        except FileNotFoundError:
-            handle = None
-            if "\n" not in source:
-                missing = source
-        except (OSError, ValueError):  # ValueError: a NUL in the string
-            if os.path.exists(source):
-                raise  # a directory, or a file that cannot be read
-            handle = None
-        if handle is None:
-            text = source
-        else:
-            with handle:
-                raw = handle.read()
-            try:
-                text = raw.decode("ascii")
-            except UnicodeDecodeError as exc:
-                raise ParseError("non-ASCII byte", f"{source}, byte {exc.start}")
+            text = raw.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ParseError("non-ASCII byte", f"{source}, byte {exc.start}")
     else:
         text = source.read()
-    try:
-        yield from _parse_text(text, fmt)
-    except ParseError as exc:
-        if missing is None:
-            raise
-        raise ParseError("no such file, and not valid graph text", missing) from exc
+    yield from read_lines(text.splitlines())
 
 
 def _each_line(parse_line: Callable[..., MultiGraph], lines: list[str]) -> Iterator[MultiGraph]:
@@ -346,10 +327,6 @@ def _codec(fmt: str) -> tuple[Callable, Callable]:
     if fmt not in _CODECS:
         raise ValueError(f"unknown format {fmt!r}")
     return _CODECS[fmt]
-
-
-def _parse_text(text: str, fmt: str) -> Iterator[MultiGraph]:
-    yield from _codec(fmt)[1](text.splitlines())
 
 
 def write(graphs: Iterable[MultiGraph], fmt: str = EDGE_LIST) -> str:

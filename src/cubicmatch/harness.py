@@ -342,17 +342,20 @@ def _union(ring: _Ring, partner: bytes) -> MultiGraph:
     return MultiGraph(len(partner), tuple(enumerate(ring[1])) + pairs)
 
 
+_SameType = list[tuple[list[int], list[list[int]]]]
+
+
 def _same_type_matchings(
     cycle_type: tuple[int, ...], ring: _Ring, partner: bytes
-) -> list[list[int]] | None:
+) -> _SameType | None:
     """The witness search on the union of the fixed 2-factor of
     ``cycle_type`` (its `_ring`) with the pairing ``partner``: None when
     some 2-factor of the union has a cycle type lexicographically larger
     than ``cycle_type``, i.e. one that `_partitions_min2` yields earlier;
     otherwise every perfect matching of the union whose 2-factor has
-    exactly ``cycle_type``, each as a mate list (entry u the vertex matched
-    to u), once per set of vertex pairs. Works on the arrays alone: no
-    graph is built.
+    exactly ``cycle_type``, once per set of vertex pairs, each as a mate
+    list (entry u the vertex matched to u) beside its 2-factor's cycles
+    (`_two_factor_cycles`). Works on the arrays alone: no graph is built.
 
     It stops at the first larger type. A union it does not stop on has had
     every perfect matching visited, so the list is complete; the
@@ -372,7 +375,7 @@ def _same_type_matchings(
         for u, (ups, p) in enumerate(zip(above, partner))
     ]
     mate = [-1] * len(partner)
-    same: list[list[int]] = []
+    same: _SameType = []
     if _larger_two_factor_below(cycle_type, options, (first, sums, partner), mate, 0, same):
         return None
     return same
@@ -384,13 +387,14 @@ def _larger_two_factor_below(
     union: tuple[list[int], list[int], bytes],
     mate: list[int],
     u: int,
-    same: list[list[int]],
+    same: _SameType,
 ) -> bool:
     """Depth-first search for a perfect matching of the union that extends
     ``mate`` (-1 at each uncovered vertex; every vertex below ``u`` is
     covered) and leaves a 2-factor of type larger than ``cycle_type``.
     Each perfect matching met on the way whose 2-factor has exactly
-    ``cycle_type`` is appended to ``same`` as a copy of ``mate``.
+    ``cycle_type`` is appended to ``same`` as a copy of ``mate`` beside
+    the cycles of that 2-factor, walked once here.
 
     It branches at the lowest uncovered vertex, once per free neighbour in
     ``options``: parallel edges to one neighbour leave 2-factors with the
@@ -401,9 +405,10 @@ def _larger_two_factor_below(
     while u < n and mate[u] >= 0:
         u += 1
     if u == n:
-        lengths = _two_factor_lengths(union, mate)
+        cycles = _two_factor_cycles(union, mate)
+        lengths = tuple(sorted(map(len, cycles), reverse=True))
         if lengths == cycle_type:
-            same.append(mate[:])
+            same.append((mate[:], cycles))
         return lengths > cycle_type
     for w in options[u]:
         if mate[w] < 0:
@@ -446,21 +451,11 @@ def _two_factor_cycles(
     return cycles
 
 
-def _two_factor_lengths(
-    union: tuple[list[int], list[int], bytes], mate: list[int]
-) -> tuple[int, ...]:
-    """Cycle lengths, non-increasing, of the 2-factor the perfect matching
-    ``mate`` leaves in the union ``union`` (`_two_factor_cycles`)."""
-    return tuple(sorted(map(len, _two_factor_cycles(union, mate)), reverse=True))
-
-
-def _same_type_partners(
-    ring: _Ring, partner: bytes, mates: list[list[int]]
-) -> Iterator[bytes]:
-    """Partner arrays of the union of ``ring`` (`_ring`) and the pairing
-    ``partner``, relabelled onto the same ring, once for each perfect
-    matching in ``mates`` (`_same_type_matchings`) and each way of laying
-    that matching's 2-factor on the ring blocks.
+def _same_type_partners(same: _SameType) -> Iterator[bytes]:
+    """Partner arrays of a union of a ring (`_ring`) and a pairing,
+    relabelled onto the same ring, once for each perfect matching of the
+    union in ``same`` (`_same_type_matchings`, with its 2-factor's cycles)
+    and each way of laying those cycles on the ring blocks.
 
     Every cycle goes to a block of its length, which holds it from one
     start in one direction: the block's dihedral group maps that choice
@@ -469,11 +464,10 @@ def _same_type_partners(
     no blocks. Blocks of one length are consecutive in the ring, longest
     first, as are the cycles once sorted by length. Each array pairs the
     labels of the matched ends of the matching, so its union with the ring
-    is isomorphic to the union of ``ring`` and ``partner``.
+    is isomorphic to the union of the ring and the pairing.
     """
-    union = (ring[1], ring[2], partner)
-    for mate in mates:
-        cycles = sorted(_two_factor_cycles(union, mate), key=len, reverse=True)
+    for mate, cycles in same:
+        cycles = sorted(cycles, key=len, reverse=True)
         runs = [list(group) for _, group in groupby(cycles, key=len)]
         for layout in product(*map(permutations, runs)):
             order = [v for run in layout for cycle in run for v in cycle]
@@ -588,12 +582,12 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
         symmetries = _symmetries(cycle_type, n)
         marked: set[bytes] = set()
         for partner in _candidate_pairings(cycle_type, ring[3], pairings, symmetries, marked):
-            mates = _same_type_matchings(cycle_type, ring, partner)
-            if mates is None:
+            same = _same_type_matchings(cycle_type, ring, partner)
+            if same is None:
                 continue
             g = _union(ring, partner)
             seen.setdefault(canonical_form(g), g)
-            for relabelled in _same_type_partners(ring, partner, mates):
+            for relabelled in _same_type_partners(same):
                 # tested here, so that every call marks a new orbit
                 if relabelled not in marked:
                     _is_orbit_minimal(relabelled, symmetries, marked)
@@ -904,7 +898,7 @@ def bipartite_companion_check(g: MultiGraph, e: int) -> CompanionResult:
     covered, searches for an edge f making G-{e,f} bipartite and matching
     covered. NOT_APPLICABLE when the hypotheses fail; e must be an edge of g."""
     _validate_constraints(g, (), (e,))
-    if not g.is_cubic() or bridges(g):
+    if not g.is_cubic() or not g.is_connected() or bridges(g):
         return CompanionResult(NOT_APPLICABLE, None)
     if not cyclically_edge_connected_at_least(g, 5):
         return CompanionResult(NOT_APPLICABLE, None)

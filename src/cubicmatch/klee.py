@@ -156,9 +156,11 @@ def is_klee(g: MultiGraph) -> KleeResult:
 def core(g: MultiGraph) -> MultiGraph:
     """Contracts every triangle of g simultaneously.
 
-    Requires every cyclic 3-edge-cut to separate a triangle and all
-    triangles to be vertex-disjoint; violations raise ValueError.
+    Requires a cubic, connected, bridgeless graph in which every cyclic
+    3-edge-cut separates a triangle and all triangles are vertex-disjoint;
+    violations raise ValueError.
     """
+    _require(g, "core", cubic=True, connected=True, bridgeless=True)
     tris = triangles(g)
     seen: set[int] = set()
     for tri in tris:
@@ -280,6 +282,7 @@ def enumerate_klee(n: int) -> tuple[MultiGraph, ...]:
 
 def klee_stats(g: MultiGraph) -> KleeStats:
     """Matching count, A/B vertex counts, and the potential m - alpha - beta/2."""
+    _require(g, "klee_stats", cubic=True, connected=True)
     if not is_klee(g):
         raise ValueError("klee_stats requires a klee-graph")
     kernel = _Kernel(g)
@@ -324,10 +327,10 @@ def _nice_oriented(kernel: _Kernel, g: MultiGraph, cut: Cut) -> str | None:
 
 def is_nice_cut(g: MultiGraph, cut: Cut) -> NiceCutResult:
     """Nice 3-edge-cut test; both orientations of the cut are tried."""
+    _require(g, "is_nice_cut", cubic=True, connected=True, bridgeless=True)
     _require_cut(g, cut)
     if cut.size != 3:
         raise ValueError(f"nice cuts must have size 3, got {cut.size}")
-    _require(g, "is_nice_cut", cubic=True)
     kernel = _Kernel(g)
     for role, oriented in (("side_a", cut), ("side_b", cut.flipped())):
         clause = _nice_oriented(kernel, g, oriented)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 from dataclasses import replace
@@ -77,9 +78,26 @@ def test_analyze_json(petersen_file, capsys):
     assert data["all_satisfied"] is True
 
 
+def test_analyze_reads_stdin_from_dash(petersen_file, capsys, monkeypatch):
+    assert main(["analyze", petersen_file]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(write_edge_list(petersen())))
+    assert main(["analyze", "-"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_missing_file_exits_2_with_the_os_error(tmp_path, capsys):
+    # it used to say "cannot open input file", in words of its own
+    missing = tmp_path / "nosuchfile.el"
+    assert main(["analyze", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
 def test_klee_enum(capsys):
     assert main(["klee", "enum", "--n", "10"]) == 0
-    graphs = list(parse(capsys.readouterr().out, "edge_list"))
+    graphs = list(parse(io.StringIO(capsys.readouterr().out), "edge_list"))
     assert len(graphs) == 3
     assert all(g.vertex_count == 10 for g in graphs)
 

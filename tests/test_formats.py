@@ -1,6 +1,5 @@
 import errno
 import io
-import os
 import random
 
 import networkx as nx
@@ -38,33 +37,33 @@ def random_multigraph(rnd, max_n=14):
 
 class TestEdgeList:
     def test_three_bond(self):
-        gs = list(parse("2 3\n0 1\n0 1\n0 1\n", EDGE_LIST))
+        gs = list(parse(io.StringIO("2 3\n0 1\n0 1\n0 1\n"), EDGE_LIST))
         assert len(gs) == 1 and gs[0].multiplicity(0, 1) == 3
 
     def test_roundtrip_stream(self):
         text = write_edge_list(k4()) + write_edge_list(petersen())
-        gs = list(parse(text, EDGE_LIST))
+        gs = list(parse(io.StringIO(text), EDGE_LIST))
         assert [g.vertex_count for g in gs] == [4, 10]
         assert gs[1].edges == petersen().edges
 
     def test_truncated(self):
         with pytest.raises(ParseError):
-            list(parse("4 3\n0 1\n1 2\n", EDGE_LIST))
+            list(parse(io.StringIO("4 3\n0 1\n1 2\n"), EDGE_LIST))
 
     def test_bad_header(self):
         with pytest.raises(ParseError) as err:
-            list(parse("4\n", EDGE_LIST))
+            list(parse(io.StringIO("4\n"), EDGE_LIST))
         assert "line 1" in str(err.value)
 
     def test_loop_reported_with_position(self):
         with pytest.raises(ParseError):
-            list(parse("2 1\n1 1\n", EDGE_LIST))
+            list(parse(io.StringIO("2 1\n1 1\n"), EDGE_LIST))
 
     @pytest.mark.parametrize("text, line", [("4 -1\n", 1), ("2 0\n\n4 -3\n0 1\n", 3)])
     def test_negative_edge_count(self, text, line):
         # "4 -1" used to read no edges and give the empty graph on 4 vertices
         with pytest.raises(ParseError, match="negative edge count") as err:
-            list(parse(text, EDGE_LIST))
+            list(parse(io.StringIO(text), EDGE_LIST))
         assert err.value.position == f"line {line}"
 
 
@@ -259,7 +258,7 @@ class TestSparse6:
 
     def test_stream_position_names_line_and_byte(self):
         with pytest.raises(ParseError) as err:
-            list(parse(":A_\n >>sparse6<<:A\x01\n", SPARSE6))
+            list(parse(io.StringIO(":A_\n >>sparse6<<:A\x01\n"), SPARSE6))
         assert err.value.position == "line 2, byte 14"
 
     def test_roundtrip_vs_networkx(self):
@@ -332,14 +331,14 @@ class TestFrontDoor:
         gs = [k4(), petersen()]
         for fmt in FORMATS:
             text = write(gs, fmt)
-            back = list(parse(text, fmt))
+            back = list(parse(io.StringIO(text), fmt))
             assert [sorted(g.edges) for g in back] == [sorted(g.edges) for g in gs]
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown format 'dot'"):
             write([k4()], "dot")
         with pytest.raises(ValueError, match="unknown format 'dot'"):
-            list(parse(write([k4()]), "dot"))
+            list(parse(io.StringIO(write([k4()])), "dot"))
 
     def test_parse_from_path(self, tmp_path):
         p = tmp_path / "g.el"
@@ -347,11 +346,17 @@ class TestFrontDoor:
         gs = list(parse(str(p), EDGE_LIST))
         assert gs[0].vertex_count == 10
 
+    def test_parse_from_path_object(self, tmp_path):
+        # a pathlib.Path used to raise AttributeError: no attribute 'read'
+        p = tmp_path / "g.el"
+        p.write_text(write_edge_list(petersen()))
+        assert [g.edges for g in parse(p)] == [petersen().edges]
+
     def test_missing_path_reported_as_missing(self, tmp_path):
         missing = str(tmp_path / "nosuchfile.el")
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(FileNotFoundError) as err:
             list(parse(missing, EDGE_LIST))
-        assert "no such file" in str(err.value) and missing in str(err.value)
+        assert missing in str(err.value)
 
     def test_existing_path_that_cannot_be_opened_is_an_error(self, tmp_path):
         # a directory named like K4's graph6 line is not read as that line
@@ -362,16 +367,34 @@ class TestFrontDoor:
                 list(parse(str(directory), fmt))
             assert str(directory) in str(err.value)
 
+    def test_a_string_is_always_a_path(self, tmp_path, monkeypatch):
+        # "C~" is K4 in graph6; it used to be read as that line, or as the
+        # file where one of that name exists
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError):
+            list(parse("C~", GRAPH6))
+        with open("C~", "w") as fh:
+            fh.write(write_edge_list(petersen()))
+        with pytest.raises(ParseError, match="invalid byte"):
+            list(parse("C~", GRAPH6))
+        assert [g.edges for g in parse("C~", EDGE_LIST)] == [petersen().edges]
+        assert [sorted(g.edges) for g in parse(io.StringIO("C~"), GRAPH6)] == [sorted(k4().edges)]
+
     def test_text_too_long_for_a_file_name_still_parses(self):
         g = MultiGraph(400, tuple((v, (v + 1) % 400) for v in range(400)))
         text = write_sparse6(g)
         with pytest.raises(OSError) as err:
-            open(text, "rb")
+            list(parse(text, SPARSE6))
         assert err.value.errno == errno.ENAMETOOLONG
-        assert [sorted(h.edges) for h in parse(text, SPARSE6)] == [sorted(g.edges)]
+        assert [sorted(h.edges) for h in parse(io.StringIO(text), SPARSE6)] == [sorted(g.edges)]
 
     def test_one_line_text_still_parses(self):
-        assert [g.vertex_count for g in parse(write_graph6(k4()), GRAPH6)] == [4]
+        assert [g.vertex_count for g in parse(io.StringIO(write_graph6(k4())), GRAPH6)] == [4]
+
+    def test_header_error_names_its_line(self):
+        # it used to say "no such file, and not valid graph text (3 x)"
+        with pytest.raises(ParseError, match=r"^non-integer header fields \(line 1\)$"):
+            list(parse(io.StringIO("3 x")))
 
     def test_non_ascii_file_reported_with_position(self, tmp_path):
         p = tmp_path / "g.el"
@@ -413,12 +436,7 @@ class TestFuzz:
         rnd = random.Random(109)
 
         def edge_list(text):
-            try:
-                return list(parse(text, EDGE_LIST))
-            except OSError:
-                # a text naming an existing path, such as ".", is opened
-                assert os.path.exists(text)
-                return []
+            return list(parse(io.StringIO(text), EDGE_LIST))
 
         for _ in range(3000):
             text = "".join(rnd.choice(self.ALPHABET) for _ in range(rnd.randint(0, 12)))

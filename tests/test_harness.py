@@ -20,6 +20,7 @@ from cubicmatch.connectivity import (
 from cubicmatch.harness import (
     FOUND,
     NOT_APPLICABLE,
+    CompanionResult,
     bipartite_companion_check,
     bound_table,
     bridgeless_cubic_catalog,
@@ -51,6 +52,7 @@ from conftest import (
     walk_forbidden,
 )
 from oracles import brute_force_cubic_multigraphs
+from test_public_surface import TWO_K4
 
 
 class TestBoundTable:
@@ -370,9 +372,14 @@ def kernel_same_type_matchings(g, cycle_type):
     }
 
 
-def mate_pairs(mates):
-    """Each mate list as the set of its vertex pairs (u, mate[u]), u < mate[u]."""
-    return [frozenset((u, w) for u, w in enumerate(mate) if u < w) for mate in mates]
+def mate_pairs(same, cycle_type):
+    """Each mate list in ``same`` (`_same_type_matchings`) as the set of its
+    vertex pairs (u, mate[u]), u < mate[u], after checking that the cycles
+    kept beside it hold every vertex once and have type ``cycle_type``."""
+    for mate, cycles in same:
+        assert sorted(v for cycle in cycles for v in cycle) == list(range(len(mate)))
+        assert tuple(sorted(map(len, cycles), reverse=True)) == cycle_type
+    return [frozenset((u, w) for u, w in enumerate(mate) if u < w) for mate, _ in same]
 
 
 def has_larger_two_factor(cycle_type, partner):
@@ -790,14 +797,22 @@ class TestSwitch:
         # each partner array a kept union marks, laid on the ring, gives a
         # union with the kept union's canonical form
         monkeypatch.setattr(harness, "_CATALOG_CACHE", {})
+        search = harness._same_type_matchings
         relabel = harness._same_type_partners
+        searched = []
         kept = []
 
-        def recording(ring, partner, mates):
-            arrays = list(relabel(ring, partner, mates))
-            kept.append((ring, partner, arrays))
+        def searching(cycle_type, ring, partner):
+            searched.append((ring, partner))
+            return search(cycle_type, ring, partner)
+
+        def recording(same):
+            # the union relabelled is the one searched last
+            arrays = list(relabel(same))
+            kept.append((*searched[-1], arrays))
             return arrays
 
+        monkeypatch.setattr(harness, "_same_type_matchings", searching)
         monkeypatch.setattr(harness, "_same_type_partners", recording)
         classes = bridgeless_cubic_catalog(n)
         assert len(kept) == len(classes)
@@ -862,9 +877,9 @@ class TestLargestTypeRule:
         for n in range(2, 11, 2):
             ring = harness._ring((n,))
             for partner, codes in zip(*harness._pairings(n)):
-                mates = harness._same_type_matchings((n,), ring, partner)
-                assert mates is not None
-                pairs = mate_pairs(mates)
+                same = harness._same_type_matchings((n,), ring, partner)
+                assert same is not None
+                pairs = mate_pairs(same, (n,))
                 assert len(set(pairs)) == len(pairs)
                 assert set(pairs) == kernel_same_type_matchings(union((n,), codes), (n,))
 
@@ -879,14 +894,14 @@ class TestLargestTypeRule:
             marked = set()
             for partner, codes in zip(partners, pairings):
                 if harness._is_orbit_minimal(partner, symmetries, marked):
-                    mates = harness._same_type_matchings(cycle_type, ring, partner)
-                    verdict = mates is None
+                    same = harness._same_type_matchings(cycle_type, ring, partner)
+                    verdict = same is None
                     g = union(cycle_type, codes)
                     assert verdict == kernel_has_larger_two_factor(g, cycle_type)
                     verdicts.add(verdict)
-                    if mates is not None:
+                    if same is not None:
                         # a union with no larger type has had every matching visited
-                        pairs = mate_pairs(mates)
+                        pairs = mate_pairs(same, cycle_type)
                         assert len(set(pairs)) == len(pairs)
                         assert set(pairs) == kernel_same_type_matchings(g, cycle_type)
         assert verdicts == ({False, True} if n > 2 else {False})
@@ -1257,6 +1272,11 @@ class TestCompanion:
     def test_low_connectivity_not_applicable(self):
         res = bipartite_companion_check(prism(), 0)
         assert res.status == NOT_APPLICABLE
+
+    def test_disconnected_not_applicable(self):
+        # two disjoint K4s used to raise "cyclic_edge_connectivity
+        # requires a connected graph"
+        assert bipartite_companion_check(TWO_K4, 0) == CompanionResult(NOT_APPLICABLE, None)
 
     @pytest.mark.parametrize("e", [99, 15, -1, 1.5, True, "0"])
     def test_edge_must_be_an_edge_of_g(self, e):

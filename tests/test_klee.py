@@ -37,6 +37,7 @@ from cubicmatch.multigraph import (
 from conftest import count_kernels, mask_reference_graphs
 from oracles import glue
 from test_brick_brace import profile_tight
+from test_public_surface import BRIDGED, PATH, TWO_K4
 from cubicmatch.named_graphs import (
     doubled_c4,
     exceptional_graph,
@@ -206,6 +207,15 @@ class TestCore:
     def test_k4_overlapping_triangles_rejected(self):
         with pytest.raises(ValueError):
             core(k4())
+
+    @pytest.mark.parametrize(
+        "g, lacks", [(PATH, "cubic"), (TWO_K4, "connected"), (BRIDGED, "bridgeless")]
+    )
+    def test_refuses_what_it_is_not_defined_on(self, g, lacks):
+        # the path used to come back unchanged, and the bridged graph as
+        # two vertices joined by one edge
+        with pytest.raises(ValueError, match=f"^core requires a {lacks} graph$"):
+            core(g)
 
     def test_cyclic_cut_without_triangle_rejected(self):
         # gluing two Petersens produces cyclic 3-cuts separating big sides
@@ -400,6 +410,11 @@ class TestKleeStats:
         with pytest.raises(ValueError):
             klee_stats(petersen())
 
+    def test_disconnected_refused_under_its_own_name(self):
+        # it used to say "is_klee requires a connected graph"
+        with pytest.raises(ValueError, match="^klee_stats requires a connected graph$"):
+            klee_stats(TWO_K4)
+
     def test_one_kernel_per_graph(self, monkeypatch):
         # every vertex type is read from one kernel on the graph, with the
         # values of a kernel per vertex
@@ -439,6 +454,20 @@ class TestNiceCuts:
         g = petersen()
         with pytest.raises(ValueError):
             is_nice_cut(g, make_cut(g, {0, 1}))
+
+    def test_disconnected_refused_under_its_own_name(self):
+        # it used to say "contraction part [1, 2, 3, 4, 5, 6, 7] is not connected"
+        with pytest.raises(ValueError, match="^is_nice_cut requires a connected graph$"):
+            is_nice_cut(TWO_K4, make_cut(TWO_K4, {0}))
+
+    def test_bridged_refused_under_its_own_name(self):
+        # across the bridge (3, 7) the side {1, 4, 5, 6, 7} of this 3-cut is
+        # disconnected; it used to say "contraction part [1, 4, 5, 6, 7] is
+        # not connected"
+        g = from_edge_list(8, [(0, 3), (0, 6), (2, 3), (4, 7), (4, 5), (1, 6),
+                               (3, 7), (0, 2), (1, 2), (1, 6), (4, 5), (5, 7)])
+        with pytest.raises(ValueError, match="^is_nice_cut requires a bridgeless graph$"):
+            is_nice_cut(g, make_cut(g, {0, 2, 3}))
 
     def test_matches_former_clauses(self, catalogs):
         # the clauses read off the per-edge table against the former

@@ -106,7 +106,7 @@ PRECONDITIONS = {
         "requires at least one perfect matching",
     ),
     "polytope_dimension": (
-        lambda: cm.polytope_dimension(PATH), "decompose requires a cubic graph"
+        lambda: cm.polytope_dimension(PATH), "polytope_dimension requires a cubic graph"
     ),
     "replace_vertex_with_triangle": (
         lambda: cm.replace_vertex_with_triangle(PATH, 0), "vertex 0 has degree 1, need 3"
