@@ -23,15 +23,23 @@ at its largest type is the code-minimum of all these pairings, so every
 one they mark comes later in the sweep and would have been labelled only
 to be dropped as a duplicate; the representatives do not change.
 
-Each pairing meets the filters cheapest first: the block-quotient test
-(connected and bridgeless), marking its symmetry orbit, the depth-first
-search for a 2-factor of larger type, and last `canonical_form`. The
-quotient verdict is the same on a whole orbit, so a pairing that fails
-it is dropped without marking and exactly the orbit minima that pass
-are kept. Every filter before `canonical_form` runs on arrays: the
-pairing's partner array and pair codes, the cycle type's fixed ring and
-the block quotient's incidence lists. A `MultiGraph` is built only for
-a union that passes them all, to be labelled.
+The sweep of a type T reads only pairings that can be orbit minima
+(the first-partner rule). Let T's first, longest cycle lie on vertices
+0..c-1, and F(T) be {1, ..., c // 2} with the first vertex of every
+other cycle. A pairing's first pair in code order is (0, p[0]), so an
+orbit minimum has the least p[0] of its orbit, which lies in F(T): with
+0 fixed, the reflection of the first cycle turns a partner b on it into
+c - b, and a rotation of any other cycle turns a partner on it into its
+first vertex. So only pairings with p[0] in F(T) are walked, and an
+orbit is marked only by its images with a first partner in F(T).
+
+Each pairing walked meets the filters cheapest first: the block-quotient
+test (connected and bridgeless), marking its symmetry orbit, the
+depth-first search for a 2-factor of larger type, and last
+`canonical_form`. The quotient verdict is the same on a whole orbit, so
+a pairing that fails it is dropped without marking and exactly the
+orbit minima that pass are kept. Every filter before `canonical_form`
+runs on arrays; a `MultiGraph` is built only for a union to be labelled.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby, permutations, product, repeat
+from itertools import accumulate, groupby, permutations, product, repeat
 from typing import Iterable, Iterator
 
 from .brick_brace import _affine_dimension, _decompose
@@ -117,14 +125,14 @@ def _partitions_min2(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, n)
 
 
-def _symmetries(cycle_type: tuple[int, ...], n: int) -> tuple[list[bytes], list[bytes]]:
-    """The symmetry group of the fixed 2-factor of ``cycle_type`` as
-    (inverse, forward) vertex tables: the product of the dihedral groups of
-    the cycle blocks.
+def _symmetries(cycle_type: tuple[int, ...], n: int) -> _BlockGroup:
+    """The symmetry group of the fixed 2-factor of ``cycle_type``, the
+    product of the dihedral groups of the cycle blocks, as (inverse,
+    forward) vertex tables in a `_BlockGroup`.
 
-    For the i-th element pi, ``forwards[i]`` is a translation table with
-    entry u = pi(u) (every entry from n on is its own index) and
-    ``inverses[i]`` is pi^-1 as n bytes. These are automorphisms of the
+    For each element pi, the forward table is a translation table with
+    entry u = pi(u) (every entry from n on is its own index) and the
+    inverse table is pi^-1 as n bytes. These are automorphisms of the
     2-factor, so pairings in the same orbit give isomorphic unions; the
     orbit filter only prunes duplicates and never loses classes. Each
     block's group gets one pair of tables per element, with every other
@@ -152,7 +160,43 @@ def _symmetries(cycle_type: tuple[int, ...], n: int) -> tuple[list[bytes], list[
             for inverse, forward in group
             for b_inverse, b_forward in elements
         ]
-    return [inverse[:n] for inverse, _ in group], [forward for _, forward in group]
+    return _BlockGroup(cycle_type, [(inverse[:n], forward) for inverse, forward in group])
+
+
+class _BlockGroup:
+    """The block group of the fixed 2-factor of a cycle type T
+    (`_symmetries`), arranged for the first-partner rule (module
+    docstring): F(T) as ``first_partners`` in increasing order, and the
+    (inverse, forward) tables of the elements pi with pi^-1(0) = a in
+    ``by_first[a]``, for each vertex a of the first cycle.
+
+    ``selected(a, b)`` holds the (inverse, forward) tables of the elements
+    pi with pi^-1(0) = a and pi(b) in F(T), built once per (a, b). The
+    image pi p pi^-1 pairs 0 with pi(p[a]) for a = pi^-1(0), a vertex of
+    the first cycle, so the selections for (a, p[a]) over those vertices
+    give exactly p's images in F(T). None is empty (the rule's proof,
+    after rotating a to 0); ``image(p)`` is the first image for (0, p[0]).
+    """
+
+    def __init__(self, cycle_type: tuple[int, ...], elements: list[tuple[bytes, bytes]]) -> None:
+        c = cycle_type[0]
+        self.first_partners = bytes(range(1, c // 2 + 1)) + bytes(accumulate(cycle_type[:-1]))
+        self.cycle = range(c)
+        self.by_first: list[list[tuple[bytes, bytes]]] = [[] for _ in self.cycle]
+        for inverse, forward in elements:
+            self.by_first[inverse[0]].append((inverse, forward))
+        self._selected: dict[int, tuple[tuple[bytes, ...], ...]] = {}
+
+    def selected(self, a: int, b: int) -> tuple[tuple[bytes, ...], ...]:
+        found = self._selected.get(a * 16 + b)
+        if found is None:
+            kept = [pair for pair in self.by_first[a] if pair[1][b] in self.first_partners]
+            found = self._selected[a * 16 + b] = tuple(zip(*kept))
+        return found
+
+    def image(self, partner: bytes) -> bytes:
+        inverses, forwards = self.selected(0, partner[0])
+        return inverses[0].translate(partner.ljust(256, b"\0")).translate(forwards[0])
 
 
 # No block-pair code reaches it: with n <= 16 and blocks of length >= 2
@@ -177,7 +221,8 @@ def _pairings(n: int) -> tuple[list[bytes], list[bytes]]:
     """Every pairing of range(n) as its partner array (index u holds the
     partner of u) and, at the same index of a second list, its sorted pair
     codes u*16+v, both in strictly increasing code order, which orbit
-    marking needs.
+    marking needs. The pairings with partner[0] = b are the b-th run of
+    (n - 3)!! entries.
 
     Pair codes fit in a byte only while u, v < 16, i.e. for n <= 16;
     CATALOG_LIMIT keeps catalogs below that.
@@ -223,36 +268,32 @@ def _pairings_of(
     return found
 
 
-def _is_orbit_minimal(
-    partner: bytes, symmetries: tuple[list[bytes], list[bytes]], marked: set[bytes]
-) -> bool:
+def _is_orbit_minimal(partner: bytes, group: _BlockGroup, marked: set[bytes]) -> bool:
     """Whether the pairing with partner array ``partner`` is the first of
-    its orbit to arrive under the group whose (inverse, forward) vertex
-    tables are ``symmetries`` (`_symmetries`).
+    its orbit to arrive under the block group ``group``.
 
-    Pairings must arrive in increasing code order, all with the same
-    ``marked`` set of partner arrays. The first pairing of an orbit to
-    arrive is then its minimum: it marks every image and is accepted;
-    later members find themselves marked. The image of p under pi is
-    pi p pi^-1, i.e. ``inverse.translate(table of p).translate(forward)``:
-    two C calls per group element, with no sort. The tables form a group,
-    so the images are the whole orbit.
+    Pairings must arrive in increasing code order from the runs of F(T)
+    (`_candidate_pairings`), all with the same ``marked`` set of partner
+    arrays. The first of an orbit to arrive is then its minimum: it marks
+    the images the walk can read, those with a first partner in F(T)
+    (`_BlockGroup.selected`), and is accepted; later members find
+    themselves marked. The image of p under pi is pi p pi^-1, i.e.
+    ``inverse.translate(table of p).translate(forward)``.
 
     `_candidate_pairings` calls this only on unmarked pairings that pass
-    the block-quotient test. Its verdict is the same on a whole orbit, so
-    it withholds whole orbits only; the first member of every orbit that
-    arrives is still its minimum, and there the call always marks.
-    `bridgeless_cubic_catalog` also calls it, out of order, on the
-    unmarked relabellings of each union it keeps (`_same_type_partners`).
-    Their orbits all lie later in code order than that union, so they are
-    marked before any member arrives and never yielded.
+    the block-quotient test, whose verdict is the same on a whole orbit.
+    `bridgeless_cubic_catalog` also calls it, out of order, on each
+    relabelling of a union it keeps (`_same_type_partners`) whose orbit
+    is unmarked (tested on `_BlockGroup.image`); those orbits lie later
+    in code order, so they are marked before any member arrives.
     """
     if partner in marked:
         return False
-    inverses, forwards = symmetries
     # Entries from n on are never read: every inverse entry is below n.
     table = partner.ljust(256, b"\0")
-    marked.update(map(bytes.translate, map(bytes.translate, inverses, repeat(table)), forwards))
+    for a in group.cycle:
+        inverses, forwards = group.selected(a, partner[a])
+        marked.update(map(bytes.translate, map(bytes.translate, inverses, repeat(table)), forwards))
     return True
 
 
@@ -260,28 +301,29 @@ def _candidate_pairings(
     cycle_type: tuple[int, ...],
     block: list[int],
     pairings: tuple[list[bytes], list[bytes]],
-    symmetries: tuple[list[bytes], list[bytes]],
+    group: _BlockGroup,
     marked: set[bytes],
 ) -> Iterator[bytes]:
     """The orbit-minimal ``pairings`` (every pairing as its partner array
     and its codes, in code order; see `_pairings`) whose union with the
     2-factor of ``cycle_type`` is connected and bridgeless, as partner
     arrays in code order. ``block`` holds each vertex's block id (`_ring`),
-    ``symmetries`` the type's group (`_symmetries`) and ``marked`` the
+    ``group`` the type's block group (`_symmetries`) and ``marked`` the
     partner arrays of the orbits marked so far. No graph is built.
 
-    Orbits are marked on partner arrays, whose images are two byte
-    translates each (`_is_orbit_minimal`); the quotient test reads the
-    codes kept beside each array, whose only use is its block-pair key,
-    and runs before the orbit is marked.
-    Every symmetry maps each cycle block to itself, so all pairings of an
-    orbit have the same multiset of block pairs, hence the same quotient
-    verdict. A pairing that fails it is skipped without marking: the rest
-    of its orbit fails too, and orbits are disjoint, so no other orbit's
-    marks are lost. A pairing that passes and is not marked is its orbit's
-    minimum, since an earlier member would have passed too and marked it.
-    So exactly the orbit minima that pass are yielded, as when every
-    pairing was marked first.
+    Only the runs of F(T) are walked (`_pairings` lists the pairings with
+    partner[0] = b as its b-th run). A pairing of another run is not its
+    orbit's minimum, which arrives first and either fails the quotient
+    test with it or marks it.
+
+    The quotient test reads the codes kept beside each array, whose only
+    use is its block-pair key, and runs before the orbit is marked
+    (`_is_orbit_minimal`). Every symmetry maps each cycle block to itself,
+    so a whole orbit has one quotient verdict. A pairing that fails it is
+    skipped without marking: the rest of its orbit fails too, and orbits
+    are disjoint, so no other orbit's marks are lost. A pairing that
+    passes and is not marked is its orbit's minimum, since an earlier
+    member would have passed too and marked it.
 
     ``marked`` is read afresh for every pairing, so orbits that the caller
     marks between two yields (`bridgeless_cubic_catalog` marks the
@@ -294,16 +336,20 @@ def _candidate_pairings(
     blocks = len(cycle_type)
     block_table = _block_pair_table(block)
     verdicts: dict[bytes, bool] = {}
-    for partner, codes in zip(*pairings):
-        if partner in marked:
-            continue
-        key = codes.translate(block_table)
-        passes = verdicts.get(key)
-        if passes is None:
-            cross = [divmod(c, 16) for c in key if c != _SAME_BLOCK]
-            passes = verdicts[key] = _quotient_connected_bridgeless(cross, blocks)
-        if passes and _is_orbit_minimal(partner, symmetries, marked):
-            yield partner
+    partners, codes = pairings
+    run = len(partners) // (len(block) - 1)
+    for b in group.first_partners:
+        start = (b - 1) * run
+        for partner, pair_codes in zip(partners[start:start + run], codes[start:start + run]):
+            if partner in marked:
+                continue
+            key = pair_codes.translate(block_table)
+            passes = verdicts.get(key)
+            if passes is None:
+                cross = [divmod(c, 16) for c in key if c != _SAME_BLOCK]
+                passes = verdicts[key] = _quotient_connected_bridgeless(cross, blocks)
+            if passes and _is_orbit_minimal(partner, group, marked):
+                yield partner
 
 
 _Ring = tuple[list[tuple[int, ...]], list[int], list[int], list[int]]
@@ -534,31 +580,27 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     of order n, sorted by canonical form.
 
     Each cycle type T is swept in `_partitions_min2` order with every
-    orbit-minimal pairing M on top (`_candidate_pairings`). Every pairing
-    is held as its partner array next to its pair codes (`_pairings`). The
-    cheap, orbit-invariant block-quotient test (cached per block-pair key
-    of the codes) runs first, and only a pairing that passes it marks its
-    orbit: the partner arrays of its images, each two byte translates
-    through the (inverse, forward) vertex tables of a symmetry
-    (`_symmetries`). The accepted pairings are the orbit minima with a
-    connected bridgeless union, as when every orbit is marked first. The
-    witness search of `_same_type_matchings` then looks for a 2-factor
-    with a type larger than T on T's ring (`_ring`) and M's partner array.
-    Only a union where it finds none is built as a `MultiGraph`, and
-    only to reach `canonical_form`. Exhaustive: every graph has a 2-factor
-    of its largest type, and the sweep of that type meets it.
+    orbit-minimal pairing M on top whose union is connected and bridgeless
+    (`_candidate_pairings`). Only the pairings whose partner of vertex 0
+    lies in F(T) are walked, and an accepted M marks only its images there
+    (the first-partner rule, module docstring). The witness search of
+    `_same_type_matchings` then looks for a 2-factor with a type larger
+    than T on T's ring (`_ring`) and M's partner array. Only a union where
+    it finds none is built as a `MultiGraph`, and only to reach
+    `canonical_form`. Exhaustive: every graph has a 2-factor of its
+    largest type, and the sweep of that type meets it.
 
     A union that reaches `canonical_form` is kept, and marks its other
     labellings of type T: the search has met every perfect matching of
     the union, and each one whose 2-factor has type T is laid on the ring
     in every way up to the group (`_same_type_partners`); each such
-    partner array not yet marked marks its orbit in the set the sweep of T
-    reads. So every class is labelled once. The representatives are those
-    of labelling every union and keeping the first of each class. A class
-    first appears at its largest type T, since the search drops it at
-    every earlier type. There the code-minimum of all its type-T
-    labellings arrives first and is kept: it is the minimum of its own
-    orbit, the marks of other kept unions are labellings of other
+    partner array whose orbit is not yet marked marks it in the set the
+    sweep of T reads. So every class is labelled once. The representatives
+    are those of labelling every union and keeping the first of each
+    class. A class first appears at its largest type T, since the search
+    drops it at every earlier type. There the code-minimum of all its
+    type-T labellings arrives first and is kept: it is the minimum of its
+    own orbit, the marks of other kept unions are labellings of other
     classes, and it passes the quotient test and the search, as every
     labelling of the class does. Every labelling the rule marks is
     therefore later in code order and of a class already kept, so it
@@ -579,18 +621,19 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     pairings = _pairings(n)
     for cycle_type in _partitions_min2(n):
         ring = _ring(cycle_type)
-        symmetries = _symmetries(cycle_type, n)
+        group = _symmetries(cycle_type, n)
         marked: set[bytes] = set()
-        for partner in _candidate_pairings(cycle_type, ring[3], pairings, symmetries, marked):
+        for partner in _candidate_pairings(cycle_type, ring[3], pairings, group, marked):
             same = _same_type_matchings(cycle_type, ring, partner)
             if same is None:
                 continue
             g = _union(ring, partner)
             seen.setdefault(canonical_form(g), g)
             for relabelled in _same_type_partners(same):
-                # tested here, so that every call marks a new orbit
-                if relabelled not in marked:
-                    _is_orbit_minimal(relabelled, symmetries, marked)
+                # tested here on one image in F(T), as the array may lie in
+                # a run the walk skips, so that every call marks a new orbit
+                if group.image(relabelled) not in marked:
+                    _is_orbit_minimal(relabelled, group, marked)
     result = tuple(seen[k] for k in sorted(seen))
     _CATALOG_CACHE[n] = result
     return result
@@ -839,18 +882,20 @@ def verify_graph(g: MultiGraph) -> BoundReport:
 def verify_catalog(graphs: Iterable[MultiGraph], workers: int | None = None) -> list[BoundReport]:
     """Verifies a stream of graphs, preserving input order in the reports.
 
-    Workers default to the CUBICMATCH_WORKERS environment variable; any
-    value above 1 distributes graphs over a process pool.
+    Workers default to the CUBICMATCH_WORKERS environment variable. Either
+    must be an integer >= 1 (a passed bool is not), or ValueError names
+    the value; above 1, graphs are spread over a process pool.
     """
-    graphs = list(graphs)
+    name, value = "workers", workers
     if workers is None:
-        value = os.environ.get("CUBICMATCH_WORKERS", "1")
+        name, value = "CUBICMATCH_WORKERS", os.environ.get("CUBICMATCH_WORKERS", "1")
         try:
             workers = int(value)
         except ValueError:
-            raise ValueError(
-                f"CUBICMATCH_WORKERS must be an integer, got {value!r}"
-            ) from None
+            pass
+    if not _is_int(workers) or workers < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    graphs = list(graphs)
     if workers > 1:
         import multiprocessing
 

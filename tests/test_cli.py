@@ -166,7 +166,7 @@ def test_catalog_verify_help_says_what_the_scarce_line_counts(capsys):
 
 @pytest.mark.skipif(
     not os.environ.get("CUBICMATCH_RUN_SLOW"),
-    reason="n=14 generation and verification take about 11 s",
+    reason="n=14 generation and verification take about 5 s",
 )
 def test_catalog_verify_14_keeps_its_reports(capsys):
     # every n = 14 brick count passes through the tight-cut rule
@@ -175,10 +175,6 @@ def test_catalog_verify_14_keeps_its_reports(capsys):
     assert digest == "4f227e80600cc6798d552253a69eee6187d0a1c47c79796aded9bfe458df0001"
 
 
-@pytest.mark.skipif(
-    not os.environ.get("CUBICMATCH_RUN_SLOW"),
-    reason="n=14 generation takes about 6 s",
-)
 def test_gen_14_keeps_its_representatives(capsys):
     # the edge lists kept for each n = 14 class, which `catalog verify`
     # does not show: its reports name canonical forms
@@ -311,7 +307,18 @@ def test_catalog_verify_names_each_violator(tmp_path, capsys, monkeypatch):
 
 
 def test_catalog_verify_rejects_non_integer_workers(monkeypatch, capsys):
-    monkeypatch.setenv("CUBICMATCH_WORKERS", "two")
+    for value in ("two", "2.5"):
+        monkeypatch.setenv("CUBICMATCH_WORKERS", value)
+        assert main(["catalog", "verify", "--n", "4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: CUBICMATCH_WORKERS must be an integer >= 1, got {value!r}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_catalog_verify_rejects_workers_below_one(monkeypatch, capsys, value):
+    monkeypatch.setenv("CUBICMATCH_WORKERS", value)
     assert main(["catalog", "verify", "--n", "4"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: CUBICMATCH_WORKERS must be an integer, got 'two'\n"
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: CUBICMATCH_WORKERS must be an integer >= 1, got {value!r}\n"

@@ -152,7 +152,7 @@ class TestCatalog:
 
     @pytest.mark.skipif(
         not os.environ.get("CUBICMATCH_RUN_SLOW"),
-        reason="n=14 exhaustive generation takes about 30 s",
+        reason="n=14 exhaustive generation takes about 3 s",
     )
     def test_n14_regression_counts(self):
         cat = bridgeless_cubic_catalog(14)
@@ -294,6 +294,30 @@ def all_pairings(items):
 
 def decode(codes):
     return tuple(divmod(c, 16) for c in codes)
+
+
+def first_partner_set(cycle_type):
+    """F(T) of the first-partner rule, written out: the cyclic distances
+    1..c // 2 from vertex 0 on the first cycle, and the first vertex of
+    every later cycle."""
+    firsts = {sum(cycle_type[:i]) for i in range(1, len(cycle_type))}
+    return set(range(1, cycle_type[0] // 2 + 1)) | firsts
+
+
+def orbit_images(partner, perms):
+    """Partner arrays of the images pi p pi^-1 of the pairing p under each
+    vertex permutation pi: the image pairs pi(u) with pi(p[u])."""
+    images = set()
+    for perm in perms:
+        image = bytearray(len(partner))
+        for u, v in enumerate(partner):
+            image[perm[u]] = perm[v]
+        images.add(bytes(image))
+    return images
+
+
+def pair_codes(partner):
+    return bytes(u * 16 + v for u, v in partner_pairs(partner))
 
 
 def partner_pairs(partner):
@@ -554,15 +578,21 @@ def two_factor_types_by_subsets(g):
 class TestOrbitFilter:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_tables_accept_what_sorted_keys_accept(self, n):
-        # marking, fed every pairing in code order with one set per type
+        # marking, fed in code order with one set per type every pairing of
+        # the runs the sweep walks, those with partner[0] in F(T)
         partners, pairings = harness._pairings(n)
         for cycle_type in harness._partitions_min2(n):
             perms = two_factor_symmetries(cycle_type, n)
-            symmetries = harness._symmetries(cycle_type, n)
+            group = harness._symmetries(cycle_type, n)
+            allowed = first_partner_set(cycle_type)
             marked = set()
+            fed = 0
             for partner, codes in zip(partners, pairings):
-                expected = sorted_key_orbit_minimal(decode(codes), perms)
-                assert harness._is_orbit_minimal(partner, symmetries, marked) == expected
+                if partner[0] in allowed:
+                    fed += 1
+                    expected = sorted_key_orbit_minimal(decode(codes), perms)
+                    assert harness._is_orbit_minimal(partner, group, marked) == expected
+            assert fed == len(allowed) * math.prod(range(1, n - 2, 2))
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_pairings_in_increasing_code_order(self, n):
@@ -587,13 +617,23 @@ class TestOrbitFilter:
         orders = (2, 4, 6, 8, 10)
         tabled = {n: [g.edges for g in catalogs(n)] for n in orders}
         monkeypatch.setattr(harness, "_CATALOG_CACHE", {})
-        # permutations in place of tables, and the stateless sorted-key
-        # filter in place of marking: nothing is ever marked
-        monkeypatch.setattr(harness, "_symmetries", two_factor_symmetries)
+        # the stateless sorted-key filter on each type's permutations in
+        # place of marking on tables: nothing is ever marked
+        symmetries = harness._symmetries
+        perms = {}
+
+        def recording(cycle_type, n):
+            group = symmetries(cycle_type, n)
+            perms[id(group)] = two_factor_symmetries(cycle_type, n)
+            return group
+
+        monkeypatch.setattr(harness, "_symmetries", recording)
         monkeypatch.setattr(
             harness,
             "_is_orbit_minimal",
-            lambda partner, perms, marked: sorted_key_orbit_minimal(partner_pairs(partner), perms),
+            lambda partner, group, marked: sorted_key_orbit_minimal(
+                partner_pairs(partner), perms[id(group)]
+            ),
         )
         for n in orders:
             assert [g.edges for g in bridgeless_cubic_catalog(n)] == tabled[n]
@@ -632,7 +672,11 @@ class TestOrbitFilter:
         # type gets its full product group
         for n in range(2, 17, 2):
             for cycle_type in harness._partitions_min2(n):
-                inverses, forwards = harness._symmetries(cycle_type, n)
+                group = harness._symmetries(cycle_type, n)
+                assert len(group.by_first) == cycle_type[0]
+                assert all(inverse[0] == a for a, elements in enumerate(group.by_first)
+                           for inverse, _ in elements)
+                inverses, forwards = zip(*itertools.chain(*group.by_first))
                 perms = two_factor_symmetries(cycle_type, n)
                 assert len(inverses) == len(forwards) == len(perms)
                 assert len(perms) == math.prod(2 * c if c > 2 else 2 for c in cycle_type)
@@ -719,6 +763,105 @@ class TestOrbitFilter:
         assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
+class SliceCounter(list):
+    """A list that counts the entries its slices hand out."""
+
+    read = 0
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        if isinstance(index, slice):
+            self.read += len(item)
+        return item
+
+
+class TestFirstPartnerRule:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_orbit_minima_pair_vertex_0_into_f(self, n):
+        # every orbit of every type, by brute force over the permutations of
+        # the block group: its minimum in code order, the first member in
+        # `_pairings`, has its first partner in F(T), and the image that
+        # stands for it in the relabelling guard is a member there
+        partners, _ = harness._pairings(n)
+        for cycle_type in harness._partitions_min2(n):
+            perms = two_factor_symmetries(cycle_type, n)
+            group = harness._symmetries(cycle_type, n)
+            allowed = first_partner_set(cycle_type)
+            assert list(group.first_partners) == sorted(allowed)
+            seen = set()
+            for partner in partners:
+                if partner in seen:
+                    continue
+                images = orbit_images(partner, perms)
+                seen |= images
+                assert min(images, key=pair_codes) == partner
+                assert partner[0] in allowed
+                for image in images:
+                    assert group.image(image) in images
+                    assert group.image(image)[0] in allowed
+            assert len(seen) == len(partners)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_run_b_holds_the_pairings_with_first_partner_b(self, n):
+        partners, _ = harness._pairings(n)
+        run = math.prod(range(1, n - 2, 2))  # (n - 3)!!
+        assert len(partners) == (n - 1) * run
+        for b in range(1, n):
+            assert partners[(b - 1) * run:b * run] == [p for p in partners if p[0] == b]
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_marks_are_the_allowed_images_of_each_accepted_pairing(self, n):
+        pairings = harness._pairings(n)
+        for cycle_type in harness._partitions_min2(n):
+            perms = two_factor_symmetries(cycle_type, n)
+            allowed = first_partner_set(cycle_type)
+            _, block = two_factor_reference(cycle_type)
+            group = harness._symmetries(cycle_type, n)
+            marked = set()
+            expected = set()
+            for partner in harness._candidate_pairings(cycle_type, block, pairings, group, marked):
+                expected |= {image for image in orbit_images(partner, perms) if image[0] in allowed}
+                assert marked == expected
+
+    @staticmethod
+    def sweep_work(monkeypatch, n):
+        """Pairings walked and orbit images marked by one cold
+        `bridgeless_cubic_catalog(n)`."""
+        monkeypatch.setattr(harness, "_CATALOG_CACHE", {})
+        pairings = harness._pairings
+        is_orbit_minimal = harness._is_orbit_minimal
+        walked = []
+        images = []
+
+        def counting_pairings(n):
+            partners, codes = pairings(n)
+            walked.append(SliceCounter(partners))
+            return walked[-1], codes
+
+        def counting_marks(partner, group, marked):
+            minimal = is_orbit_minimal(partner, group, marked)
+            if minimal:
+                images.append(sum(len(group.selected(a, partner[a])[0]) for a in group.cycle))
+            return minimal
+
+        monkeypatch.setattr(harness, "_pairings", counting_pairings)
+        monkeypatch.setattr(harness, "_is_orbit_minimal", counting_marks)
+        bridgeless_cubic_catalog(n)
+        return walked[0].read, sum(images)
+
+    def test_sweep_work_n12(self, monkeypatch):
+        # 218,295 pairings walked and 230,740 images marked before the rule
+        assert self.sweep_work(monkeypatch, 12) == (99_225, 101_962)
+
+    @pytest.mark.skipif(
+        not os.environ.get("CUBICMATCH_RUN_SLOW"),
+        reason="a cold n=14 catalog takes 3-5 s",
+    )
+    def test_sweep_work_n14(self, monkeypatch):
+        # 4,594,590 pairings walked and 4,224,080 images marked before the rule
+        assert self.sweep_work(monkeypatch, 14) == (2_016_630, 1_814_692)
+
+
 class TestSwitch:
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
     def test_switch_rejects_only_unions_with_a_larger_two_factor(self, n):
@@ -742,17 +885,18 @@ class TestSwitch:
         images = []
         is_orbit_minimal = harness._is_orbit_minimal
 
-        def recording(partner, symmetries, marked):
-            minimal = is_orbit_minimal(partner, symmetries, marked)
+        def recording(partner, group, marked):
+            minimal = is_orbit_minimal(partner, group, marked)
             marks.append(minimal)
-            images.append(len(symmetries[0]))
+            images.append(sum(len(group.selected(a, partner[a])[0]) for a in group.cycle))
             return minimal
 
         monkeypatch.setattr(harness, "_is_orbit_minimal", recording)
         assert len(bridgeless_cubic_catalog(12)) == 365
         assert all(marks)
         assert sum(marks) == 2006
-        assert sum(images) == 230_740
+        # 230,740 when every image was marked
+        assert sum(images) == 101_962
         assert built == []
 
     @staticmethod
@@ -829,7 +973,7 @@ class TestSwitch:
 
     @pytest.mark.skipif(
         not os.environ.get("CUBICMATCH_RUN_SLOW"),
-        reason="a cold n=14 catalog takes 5-10 s",
+        reason="a cold n=14 catalog takes 3-5 s",
     )
     def test_catalog_builds_a_graph_only_for_what_it_labels_n14(self, monkeypatch):
         assert self.count_generator_work(monkeypatch, 14) == (2602, 18_061, 2602, 2602)
@@ -889,11 +1033,13 @@ class TestLargestTypeRule:
         partners, pairings = harness._pairings(n)
         verdicts = set()
         for cycle_type in harness._partitions_min2(n):
-            symmetries = harness._symmetries(cycle_type, n)
+            group = harness._symmetries(cycle_type, n)
             ring = harness._ring(cycle_type)
             marked = set()
             for partner, codes in zip(partners, pairings):
-                if harness._is_orbit_minimal(partner, symmetries, marked):
+                if partner[0] not in group.first_partners:
+                    continue  # no orbit minimum lies there
+                if harness._is_orbit_minimal(partner, group, marked):
                     same = harness._same_type_matchings(cycle_type, ring, partner)
                     verdict = same is None
                     g = union(cycle_type, codes)
@@ -1012,6 +1158,19 @@ class TestVerify:
         monkeypatch.setenv("CUBICMATCH_WORKERS", "2")
         env = verify_catalog(graphs)
         assert [r.canonical_hex for r in env] == [r.canonical_hex for r in seq]
+
+    @pytest.mark.parametrize("workers", [0, -1, True, False, 2.5, 1.0, "2"])
+    def test_verify_catalog_rejects_bad_workers(self, catalogs, workers):
+        with pytest.raises(ValueError) as excinfo:
+            verify_catalog(catalogs(4), workers=workers)
+        assert str(excinfo.value) == f"workers must be an integer >= 1, got {workers!r}"
+
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5", "two", "", "True"])
+    def test_verify_catalog_rejects_bad_workers_variable(self, catalogs, monkeypatch, value):
+        monkeypatch.setenv("CUBICMATCH_WORKERS", value)
+        with pytest.raises(ValueError) as excinfo:
+            verify_catalog(catalogs(4))
+        assert str(excinfo.value) == f"CUBICMATCH_WORKERS must be an integer >= 1, got {value!r}"
 
     def test_workers_receive_graphs_with_their_census(self, catalogs):
         # each graph carries its cached cut census, sentinel included, to
