@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from functools import partial
+from itertools import compress
 from typing import IO, Callable, Iterable, Iterator
 
 from .multigraph import MultiGraph
@@ -39,44 +40,32 @@ def write_edge_list(g: MultiGraph) -> str:
 
 
 def _parse_edge_list(lines: list[str]) -> Iterator[MultiGraph]:
-    idx = 0
-    total = len(lines)
-    while True:
-        while idx < total and not lines[idx].strip():
-            idx += 1
-        if idx >= total:
-            return
-        header = lines[idx].split()
+    # the fields of every non-blank line, beside its line number
+    numbered = ((i, fields) for i, fields in enumerate(map(str.split, lines), 1) if fields)
+    for at, header in numbered:
         if len(header) != 2:
-            raise ParseError("expected header 'n m'", f"line {idx + 1}")
+            raise ParseError("expected header 'n m'", f"line {at}")
         try:
             n, m = int(header[0]), int(header[1])
         except ValueError:
-            raise ParseError("non-integer header fields", f"line {idx + 1}")
+            raise ParseError("non-integer header fields", f"line {at}")
         if m < 0:
-            raise ParseError(f"negative edge count {m}", f"line {idx + 1}")
-        idx += 1
+            raise ParseError(f"negative edge count {m}", f"line {at}")
         pairs = []
-        for k in range(m):
-            while idx < total and not lines[idx].strip():
-                idx += 1
-            if idx >= total:
-                raise ParseError(
-                    f"expected {m} edges, found {k}", f"line {idx}"
-                )
-            fields = lines[idx].split()
+        # range first, so zip stops before it reads a line past the m-th
+        for _, (at, fields) in zip(range(m), numbered):
             if len(fields) != 2:
-                raise ParseError("expected edge line 'u v'", f"line {idx + 1}")
+                raise ParseError("expected edge line 'u v'", f"line {at}")
             try:
-                u, v = int(fields[0]), int(fields[1])
+                pairs.append((int(fields[0]), int(fields[1])))
             except ValueError:
-                raise ParseError("non-integer edge endpoints", f"line {idx + 1}")
-            pairs.append((u, v))
-            idx += 1
+                raise ParseError("non-integer edge endpoints", f"line {at}")
+        if len(pairs) < m:
+            raise ParseError(f"expected {m} edges, found {len(pairs)}", f"line {len(lines)}")
         try:
             yield MultiGraph(n, tuple(pairs))
         except ValueError as exc:
-            raise ParseError(str(exc), f"graph ending at line {idx}")
+            raise ParseError(str(exc), f"graph ending at line {at}")
 
 
 # --------------------------------------------------------------------------
@@ -114,6 +103,18 @@ def _data_to_n(data: list[int], start: int, where: str) -> tuple[int, list[int]]
             n = (n << 6) + d
         return n, data[8:]
     raise ParseError("truncated vertex count", f"{where}, byte {start + len(data)}")
+
+
+def _bits(data: list[int]) -> str:
+    """The six bits of each payload value in ``data``, high bit first, as
+    one string of '0' and '1'."""
+    return "".join(format(d, "06b") for d in data)
+
+
+def _id_bits(n: int) -> int:
+    """k, the bits of a vertex id in sparse6: the least k >= 1 with
+    2^k >= n."""
+    return max(1, (n - 1).bit_length())
 
 
 def _payload(line: str | bytes, header: bytes, where: str) -> tuple[bytes, int]:
@@ -180,18 +181,9 @@ def parse_graph6(line: str | bytes, where: str = "graph6") -> MultiGraph:
             f"expected {size} adjacency bytes for {n} vertices, found {len(rest)}",
             f"{where}, byte {at}",
         )
-    bits = []
-    for d in rest:
-        for shift in range(5, -1, -1):
-            bits.append((d >> shift) & 1)
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                edges.append((i, j))
-            pos += 1
-    return MultiGraph(n, tuple(edges))
+    # the upper triangle column by column; padding bits are not read
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    return MultiGraph(n, tuple(compress(pairs, map("1".__eq__, _bits(rest)))))
 
 
 # --------------------------------------------------------------------------
@@ -206,9 +198,7 @@ def write_sparse6(g: MultiGraph) -> str:
     six is emitted as soon as it is there, so the int never holds more
     than one edge's bits plus five."""
     n = g.vertex_count
-    k = 1
-    while (1 << k) < n:
-        k += 1
+    k = _id_bits(n)
     out = bytearray(b":")
     out += bytes(d + 63 for d in _n_to_data(n))
     stream = length = curv = 0
@@ -248,24 +238,16 @@ def parse_sparse6(line: str | bytes, where: str = "sparse6") -> MultiGraph:
         raise ParseError("sparse6 line must start with ':'", f"{where}, byte {start}")
     data = _check_bytes(raw[1:], start + 1, where)
     n, rest = _data_to_n(data, start + 1, where)
-    k = 1
-    while (1 << k) < n:
-        k += 1
-    bits: list[int] = []
-    for d in rest:
-        for shift in range(5, -1, -1):
-            bits.append((d >> shift) & 1)
+    k = _id_bits(n)
+    bits = _bits(rest)
     edges = []
     v = 0
-    pos = 0
-    while pos + k < len(bits):
-        b = bits[pos]
-        x = 0
-        for i in range(pos + 1, pos + 1 + k):
-            x = (x << 1) | bits[i]
-        pos += 1 + k
-        if b:
+    # each step is one bit b and a k-bit id x; trailing bits too few for a
+    # step are padding
+    for pos in range(0, len(bits) - k, k + 1):
+        if bits[pos] == "1":
             v += 1
+        x = int(bits[pos + 1:pos + 1 + k], 2)
         if x >= n or v >= n:
             break
         if x > v:

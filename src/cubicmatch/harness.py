@@ -18,10 +18,12 @@ first union of every class already has its largest type.
 Each class is labelled once. A union that is kept marks every other way
 of building it from its type: each 2-factor of that type, laid on the
 fixed 2-factor, with the rest of the union as the pairing. Those
-pairings are then skipped like orbit images. The first union of a class
-at its largest type is the code-minimum of all these pairings, so every
-one they mark comes later in the sweep and would have been labelled only
-to be dropped as a duplicate; the representatives do not change.
+pairings are then skipped like orbit images. `_is_orbit_minimal` is the
+one marking step, and marking an orbit twice adds nothing. The first
+union of a class at its largest type is the code-minimum of all these
+pairings, so every one they mark comes later in the sweep and would have
+been labelled only to be dropped as a duplicate; the representatives do
+not change.
 
 The sweep of a type T reads only pairings that can be orbit minima
 (the first-partner rule). Let T's first, longest cycle lie on vertices
@@ -48,7 +50,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, groupby, permutations, product, repeat
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .brick_brace import _affine_dimension, _decompose
 from .connectivity import (
@@ -74,13 +76,17 @@ from .matching import (
 from .multigraph import MultiGraph, _is_int, canonical_form, make_cut
 from .named_graphs import exceptional_graph
 
-CATALOG_CLASSES = (
-    "all_bridgeless_cubic",
-    "three_edge_connected",
-    "bipartite",
-    "cyclically_4ec",
-    "cyclically_5ec",
-)
+# each catalog class and its membership test on a graph of the full
+# catalog; CATALOG_CLASSES, the CLI's --class choices and
+# generate_catalog all read it
+_CLASS_TESTS: dict[str, Callable[[MultiGraph], bool]] = {
+    "all_bridgeless_cubic": lambda g: True,
+    "three_edge_connected": lambda g: edge_connectivity(g) >= 3,
+    "bipartite": MultiGraph.is_bipartite,
+    "cyclically_4ec": lambda g: cyclically_edge_connected_at_least(g, 4),
+    "cyclically_5ec": lambda g: cyclically_edge_connected_at_least(g, 5),
+}
+CATALOG_CLASSES = tuple(_CLASS_TESTS)
 
 CATALOG_LIMIT = 14
 
@@ -125,66 +131,55 @@ def _partitions_min2(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, n)
 
 
-def _symmetries(cycle_type: tuple[int, ...], n: int) -> _BlockGroup:
-    """The symmetry group of the fixed 2-factor of ``cycle_type``, the
-    product of the dihedral groups of the cycle blocks, as (inverse,
-    forward) vertex tables in a `_BlockGroup`.
+class _BlockGroup:
+    """The symmetry group of the fixed 2-factor of a cycle type T, the
+    product of the dihedral groups of its cycle blocks, arranged for the
+    first-partner rule (module docstring): F(T) as ``first_partners`` in
+    increasing order, and the (inverse, forward) vertex tables of the
+    elements pi with pi^-1(0) = a in ``by_first[a]``, for each vertex a
+    of the first cycle.
 
     For each element pi, the forward table is a translation table with
     entry u = pi(u) (every entry from n on is its own index) and the
     inverse table is pi^-1 as n bytes. These are automorphisms of the
     2-factor, so pairings in the same orbit give isomorphic unions; the
     orbit filter only prunes duplicates and never loses classes. Each
-    block's group gets one pair of tables per element, with every other
-    vertex fixed, and the tables of the product are their compositions by
-    ``translate``: one C call per table and group element. Blocks are
-    disjoint, so their elements commute and the order of composition does
-    not matter.
-    """
-    ident = bytes(range(256))
-    per_block: list[list[tuple[bytes, bytes]]] = []
-    offset = 0
-    for c in cycle_type:
-        cycle = ident[offset:offset + c]
-        images = {cycle[r:] + cycle[:r] for r in range(c)}
-        images |= {image[::-1] for image in images}
-        head, tail = ident[:offset], ident[offset + c:]
-        per_block.append(
-            [(bytes.maketrans(image, cycle), head + image + tail) for image in images]
-        )
-        offset += c
-    group = [(ident, ident)]
-    for elements in per_block:
-        group = [
-            (inverse.translate(b_inverse), forward.translate(b_forward))
-            for inverse, forward in group
-            for b_inverse, b_forward in elements
-        ]
-    return _BlockGroup(cycle_type, [(inverse[:n], forward) for inverse, forward in group])
-
-
-class _BlockGroup:
-    """The block group of the fixed 2-factor of a cycle type T
-    (`_symmetries`), arranged for the first-partner rule (module
-    docstring): F(T) as ``first_partners`` in increasing order, and the
-    (inverse, forward) tables of the elements pi with pi^-1(0) = a in
-    ``by_first[a]``, for each vertex a of the first cycle.
+    element of one block's dihedral group is a pair of tables that fix
+    every other vertex, and the tables of the product are their
+    compositions by ``translate``: one C call per table and group element.
+    Blocks are disjoint, so their elements commute and the order of
+    composition does not matter.
 
     ``selected(a, b)`` holds the (inverse, forward) tables of the elements
     pi with pi^-1(0) = a and pi(b) in F(T), built once per (a, b). The
     image pi p pi^-1 pairs 0 with pi(p[a]) for a = pi^-1(0), a vertex of
     the first cycle, so the selections for (a, p[a]) over those vertices
     give exactly p's images in F(T). None is empty (the rule's proof,
-    after rotating a to 0); ``image(p)`` is the first image for (0, p[0]).
+    after rotating a to 0).
     """
 
-    def __init__(self, cycle_type: tuple[int, ...], elements: list[tuple[bytes, bytes]]) -> None:
+    def __init__(self, cycle_type: tuple[int, ...], n: int) -> None:
         c = cycle_type[0]
         self.first_partners = bytes(range(1, c // 2 + 1)) + bytes(accumulate(cycle_type[:-1]))
         self.cycle = range(c)
+        ident = bytes(range(256))
+        group = [(ident, ident)]
+        offset = 0
+        for length in cycle_type:
+            cycle = ident[offset:offset + length]
+            images = {cycle[r:] + cycle[:r] for r in range(length)}
+            images |= {image[::-1] for image in images}
+            head, tail = ident[:offset], ident[offset + length:]
+            elements = [(bytes.maketrans(image, cycle), head + image + tail) for image in images]
+            group = [
+                (inverse.translate(b_inverse), forward.translate(b_forward))
+                for inverse, forward in group
+                for b_inverse, b_forward in elements
+            ]
+            offset += length
         self.by_first: list[list[tuple[bytes, bytes]]] = [[] for _ in self.cycle]
-        for inverse, forward in elements:
-            self.by_first[inverse[0]].append((inverse, forward))
+        for inverse, forward in group:
+            self.by_first[inverse[0]].append((inverse[:n], forward))
         self._selected: dict[int, tuple[tuple[bytes, ...], ...]] = {}
 
     def selected(self, a: int, b: int) -> tuple[tuple[bytes, ...], ...]:
@@ -193,10 +188,6 @@ class _BlockGroup:
             kept = [pair for pair in self.by_first[a] if pair[1][b] in self.first_partners]
             found = self._selected[a * 16 + b] = tuple(zip(*kept))
         return found
-
-    def image(self, partner: bytes) -> bytes:
-        inverses, forwards = self.selected(0, partner[0])
-        return inverses[0].translate(partner.ljust(256, b"\0")).translate(forwards[0])
 
 
 # No block-pair code reaches it: with n <= 16 and blocks of length >= 2
@@ -269,23 +260,27 @@ def _pairings_of(
 
 
 def _is_orbit_minimal(partner: bytes, group: _BlockGroup, marked: set[bytes]) -> bool:
-    """Whether the pairing with partner array ``partner`` is the first of
-    its orbit to arrive under the block group ``group``.
-
-    Pairings must arrive in increasing code order from the runs of F(T)
-    (`_candidate_pairings`), all with the same ``marked`` set of partner
-    arrays. The first of an orbit to arrive is then its minimum: it marks
-    the images the walk can read, those with a first partner in F(T)
-    (`_BlockGroup.selected`), and is accepted; later members find
-    themselves marked. The image of p under pi is pi p pi^-1, i.e.
+    """Marks the orbit of the pairing with partner array ``partner`` under
+    the block group ``group``, unless ``partner`` is in ``marked``, and
+    says whether it did. Only the images the walk can read are marked,
+    those with a first partner in F(T) (`_BlockGroup.selected`). The image
+    of p under pi is pi p pi^-1, i.e.
     ``inverse.translate(table of p).translate(forward)``.
 
-    `_candidate_pairings` calls this only on unmarked pairings that pass
-    the block-quotient test, whose verdict is the same on a whole orbit.
+    Fed pairings in increasing code order from the runs of F(T)
+    (`_candidate_pairings`), all with the same ``marked`` set of partner
+    arrays, it accepts exactly the orbit minima: the first of an orbit to
+    arrive is its minimum and marks the rest, which find themselves
+    marked. `_candidate_pairings` calls it only on unmarked pairings that
+    pass the block-quotient test, whose verdict is the same on a whole
+    orbit.
+
     `bridgeless_cubic_catalog` also calls it, out of order, on each
-    relabelling of a union it keeps (`_same_type_partners`) whose orbit
-    is unmarked (tested on `_BlockGroup.image`); those orbits lie later
-    in code order, so they are marked before any member arrives.
+    relabelling of a union it keeps (`_same_type_partners`); those orbits
+    lie later in code order, so they are marked before any member
+    arrives. A relabelling may lie in a run the walk skips, so it can be
+    unmarked while its orbit is marked. Marking that orbit again adds
+    nothing: every call marks all of the orbit's images in F(T).
     """
     if partner in marked:
         return False
@@ -308,7 +303,7 @@ def _candidate_pairings(
     and its codes, in code order; see `_pairings`) whose union with the
     2-factor of ``cycle_type`` is connected and bridgeless, as partner
     arrays in code order. ``block`` holds each vertex's block id (`_ring`),
-    ``group`` the type's block group (`_symmetries`) and ``marked`` the
+    ``group`` the type's `_BlockGroup` and ``marked`` the
     partner arrays of the orbits marked so far. No graph is built.
 
     Only the runs of F(T) are walked (`_pairings` lists the pairings with
@@ -594,13 +589,14 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     labellings of type T: the search has met every perfect matching of
     the union, and each one whose 2-factor has type T is laid on the ring
     in every way up to the group (`_same_type_partners`); each such
-    partner array whose orbit is not yet marked marks it in the set the
-    sweep of T reads. So every class is labelled once. The representatives
-    are those of labelling every union and keeping the first of each
-    class. A class first appears at its largest type T, since the search
-    drops it at every earlier type. There the code-minimum of all its
-    type-T labellings arrives first and is kept: it is the minimum of its
-    own orbit, the marks of other kept unions are labellings of other
+    partner array marks its orbit in the set the sweep of T reads, which
+    adds nothing when the orbit is already marked (`_is_orbit_minimal`).
+    So every class is labelled once. The representatives are those of
+    labelling every union and keeping the first of each class. A class
+    first appears at its largest type T, since the search drops it at
+    every earlier type. There the code-minimum of all its type-T
+    labellings arrives first and is kept: it is the minimum of its own
+    orbit, the marks of other kept unions are labellings of other
     classes, and it passes the quotient test and the search, as every
     labelling of the class does. Every labelling the rule marks is
     therefore later in code order and of a class already kept, so it
@@ -621,7 +617,7 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     pairings = _pairings(n)
     for cycle_type in _partitions_min2(n):
         ring = _ring(cycle_type)
-        group = _symmetries(cycle_type, n)
+        group = _BlockGroup(cycle_type, n)
         marked: set[bytes] = set()
         for partner in _candidate_pairings(cycle_type, ring[3], pairings, group, marked):
             same = _same_type_matchings(cycle_type, ring, partner)
@@ -630,25 +626,10 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
             g = _union(ring, partner)
             seen.setdefault(canonical_form(g), g)
             for relabelled in _same_type_partners(same):
-                # tested here on one image in F(T), as the array may lie in
-                # a run the walk skips, so that every call marks a new orbit
-                if group.image(relabelled) not in marked:
-                    _is_orbit_minimal(relabelled, group, marked)
+                _is_orbit_minimal(relabelled, group, marked)
     result = tuple(seen[k] for k in sorted(seen))
     _CATALOG_CACHE[n] = result
     return result
-
-
-def _in_class(g: MultiGraph, klass: str) -> bool:
-    if klass == "all_bridgeless_cubic":
-        return True
-    if klass == "three_edge_connected":
-        return edge_connectivity(g) >= 3
-    if klass == "bipartite":
-        return g.is_bipartite()
-    if klass in ("cyclically_4ec", "cyclically_5ec"):
-        return cyclically_edge_connected_at_least(g, 4 if klass == "cyclically_4ec" else 5)
-    raise ValueError(f"unknown catalog class {klass!r}")
 
 
 def generate_catalog(
@@ -659,15 +640,13 @@ def generate_catalog(
     simple_only drops graphs with parallel edges, for comparison with
     published simple-graph census counts.
     """
-    if klass not in CATALOG_CLASSES:
+    if klass not in _CLASS_TESTS:
         raise ValueError(f"unknown catalog class {klass!r}")
-    out = []
-    for g in bridgeless_cubic_catalog(n):
-        if simple_only and not g.is_simple():
-            continue
-        if _in_class(g, klass):
-            out.append(g)
-    return out
+    in_class = _CLASS_TESTS[klass]
+    return [
+        g for g in bridgeless_cubic_catalog(n)
+        if (not simple_only or g.is_simple()) and in_class(g)
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -100,7 +100,12 @@ class MultiGraph:
         return sum(1 for e in self.edges if e == (a, b))
 
     def is_cubic(self) -> bool:
-        return all(d == 3 for d in self.degrees())
+        """Every degree is 3. The handshake count is read first, so a graph
+        with too few edges for its order is refused without building its
+        incidence lists."""
+        return 2 * len(self.edges) == 3 * self.vertex_count and all(
+            d == 3 for d in self.degrees()
+        )
 
     def is_simple(self) -> bool:
         return len(set(self.edges)) == len(self.edges)

@@ -219,6 +219,18 @@ def test_analyze_refuses_the_order_zero_graph(tmp_path, capsys):
     assert err == "error: verify_graph requires a graph with at least one vertex\n"
 
 
+
+def test_analyze_refuses_a_huge_order_before_building_it(tmp_path, capsys):
+    # "1000000 0" used to build a million incidence lists (95 MB) before
+    # the cubic check failed; never test a larger order
+    huge = tmp_path / "huge.el"
+    huge.write_text("1000000 0\n")
+    assert main(["analyze", str(huge)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: verify_graph requires a cubic graph\n"
+
+
 def test_directory_named_like_graph_text_is_an_error(tmp_path, capsys, monkeypatch):
     # "C~" is also K4 in graph6; the directory must not be read as that text
     monkeypatch.chdir(tmp_path)

@@ -66,6 +66,25 @@ class TestEdgeList:
             list(parse(io.StringIO(text), EDGE_LIST))
         assert err.value.position == f"line {line}"
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("4 3\n0 1\n1 2\n", "expected 3 edges, found 2", "line 3"),
+            # a truncated graph names the last line of the input, even a
+            # blank one
+            ("4 3\n0 1\n1 2\n\n\n", "expected 3 edges, found 2", "line 5"),
+            ("4 2\n\n\n", "expected 2 edges, found 0", "line 3"),
+            ("1 99999999999999999999999\n", "found 0", "line 1"),
+            # a graph that MultiGraph refuses names its last line read
+            ("2 1\n\n1 1\n\n", "loop edge", "graph ending at line 3"),
+            ("2 0\n\n\n-1 0\n\n", "vertex_count", "graph ending at line 4"),
+        ],
+    )
+    def test_error_positions(self, text, message, position):
+        with pytest.raises(ParseError, match=message) as err:
+            list(parse(io.StringIO(text), EDGE_LIST))
+        assert err.value.position == position
+
 
 class TestGraph6:
     def test_k4_is_c_tilde(self):
@@ -322,6 +341,40 @@ class TestSparse6:
         for g in plain + branch:
             assert write_sparse6(g) == bit_list_sparse6(g)
             assert sorted(parse_sparse6(write_sparse6(g)).edges) == sorted(g.edges)
+
+
+class TestWideOrders:
+    """Orders past the one-byte vertex count, where sparse6 ids take more
+    than six bits."""
+
+    @pytest.mark.parametrize(
+        "n, count_bytes, k",
+        [(62, 1, 6), (63, 4, 6), (64, 4, 6), (65, 4, 7), (258047, 4, 18), (258048, 8, 18)],
+    )
+    def test_sparse6_roundtrip_across_count_forms_and_id_widths(self, n, count_bytes, k):
+        g = MultiGraph(n, ((0, 1), (0, 1), (1, n - 1), (n - 2, n - 1), (n // 2, n - 3)))
+        line = write_sparse6(g)
+        # two jumps of 2k + 2 bits and three edges of k + 1, padded to bytes
+        assert len(line) == 1 + count_bytes + -(-7 * (k + 1) // 6)
+        assert line == bit_list_sparse6(g)
+        assert sorted(parse_sparse6(line).edges) == sorted(g.edges)
+
+    @pytest.mark.parametrize("n", [61, 62, 63, 64, 65, 100, 127, 128, 129, 130])
+    def test_graph6_and_sparse6_vs_networkx(self, n):
+        rnd = random.Random(n)
+        for _ in range(4):
+            edges = tuple(tuple(rnd.sample(range(n), 2)) for _ in range(rnd.randint(1, 2 * n)))
+            g = MultiGraph(n, edges)
+            simple = MultiGraph(n, tuple(sorted(set(g.edges))))
+            G = nx.MultiGraph()
+            G.add_nodes_from(range(n))
+            G.add_edges_from(g.edges)
+            sparse = nx.to_sparse6_bytes(G, header=False).decode().strip()
+            dense = nx.to_graph6_bytes(nx.Graph(G), header=False).decode().strip()
+            assert write_sparse6(g) == sparse
+            assert write_graph6(simple) == dense
+            assert sorted(parse_sparse6(sparse).edges) == sorted(g.edges)
+            assert sorted(parse_graph6(dense).edges) == sorted(simple.edges)
 
 
 class TestFrontDoor:

@@ -88,6 +88,22 @@ class TestFromEdgeList:
             from_edge_list(3, [(1, 1)])
 
 
+
+class TestIsCubic:
+    def test_a_huge_order_with_too_few_edges_builds_no_incidence(self):
+        # the handshake count refuses it first; a larger order would only
+        # make a regression exhaust memory
+        g = MultiGraph(10**6, ())
+        assert not g.is_cubic()
+        assert "incidence" not in g.__dict__
+
+    def test_the_right_edge_count_still_reads_degrees(self):
+        uneven = MultiGraph(4, ((0, 1),) * 4 + ((2, 3),) * 2)
+        assert not uneven.is_cubic()
+        assert MultiGraph(4, ((0, 1),) * 3 + ((2, 3),) * 3).is_cubic()
+        assert MultiGraph(0, ()).is_cubic()
+
+
 class TestContract:
     def test_k4_triangle_gives_three_bond(self):
         c, vmap = contract(k4(), [(0, 1, 2)])
