@@ -116,7 +116,7 @@ def _is_tight_unchecked(kernel: _Kernel, side_size: int, cut_edges: Iterable[int
 def is_tight(g: MultiGraph, cut: Cut) -> bool:
     """True when every perfect matching uses exactly one cut edge."""
     _require_cut(g, cut)
-    kernel = _Kernel(g)
+    kernel = _Kernel(g, who="is_tight")
     _require_covered(kernel, "is_tight")
     return _is_tight_unchecked(kernel, len(cut.side_a), cut.cut_edges)
 
@@ -136,7 +136,7 @@ def find_nontrivial_tight_cut(g: MultiGraph) -> Cut | None:
     """
     who = "find_nontrivial_tight_cut"
     _require(g, who, cubic=True, connected=True, bridgeless=True)
-    kernel = _Kernel(g)
+    kernel = _Kernel(g, who=who)
     _require_covered(kernel, who)
     cuts = _tight_cuts(kernel, g)
     return _side_cut(g, *cuts[0]) if cuts else None
@@ -163,7 +163,7 @@ def decompose(g: MultiGraph) -> Decomposition:
     are split (Lovasz 1987).
     """
     _require(g, "decompose", cubic=True, connected=True, bridgeless=True)
-    return _decompose(_Kernel(g), g)
+    return _decompose(_Kernel(g, who="decompose"), g)
 
 
 def _decompose(kernel: _Kernel, g: MultiGraph) -> Decomposition:
@@ -275,7 +275,7 @@ def is_bicritical(g: MultiGraph) -> bool:
     """True when removing any two vertices leaves a perfectly matchable graph."""
     if g.vertex_count % 2:
         raise ValueError("is_bicritical requires an even number of vertices")
-    kernel = _Kernel(g)
+    kernel = _Kernel(g, who="is_bicritical")
     pairs = combinations(range(g.vertex_count), 2)
     return all(kernel.count((1 << u) | (1 << v)) for u, v in pairs)
 
@@ -292,7 +292,7 @@ def is_brick(g: MultiGraph) -> bool:
 def polytope_dimension(g: MultiGraph) -> int:
     """Dimension |E| - |V| + 1 - b(G) of the perfect matching polytope."""
     _require(g, "polytope_dimension", cubic=True, connected=True, bridgeless=True)
-    return _decompose(_Kernel(g), g).dimension
+    return _decompose(_Kernel(g, who="polytope_dimension"), g).dimension
 
 
 def _exact_rank(rows: list[list[int]]) -> int:
@@ -328,7 +328,7 @@ def pm_affine_dimension(g: MultiGraph) -> int:
     """Affine dimension of the perfect matching characteristic vectors,
     by exact integer rank of difference vectors. Independent of the
     decomposition-based dimension formula."""
-    return _affine_dimension(_Kernel(g), g)
+    return _affine_dimension(_Kernel(g, who="pm_affine_dimension"), g)
 
 
 def _cotree_edges(g: MultiGraph) -> list[int]:

@@ -195,7 +195,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.run(args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ParseError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

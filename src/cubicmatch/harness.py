@@ -55,9 +55,9 @@ from typing import Callable, Iterable, Iterator
 from .brick_brace import _affine_dimension, _decompose
 from .connectivity import (
     NO_CYCLIC_CUT,
+    _bits,
     _cut_sides,
     _require,
-    _side_cut,
     bridges,
     cyclic_edge_connectivity,
     cyclic_value_at_least,
@@ -66,14 +66,14 @@ from .connectivity import (
 )
 from .klee import is_klee
 from .matching import (
-    _boundary_profile,
+    _cut_identity_total,
     _Kernel,
     _matching_profile,
     _validate_constraints,
     count_perfect_matchings,
     matching_profile,
 )
-from .multigraph import MultiGraph, _is_int, canonical_form, make_cut
+from .multigraph import MultiGraph, _crossing_edges, _is_int, canonical_form
 from .named_graphs import exceptional_graph
 
 # each catalog class and its membership test on a graph of the full
@@ -730,12 +730,13 @@ def exceptional_canonical() -> bytes:
     return _EXCEPTIONAL_CANONICAL[0]
 
 
-def _sample_cut_for_identity(g: MultiGraph):
+def _sample_cut_for_identity(g: MultiGraph) -> tuple[int, tuple[int, ...]]:
     """The first nontrivial cut of at most 4 edges in enumerate_cuts' order,
-    else the star of vertex 0; only that one Cut is built, and the cut
-    walk stops at its size."""
+    as the cut walk's (side_a mask, cut edges) pair, else the star of
+    vertex 0 as (1, its crossing edges). No Cut is built, and the cut walk
+    stops at the sampled cut's size."""
     first = next(_cut_sides(g, 4, nontrivial_only=True), None)
-    return make_cut(g, {0}) if first is None else _side_cut(g, *first)
+    return (1, _crossing_edges(g, frozenset((0,)))) if first is None else first
 
 
 def verify_graph(g: MultiGraph) -> BoundReport:
@@ -746,16 +747,21 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     evaluated exactly when its hypothesis holds.
 
     The hypotheses come from the public, checked queries, whose checks read
-    g's cached forest. One matching kernel on g serves the profile, the
-    decomposition's tight cuts, the affine rank and the sampled cut; it is
-    freed on return. A failed avoiding bound carries its arg-min edge as
-    its witness, and a failed cut identity its cut.
+    g's cached forest. is_klee is asked only when n = 4 or the cyclic
+    value is 3: a klee graph is K4, or has a last-inserted triangle whose
+    3-cut is cyclic for n >= 6 (the other side has (3n - 12)/2 > n - 4
+    edges, so it holds a cycle), and klee graphs are 3-edge-connected, so
+    their cyclic value is exactly 3. One matching kernel on g serves the
+    profile, the decomposition's tight cuts, the affine rank and the
+    sampled cut; it is freed on return. Each bound is one Fraction of
+    integers. A failed avoiding bound carries its arg-min edge as its
+    witness, and a failed cut identity its cut.
     """
     _require(g, "verify_graph", cubic=True, connected=True, bridgeless=True)
     n = g.vertex_count
     if not n:  # cubic, connected and bridgeless hold vacuously
         raise ValueError("verify_graph requires a graph with at least one vertex")
-    kernel = _Kernel(g)
+    kernel = _Kernel(g, who="verify_graph")
     counts = _matching_profile(kernel, g, frozenset())
     pm = counts.total
     # the first edge of largest count leaves the fewest matchings behind
@@ -768,7 +774,7 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     cyc = cyclic_edge_connectivity(g)
     cyc5 = cyclic_value_at_least(cyc, 5)
     bip = g.is_bipartite()
-    klee = bool(is_klee(g))
+    klee = (n == 4 or cyc == 3) and bool(is_klee(g))
     exceptional = canonical_form(g) == exceptional_canonical()
     invariants = {
         "bridgeless": True,
@@ -797,25 +803,25 @@ def verify_graph(g: MultiGraph) -> BoundReport:
         )
 
     pmf = Fraction(pm)
-    bound("pm_ge_n4_plus_2", Fraction(n, 4) + 2, pmf)
+    bound("pm_ge_n4_plus_2", Fraction(n + 8, 4), pmf)
     bound(
         "pm_ge_n2_plus_1_unless_exceptional",
-        Fraction(n, 2) + 1,
+        Fraction(n + 2, 2),
         pmf,
-        ok=(pmf >= Fraction(n, 2) + 1) or (exceptional and pm == n // 2),
+        ok=2 * pm >= n + 2 or (exceptional and pm == n // 2),
     )
-    bound("pm_ge_3n4_minus_10", Fraction(3 * n, 4) - 10, pmf)
+    bound("pm_ge_3n4_minus_10", Fraction(3 * n - 40, 4), pmf)
     if ec >= 3:
-        bound("pm_ge_3n4_minus_9", Fraction(3 * n, 4) - 9, pmf)
+        bound("pm_ge_3n4_minus_9", Fraction(3 * n - 36, 4), pmf)
     if bip:
-        bound("pm_ge_3n2_minus_9", Fraction(3 * n, 2) - 9, pmf)
+        bound("pm_ge_3n2_minus_9", Fraction(3 * n - 18, 2), pmf)
     if klee:
-        bound("pm_ge_3n4_minus_6", Fraction(3 * n, 4) - 6, pmf)
+        bound("pm_ge_3n4_minus_6", Fraction(3 * n - 24, 4), pmf)
     if cyc5:
-        bound("cyc5_pm_ge_3n4_minus_3_2", Fraction(3 * n, 4) - Fraction(3, 2), pmf)
+        bound("cyc5_pm_ge_3n4_minus_3_2", Fraction(3 * n - 6, 4), pmf)
         bound(
             "cyc5_edge_deleted_pm_ge_n2_minus_1",
-            Fraction(n, 2) - 1,
+            Fraction(n - 2, 2),
             Fraction(min_avoiding),
             witness={"edge": heaviest},
         )
@@ -835,12 +841,11 @@ def verify_graph(g: MultiGraph) -> BoundReport:
             dim == affine,
         )
     )
-    cut = _sample_cut_for_identity(g)
-    profile = _boundary_profile(kernel, g, cut)
-    total = sum(profile.m_a[x] * profile.m_b[x] for x in profile.m_a)
+    side, cut_edges = _sample_cut_for_identity(g)
+    total = _cut_identity_total(kernel, g, side, cut_edges)
     witness = None
     if total != pm:
-        witness = {"side_a": sorted(cut.side_a), "cut_edges": sorted(cut.cut_edges)}
+        witness = {"side_a": list(_bits(side)), "cut_edges": sorted(cut_edges)}
     results.append(
         TheoremResult(
             "cut_identity_sampled", "identity", pmf, Fraction(total), total == pm, witness

@@ -184,7 +184,7 @@ def core(g: MultiGraph) -> MultiGraph:
 def vertex_type(g: MultiGraph, v: int) -> KleeVertexType:
     """Counts (omega; mu1, mu2, mu3) for a degree-3 vertex with distinct
     neighbors, classified into A, B, C, DANGEROUS or GOOD."""
-    return _vertex_type(_Kernel(g), g, v)
+    return _vertex_type(_Kernel(g, who="vertex_type"), g, v)
 
 
 def _vertex_type(kernel: _Kernel, g: MultiGraph, v: int) -> KleeVertexType:
@@ -222,11 +222,11 @@ def expand_and_check(g: MultiGraph, v: int) -> tuple[MultiGraph, ExpansionReport
     to the i-th former neighbor has type (mu_i; {mu_i + omega} with the
     other two mu values), compared as multisets.
     """
-    kernel = _Kernel(g)
+    kernel = _Kernel(g, who="expand_and_check")
     t = _vertex_type(kernel, g, v)
     before = kernel.count(0)
     expanded = replace_vertex_with_triangle(g, v)
-    kernel = _Kernel(expanded)
+    kernel = _Kernel(expanded, who="expand_and_check")
     after = kernel.count(0)
     new_vertices = (v, g.vertex_count, g.vertex_count + 1)
     type_ok = []
@@ -285,7 +285,7 @@ def klee_stats(g: MultiGraph) -> KleeStats:
     _require(g, "klee_stats", cubic=True, connected=True)
     if not is_klee(g):
         raise ValueError("klee_stats requires a klee-graph")
-    kernel = _Kernel(g)
+    kernel = _Kernel(g, who="klee_stats")
     m = kernel.count(0)
     alpha = beta = 0
     for v in range(g.vertex_count):
@@ -331,7 +331,7 @@ def is_nice_cut(g: MultiGraph, cut: Cut) -> NiceCutResult:
     _require_cut(g, cut)
     if cut.size != 3:
         raise ValueError(f"nice cuts must have size 3, got {cut.size}")
-    kernel = _Kernel(g)
+    kernel = _Kernel(g, who="is_nice_cut")
     for role, oriented in (("side_a", cut), ("side_b", cut.flipped())):
         clause = _nice_oriented(kernel, g, oriented)
         if clause is not None:

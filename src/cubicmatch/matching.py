@@ -19,12 +19,16 @@ inclusion/exclusion tree; the tests also hold a blossom existence oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .connectivity import _bits
 from .multigraph import Cut, MultiGraph, _is_int, _require_cut
 
 COUNT_LIMIT = 1 << 63  # counts are required to fit in 64-bit integers
+# the count recurses once per matched edge, so n/2 frames deep; at most
+# 512 frames stay well inside Python's default recursion limit of 1000
+_ORDER_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -106,11 +110,20 @@ class _Kernel:
     masks. While it counts a state, the kernel keeps that state's branches
     below which the count is positive; the per-edge sweep and enumeration
     read those kept lists and never branch again. A kernel lives as long
-    as the call that built it; nothing keeps it on the graph.
+    as the call that built it; nothing keeps it on the graph. A graph of
+    more than _ORDER_LIMIT vertices is refused before any table is built,
+    with a ValueError naming ``who``, the function that asked.
     """
 
-    def __init__(self, g: MultiGraph, forbidden: frozenset[int] = frozenset()) -> None:
+    def __init__(
+        self, g: MultiGraph, forbidden: frozenset[int] = frozenset(),
+        who: str = "the matching kernel",
+    ) -> None:
         n = g.vertex_count
+        if n > _ORDER_LIMIT:
+            raise ValueError(
+                f"{who} counts perfect matchings of at most {_ORDER_LIMIT} vertices, got {n}"
+            )
         self.full = (1 << n) - 1
         self.edge_count = len(g.edges)
         self.forbidden = forbidden
@@ -275,7 +288,7 @@ def count_perfect_matchings(
     """Exact number of perfect matchings containing all forced edges and
     avoiding all forbidden ones."""
     forced, forbidden = _validate_constraints(g, forced, forbidden)
-    return _Kernel(g, forbidden).count(_forced_mask(g, forced))
+    return _Kernel(g, forbidden, who="count_perfect_matchings").count(_forced_mask(g, forced))
 
 
 def count_perfect_matchings_oracle(
@@ -309,7 +322,8 @@ def enumerate_perfect_matchings(
     """Yields every perfect matching as a sorted tuple of edge indices,
     following the kernel's branching and skipping branches that count 0."""
     forced, forbidden = _validate_constraints(g, forced, forbidden)
-    yield from _Kernel(g, forbidden).matchings(_forced_mask(g, forced), list(forced))
+    kernel = _Kernel(g, forbidden, who="enumerate_perfect_matchings")
+    yield from kernel.matchings(_forced_mask(g, forced), list(forced))
 
 
 # Existence is a kernel lookup; the name stays because perfbench/run.py
@@ -318,7 +332,7 @@ def _has_pm(g: MultiGraph, forced: frozenset[int] = frozenset(),
             forbidden: frozenset[int] = frozenset()) -> bool:
     """True when some perfect matching holds the forced edges and avoids
     the forbidden ones."""
-    return _Kernel(g, forbidden).count(_forced_mask(g, forced)) > 0
+    return _Kernel(g, forbidden, who="_has_pm").count(_forced_mask(g, forced)) > 0
 
 
 def matching_profile(
@@ -327,7 +341,7 @@ def matching_profile(
     """Total and per-edge perfect matching counts; flags matching covered
     and double covered via the per-edge table."""
     forced, forbidden = _validate_constraints(g, forced, forbidden)
-    return _matching_profile(_Kernel(g, forbidden), g, forced)
+    return _matching_profile(_Kernel(g, forbidden, who="matching_profile"), g, forced)
 
 
 def _matching_profile(kernel: _Kernel, g: MultiGraph, forced: frozenset[int]) -> MatchingProfile:
@@ -349,28 +363,59 @@ def boundary_profile(g: MultiGraph, cut: Cut) -> BoundaryProfile:
     sum over X of m_a[X] * m_b[X].
     """
     _require_cut(g, cut)
-    return _boundary_profile(_Kernel(g), g, cut)
+    return _boundary_profile(_Kernel(g, who="boundary_profile"), g, cut)
 
 
 def _boundary_profile(kernel: _Kernel, g: MultiGraph, cut: Cut) -> BoundaryProfile:
+    """boundary_profile on a shared kernel: both tables are the side
+    counts of _side_counts, keyed by the frozenset of each bit subset."""
     k = cut.size
     if k > 4:
         raise ValueError(f"boundary_profile supports cuts of size <= 4, got {k}")
-    profile = BoundaryProfile(cut)
-    subsets = [frozenset(i for i in range(k) if (bits >> i) & 1) for bits in range(1 << k)]
-    for side, table in ((cut.side_a, profile.m_a), (cut.side_b, profile.m_b)):
-        other = kernel.full & ~_vertex_mask(side)
-        attachments = []
-        for e in cut.cut_edges:
-            u, v = g.edges[e]
-            attachments.append(1 << (u if u in side else v))
-        for x in subsets:
-            att = 0
-            for i in x:
-                att |= attachments[i]
-            # two cut edges of x sharing an attachment vertex leave count 0
-            table[x] = kernel.count(other | att) if att.bit_count() == len(x) else 0
-    return profile
+    side = _vertex_mask(cut.side_a)
+    keys = [frozenset(_bits(x)) for x in range(1 << k)]
+    m_a = _side_counts(kernel, g, side, cut.cut_edges)
+    m_b = _side_counts(kernel, g, kernel.full ^ side, cut.cut_edges)
+    return BoundaryProfile(cut, dict(zip(keys, m_a)), dict(zip(keys, m_b)))
+
+
+def _side_counts(
+    kernel: _Kernel,
+    g: MultiGraph,
+    side: int,
+    cut_edges: Sequence[int],
+    needed: Sequence[int] | None = None,
+) -> list[int]:
+    """One side's boundary table on masks. Entry x, for a bit subset x of
+    positions into cut_edges, counts the matchings of the side's induced
+    subgraph that cover it all but the side's endpoints of the cut edges
+    in x. Two cut edges of x sharing an endpoint leave count 0, and so
+    does every x with needed[x] == 0 when needed is given."""
+    other = kernel.full ^ side
+    # opens[x]: the side's endpoints of the cut edges in x
+    opens = [0]
+    for e in cut_edges:
+        u, v = g.edges[e]
+        end = 1 << (u if (side >> u) & 1 else v)
+        opens += [att | end for att in opens]
+    return [
+        kernel.count(other | att)
+        if att.bit_count() == x.bit_count() and (needed is None or needed[x])
+        else 0
+        for x, att in enumerate(opens)
+    ]
+
+
+def _cut_identity_total(
+    kernel: _Kernel, g: MultiGraph, side: int, cut_edges: Sequence[int]
+) -> int:
+    """The sum over bit subsets x of m_a[x] * m_b[x] for the cut with
+    side_a the vertex mask side: the perfect matching count of g when
+    the boundary identity holds. m_b[x] is counted only where m_a[x] is
+    not 0."""
+    m_a = _side_counts(kernel, g, side, cut_edges)
+    m_b = _side_counts(kernel, g, kernel.full ^ side, cut_edges, m_a)
+    return sum(map(mul, m_a, m_b))
 
 
 def count_avoiding(g: MultiGraph, e: int) -> int:

@@ -499,8 +499,48 @@ def _orbit(seeds: list[int], generators: list[list[int]]) -> set[int]:
 
 
 def _canonical_search(g: MultiGraph) -> bytes:
-    """Depth-first search for the smallest matrix over the labelings that
-    place the vertices cell by cell in color order.
+    """The smallest matrix over the labelings that place the vertices cell
+    by cell in color order, as bytes: the vertex count, then row p for
+    each position p >= 1, the multiplicities between the vertex at
+    position p and those at positions 0..p-1.
+
+    When the invariant colors are n distinct ones, every cell holds one
+    vertex, so the color order is the one compatible labeling and its
+    bytes are read off with no search; otherwise _search_labeling finds
+    the best labeling.
+    """
+    n = g.vertex_count
+    if n > _BYTE_LIMIT:
+        raise ValueError(f"canonical_form stores the vertex count in one byte: "
+                         f"at most {_BYTE_LIMIT} vertices, got {n}")
+    if n == 0:
+        return bytes([0])
+    mult = [[0] * n for _ in range(n)]
+    for u, v in g.edges:
+        mult[u][v] += 1
+        mult[v][u] += 1
+    top = max(map(max, mult))
+    if top > _BYTE_LIMIT:
+        raise ValueError(f"canonical_form stores each multiplicity in one byte: "
+                         f"at most {_BYTE_LIMIT} parallel edges, got {top}")
+    adj = [list(compress(range(n), row)) for row in mult]
+    colors = _invariant_colors(g, mult, adj)
+    if max(colors) == n - 1:
+        labels = sorted(range(n), key=colors.__getitem__)
+    else:
+        labels = _search_labeling(mult, adj, colors, top)
+    form = bytearray([n])
+    for p in range(1, n):
+        form.extend(map(mult[labels[p]].__getitem__, labels[:p]))
+    return bytes(form)
+
+
+def _search_labeling(
+    mult: list[list[int]], adj: list[list[int]], colors: list[int], top: int
+) -> list[int]:
+    """Depth-first search for the labeling, cell by cell in color order,
+    whose matrix is smallest; returns the vertices by position. ``top`` is
+    the largest multiplicity of ``mult``.
 
     Row p of the matrix holds the multiplicities between the vertex at
     position p and those at positions 0..p-1, and the matrix is the rows in
@@ -514,8 +554,8 @@ def _canonical_search(g: MultiGraph) -> bytes:
       placed vertices. Placing or unplacing a vertex changes only its
       neighbours' keys, and placing it also raises its own key by B^n,
       above every row key, so a node finds its smallest row in one scan
-      of its cell with no test for placed vertices. The bytes are read
-      off the best labeling at the end.
+      of its cell with no test for placed vertices. The caller reads the
+      bytes off the best labeling.
     - **Only the smallest row is explored.** Let row_1 be the smallest
       row among a node's candidates and base the node's prefix. Once the
       subtree under row_1 is searched, the best matrix's prefix through
@@ -540,24 +580,9 @@ def _canonical_search(g: MultiGraph) -> bytes:
       returns at once to the node where the two labelings part, whose
       current child is the image of the explored one.
     """
-    n = g.vertex_count
-    if n > _BYTE_LIMIT:
-        raise ValueError(f"canonical_form stores the vertex count in one byte: "
-                         f"at most {_BYTE_LIMIT} vertices, got {n}")
-    if n == 0:
-        return bytes([0])
-    mult = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        mult[u][v] += 1
-        mult[v][u] += 1
-    top = max(map(max, mult))
-    if top > _BYTE_LIMIT:
-        raise ValueError(f"canonical_form stores each multiplicity in one byte: "
-                         f"at most {_BYTE_LIMIT} parallel edges, got {top}")
+    n = len(mult)
     weight = [(top + 1) ** (n - 1 - q) for q in range(n)]
     placed = (top + 1) ** n  # above every row key: a placed vertex is never a smallest row
-    adj = [list(compress(range(n), row)) for row in mult]
-    colors = _invariant_colors(g, mult, adj)
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
@@ -632,8 +657,5 @@ def _canonical_search(g: MultiGraph) -> bytes:
         rec(0, False)
     finally:
         del rec  # the closure refers to itself; free it without the cyclic collector
-    form = bytearray([n])
-    for p in range(1, n):
-        form.extend(map(mult[best_labels[p]].__getitem__, best_labels[:p]))
-    return bytes(form)
+    return best_labels
 

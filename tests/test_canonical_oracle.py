@@ -383,6 +383,30 @@ def test_second_call_does_not_search_again(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("graphs, discrete", [("catalog12", 70), ("analyze16", 68)])
+def test_discrete_coloring_is_read_off_without_search(catalogs, monkeypatch, graphs, discrete):
+    # n distinct colors admit one labeling, the color order; every other
+    # graph still searches, and both give the reference bytes
+    graphs = catalogs(12) if graphs == "catalog12" else analyze16_draws(1)
+    searched = []
+    search = multigraph._search_labeling
+
+    def counting(*args):
+        searched.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(multigraph, "_search_labeling", counting)
+    read_off = 0
+    for g in graphs:
+        before = len(searched)
+        form = canonical_form(fresh(g))
+        is_discrete = len(set(library_colors(g))) == g.vertex_count
+        assert len(searched) - before == (0 if is_discrete else 1)
+        assert form == reference_canonical_search(g)
+        read_off += is_discrete
+    assert read_off == discrete and len(searched) == len(graphs) - discrete
+
+
 def test_bound_checked_before_the_cache():
     g = petersen()
     canonical_form(g)

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from cubicmatch import matching
 from cubicmatch.cli import main
 from cubicmatch.formats import parse, write_edge_list
 from cubicmatch.harness import generate_catalog, verify_catalog
@@ -164,10 +165,6 @@ def test_catalog_verify_help_says_what_the_scarce_line_counts(capsys):
     assert "it ignores --class and --simple-only" in text
 
 
-@pytest.mark.skipif(
-    not os.environ.get("CUBICMATCH_RUN_SLOW"),
-    reason="n=14 generation and verification take about 5 s",
-)
 def test_catalog_verify_14_keeps_its_reports(capsys):
     # every n = 14 brick count passes through the tight-cut rule
     assert main(["catalog", "verify", "--n", "14"]) == 0
@@ -229,6 +226,52 @@ def test_analyze_refuses_a_huge_order_before_building_it(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: verify_graph requires a cubic graph\n"
+
+
+def prism_edge_list(n):
+    """The order-n prism, two n/2-cycles joined by rungs, as edge-list text."""
+    k = n // 2
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(k + i, k + (i + 1) % k) for i in range(k)]
+    edges += [(i, k + i) for i in range(k)]
+    return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+@pytest.mark.parametrize("command", ["analyze", "count", "decompose"])
+def test_count_overflow_is_an_error_not_a_failed_bound(tmp_path, capsys, command):
+    # the order-400 prism has more than 2^63 perfect matchings; each
+    # command used to end in a traceback and exit 1, which for analyze
+    # means "a bound failed"
+    prism = tmp_path / "prism400.el"
+    prism.write_text(prism_edge_list(400))
+    assert main([command, str(prism)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: perfect matching count exceeds 64-bit range\n"
+
+
+def test_count_refuses_an_order_past_the_kernel_limit(tmp_path, capsys):
+    # a perfect matching of 1,990 vertices used to overflow the stack
+    # (RecursionError, exit 1); the limit is checked before any table
+    limit = matching._ORDER_LIMIT
+    past = tmp_path / "past.el"
+    past.write_text(f"{limit + 2} {limit // 2 + 1}\n"
+                    + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(limit // 2 + 1)))
+    assert main(["count", str(past)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: matching_profile counts perfect matchings of at most "
+                   f"{limit} vertices, got {limit + 2}\n")
+
+
+def test_count_at_the_kernel_limit(tmp_path, capsys):
+    limit = matching._ORDER_LIMIT
+    at = tmp_path / "at.el"
+    at.write_text(f"{limit} {limit // 2}\n"
+                  + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(limit // 2)))
+    assert main(["count", str(at)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "1" and len(lines) == 1 + limit // 2
 
 
 def test_directory_named_like_graph_text_is_an_error(tmp_path, capsys, monkeypatch):

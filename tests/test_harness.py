@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import itertools
 import json
 import math
@@ -12,6 +13,7 @@ from cubicmatch import connectivity, harness, matching, multigraph
 from cubicmatch.formats import SPARSE6, parse
 from cubicmatch.connectivity import (
     NO_CYCLIC_CUT,
+    _side_cut,
     bridges,
     cyclic_edge_connectivity,
     enumerate_cuts,
@@ -30,7 +32,11 @@ from cubicmatch.harness import (
     verify_catalog,
     verify_graph,
 )
-from cubicmatch.matching import enumerate_perfect_matchings
+from cubicmatch.matching import (
+    boundary_profile,
+    count_perfect_matchings,
+    enumerate_perfect_matchings,
+)
 from cubicmatch.multigraph import MultiGraph, canonical_form, from_edge_list, make_cut
 from cubicmatch.named_graphs import (
     exceptional_graph,
@@ -41,8 +47,9 @@ from cubicmatch.named_graphs import (
     three_bond,
 )
 from cubicmatch.brick_brace import decompose, find_nontrivial_tight_cut
-from cubicmatch.klee import is_klee
+from cubicmatch.klee import enumerate_klee, is_klee
 from conftest import (
+    analyze16_draws,
     check_one_kernel_on_input,
     count_cut_spaces,
     count_kernels,
@@ -150,10 +157,6 @@ class TestCatalog:
                 build(n)
         assert harness._CATALOG_CACHE == cache
 
-    @pytest.mark.skipif(
-        not os.environ.get("CUBICMATCH_RUN_SLOW"),
-        reason="n=14 exhaustive generation takes about 3 s",
-    )
     def test_n14_regression_counts(self):
         cat = bridgeless_cubic_catalog(14)
         assert len(cat) == 2602
@@ -851,10 +854,6 @@ class TestFirstPartnerRule:
         # marked again by a relabelling that lies in a skipped run
         assert self.sweep_work(monkeypatch, 12) == (99_225, 103_302)
 
-    @pytest.mark.skipif(
-        not os.environ.get("CUBICMATCH_RUN_SLOW"),
-        reason="a cold n=14 catalog takes 3-5 s",
-    )
     def test_sweep_work_n14(self, monkeypatch):
         # 4,594,590 pairings walked and 4,224,080 images marked before the
         # rule; 1,814,692 orbit images in F(T), the rest marked again
@@ -1013,10 +1012,6 @@ class TestSwitch:
             relabellings += len(set(arrays)) - 1
         assert relabellings or n < 6
 
-    @pytest.mark.skipif(
-        not os.environ.get("CUBICMATCH_RUN_SLOW"),
-        reason="a cold n=14 catalog takes 3-5 s",
-    )
     def test_catalog_builds_a_graph_only_for_what_it_labels_n14(self, monkeypatch):
         assert self.count_generator_work(monkeypatch, 14) == (2602, 18_061, 2602, 2602)
 
@@ -1026,10 +1021,6 @@ class TestLargestTypeRule:
     def test_reference_generator_representatives(self, catalogs, n):
         assert [g.edges for g in catalogs(n)] == [g.edges for g in reference_catalog(n)]
 
-    @pytest.mark.skipif(
-        not os.environ.get("CUBICMATCH_RUN_SLOW"),
-        reason="the n=12 reference generator takes about 5 s",
-    )
     def test_reference_generator_representatives_n12(self, catalogs):
         assert [g.edges for g in catalogs(12)] == [g.edges for g in reference_catalog(12)]
 
@@ -1116,6 +1107,23 @@ class TestVerify:
         assert "cyc5_pm_ge_3n4_minus_3_2" in tags
         cor = next(r for r in rep.results if r.tag == "cyc5_pm_ge_3n4_minus_3_2")
         assert cor.slack == 0
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (1, "366866e63cdadd31ec0101a52c5e3178320593ec0d701c591f537837b2500abe"),
+            (2, "2119cbffc494f68a437247fa94ba6158cb27d784c1e007ae527583f7f9af76d6"),
+            (3, "c24f1be74ae305f869d526479adbd0cba7811958e487b177c0de4a5a268b19eb"),
+        ],
+    )
+    def test_analyze16_draws_keep_their_reports(self, seed, digest):
+        # about two thirds of these draws take the discrete-coloring path
+        # of canonical_form, and most skip is_klee
+        text = "".join(
+            json.dumps(verify_graph(g).to_json(), sort_keys=True) + "\n"
+            for g in analyze16_draws(seed)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_exceptional_flagged(self):
         rep = verify_graph(exceptional_graph())
@@ -1311,9 +1319,16 @@ class TestVerify:
 
     def test_verify_graph_asks_each_hypothesis_once(self, monkeypatch):
         # the hypotheses come from the checked public queries, each asked
-        # once on the input; contractions of tight-cut sides and triangles
-        # ask none of them
-        graphs = [petersen(), exceptional_graph(), random_bridgeless_cubic(12, random.Random(12))]
+        # at most once on the input; contractions of tight-cut sides and
+        # triangles ask none of them. is_klee is asked exactly when n = 4
+        # or the cyclic value is 3 (K4 and the prism take that branch)
+        graphs = [
+            petersen(),
+            exceptional_graph(),
+            random_bridgeless_cubic(12, random.Random(12)),
+            k4(),
+            prism(),
+        ]
         calls = {name: [] for name in ("edge_connectivity", "cyclic_edge_connectivity", "is_klee")}
         for name, seen in calls.items():
             def counting(g, seen=seen, query=getattr(harness, name)):
@@ -1321,13 +1336,34 @@ class TestVerify:
                 return query(g)
 
             monkeypatch.setattr(harness, name, counting)
+        asked = []
         for g in graphs:
             for seen in calls.values():
                 seen.clear()
             verify_graph(g)
-            for seen in calls.values():
-                assert len(seen) == 1 and seen[0] is g
+            assert calls["edge_connectivity"] == [g]
+            assert calls["cyclic_edge_connectivity"] == [g]
+            gated = g.vertex_count == 4 or cyclic_edge_connectivity(g) == 3
+            assert calls["is_klee"] == ([g] if gated else [])
+            asked.append(gated)
+        assert asked == [False, True, False, True, True]
         assert decompose(graphs[1]).cut_trace and is_klee(graphs[1]).contractions
+
+    def test_klee_gate_agrees_with_is_klee(self, catalogs):
+        # a klee graph is K4, or its last-inserted triangle bounds a
+        # cyclic 3-cut (for n >= 6 the other side has (3n - 12)/2 > n - 4
+        # edges), and klee graphs are 3-edge-connected; so the gate
+        # verify_graph puts before is_klee drops no klee graph
+        graphs = [g for n in range(2, 15, 2) for g in catalogs(n)]
+        graphs += [g for n in range(4, 17, 2) for g in enumerate_klee(n)]
+        klee = skipped = 0
+        for g in graphs:
+            answer = bool(is_klee(g))
+            gated = g.vertex_count == 4 or cyclic_edge_connectivity(g) == 3
+            assert (gated and answer) == answer, g
+            klee += answer
+            skipped += not gated
+        assert (len(graphs), klee, skipped) == (3187, 167, 2747)
 
     def test_verify_graph_leaves_no_kernel_for_the_collector(self):
         # with the collector off, only reference cycles could keep a
@@ -1342,11 +1378,35 @@ class TestVerify:
 
     def test_sampled_cut_matches_sorting_every_cut(self, catalogs):
         graphs = [g for n in range(2, 13, 2) for g in catalogs(n)]
-        rnd = random.Random(1)  # the analyze16 benchmark draws for seed 1
-        graphs += [random_bridgeless_cubic(16, rnd) for _ in range(100)]
+        graphs += analyze16_draws(1)
         for g in graphs:
-            assert harness._sample_cut_for_identity(g) == sampled_cut_by_sorting(g)
+            assert _side_cut(g, *harness._sample_cut_for_identity(g)) == sampled_cut_by_sorting(g)
 
+    def test_identity_total_equals_the_boundary_profile_sum(self, catalogs):
+        # the mask-level total, which skips m_b[X] where m_a[X] is 0,
+        # against the public tables built from the same side counts
+        graphs = [g for n in range(2, 13, 2) for g in catalogs(n)]
+        graphs += analyze16_draws(1)
+        for g in graphs:
+            side, cut_edges = harness._sample_cut_for_identity(g)
+            total = harness._cut_identity_total(matching._Kernel(g), g, side, cut_edges)
+            profile = boundary_profile(g, _side_cut(g, side, cut_edges))
+            assert total == sum(profile.m_a[x] * profile.m_b[x] for x in profile.m_a)
+            assert total == count_perfect_matchings(g)
+
+    def test_identity_total_on_every_small_cut(self, catalogs):
+        # every cut of at most 4 edges, trivial ones and both sides included
+        for n in range(2, 9, 2):
+            for g in catalogs(n):
+                pm = count_perfect_matchings(g)
+                kernel = matching._Kernel(g)
+                for cut in enumerate_cuts(g, 4):
+                    for oriented in (cut, cut.flipped()):
+                        side = sum(1 << v for v in oriented.side_a)
+                        total = harness._cut_identity_total(kernel, g, side, oriented.cut_edges)
+                        profile = boundary_profile(g, oriented)
+                        assert total == pm
+                        assert total == sum(profile.m_a[x] * profile.m_b[x] for x in profile.m_a)
 
 def result(report, tag):
     return next(r for r in report.results if r.tag == tag)
@@ -1393,17 +1453,14 @@ class TestWitnesses:
         assert r.witness == {"edge": 3} and r.to_json()["witness"] == {"edge": 3}
 
     def test_failed_cut_identity_names_its_cut(self, monkeypatch):
-        profile_of = harness._boundary_profile
+        identity_of = harness._cut_identity_total
 
-        def doubled_profile(kernel, g, cut):
-            profile = profile_of(kernel, g, cut)
-            for x in profile.m_a:
-                profile.m_a[x] *= 2
-            return profile
+        def doubled_total(kernel, g, side, cut_edges):
+            return 2 * identity_of(kernel, g, side, cut_edges)
 
-        monkeypatch.setattr(harness, "_boundary_profile", doubled_profile)
+        monkeypatch.setattr(harness, "_cut_identity_total", doubled_total)
         for g in (petersen(), exceptional_graph()):
-            cut = harness._sample_cut_for_identity(g)
+            cut = _side_cut(g, *harness._sample_cut_for_identity(g))
             r = result(verify_graph(g), "cut_identity_sampled")
             assert not r.satisfied
             witness = {"side_a": sorted(cut.side_a), "cut_edges": sorted(cut.cut_edges)}

@@ -13,6 +13,7 @@ import inspect
 import pytest
 
 import cubicmatch as cm
+from cubicmatch import matching
 from cubicmatch.multigraph import Cut, MultiGraph, from_edge_list
 from cubicmatch.named_graphs import k4, petersen
 
@@ -152,3 +153,30 @@ def test_invalid_call_raises_its_message(name):
 )
 def test_total_functions_answer_every_graph(name, g):
     getattr(cm, name)(g)
+
+
+def perfect_matching_graph(n):
+    """n vertices joined in pairs by n/2 disjoint edges: sparse at any order."""
+    return MultiGraph(n, tuple((2 * i, 2 * i + 1) for i in range(n // 2)))
+
+
+def test_counting_refuses_an_order_past_the_kernel_limit():
+    # the kernel recurses once per matched edge; past the limit it is
+    # refused before any table is built, naming the function called
+    limit = matching._ORDER_LIMIT
+    past = perfect_matching_graph(limit + 2)
+    message = f"counts perfect matchings of at most {limit} vertices, got {limit + 2}"
+    for name, call in [
+        ("count_perfect_matchings", lambda: cm.count_perfect_matchings(past)),
+        ("matching_profile", lambda: cm.matching_profile(past)),
+        ("enumerate_perfect_matchings", lambda: list(cm.enumerate_perfect_matchings(past))),
+        ("boundary_profile", lambda: cm.boundary_profile(past, cm.make_cut(past, [0]))),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} {message}$"):
+            call()
+
+
+def test_counting_at_the_kernel_limit():
+    at = perfect_matching_graph(matching._ORDER_LIMIT)
+    assert cm.count_perfect_matchings(at) == 1
+    assert list(cm.enumerate_perfect_matchings(at)) == [tuple(range(len(at.edges)))]
