@@ -33,7 +33,9 @@ orbit minimum has the least p[0] of its orbit, which lies in F(T): with
 0 fixed, the reflection of the first cycle turns a partner b on it into
 c - b, and a rotation of any other cycle turns a partner on it into its
 first vertex. So only pairings with p[0] in F(T) are walked, and an
-orbit is marked only by its images with a first partner in F(T).
+orbit is marked only by its images with a first partner in F(T). The
+pairings with p[0] = b form run b, which `_runs` relabels from the one
+list of order n - 2; the sweep builds the runs once and reads them all.
 
 Each pairing walked meets the filters cheapest first: the block-quotient
 test (connected and bridgeless), marking its symmetry orbit, the
@@ -49,7 +51,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, groupby, permutations, product, repeat
+from itertools import accumulate, chain, groupby, permutations, product, repeat
 from typing import Callable, Iterable, Iterator
 
 from .brick_brace import _affine_dimension, _decompose
@@ -73,7 +75,13 @@ from .matching import (
     count_perfect_matchings,
     matching_profile,
 )
-from .multigraph import MultiGraph, _crossing_edges, _is_int, canonical_form
+from .multigraph import (
+    DEFAULT_CANONICAL_BOUND,
+    MultiGraph,
+    _crossing_edges,
+    _is_int,
+    canonical_form,
+)
 from .named_graphs import exceptional_graph
 
 # each catalog class and its membership test on a graph of the full
@@ -212,51 +220,42 @@ def _pairings(n: int) -> tuple[list[bytes], list[bytes]]:
     """Every pairing of range(n) as its partner array (index u holds the
     partner of u) and, at the same index of a second list, its sorted pair
     codes u*16+v, both in strictly increasing code order, which orbit
-    marking needs. The pairings with partner[0] = b are the b-th run of
-    (n - 3)!! entries.
+    marking needs. It is the runs of `_runs` one after another, relabelled
+    from the list of order n - 2; order 0 has one empty pairing.
 
     Pair codes fit in a byte only while u, v < 16, i.e. for n <= 16;
     CATALOG_LIMIT keeps catalogs below that.
     """
-    swaps = {
-        a * 16 + b: bytes.maketrans(bytes((a, b)), bytes((b, a)))
-        for a in range(n)
-        for b in range(a + 1, n)
-    }
-    return _pairings_of(tuple(range(n)), {(): ([bytes(range(n))], [b""])}, swaps)
+    if not n:
+        return [b""], [b""]
+    partners, codes = zip(*_runs(n, _pairings(n - 2)))
+    return list(chain(*partners)), list(chain(*codes))
 
 
-def _pairings_of(
-    items: tuple[int, ...],
-    memo: dict[tuple[int, ...], tuple[list[bytes], list[bytes]]],
-    swaps: dict[int, bytes],
-) -> tuple[list[bytes], list[bytes]]:
-    """`_pairings` of the sorted ``items``: the first item a paired with
-    each later one b, ahead of every pairing of the rest. A pairing of the
-    rest leaves a and b at their own index in its partner array, so one
-    translate by the a-b swap in ``swaps`` (keyed by pair code) sets both.
-    Each rest is built once and kept in ``memo``, which the caller owns and
-    drops on return; a rest of the full set is read once, so it is dropped
-    as soon as it is used."""
-    found = memo.get(items)
-    if found is None:
-        a = items[0]
-        partners: list[bytes] = []
-        codes: list[bytes] = []
-        for i in range(1, len(items)):
-            code = a * 16 + items[i]
-            swap = swaps[code]
-            head = bytes((code,))
-            rest = items[1:i] + items[i + 1:]
-            tail_partners, tail_codes = _pairings_of(rest, memo, swaps)
-            if a == 0:
-                # only the full set holds vertex 0, so no other set reaches
-                # this rest again: free it at once
-                del memo[rest]
-            partners += map(bytes.translate, tail_partners, repeat(swap))
-            codes += map(head.__add__, tail_codes)
-        found = memo[items] = partners, codes
-    return found
+def _runs(
+    n: int, base: tuple[list[bytes], list[bytes]]
+) -> Iterator[tuple[list[bytes], list[bytes]]]:
+    """Run b of the pairings of range(n), for b = 1, ..., n - 1: those with
+    partner[0] = b as partner arrays and pair codes (see `_pairings`), in
+    code order. Each is ``base``, the pairings of order n - 2, relabelled
+    with vertex i sent to the i-th vertex of range(1, n) less b, and the
+    pair (0, b) added. That map is increasing, so it keeps code order
+    within a run, and the first code b orders the runs.
+
+    A partner array is one translate through ``label``, the vertex map as
+    a table, with 0 spliced in at index b; a code list is one translate
+    through the code table behind the code of (0, b), which is below
+    every other."""
+    partners, codes = base
+    for b in range(1, n):
+        label = bytes(v for v in range(1, n) if v != b).ljust(256, b"\0")
+        code_table = bytes(label[c >> 4] * 16 + label[c & 15] for c in range(256))
+        head = bytes((b,))
+        translated = map(bytes.translate, partners, repeat(label))
+        yield (
+            [head + p[:b - 1] + b"\0" + p[b - 1:] for p in translated],
+            list(map(head.__add__, map(bytes.translate, codes, repeat(code_table)))),
+        )
 
 
 def _is_orbit_minimal(partner: bytes, group: _BlockGroup, marked: set[bytes]) -> bool:
@@ -295,21 +294,20 @@ def _is_orbit_minimal(partner: bytes, group: _BlockGroup, marked: set[bytes]) ->
 def _candidate_pairings(
     cycle_type: tuple[int, ...],
     block: list[int],
-    pairings: tuple[list[bytes], list[bytes]],
+    runs: list[tuple[list[bytes], list[bytes]]],
     group: _BlockGroup,
     marked: set[bytes],
 ) -> Iterator[bytes]:
-    """The orbit-minimal ``pairings`` (every pairing as its partner array
-    and its codes, in code order; see `_pairings`) whose union with the
-    2-factor of ``cycle_type`` is connected and bridgeless, as partner
-    arrays in code order. ``block`` holds each vertex's block id (`_ring`),
-    ``group`` the type's `_BlockGroup` and ``marked`` the
-    partner arrays of the orbits marked so far. No graph is built.
+    """The orbit-minimal pairings whose union with the 2-factor of
+    ``cycle_type`` is connected and bridgeless, as partner arrays in code
+    order. ``runs`` holds run b of `_runs` at index b - 1, ``block`` each
+    vertex's block id (`_ring`), ``group`` the type's `_BlockGroup` and
+    ``marked`` the partner arrays of the orbits marked so far. No graph is
+    built.
 
-    Only the runs of F(T) are walked (`_pairings` lists the pairings with
-    partner[0] = b as its b-th run). A pairing of another run is not its
-    orbit's minimum, which arrives first and either fails the quotient
-    test with it or marks it.
+    Only the runs of F(T) are walked, in order. A pairing of another run
+    is not its orbit's minimum, which arrives first and either fails the
+    quotient test with it or marks it.
 
     The quotient test reads the codes kept beside each array, whose only
     use is its block-pair key, and runs before the orbit is marked
@@ -331,11 +329,8 @@ def _candidate_pairings(
     blocks = len(cycle_type)
     block_table = _block_pair_table(block)
     verdicts: dict[bytes, bool] = {}
-    partners, codes = pairings
-    run = len(partners) // (len(block) - 1)
     for b in group.first_partners:
-        start = (b - 1) * run
-        for partner, pair_codes in zip(partners[start:start + run], codes[start:start + run]):
+        for partner, pair_codes in zip(*runs[b - 1]):
             if partner in marked:
                 continue
             key = pair_codes.translate(block_table)
@@ -614,12 +609,12 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     if n in _CATALOG_CACHE:
         return _CATALOG_CACHE[n]
     seen: dict[bytes, MultiGraph] = {}
-    pairings = _pairings(n)
+    runs = list(_runs(n, _pairings(n - 2)))
     for cycle_type in _partitions_min2(n):
         ring = _ring(cycle_type)
         group = _BlockGroup(cycle_type, n)
         marked: set[bytes] = set()
-        for partner in _candidate_pairings(cycle_type, ring[3], pairings, group, marked):
+        for partner in _candidate_pairings(cycle_type, ring[3], runs, group, marked):
             same = _same_type_matchings(cycle_type, ring, partner)
             if same is None:
                 continue
@@ -744,7 +739,9 @@ def verify_graph(g: MultiGraph) -> BoundReport:
 
     Hypotheses (3-edge-connectivity, bipartiteness, klee membership,
     cyclic connectivity, 2-edge-cuts) are computed here; a theorem is
-    evaluated exactly when its hypothesis holds.
+    evaluated exactly when its hypothesis holds. The report carries g's
+    canonical form, so an order above ``DEFAULT_CANONICAL_BOUND``, which
+    `canonical_form` cannot label, is refused before any counting.
 
     The hypotheses come from the public, checked queries, whose checks read
     g's cached forest. is_klee is asked only when n = 4 or the cyclic
@@ -761,6 +758,8 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     n = g.vertex_count
     if not n:  # cubic, connected and bridgeless hold vacuously
         raise ValueError("verify_graph requires a graph with at least one vertex")
+    if n > DEFAULT_CANONICAL_BOUND:
+        raise ValueError(f"verify_graph takes at most {DEFAULT_CANONICAL_BOUND} vertices, got {n}")
     kernel = _Kernel(g, who="verify_graph")
     counts = _matching_profile(kernel, g, frozenset())
     pm = counts.total

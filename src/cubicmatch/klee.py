@@ -16,17 +16,17 @@ from fractions import Fraction
 from typing import Collection, Iterator
 
 from .brick_brace import _is_tight_unchecked
-from .connectivity import _require, enumerate_cuts, is_cyclic_cut
+from .connectivity import _require, enumerate_cuts
 from .matching import _Kernel, _vertex_mask
 from .multigraph import (
     DEFAULT_CANONICAL_BOUND,
     Cut,
     MultiGraph,
+    _contract_parts,
     _is_int,
     _require_cut,
     _require_vertex,
     canonical_form,
-    contract,
     replace_vertex_with_triangle,
 )
 from .named_graphs import k4
@@ -167,8 +167,10 @@ def core(g: MultiGraph) -> MultiGraph:
         if seen & set(tri):
             raise ValueError("overlapping triangles; core is not defined")
         seen |= set(tri)
+    # a nontrivial 3-cut is cyclic: each side has at least 3 vertices and
+    # spans (3|S| - 3)/2 >= |S| edges
     for cut in enumerate_cuts(g, 3, nontrivial_only=True):
-        if cut.size == 3 and is_cyclic_cut(g, cut):
+        if cut.size == 3:
             small = cut.side_a if len(cut.side_a) <= len(cut.side_b) else cut.side_b
             if len(small) != 3 or tuple(sorted(small)) not in tris:
                 raise ValueError(
@@ -177,8 +179,7 @@ def core(g: MultiGraph) -> MultiGraph:
                 )
     if not tris:
         return g
-    contracted, _ = contract(g, tris)
-    return contracted
+    return _contract_parts(g, [frozenset(tri) for tri in tris])[0]
 
 
 def vertex_type(g: MultiGraph, v: int) -> KleeVertexType:
@@ -306,12 +307,15 @@ def _nice_oriented(kernel: _Kernel, g: MultiGraph, cut: Cut) -> str | None:
     (iii) |A| >= 5 and the cut is not tight, (iv) |A| = 3 and at least two
     perfect matchings contain all three cut edges: the cut edges' per-edge
     counts sum to the total plus twice that number.
+
+    g is connected and bridgeless, so each side of the 3-cut is connected:
+    a component of a side needs two of the three cut edges. Both sides are
+    contracted with no check repeated, and each contraction is cubic and
+    connected.
     """
-    g_over_a, _ = contract(g, [cut.side_a])
-    if not g_over_a.is_connected() or is_klee(g_over_a):
+    if is_klee(_contract_parts(g, [cut.side_a])[0]):
         return None
-    g_over_b, _ = contract(g, [cut.side_b])
-    if g_over_b.is_connected() and not is_klee(g_over_b):
+    if not is_klee(_contract_parts(g, [cut.side_b])[0]):
         return "i"
     a = len(cut.side_a)
     if a >= 9:

@@ -241,13 +241,16 @@ def prism_edge_list(n):
 def test_count_overflow_is_an_error_not_a_failed_bound(tmp_path, capsys, command):
     # the order-400 prism has more than 2^63 perfect matchings; each
     # command used to end in a traceback and exit 1, which for analyze
-    # means "a bound failed"
+    # means "a bound failed". analyze refuses the order before it counts.
     prism = tmp_path / "prism400.el"
     prism.write_text(prism_edge_list(400))
     assert main([command, str(prism)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: perfect matching count exceeds 64-bit range\n"
+    if command == "analyze":
+        assert err == "error: verify_graph takes at most 16 vertices, got 400\n"
+    else:
+        assert err == "error: perfect matching count exceeds 64-bit range\n"
 
 
 def test_count_refuses_an_order_past_the_kernel_limit(tmp_path, capsys):

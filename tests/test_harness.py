@@ -644,12 +644,12 @@ class TestOrbitFilter:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_quotient_first_accepts_what_marking_first_accepts(self, n):
         # the same pairings as the sweep on pair-code tables
-        pairings = harness._pairings(n)
-        _, codes = pairings
+        _, codes = harness._pairings(n)
+        runs = list(harness._runs(n, harness._pairings(n - 2)))
         for cycle_type in harness._partitions_min2(n):
             _, block = two_factor_reference(cycle_type)
             group = harness._BlockGroup(cycle_type, n)
-            accepted = list(harness._candidate_pairings(cycle_type, block, pairings, group, set()))
+            accepted = list(harness._candidate_pairings(cycle_type, block, runs, group, set()))
             accepted = [bytes(u * 16 + v for u, v in partner_pairs(p)) for p in accepted]
             assert accepted == marking_first_pairings(cycle_type, n, codes)
             assert accepted == code_table_candidates(cycle_type, block, codes)
@@ -657,12 +657,12 @@ class TestOrbitFilter:
     def test_full_group_at_n14(self):
         # the three largest groups at n = 14 (2,160 to 2,592 elements); no
         # type at n <= 12 has more than 1,296
-        pairings = harness._pairings(14)
+        runs = list(harness._runs(14, harness._pairings(12)))
         for cycle_type in [(5, 3, 3, 3), (4, 4, 3, 3), (3, 3, 3, 3, 2)]:
             _, block = two_factor_reference(cycle_type)
             tables = per_permutation_tables(cycle_type, 14)
             group = harness._BlockGroup(cycle_type, 14)
-            accepted = list(harness._candidate_pairings(cycle_type, block, pairings, group, set()))
+            accepted = list(harness._candidate_pairings(cycle_type, block, runs, group, set()))
             assert accepted
             for partner in accepted:
                 codes = bytes(u * 16 + v for u, v in partner_pairs(partner))
@@ -766,16 +766,15 @@ class TestOrbitFilter:
         assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
-class SliceCounter(list):
-    """A list that counts the entries its slices hand out."""
+class IterCounter(list):
+    """A list that counts the entries its iterators hand out."""
 
     read = 0
 
-    def __getitem__(self, index):
-        item = super().__getitem__(index)
-        if isinstance(index, slice):
-            self.read += len(item)
-        return item
+    def __iter__(self):
+        for item in super().__iter__():
+            self.read += 1
+            yield item
 
 
 class TestFirstPartnerRule:
@@ -802,15 +801,19 @@ class TestFirstPartnerRule:
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_run_b_holds_the_pairings_with_first_partner_b(self, n):
-        partners, _ = harness._pairings(n)
-        run = math.prod(range(1, n - 2, 2))  # (n - 3)!!
-        assert len(partners) == (n - 1) * run
-        for b in range(1, n):
-            assert partners[(b - 1) * run:b * run] == [p for p in partners if p[0] == b]
+        # against the oracle's list, not `_pairings`, which `_runs` builds
+        runs = list(harness._runs(n, harness._pairings(n - 2)))
+        assert len(runs) == n - 1
+        oracle = list(all_pairings(tuple(range(n))))
+        for b, (partners, codes) in enumerate(runs, 1):
+            expected = [pm for pm in oracle if pm[0] == (0, b)]
+            assert len(expected) == math.prod(range(1, n - 2, 2))  # (n - 3)!!
+            assert codes == [bytes(u * 16 + v for u, v in pm) for pm in expected]
+            assert partners == [partner_table(c)[:n] for c in codes]
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_marks_are_the_allowed_images_of_each_accepted_pairing(self, n):
-        pairings = harness._pairings(n)
+        runs = list(harness._runs(n, harness._pairings(n - 2)))
         for cycle_type in harness._partitions_min2(n):
             perms = two_factor_symmetries(cycle_type, n)
             allowed = first_partner_set(cycle_type)
@@ -818,7 +821,7 @@ class TestFirstPartnerRule:
             group = harness._BlockGroup(cycle_type, n)
             marked = set()
             expected = set()
-            for partner in harness._candidate_pairings(cycle_type, block, pairings, group, marked):
+            for partner in harness._candidate_pairings(cycle_type, block, runs, group, marked):
                 expected |= {image for image in orbit_images(partner, perms) if image[0] in allowed}
                 assert marked == expected
 
@@ -827,15 +830,18 @@ class TestFirstPartnerRule:
         """Pairings walked and orbit images marked by one cold
         `bridgeless_cubic_catalog(n)`."""
         monkeypatch.setattr(harness, "_CATALOG_CACHE", {})
-        pairings = harness._pairings
+        runs = harness._runs
         is_orbit_minimal = harness._is_orbit_minimal
         walked = []
         images = []
 
-        def counting_pairings(n):
-            partners, codes = pairings(n)
-            walked.append(SliceCounter(partners))
-            return walked[-1], codes
+        def counting_runs(order, base):
+            # `_pairings(n - 2)` builds its list through `_runs` too
+            for partners, codes in runs(order, base):
+                if order == n:
+                    walked.append(IterCounter(partners))
+                    partners = walked[-1]
+                yield partners, codes
 
         def counting_marks(partner, group, marked):
             minimal = is_orbit_minimal(partner, group, marked)
@@ -843,10 +849,11 @@ class TestFirstPartnerRule:
                 images.append(sum(len(group.selected(a, partner[a])[0]) for a in group.cycle))
             return minimal
 
-        monkeypatch.setattr(harness, "_pairings", counting_pairings)
+        monkeypatch.setattr(harness, "_runs", counting_runs)
         monkeypatch.setattr(harness, "_is_orbit_minimal", counting_marks)
         bridgeless_cubic_catalog(n)
-        return walked[0].read, sum(images)
+        assert len(walked) == n - 1
+        return sum(run.read for run in walked), sum(images)
 
     def test_sweep_work_n12(self, monkeypatch):
         # 218,295 pairings walked and 230,740 images marked before the rule;
@@ -1166,6 +1173,19 @@ class TestVerify:
             with pytest.raises(ValueError, match="^verify_graph requires a graph with at least one vertex$"):
                 verify(empty)
         assert built == []
+
+    @pytest.mark.parametrize("n", [18, 80])
+    def test_refuses_an_order_past_the_labeller_before_any_kernel(self, monkeypatch, n):
+        # the order-80 graph used to spend 2.4 s of CPU on the count, the
+        # decomposition and the affine rank before canonical_form refused it
+        g = random_bridgeless_cubic(n, random.Random(n))
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(harness, "_Kernel", no_kernel)
+        with pytest.raises(ValueError, match=f"^verify_graph takes at most 16 vertices, got {n}$"):
+            verify_graph(g)
 
     def test_rejects_disconnected_up_front(self):
         two_bonds = from_edge_list(4, [(0, 1)] * 3 + [(2, 3)] * 3)

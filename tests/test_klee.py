@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from cubicmatch import klee
-from cubicmatch.connectivity import enumerate_cuts
+from cubicmatch.connectivity import enumerate_cuts, is_cyclic_cut
 from cubicmatch.klee import (
     CLASS_A,
     CLASS_B,
@@ -31,6 +31,7 @@ from cubicmatch.multigraph import (
     canonical_form,
     contract,
     from_edge_list,
+    induced_subgraph,
     make_cut,
     replace_vertex_with_triangle,
 )
@@ -222,6 +223,30 @@ class TestCore:
         g = glue(petersen(), 0, petersen(), 0)
         with pytest.raises(ValueError):
             core(g)
+
+
+class TestThreeCutSides:
+    def test_sides_are_connected_and_nontrivial_sides_cyclic(self, catalogs):
+        # why `core` reads no cyclic test and `_nice_oriented` no
+        # connectivity test: in a connected bridgeless cubic graph a
+        # component of a side of a 3-cut needs two of its edges, and a side
+        # of |S| >= 3 vertices spans (3|S| - 3)/2 >= |S| edges
+        graphs = [g for n in range(2, 13, 2) for g in catalogs(n)]
+        graphs += [g for n in range(4, 15, 2) for g in enumerate_klee(n)]
+        cuts = Counter()
+        for g in graphs:
+            for cut in enumerate_cuts(g, 3):
+                if cut.size != 3:
+                    continue
+                for side in (cut.side_a, cut.side_b):
+                    assert induced_subgraph(g, side)[0].is_connected()
+                    assert _contract_parts(g, [side])[0].is_connected()
+                nontrivial = min(len(cut.side_a), len(cut.side_b)) >= 3
+                if nontrivial:
+                    assert is_cyclic_cut(g, cut)
+                cuts[nontrivial] += 1
+        assert len(graphs) == 492
+        assert cuts[True] == 3189 and cuts[False]
 
 
 class TestVertexTypes:
