@@ -35,7 +35,8 @@ c - b, and a rotation of any other cycle turns a partner on it into its
 first vertex. So only pairings with p[0] in F(T) are walked, and an
 orbit is marked only by its images with a first partner in F(T). The
 pairings with p[0] = b form run b, which `_runs` relabels from the one
-list of order n - 2; the sweep builds the runs once and reads them all.
+list of order n - 2. Every b in some F(T) is at most n - 2 (for n >= 4),
+so the sweep builds runs 1, ..., n - 2 once and never run n - 1.
 
 Each pairing walked meets the filters cheapest first: the block-quotient
 test (connected and bridgeless), marking its symmetry orbit, the
@@ -43,7 +44,11 @@ depth-first search for a 2-factor of larger type, and last
 `canonical_form`. The quotient verdict is the same on a whole orbit, so
 a pairing that fails it is dropped without marking and exactly the
 orbit minima that pass are kept. Every filter before `canonical_form`
-runs on arrays; a `MultiGraph` is built only for a union to be labelled.
+runs on arrays: a pairing is held only as its partner array, and one
+`_BlockGroup` per cycle type holds the fixed 2-factor beside its
+symmetries. The quotient key is read off the pair codes of the order
+n - 2 list, built once per sweep. A `MultiGraph` is built only for a
+union to be labelled.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, groupby, permutations, product, repeat
+from itertools import accumulate, chain, groupby, islice, permutations, product, repeat
 from typing import Callable, Iterable, Iterator
 
 from .brick_brace import _affine_dimension, _decompose
@@ -140,12 +145,18 @@ def _partitions_min2(n: int) -> Iterator[tuple[int, ...]]:
 
 
 class _BlockGroup:
-    """The symmetry group of the fixed 2-factor of a cycle type T, the
-    product of the dihedral groups of its cycle blocks, arranged for the
-    first-partner rule (module docstring): F(T) as ``first_partners`` in
-    increasing order, and the (inverse, forward) vertex tables of the
-    elements pi with pi^-1(0) = a in ``by_first[a]``, for each vertex a
-    of the first cycle.
+    """The fixed 2-factor of a cycle type T, its cycles on consecutive
+    vertices, and its symmetry group, the product of the dihedral groups
+    of its cycle blocks, arranged for the first-partner rule (module
+    docstring): F(T) as ``first_partners`` in increasing order, and the
+    (inverse, forward) vertex tables of the elements pi with pi^-1(0) = a
+    in ``by_first[a]``, for each vertex a of the first cycle.
+
+    The 2-factor is four per-vertex lists: ``above``, the distinct ring
+    neighbours above the vertex; ``after``, the next ring vertex (the last
+    of a cycle is followed by its first); ``sums``, the sum of both ring
+    neighbours (twice the other end on a digon); and ``block``, the index
+    of the vertex's cycle.
 
     For each element pi, the forward table is a translation table with
     entry u = pi(u) (every entry from n on is its own index) and the
@@ -167,13 +178,26 @@ class _BlockGroup:
     """
 
     def __init__(self, cycle_type: tuple[int, ...], n: int) -> None:
+        self.cycle_type = cycle_type
         c = cycle_type[0]
         self.first_partners = bytes(range(1, c // 2 + 1)) + bytes(accumulate(cycle_type[:-1]))
         self.cycle = range(c)
+        self.above: list[tuple[int, ...]] = []
+        self.after: list[int] = []
+        self.sums: list[int] = []
+        self.block: list[int] = []
         ident = bytes(range(256))
         group = [(ident, ident)]
         offset = 0
-        for length in cycle_type:
+        for bid, length in enumerate(cycle_type):
+            last = offset + length - 1
+            for v in range(offset, last + 1):
+                after = v + 1 if v < last else offset
+                before = v - 1 if v > offset else last
+                self.above.append(tuple(sorted({w for w in (after, before) if w > v})))
+                self.after.append(after)
+                self.sums.append(after + before)
+                self.block.append(bid)
             cycle = ident[offset:offset + length]
             images = {cycle[r:] + cycle[:r] for r in range(length)}
             images |= {image[::-1] for image in images}
@@ -216,46 +240,51 @@ def _block_pair_table(block: list[int]) -> bytes:
     return bytes(table)
 
 
-def _pairings(n: int) -> tuple[list[bytes], list[bytes]]:
+def _pairings(n: int) -> list[bytes]:
     """Every pairing of range(n) as its partner array (index u holds the
-    partner of u) and, at the same index of a second list, its sorted pair
-    codes u*16+v, both in strictly increasing code order, which orbit
-    marking needs. It is the runs of `_runs` one after another, relabelled
-    from the list of order n - 2; order 0 has one empty pairing.
+    partner of u), in strictly increasing order of its sorted pair codes
+    u*16+v, which orbit marking needs. It is the runs of `_runs` one after
+    another, relabelled from the list of order n - 2; order 0 has one
+    empty pairing.
 
     Pair codes fit in a byte only while u, v < 16, i.e. for n <= 16;
     CATALOG_LIMIT keeps catalogs below that.
     """
     if not n:
-        return [b""], [b""]
-    partners, codes = zip(*_runs(n, _pairings(n - 2)))
-    return list(chain(*partners)), list(chain(*codes))
+        return [b""]
+    return list(chain.from_iterable(partners for _, partners in _runs(n, _pairings(n - 2))))
 
 
-def _runs(
-    n: int, base: tuple[list[bytes], list[bytes]]
-) -> Iterator[tuple[list[bytes], list[bytes]]]:
+def _runs(n: int, base: list[bytes]) -> Iterator[tuple[bytes, list[bytes]]]:
     """Run b of the pairings of range(n), for b = 1, ..., n - 1: those with
-    partner[0] = b as partner arrays and pair codes (see `_pairings`), in
-    code order. Each is ``base``, the pairings of order n - 2, relabelled
-    with vertex i sent to the i-th vertex of range(1, n) less b, and the
-    pair (0, b) added. That map is increasing, so it keeps code order
-    within a run, and the first code b orders the runs.
+    partner[0] = b, as partner arrays in code order (see `_pairings`),
+    beside ``label``, the map that relabels ``base``, the pairings of order
+    n - 2, into them. Vertex i goes to label[i], the i-th vertex of
+    range(1, n) less b, and the pair (0, b) is added. That map is
+    increasing, so it keeps code order within a run, and the first pair
+    (0, b) orders the runs.
 
-    A partner array is one translate through ``label``, the vertex map as
-    a table, with 0 spliced in at index b; a code list is one translate
-    through the code table behind the code of (0, b), which is below
-    every other."""
-    partners, codes = base
+    A partner array is one translate through ``label`` as a table, with 0
+    spliced in at index b."""
     for b in range(1, n):
-        label = bytes(v for v in range(1, n) if v != b).ljust(256, b"\0")
-        code_table = bytes(label[c >> 4] * 16 + label[c & 15] for c in range(256))
+        label = bytes(v for v in range(1, n) if v != b)
+        table = label.ljust(256, b"\0")
         head = bytes((b,))
-        translated = map(bytes.translate, partners, repeat(label))
-        yield (
-            [head + p[:b - 1] + b"\0" + p[b - 1:] for p in translated],
-            list(map(head.__add__, map(bytes.translate, codes, repeat(code_table)))),
-        )
+        translated = map(bytes.translate, base, repeat(table))
+        yield label, [head + p[:b - 1] + b"\0" + p[b - 1:] for p in translated]
+
+
+def _run_key_table(block: list[int], label: bytes, b: int) -> bytes:
+    """The translation table from the base codes of a pairing of run b
+    (`_runs`, relabelled by ``label``) to its block-pair key on the blocks
+    ``block``. A base code list is the sorted pair codes of a pairing of
+    order n - 2 behind a code 0, which no pair has. Base pair (i, j) is run
+    pair (label[i], label[j]), in the same order, and code 0 stands for
+    the run's first pair (0, b), so every key is the run pairing's own
+    sorted pair codes translated by `_block_pair_table`."""
+    table = bytearray(_block_pair_table([block[v] for v in label]))
+    table[0] = block[b] or _SAME_BLOCK
+    return bytes(table)
 
 
 def _is_orbit_minimal(partner: bytes, group: _BlockGroup, marked: set[bytes]) -> bool:
@@ -292,16 +321,16 @@ def _is_orbit_minimal(partner: bytes, group: _BlockGroup, marked: set[bytes]) ->
 
 
 def _candidate_pairings(
-    cycle_type: tuple[int, ...],
-    block: list[int],
-    runs: list[tuple[list[bytes], list[bytes]]],
     group: _BlockGroup,
+    runs: list[tuple[bytes, list[bytes]]],
+    codes: list[bytes],
     marked: set[bytes],
 ) -> Iterator[bytes]:
     """The orbit-minimal pairings whose union with the 2-factor of
-    ``cycle_type`` is connected and bridgeless, as partner arrays in code
-    order. ``runs`` holds run b of `_runs` at index b - 1, ``block`` each
-    vertex's block id (`_ring`), ``group`` the type's `_BlockGroup` and
+    ``group`` (`_BlockGroup`) is connected and bridgeless, as partner
+    arrays in code order. ``runs`` holds run b of `_runs` at index b - 1,
+    ``codes`` the base codes (`_run_key_table`) of the list they were
+    relabelled from, at the same index as each run's arrays, and
     ``marked`` the partner arrays of the orbits marked so far. No graph is
     built.
 
@@ -309,31 +338,31 @@ def _candidate_pairings(
     is not its orbit's minimum, which arrives first and either fails the
     quotient test with it or marks it.
 
-    The quotient test reads the codes kept beside each array, whose only
-    use is its block-pair key, and runs before the orbit is marked
-    (`_is_orbit_minimal`). Every symmetry maps each cycle block to itself,
-    so a whole orbit has one quotient verdict. A pairing that fails it is
-    skipped without marking: the rest of its orbit fails too, and orbits
-    are disjoint, so no other orbit's marks are lost. A pairing that
-    passes and is not marked is its orbit's minimum, since an earlier
+    The quotient test reads the pairing's block-pair key, its base codes
+    translated by the run's `_run_key_table`, and runs before the orbit is
+    marked (`_is_orbit_minimal`). Every symmetry maps each cycle block to
+    itself, so a whole orbit has one quotient verdict. A pairing that
+    fails it is skipped without marking: the rest of its orbit fails too,
+    and orbits are disjoint, so no other orbit's marks are lost. A pairing
+    that passes and is not marked is its orbit's minimum, since an earlier
     member would have passed too and marked it.
 
     ``marked`` is read afresh for every pairing, so orbits that the caller
     marks between two yields (`bridgeless_cubic_catalog` marks the
     relabellings of each union it keeps) are skipped too.
 
-    Quotient verdicts are cached per block-pair key, the codes translated
-    by `_block_pair_table`: far fewer distinct keys than partner arrays
-    would give.
+    Quotient verdicts are cached per block-pair key: far fewer distinct
+    keys than partner arrays would give.
     """
-    blocks = len(cycle_type)
-    block_table = _block_pair_table(block)
+    blocks = len(group.cycle_type)
     verdicts: dict[bytes, bool] = {}
     for b in group.first_partners:
-        for partner, pair_codes in zip(*runs[b - 1]):
+        label, partners = runs[b - 1]
+        key_table = _run_key_table(group.block, label, b)
+        for partner, base_codes in zip(partners, codes):
             if partner in marked:
                 continue
-            key = pair_codes.translate(block_table)
+            key = base_codes.translate(key_table)
             passes = verdicts.get(key)
             if passes is None:
                 cross = [divmod(c, 16) for c in key if c != _SAME_BLOCK]
@@ -342,54 +371,25 @@ def _candidate_pairings(
                 yield partner
 
 
-_Ring = tuple[list[tuple[int, ...]], list[int], list[int], list[int]]
-
-
-def _ring(cycle_type: tuple[int, ...]) -> _Ring:
-    """The fixed 2-factor of ``cycle_type``, its cycles on consecutive
-    vertices, as four per-vertex lists: the distinct ring neighbours above
-    the vertex, the next ring vertex (the last of a cycle is followed by
-    its first), the sum of both ring neighbours (twice the other end on a
-    digon), and the block id, the index of the vertex's cycle."""
-    above: list[tuple[int, ...]] = []
-    first: list[int] = []
-    sums: list[int] = []
-    block: list[int] = []
-    offset = 0
-    for bid, length in enumerate(cycle_type):
-        last = offset + length - 1
-        for v in range(offset, last + 1):
-            after = v + 1 if v < last else offset
-            before = v - 1 if v > offset else last
-            above.append(tuple(sorted({w for w in (after, before) if w > v})))
-            first.append(after)
-            sums.append(after + before)
-            block.append(bid)
-        offset += length
-    return above, first, sums, block
-
-
-def _union(ring: _Ring, partner: bytes) -> MultiGraph:
-    """The union of the 2-factor ``ring`` (`_ring`) and the pairing
-    ``partner``: the edges (v, next ring vertex) for every v, then
+def _union(group: _BlockGroup, partner: bytes) -> MultiGraph:
+    """The union of the fixed 2-factor of ``group`` (`_BlockGroup`) and the
+    pairing ``partner``: the edges (v, next ring vertex) for every v, then
     (u, partner[u]) for every u < partner[u]. A digon's two ends give its
     two parallel edges."""
     pairs = tuple((u, p) for u, p in enumerate(partner) if u < p)
-    return MultiGraph(len(partner), tuple(enumerate(ring[1])) + pairs)
+    return MultiGraph(len(partner), tuple(enumerate(group.after)) + pairs)
 
 
 _SameType = list[tuple[list[int], list[list[int]]]]
 
 
-def _same_type_matchings(
-    cycle_type: tuple[int, ...], ring: _Ring, partner: bytes
-) -> _SameType | None:
-    """The witness search on the union of the fixed 2-factor of
-    ``cycle_type`` (its `_ring`) with the pairing ``partner``: None when
-    some 2-factor of the union has a cycle type lexicographically larger
-    than ``cycle_type``, i.e. one that `_partitions_min2` yields earlier;
+def _same_type_matchings(group: _BlockGroup, partner: bytes) -> _SameType | None:
+    """The witness search on the union of the fixed 2-factor of ``group``
+    (`_BlockGroup`), of cycle type T, with the pairing ``partner``: None
+    when some 2-factor of the union has a cycle type lexicographically
+    larger than T, i.e. one that `_partitions_min2` yields earlier;
     otherwise every perfect matching of the union whose 2-factor has
-    exactly ``cycle_type``, once per set of vertex pairs, each as a mate
+    exactly type T, once per set of vertex pairs, each as a mate
     list (entry u the vertex matched to u) beside its 2-factor's cycles
     (`_two_factor_cycles`). Works on the arrays alone: no graph is built.
 
@@ -403,34 +403,34 @@ def _same_type_matchings(
     two cycles: joining cycles of lengths a and b into one of length
     a + b gives a larger sorted type, and the search tries every 2-factor.
     """
-    above, first, sums, _ = ring
     # each vertex's free neighbours once branching reaches it: every lower
     # vertex is covered by then
     options = [
         ups + (p,) if p > u and p not in ups else ups
-        for u, (ups, p) in enumerate(zip(above, partner))
+        for u, (ups, p) in enumerate(zip(group.above, partner))
     ]
     mate = [-1] * len(partner)
     same: _SameType = []
-    if _larger_two_factor_below(cycle_type, options, (first, sums, partner), mate, 0, same):
+    if _larger_two_factor_below(group, partner, options, mate, 0, same):
         return None
     return same
 
 
 def _larger_two_factor_below(
-    cycle_type: tuple[int, ...],
+    group: _BlockGroup,
+    partner: bytes,
     options: list[tuple[int, ...]],
-    union: tuple[list[int], list[int], bytes],
     mate: list[int],
     u: int,
     same: _SameType,
 ) -> bool:
-    """Depth-first search for a perfect matching of the union that extends
-    ``mate`` (-1 at each uncovered vertex; every vertex below ``u`` is
-    covered) and leaves a 2-factor of type larger than ``cycle_type``.
-    Each perfect matching met on the way whose 2-factor has exactly
-    ``cycle_type`` is appended to ``same`` as a copy of ``mate`` beside
-    the cycles of that 2-factor, walked once here.
+    """Depth-first search for a perfect matching of the union of the
+    2-factor of ``group`` and ``partner`` that extends ``mate`` (-1 at each
+    uncovered vertex; every vertex below ``u`` is covered) and leaves a
+    2-factor of type larger than ``group.cycle_type``. Each perfect
+    matching met on the way whose 2-factor has exactly that type is
+    appended to ``same`` as a copy of ``mate`` beside the cycles of that
+    2-factor, walked once here.
 
     It branches at the lowest uncovered vertex, once per free neighbour in
     ``options``: parallel edges to one neighbour leave 2-factors with the
@@ -441,43 +441,41 @@ def _larger_two_factor_below(
     while u < n and mate[u] >= 0:
         u += 1
     if u == n:
-        cycles = _two_factor_cycles(union, mate)
+        cycles = _two_factor_cycles(group, partner, mate)
         lengths = tuple(sorted(map(len, cycles), reverse=True))
-        if lengths == cycle_type:
+        if lengths == group.cycle_type:
             same.append((mate[:], cycles))
-        return lengths > cycle_type
+        return lengths > group.cycle_type
     for w in options[u]:
         if mate[w] < 0:
             mate[u] = w
             mate[w] = u
-            if _larger_two_factor_below(cycle_type, options, union, mate, u + 1, same):
+            if _larger_two_factor_below(group, partner, options, mate, u + 1, same):
                 return True
             mate[w] = -1
     mate[u] = -1
     return False
 
 
-def _two_factor_cycles(
-    union: tuple[list[int], list[int], bytes], mate: list[int]
-) -> list[list[int]]:
+def _two_factor_cycles(group: _BlockGroup, partner: bytes, mate: list[int]) -> list[list[int]]:
     """The cycles of the 2-factor that the perfect matching ``mate`` leaves
-    in the union whose ring lists (`_ring`) and partner array are
-    ``union``, each as its vertices in walk order, in the order of their
-    least vertex.
+    in the union of the 2-factor of ``group`` (its ring lists) and the
+    pairing ``partner``, each as its vertices in walk order, in the order
+    of their least vertex.
 
     Each cycle is walked: the step after vertex x, entered from y, is
     (sum of the three neighbours of x) - mate[x] - y. Neighbour sums count
     parallel edges, so digons and a matching edge beside a parallel ring
     edge need no special case.
     """
-    first, sums, partner = union
+    after, sums = group.after, group.sums
     seen = [False] * len(mate)
     cycles = []
     for start, matched in enumerate(mate):
         if seen[start]:
             continue
         # step off along the partner edge, unless that is the matched one
-        here = partner[start] if partner[start] != matched else first[start]
+        here = partner[start] if partner[start] != matched else after[start]
         before, cycle = start, [start]
         while here != start:
             seen[here] = True
@@ -488,10 +486,11 @@ def _two_factor_cycles(
 
 
 def _same_type_partners(same: _SameType) -> Iterator[bytes]:
-    """Partner arrays of a union of a ring (`_ring`) and a pairing,
-    relabelled onto the same ring, once for each perfect matching of the
-    union in ``same`` (`_same_type_matchings`, with its 2-factor's cycles)
-    and each way of laying those cycles on the ring blocks.
+    """Partner arrays of a union of the fixed 2-factor of a cycle type (the
+    ring lists of its `_BlockGroup`) and a pairing, relabelled onto the
+    same ring, once for each perfect matching of the union in ``same``
+    (`_same_type_matchings`, with its 2-factor's cycles) and each way of
+    laying those cycles on the ring blocks.
 
     Every cycle goes to a block of its length, which holds it from one
     start in one direction: the block's dihedral group maps that choice
@@ -575,10 +574,17 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     lies in F(T) are walked, and an accepted M marks only its images there
     (the first-partner rule, module docstring). The witness search of
     `_same_type_matchings` then looks for a 2-factor with a type larger
-    than T on T's ring (`_ring`) and M's partner array. Only a union where
-    it finds none is built as a `MultiGraph`, and only to reach
-    `canonical_form`. Exhaustive: every graph has a 2-factor of its
-    largest type, and the sweep of that type meets it.
+    than T on the ring lists of T's `_BlockGroup` and M's partner array.
+    Only a union where it finds none is built as a `MultiGraph`, and only
+    to reach `canonical_form`. Exhaustive: every graph has a 2-factor of
+    its largest type, and the sweep of that type meets it.
+
+    The runs of `_runs` are relabelled once from the pairings of order
+    n - 2, whose pair codes behind a code 0 are the one code list the
+    quotient keys are read from (`_run_key_table`). Only runs 1, ...,
+    n - 2 are built: for n >= 4 no F(T) holds n - 1, since c // 2 and the
+    first vertex of any later cycle are at most n - 2. At n = 2 the one
+    run, b = 1, is F((2,)).
 
     A union that reaches `canonical_form` is kept, and marks its other
     labellings of type T: the search has met every perfect matching of
@@ -609,16 +615,17 @@ def bridgeless_cubic_catalog(n: int) -> tuple[MultiGraph, ...]:
     if n in _CATALOG_CACHE:
         return _CATALOG_CACHE[n]
     seen: dict[bytes, MultiGraph] = {}
-    runs = list(_runs(n, _pairings(n - 2)))
+    base = _pairings(n - 2)
+    codes = [bytes([0, *(u * 16 + v for u, v in enumerate(p) if u < v)]) for p in base]
+    runs = list(islice(_runs(n, base), max(n - 2, 1)))
     for cycle_type in _partitions_min2(n):
-        ring = _ring(cycle_type)
         group = _BlockGroup(cycle_type, n)
         marked: set[bytes] = set()
-        for partner in _candidate_pairings(cycle_type, ring[3], runs, group, marked):
-            same = _same_type_matchings(cycle_type, ring, partner)
+        for partner in _candidate_pairings(group, runs, codes, marked):
+            same = _same_type_matchings(group, partner)
             if same is None:
                 continue
-            g = _union(ring, partner)
+            g = _union(group, partner)
             seen.setdefault(canonical_form(g), g)
             for relabelled in _same_type_partners(same):
                 _is_orbit_minimal(relabelled, group, marked)
@@ -894,9 +901,14 @@ def verify_catalog(graphs: Iterable[MultiGraph], workers: int | None = None) -> 
 def scarce_matching_graphs(max_n: int) -> list[tuple[int, str, int]]:
     """Graphs in the catalogs up to max_n with at most n/2 + 1 perfect
     matchings, reported as (n, canonical hex, pm count). Reported only:
-    the sweep cannot bound the full family."""
+    the sweep cannot bound the full family. A max_n that reaches an order
+    past CATALOG_LIMIT is refused before any catalog is built."""
     if not _is_int(max_n):
         raise ValueError(f"catalog order must be an int, got {max_n!r}")
+    if max_n >= CATALOG_LIMIT + 2:
+        raise ValueError(
+            f"scarce_matching_graphs reads catalogs up to n = {CATALOG_LIMIT}, got max_n = {max_n}"
+        )
     out = []
     for n in range(2, max_n + 1, 2):
         for g in bridgeless_cubic_catalog(n):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import hashlib
 import itertools
@@ -295,6 +296,12 @@ def all_pairings(items):
             yield ((a, items[i]),) + tail
 
 
+def oracle_codes(n):
+    """The sorted pair codes of every pairing of range(n), from the
+    `all_pairings` oracle in its order."""
+    return [bytes(u * 16 + v for u, v in pm) for pm in all_pairings(tuple(range(n)))]
+
+
 def decode(codes):
     return tuple(divmod(c, 16) for c in codes)
 
@@ -409,10 +416,25 @@ def mate_pairs(same, cycle_type):
     return [frozenset((u, w) for u, w in enumerate(mate) if u < w) for mate, _ in same]
 
 
+@functools.lru_cache(maxsize=32)
+def block_group(cycle_type):
+    """The generator's `_BlockGroup` of ``cycle_type``, built once for the
+    many pairings a test lays on one type."""
+    return harness._BlockGroup(cycle_type, sum(cycle_type))
+
+
 def has_larger_two_factor(cycle_type, partner):
     """The generator's witness search on the union of the fixed 2-factor
     of ``cycle_type`` with the pairing ``partner``."""
-    return harness._same_type_matchings(cycle_type, harness._ring(cycle_type), partner) is None
+    return harness._same_type_matchings(block_group(cycle_type), partner) is None
+
+
+def runs_and_codes(n):
+    """Every run of order n (`_runs`) with the base codes the sweep reads
+    beside them: each pairing of the order n - 2 list as its test-side
+    `pair_codes` behind a code 0."""
+    base = harness._pairings(n - 2)
+    return list(harness._runs(n, base)), [b"\0" + pair_codes(p) for p in base]
 
 
 def ring_forms(g):
@@ -583,31 +605,32 @@ class TestOrbitFilter:
     def test_tables_accept_what_sorted_keys_accept(self, n):
         # marking, fed in code order with one set per type every pairing of
         # the runs the sweep walks, those with partner[0] in F(T)
-        partners, pairings = harness._pairings(n)
+        partners = harness._pairings(n)
         for cycle_type in harness._partitions_min2(n):
             perms = two_factor_symmetries(cycle_type, n)
             group = harness._BlockGroup(cycle_type, n)
             allowed = first_partner_set(cycle_type)
             marked = set()
             fed = 0
-            for partner, codes in zip(partners, pairings):
+            for partner in partners:
                 if partner[0] in allowed:
                     fed += 1
-                    expected = sorted_key_orbit_minimal(decode(codes), perms)
+                    expected = sorted_key_orbit_minimal(partner_pairs(partner), perms)
                     assert harness._is_orbit_minimal(partner, group, marked) == expected
             assert fed == len(allowed) * math.prod(range(1, n - 2, 2))
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_pairings_in_increasing_code_order(self, n):
-        codes = [bytes(u * 16 + v for u, v in pm) for pm in all_pairings(tuple(range(n)))]
+        codes = oracle_codes(n)
         assert all(list(c) == sorted(c) and len(set(c)) == n // 2 for c in codes)
         assert all(a < b for a, b in zip(codes, codes[1:]))
-        assert harness._pairings(n)[1] == codes
+        assert [pair_codes(partner) for partner in harness._pairings(n)] == codes
         assert len(codes) == math.prod(range(1, n, 2))
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_partner_arrays_are_involutions_in_code_order(self, n):
-        partners, pairings = harness._pairings(n)
+        partners = harness._pairings(n)
+        pairings = oracle_codes(n)
         assert len(partners) == len(pairings)
         assert len(set(partners)) == len(partners)
         for partner, codes in zip(partners, pairings):
@@ -644,28 +667,28 @@ class TestOrbitFilter:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_quotient_first_accepts_what_marking_first_accepts(self, n):
         # the same pairings as the sweep on pair-code tables
-        _, codes = harness._pairings(n)
-        runs = list(harness._runs(n, harness._pairings(n - 2)))
+        codes = oracle_codes(n)
+        runs, base_codes = runs_and_codes(n)
         for cycle_type in harness._partitions_min2(n):
             _, block = two_factor_reference(cycle_type)
             group = harness._BlockGroup(cycle_type, n)
-            accepted = list(harness._candidate_pairings(cycle_type, block, runs, group, set()))
-            accepted = [bytes(u * 16 + v for u, v in partner_pairs(p)) for p in accepted]
+            accepted = list(harness._candidate_pairings(group, runs, base_codes, set()))
+            accepted = [pair_codes(p) for p in accepted]
             assert accepted == marking_first_pairings(cycle_type, n, codes)
             assert accepted == code_table_candidates(cycle_type, block, codes)
 
     def test_full_group_at_n14(self):
         # the three largest groups at n = 14 (2,160 to 2,592 elements); no
         # type at n <= 12 has more than 1,296
-        runs = list(harness._runs(14, harness._pairings(12)))
+        runs, base_codes = runs_and_codes(14)
         for cycle_type in [(5, 3, 3, 3), (4, 4, 3, 3), (3, 3, 3, 3, 2)]:
             _, block = two_factor_reference(cycle_type)
             tables = per_permutation_tables(cycle_type, 14)
             group = harness._BlockGroup(cycle_type, 14)
-            accepted = list(harness._candidate_pairings(cycle_type, block, runs, group, set()))
+            accepted = list(harness._candidate_pairings(group, runs, base_codes, set()))
             assert accepted
             for partner in accepted:
-                codes = bytes(u * 16 + v for u, v in partner_pairs(partner))
+                codes = pair_codes(partner)
                 assert min(bytes(sorted(codes.translate(t))) for t in tables) == codes
                 cross = [(block[u], block[v]) for u, v in decode(codes) if block[u] != block[v]]
                 assert harness._quotient_connected_bridgeless(cross, len(cycle_type))
@@ -692,13 +715,22 @@ class TestOrbitFilter:
 
     def test_ring_layout_equals_former_two_factor(self):
         # every cycle type with n <= 16, five seeded pairings each: the
-        # ring's block ids and each union's edges as the former layout
+        # group's block ids and ring neighbours, and each union's edges, as
+        # the former layout
         rnd = random.Random(16)
         for n in range(2, 17, 2):
             for cycle_type in harness._partitions_min2(n):
                 factor_edges, block = two_factor_reference(cycle_type)
-                ring = harness._ring(cycle_type)
-                assert ring[3] == block
+                group = harness._BlockGroup(cycle_type, n)
+                assert group.cycle_type == cycle_type
+                assert group.block == block
+                neighbours = [[] for _ in range(n)]
+                for u, v in factor_edges:
+                    neighbours[u].append(v)
+                    neighbours[v].append(u)
+                assert group.sums == [sum(ws) for ws in neighbours]
+                assert group.above == [tuple(sorted({w for w in ws if w > v}))
+                                       for v, ws in enumerate(neighbours)]
                 for _ in range(5):
                     vertices = list(range(n))
                     rnd.shuffle(vertices)
@@ -706,7 +738,7 @@ class TestOrbitFilter:
                     for u, v in zip(vertices[::2], vertices[1::2]):
                         partner[u], partner[v] = v, u
                     former = MultiGraph(n, tuple(factor_edges) + partner_pairs(partner))
-                    assert harness._union(ring, bytes(partner)).edges == former.edges
+                    assert harness._union(group, bytes(partner)).edges == former.edges
 
     def test_block_pair_key_gives_the_same_verdict(self):
         rnd = random.Random(10)
@@ -734,7 +766,7 @@ class TestOrbitFilter:
         # reaches, for n <= 14
         verdicts = set()
         for n in range(2, 15, 2):
-            _, pairings = harness._pairings(n)
+            pairings = [pair_codes(partner) for partner in harness._pairings(n)]
             for cycle_type in harness._partitions_min2(n):
                 _, block = two_factor_reference(cycle_type)
                 table = harness._block_pair_table(block)
@@ -783,7 +815,7 @@ class TestFirstPartnerRule:
         # every orbit of every type, by brute force over the permutations of
         # the block group: its minimum in code order, the first member in
         # `_pairings`, has its first partner in F(T)
-        partners, _ = harness._pairings(n)
+        partners = harness._pairings(n)
         for cycle_type in harness._partitions_min2(n):
             perms = two_factor_symmetries(cycle_type, n)
             group = harness._BlockGroup(cycle_type, n)
@@ -802,46 +834,60 @@ class TestFirstPartnerRule:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_run_b_holds_the_pairings_with_first_partner_b(self, n):
         # against the oracle's list, not `_pairings`, which `_runs` builds
-        runs = list(harness._runs(n, harness._pairings(n - 2)))
+        base = harness._pairings(n - 2)
+        runs = list(harness._runs(n, base))
         assert len(runs) == n - 1
         oracle = list(all_pairings(tuple(range(n))))
-        for b, (partners, codes) in enumerate(runs, 1):
+        for b, (label, partners) in enumerate(runs, 1):
+            assert label == bytes(v for v in range(1, n) if v != b)
             expected = [pm for pm in oracle if pm[0] == (0, b)]
             assert len(expected) == math.prod(range(1, n - 2, 2))  # (n - 3)!!
-            assert codes == [bytes(u * 16 + v for u, v in pm) for pm in expected]
+            codes = [bytes(u * 16 + v for u, v in pm) for pm in expected]
+            assert [pair_codes(partner) for partner in partners] == codes
             assert partners == [partner_table(c)[:n] for c in codes]
+            # base pair (i, j) is run pair (label[i], label[j])
+            for p, partner in zip(base, partners):
+                pairs = [(label[i], label[j]) for i, j in partner_pairs(p)]
+                assert partner_pairs(partner) == ((0, b), *pairs)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_marks_are_the_allowed_images_of_each_accepted_pairing(self, n):
-        runs = list(harness._runs(n, harness._pairings(n - 2)))
+        runs, base_codes = runs_and_codes(n)
         for cycle_type in harness._partitions_min2(n):
             perms = two_factor_symmetries(cycle_type, n)
             allowed = first_partner_set(cycle_type)
-            _, block = two_factor_reference(cycle_type)
             group = harness._BlockGroup(cycle_type, n)
             marked = set()
             expected = set()
-            for partner in harness._candidate_pairings(cycle_type, block, runs, group, marked):
+            for partner in harness._candidate_pairings(group, runs, base_codes, marked):
                 expected |= {image for image in orbit_images(partner, perms) if image[0] in allowed}
                 assert marked == expected
 
     @staticmethod
     def sweep_work(monkeypatch, n):
-        """Pairings walked and orbit images marked by one cold
-        `bridgeless_cubic_catalog(n)`."""
+        """Pairings walked, orbit images marked and block quotients tested
+        (verdict cache misses) by one cold `bridgeless_cubic_catalog(n)`,
+        after checking that it built runs 1, ..., n - 2 of order n (the one
+        run b = 1 at n = 2) and never run n - 1."""
         monkeypatch.setattr(harness, "_CATALOG_CACHE", {})
         runs = harness._runs
         is_orbit_minimal = harness._is_orbit_minimal
+        quotient = harness._quotient_connected_bridgeless
         walked = []
         images = []
+        tested = []
 
         def counting_runs(order, base):
             # `_pairings(n - 2)` builds its list through `_runs` too
-            for partners, codes in runs(order, base):
+            for label, partners in runs(order, base):
                 if order == n:
                     walked.append(IterCounter(partners))
                     partners = walked[-1]
-                yield partners, codes
+                yield label, partners
+
+        def counting_quotients(cross, blocks):
+            tested.append(cross)
+            return quotient(cross, blocks)
 
         def counting_marks(partner, group, marked):
             minimal = is_orbit_minimal(partner, group, marked)
@@ -851,20 +897,51 @@ class TestFirstPartnerRule:
 
         monkeypatch.setattr(harness, "_runs", counting_runs)
         monkeypatch.setattr(harness, "_is_orbit_minimal", counting_marks)
+        monkeypatch.setattr(harness, "_quotient_connected_bridgeless", counting_quotients)
         bridgeless_cubic_catalog(n)
-        assert len(walked) == n - 1
-        return sum(run.read for run in walked), sum(images)
+        # indexing an IterCounter does not count as a read
+        assert [run[0][0] for run in walked] == list(range(1, max(n - 2, 1) + 1))
+        return sum(run.read for run in walked), sum(images), len(tested)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_sweep_never_builds_run_n_minus_1(self, monkeypatch, n):
+        # n = 12 and 14 are pinned below; no F(T) holds n - 1 for n >= 4
+        self.sweep_work(monkeypatch, n)
 
     def test_sweep_work_n12(self, monkeypatch):
         # 218,295 pairings walked and 230,740 images marked before the rule;
         # the 1,340 over the 101,962 orbit images in F(T) are 81 orbits
-        # marked again by a relabelling that lies in a skipped run
-        assert self.sweep_work(monkeypatch, 12) == (99_225, 103_302)
+        # marked again by a relabelling that lies in a skipped run. A
+        # quotient key finer or coarser than the block-pair key moves the
+        # 3,395 cache misses (one keyed on partner arrays read 17,389)
+        assert self.sweep_work(monkeypatch, 12) == (99_225, 103_302, 3_395)
 
     def test_sweep_work_n14(self, monkeypatch):
         # 4,594,590 pairings walked and 4,224,080 images marked before the
         # rule; 1,814,692 orbit images in F(T), the rest marked again
-        assert self.sweep_work(monkeypatch, 14) == (2_016_630, 1_824_562)
+        assert self.sweep_work(monkeypatch, 14) == (2_016_630, 1_824_562, 33_771)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_run_key_table_gives_the_run_codes_block_pair_key(self, n):
+        # every type against every run b, so every b in F(T): the key read
+        # off the base codes is the run pairing's own pair codes by
+        # `_block_pair_table`
+        base = harness._pairings(n - 2)
+        base_codes = [b"\0" + pair_codes(p) for p in base]
+        runs = list(harness._runs(n, base))
+        run_codes = [[pair_codes(partner) for partner in partners] for _, partners in runs]
+        checked = 0
+        for cycle_type in harness._partitions_min2(n):
+            _, block = two_factor_reference(cycle_type)
+            block_table = harness._block_pair_table(block)
+            for b, (label, _) in enumerate(runs, 1):
+                key_table = harness._run_key_table(block, label, b)
+                keys = [c.translate(key_table) for c in base_codes]
+                assert keys == [c.translate(block_table) for c in run_codes[b - 1]]
+                checked += len(keys)
+        # 735, 11,340 and 218,295 (type, pairing) keys at n = 8, 10 and 12
+        types = len(list(harness._partitions_min2(n)))
+        assert checked == types * math.prod(range(1, n, 2))
 
 
 class TestSwitch:
@@ -872,13 +949,13 @@ class TestSwitch:
     def test_switch_rejects_only_unions_with_a_larger_two_factor(self, n):
         # the witness search drops every union with a switchable pair:
         # every pairing up to n = 10, a seeded sample at n = 12
-        pairings = list(zip(*harness._pairings(n)))
+        pairings = harness._pairings(n)
         rnd = random.Random(n)
         switchable_unions = 0
         for cycle_type in harness._partitions_min2(n):
             sample = rnd.sample(pairings, 300) if n == 12 else pairings
-            for partner, codes in sample:
-                if switchable(decode(codes), cycle_type):
+            for partner in sample:
+                if switchable(partner_pairs(partner), cycle_type):
                     switchable_unions += 1
                     assert has_larger_two_factor(cycle_type, partner)
         assert switchable_unions
@@ -957,9 +1034,9 @@ class TestSwitch:
         search = harness._same_type_matchings
         label = harness.canonical_form
 
-        def searching(cycle_type, ring, partner):
+        def searching(group, partner):
             searches.append(partner)
-            return search(cycle_type, ring, partner)
+            return search(group, partner)
 
         def labelling(g):
             labelled.append(g)
@@ -994,9 +1071,9 @@ class TestSwitch:
         searched = []
         kept = []
 
-        def searching(cycle_type, ring, partner):
-            searched.append((ring, partner))
-            return search(cycle_type, ring, partner)
+        def searching(group, partner):
+            searched.append((group, partner))
+            return search(group, partner)
 
         def recording(same):
             # the union relabelled is the one searched last
@@ -1009,13 +1086,13 @@ class TestSwitch:
         classes = bridgeless_cubic_catalog(n)
         assert len(kept) == len(classes)
         relabellings = 0
-        for ring, partner, arrays in kept:
-            form = canonical_form(harness._union(ring, partner))
+        for group, partner, arrays in kept:
+            form = canonical_form(harness._union(group, partner))
             assert partner in arrays
             for array in arrays:
                 assert sorted(array) == list(range(n))
                 assert all(array[u] != u and array[array[u]] == u for u in range(n))
-                assert canonical_form(harness._union(ring, array)) == form
+                assert canonical_form(harness._union(group, array)) == form
             relabellings += len(set(arrays)) - 1
         assert relabellings or n < 6
 
@@ -1059,30 +1136,30 @@ class TestLargestTypeRule:
         # type (n,) has no larger type, so its search walks to the end and
         # returns every perfect matching that leaves a Hamiltonian cycle
         for n in range(2, 11, 2):
-            ring = harness._ring((n,))
-            for partner, codes in zip(*harness._pairings(n)):
-                same = harness._same_type_matchings((n,), ring, partner)
+            group = harness._BlockGroup((n,), n)
+            for partner in harness._pairings(n):
+                same = harness._same_type_matchings(group, partner)
                 assert same is not None
                 pairs = mate_pairs(same, (n,))
                 assert len(set(pairs)) == len(pairs)
-                assert set(pairs) == kernel_same_type_matchings(union((n,), codes), (n,))
+                g = union((n,), pair_codes(partner))
+                assert set(pairs) == kernel_same_type_matchings(g, (n,))
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_witness_search_equals_kernel_reference(self, n):
         # on the union of every orbit minimum, before the quotient test
-        partners, pairings = harness._pairings(n)
+        partners = harness._pairings(n)
         verdicts = set()
         for cycle_type in harness._partitions_min2(n):
             group = harness._BlockGroup(cycle_type, n)
-            ring = harness._ring(cycle_type)
             marked = set()
-            for partner, codes in zip(partners, pairings):
+            for partner in partners:
                 if partner[0] not in group.first_partners:
                     continue  # no orbit minimum lies there
                 if harness._is_orbit_minimal(partner, group, marked):
-                    same = harness._same_type_matchings(cycle_type, ring, partner)
+                    same = harness._same_type_matchings(group, partner)
                     verdict = same is None
-                    g = union(cycle_type, codes)
+                    g = union(cycle_type, pair_codes(partner))
                     assert verdict == kernel_has_larger_two_factor(g, cycle_type)
                     verdicts.add(verdict)
                     if same is not None:
@@ -1095,12 +1172,12 @@ class TestLargestTypeRule:
     def test_witness_search_equals_kernel_reference_n14_sample(self):
         # 15 seeded pairings per cycle type
         rnd = random.Random(14)
-        pairings = list(zip(*harness._pairings(14)))
+        pairings = harness._pairings(14)
         verdicts = set()
         for cycle_type in harness._partitions_min2(14):
-            for partner, codes in rnd.sample(pairings, 15):
+            for partner in rnd.sample(pairings, 15):
                 verdict = has_larger_two_factor(cycle_type, partner)
-                g = union(cycle_type, codes)
+                g = union(cycle_type, pair_codes(partner))
                 assert verdict == kernel_has_larger_two_factor(g, cycle_type)
                 verdicts.add(verdict)
         assert verdicts == {False, True}
@@ -1538,6 +1615,26 @@ class TestScarceReport:
         # 6.0 raised TypeError from range(), and True returned []
         with pytest.raises(ValueError, match="must be an int"):
             scarce_matching_graphs(n)
+
+    @pytest.mark.parametrize("max_n", [16, 101])
+    def test_order_past_the_catalogs_refused_before_any_catalog(self, monkeypatch, max_n):
+        # it built and counted every catalog up to n = 14 before the n = 16
+        # catalog refused
+        def fail(n):
+            raise AssertionError(f"catalog {n} built")
+
+        monkeypatch.setattr(harness, "bridgeless_cubic_catalog", fail)
+        with pytest.raises(ValueError, match="scarce_matching_graphs reads catalogs up to n = 14"):
+            scarce_matching_graphs(max_n)
+
+    def test_last_orders_read_every_catalog(self):
+        # 15 reads the orders up to 14, as 14 does
+        rows = scarce_matching_graphs(14)
+        assert scarce_matching_graphs(15) == rows
+        assert len(rows) == 15
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "3984d689bee6810f7a1038cbe184b2a8a8c96070e5e5e0ca8b42ebc98069c1c1"
+        assert scarce_matching_graphs(1) == scarce_matching_graphs(-4) == []
 
 
 class TestCompanion:
