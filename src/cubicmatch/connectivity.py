@@ -380,11 +380,12 @@ def _cut_sides(
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(side_a mask, cut edges) of every cut of size <= max_size, one per
     bipartition, in enumerate_cuts' order; see enumerate_cuts. Lazy: a
-    size is matched only when the caller reads past the smaller ones."""
+    size is matched only when the caller reads past the smaller ones. No
+    cut has more edges than g, so the walk stops at len(g.edges)."""
     n = g.vertex_count
     if n < 2:
         return
-    for sides in _cut_space(g).walk(max_size, n):
+    for sides in _cut_space(g).walk(min(max_size, len(g.edges)), n):
         for side_a, edges in sides:
             if not nontrivial_only or 3 <= side_a.bit_count() <= n - 3:
                 yield side_a, edges

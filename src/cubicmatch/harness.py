@@ -222,16 +222,12 @@ class _BlockGroup:
         return found
 
 
-# No block-pair code reaches it: with n <= 16 and blocks of length >= 2
-# there are at most 8 blocks, so block-pair codes stay below 0x78.
-_SAME_BLOCK = 255
-
-
 def _block_pair_table(block: list[int]) -> bytes:
     """Translation table from pair codes u*16+v (u < v) to the block-pair
-    code block[u]*16 + block[v], or `_SAME_BLOCK` when u and v share a
-    block. Blocks are numbered in vertex order, so block[u] <= block[v]."""
-    table = bytearray([_SAME_BLOCK]) * 256
+    code block[u]*16 + block[v], or 0 when u and v share a block. Blocks
+    are numbered in vertex order, so block[u] <= block[v], and no cross
+    pair has code 0: its second block is at least 1."""
+    table = bytearray(256)
     n = len(block)
     for u in range(n):
         for v in range(u + 1, n):
@@ -280,10 +276,12 @@ def _run_key_table(block: list[int], label: bytes, b: int) -> bytes:
     ``block``. A base code list is the sorted pair codes of a pairing of
     order n - 2 behind a code 0, which no pair has. Base pair (i, j) is run
     pair (label[i], label[j]), in the same order, and code 0 stands for
-    the run's first pair (0, b), so every key is the run pairing's own
-    sorted pair codes translated by `_block_pair_table`."""
+    the run's first pair (0, b): block[0] is 0, so its block-pair code is
+    block[b], which is 0 exactly when b shares vertex 0's block. Every key
+    is the run pairing's own sorted pair codes translated by
+    `_block_pair_table`."""
     table = bytearray(_block_pair_table([block[v] for v in label]))
-    table[0] = block[b] or _SAME_BLOCK
+    table[0] = block[b]
     return bytes(table)
 
 
@@ -339,7 +337,8 @@ def _candidate_pairings(
     quotient test with it or marks it.
 
     The quotient test reads the pairing's block-pair key, its base codes
-    translated by the run's `_run_key_table`, and runs before the orbit is
+    translated by the run's `_run_key_table`, whose nonzero codes are the
+    cross pairs (a same-block pair reads 0), and runs before the orbit is
     marked (`_is_orbit_minimal`). Every symmetry maps each cycle block to
     itself, so a whole orbit has one quotient verdict. A pairing that
     fails it is skipped without marking: the rest of its orbit fails too,
@@ -365,7 +364,7 @@ def _candidate_pairings(
             key = base_codes.translate(key_table)
             passes = verdicts.get(key)
             if passes is None:
-                cross = [divmod(c, 16) for c in key if c != _SAME_BLOCK]
+                cross = [divmod(c, 16) for c in key if c]
                 passes = verdicts[key] = _quotient_connected_bridgeless(cross, blocks)
             if passes and _is_orbit_minimal(partner, group, marked):
                 yield partner
@@ -510,55 +509,34 @@ def _same_type_partners(same: _SameType) -> Iterator[bytes]:
             yield bytes([label[mate[v]] for v in order])
 
 
+# Bipartition t of the blocks has the side {0} | (t << 1), t a subset of
+# blocks 1..7: bit t of _SIDES[a] is set when that side holds block a, and
+# of _CROSSES[a][b] when it holds exactly one of blocks a and b. With
+# n <= 16 and cycles of length >= 2 there are at most 8 blocks, and every
+# bipartition of the first `blocks` blocks is a bit t < 2 ** (blocks - 1) - 1.
+_SIDES = [sum(1 << t for t in range(128) if (1 | t << 1) >> a & 1) for a in range(8)]
+_CROSSES = [[side_a ^ side_b for side_b in _SIDES] for side_a in _SIDES]
+
+
 def _quotient_connected_bridgeless(
     cross: list[tuple[int, int]], blocks: int
 ) -> bool:
     """Connectivity plus bridgelessness of the block quotient.
 
     Cycle blocks are internally 2-edge-connected, so the whole union is
-    connected and bridgeless exactly when the quotient over blocks by the
-    cross matching edges is. One depth-first lowpoint walk over the
-    quotient's own incidence lists decides both (`_lowpoint`).
+    connected and bridgeless exactly when every bipartition of its blocks
+    is crossed by at least two of the cross matching edges ``cross``. All
+    2 ** (blocks - 1) - 1 bipartitions are counted at once: bit t of
+    ``once`` (``twice``) says that bipartition t of `_CROSSES` is crossed
+    at least once (twice). One block has no bipartition and passes.
     """
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(blocks)]
-    for i, (a, b) in enumerate(cross):
-        incident[a].append((b, i))
-        incident[b].append((a, i))
-    order = [0] * blocks
-    order[0] = 1
-    reached = [0]
-    return _lowpoint(0, -1, incident, order, reached) > 0 and len(reached) == blocks
-
-
-def _lowpoint(
-    v: int, via: int, incident: list[list[tuple[int, int]]], order: list[int], reached: list[int]
-) -> int:
-    """The smallest discovery number among block v and the blocks that its
-    depth-first subtree, entered by cross edge ``via``, reaches by one
-    back edge; 0 when some tree edge in the subtree is a bridge.
-
-    ``order`` holds discovery numbers from 1 (0 is unvisited) and
-    ``reached`` the blocks visited so far. The tree edge to a child w is a
-    bridge when w's subtree reaches nothing discovered before w. Edges are
-    told apart by index, not by their other end, so a doubled cross edge
-    is no bridge. Blocks number at most 8, so the recursion stays shallow.
-    """
-    low = here = order[v]
-    for w, i in incident[v]:
-        if i == via:
-            continue
-        seen = order[w]
-        if not seen:
-            reached.append(w)
-            order[w] = len(reached)
-            below = _lowpoint(w, i, incident, order, reached)
-            if not below or below > here:
-                return 0
-            if below < low:
-                low = below
-        elif seen < low:
-            low = seen
-    return low
+    once = twice = 0
+    for a, b in cross:
+        crossed = _CROSSES[a][b]
+        twice |= once & crossed
+        once |= crossed
+    every = (1 << 2 ** (blocks - 1) - 1) - 1
+    return twice & every == every
 
 
 _CATALOG_CACHE: dict[int, tuple[MultiGraph, ...]] = {}

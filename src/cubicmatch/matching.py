@@ -26,9 +26,11 @@ from .connectivity import _bits
 from .multigraph import Cut, MultiGraph, _is_int, _require_cut
 
 COUNT_LIMIT = 1 << 63  # counts are required to fit in 64-bit integers
-# the count recurses once per matched edge, so n/2 frames deep; at most
-# 512 frames stay well inside Python's default recursion limit of 1000
-_ORDER_LIMIT = 1024
+# the count recurses once per matched edge, so n/2 frames deep, and the
+# subset-walk oracle once per edge; at most 512 frames stay well inside
+# Python's default recursion limit of 1000
+_FRAME_LIMIT = 512
+_ORDER_LIMIT = 2 * _FRAME_LIMIT
 
 
 @dataclass(frozen=True)
@@ -296,10 +298,16 @@ def count_perfect_matchings_oracle(
 ) -> int:
     """Brute-force oracle: walks the 2^|E| edge-subset tree in index order,
     counting subsets that are perfect matchings. Kept deliberately free of
-    the optimized counter's heuristics."""
+    the optimized counter's heuristics. The walk recurses once per edge,
+    so a graph of more than _FRAME_LIMIT edges is refused before it
+    starts."""
     forced, forbidden = _validate_constraints(g, forced, forbidden)
     n = g.vertex_count
     m = len(g.edges)
+    if m > _FRAME_LIMIT:
+        raise ValueError(
+            f"count_perfect_matchings_oracle walks at most {_FRAME_LIMIT} edges, got {m}"
+        )
     full = (1 << n) - 1
     masks = [(1 << u) | (1 << v) for u, v in g.edges]
 

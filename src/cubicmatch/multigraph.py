@@ -386,7 +386,7 @@ def four_cut_completion_vertices(
 # --------------------------------------------------------------------------
 
 DEFAULT_CANONICAL_BOUND = 16
-_BYTE_LIMIT = 255  # the vertex count and every multiplicity are stored in one byte
+_BYTE_LIMIT = 255  # every multiplicity is stored in one byte
 
 
 def _invariant_colors(g: MultiGraph, mult: list[list[int]], adj: list[list[int]]) -> list[int]:
@@ -464,20 +464,21 @@ def _ranks(keys: list) -> list[int]:
     return [rank[k] for k in keys]
 
 
-def canonical_form(g: MultiGraph, max_vertices: int = DEFAULT_CANONICAL_BOUND) -> bytes:
+def canonical_form(g: MultiGraph) -> bytes:
     """A canonical byte string: equal exactly for isomorphic multigraphs.
 
     Encodes the vertex count followed by the lexicographically smallest
     lower-triangular multiplicity matrix over all relabelings compatible
     with the invariant vertex coloring. The search is exhaustive with
-    invariant and automorphism pruning; intended for vertex_count <=
-    max_vertices. Every entry takes one byte, so a graph with more than
-    255 vertices or an edge multiplicity above 255 raises ValueError
-    before the search. The result is cached on the instance.
+    invariant and automorphism pruning. A graph of more than
+    DEFAULT_CANONICAL_BOUND vertices (read at each call), or with an edge
+    multiplicity above 255, which takes more than the one byte every
+    entry is stored in, raises ValueError before the search. The result
+    is cached on the instance.
     """
     n = g.vertex_count
-    if n > max_vertices:
-        raise ValueError(f"canonical_form limited to {max_vertices} vertices, got {n}")
+    if n > DEFAULT_CANONICAL_BOUND:
+        raise ValueError(f"canonical_form limited to {DEFAULT_CANONICAL_BOUND} vertices, got {n}")
     form = g.__dict__.get("_canonical_form")
     if form is None:
         form = g.__dict__["_canonical_form"] = _canonical_search(g)
@@ -510,9 +511,6 @@ def _canonical_search(g: MultiGraph) -> bytes:
     the best labeling.
     """
     n = g.vertex_count
-    if n > _BYTE_LIMIT:
-        raise ValueError(f"canonical_form stores the vertex count in one byte: "
-                         f"at most {_BYTE_LIMIT} vertices, got {n}")
     if n == 0:
         return bytes([0])
     mult = [[0] * n for _ in range(n)]

@@ -278,7 +278,7 @@ def assert_matches_references(g: MultiGraph) -> None:
     """The library's colors and bytes equal the references' on g."""
     if g.vertex_count:
         assert library_colors(g) == reference_invariant_colors(g, multiplicity_matrix(g)), g
-    assert canonical_form(fresh(g), max_vertices=g.vertex_count) == (
+    assert canonical_form(fresh(g)) == (
         reference_canonical_search(g)
     ), g
 
@@ -408,7 +408,10 @@ def test_discrete_coloring_is_read_off_without_search(catalogs, monkeypatch, gra
 
 
 def test_bound_checked_before_the_cache():
-    g = petersen()
-    canonical_form(g)
-    with pytest.raises(ValueError):
-        canonical_form(g, max_vertices=9)
+    # an order-18 Moebius ladder carrying a planted cached form
+    g = MultiGraph(
+        18, tuple((i, (i + 1) % 18) for i in range(18)) + tuple((i, i + 9) for i in range(9))
+    )
+    g.__dict__["_canonical_form"] = bytes(1)
+    with pytest.raises(ValueError, match="limited to 16 vertices, got 18"):
+        canonical_form(g)

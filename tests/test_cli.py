@@ -34,7 +34,8 @@ def test_count_forbid(petersen_file, capsys):
 
 def test_count_oracle(petersen_file, capsys):
     assert main(["count", "--oracle", petersen_file]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "6"
+    lines = "".join(f"edge {e} {u} {v} 2\n" for e, (u, v) in enumerate(petersen().edges))
+    assert capsys.readouterr().out == "6\n" + lines
 
 
 @pytest.mark.parametrize("constraints", [[], ["--force", "0", "--forbid", "7"]])
@@ -265,6 +266,18 @@ def test_count_refuses_an_order_past_the_kernel_limit(tmp_path, capsys):
     assert out == ""
     assert err == (f"error: matching_profile counts perfect matchings of at most "
                    f"{limit} vertices, got {limit + 2}\n")
+
+
+def test_count_oracle_refuses_more_than_512_edges(tmp_path, capsys):
+    # a ring of 700 vertices plus its 350 diameters: the subset walk would
+    # overflow the stack (RecursionError, exit 1, the "bound failed" code)
+    ladder = tmp_path / "ladder.el"
+    ladder.write_text("700 1050\n" + "".join(f"{i} {(i + 1) % 700}\n" for i in range(700))
+                      + "".join(f"{i} {i + 350}\n" for i in range(350)))
+    assert main(["count", "--oracle", str(ladder)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: count_perfect_matchings_oracle walks at most 512 edges, got 1050\n"
 
 
 def test_count_at_the_kernel_limit(tmp_path, capsys):

@@ -248,6 +248,15 @@ class TestEnumerateCuts:
         with pytest.raises(ValueError, match="must be an int"):
             enumerate_cuts(k4(), max_size)
 
+    def test_walk_stops_at_the_edge_count(self):
+        # no cut has more than m edges, so by_size stops at size m; 10**5
+        # comes first, so a walk past m fails on by_size, not after 10**9 steps
+        g = k4()
+        assert enumerate_cuts(g, 10**5) == enumerate_cuts(k4(), 6)
+        assert len(_cut_space(g).by_size) == 7
+        cuts = enumerate_cuts(k4(), 10**9)
+        assert len(cuts) == 7 and cuts == enumerate_cuts(k4(), 6)
+
     def test_petersen_no_nontrivial_small_cuts(self):
         assert enumerate_cuts(petersen(), 3, nontrivial_only=True) == []
 

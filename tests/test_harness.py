@@ -247,7 +247,7 @@ def code_table_candidates(cycle_type, block, pairings):
     for codes in pairings:
         if codes in marked:
             continue
-        cross = [divmod(c, 16) for c in codes.translate(block_table) if c != harness._SAME_BLOCK]
+        cross = [divmod(c, 16) for c in codes.translate(block_table) if c]
         if not harness._quotient_connected_bridgeless(cross, blocks):
             continue
         if code_orbit_minimal(codes, tables, marked):
@@ -753,7 +753,7 @@ class TestOrbitFilter:
                     pm = sorted(tuple(sorted(vertices[i:i + 2])) for i in range(0, n, 2))
                     codes = bytes(u * 16 + v for u, v in pm)
                     key = codes.translate(table)
-                    by_key = [divmod(c, 16) for c in key if c != harness._SAME_BLOCK]
+                    by_key = [divmod(c, 16) for c in key if c]
                     by_block = [(block[u], block[v]) for u, v in pm if block[u] != block[v]]
                     assert by_key == by_block
                     verdict = harness._quotient_connected_bridgeless(by_key, len(cycle_type))
@@ -761,7 +761,7 @@ class TestOrbitFilter:
                     verdicts.add(verdict)
         assert verdicts == {False, True}
 
-    def test_lowpoint_walk_equals_union_find_on_every_key(self):
+    def test_bipartition_rule_equals_union_find_on_every_key(self):
         # every block-pair key of every pairing, so every key the sweep
         # reaches, for n <= 14
         verdicts = set()
@@ -771,17 +771,19 @@ class TestOrbitFilter:
                 _, block = two_factor_reference(cycle_type)
                 table = harness._block_pair_table(block)
                 for key in set(map(bytes.translate, pairings, itertools.repeat(table))):
-                    cross = [divmod(c, 16) for c in key if c != harness._SAME_BLOCK]
+                    cross = [divmod(c, 16) for c in key if c]
                     verdict = harness._quotient_connected_bridgeless(cross, len(cycle_type))
                     assert verdict == union_find_quotient(cross, len(cycle_type))
                     verdicts.add(verdict)
         assert verdicts == {False, True}
 
-    def test_lowpoint_walk_equals_union_find_on_random_quotients(self):
+    def test_bipartition_rule_equals_union_find_on_random_quotients(self):
         # few blocks and many edges, so parallel cross edges are common and
-        # often all that keeps a pair of blocks from a bridge
+        # often all that keeps a pair of blocks from a bridge; 8 blocks, the
+        # most an order-16 cycle type has, must be drawn with both verdicts
         rnd = random.Random(20)
         outcomes = set()
+        eight_blocks = set()
         for _ in range(3000):
             blocks = rnd.randint(1, 8)
             cross = []
@@ -795,7 +797,10 @@ class TestOrbitFilter:
             assert verdict == union_find_quotient(cross, blocks)
             doubled = len({tuple(sorted(e)) for e in cross}) < len(cross)
             outcomes.add((verdict, doubled))
+            if blocks == 8:
+                eight_blocks.add(verdict)
         assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+        assert eight_blocks == {False, True}
 
 
 class IterCounter(list):

@@ -97,6 +97,16 @@ class TestOracleEquivalence:
         for g in graphs:
             assert count_perfect_matchings(g) == count_perfect_matchings_oracle(g)
 
+    def test_oracle_refuses_more_than_512_edges(self):
+        # the subset walk recurses once per edge: on a ring of 700 vertices
+        # plus its 350 diameters, 1,050 edges, it would overflow the stack
+        ring = tuple((i, (i + 1) % 700) for i in range(700))
+        g = MultiGraph(700, ring + tuple((i, i + 350) for i in range(350)))
+        with pytest.raises(
+            ValueError, match="count_perfect_matchings_oracle walks at most 512 edges, got 1050"
+        ):
+            count_perfect_matchings_oracle(g)
+
     def test_constrained(self):
         rnd = random.Random(29)
         for g in (petersen(), prism(), doubled_c4()):

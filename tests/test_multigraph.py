@@ -351,8 +351,8 @@ class TestCanonicalEncodingLimits:
         g = from_edge_list(256, ring + chords)
         assert g.is_cubic()
         self.forbid_search(monkeypatch)
-        with pytest.raises(ValueError, match="at most 255 vertices, got 256"):
-            canonical_form(g, max_vertices=300)
+        with pytest.raises(ValueError, match="limited to 16 vertices, got 256"):
+            canonical_form(g)
 
     def test_more_than_255_parallel_edges(self, monkeypatch):
         g = from_edge_list(2, [(0, 1)] * 256)

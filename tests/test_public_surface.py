@@ -27,6 +27,10 @@ PATH = MultiGraph(3, ((0, 1), (1, 2)))
 # K4's vertex 0 on side_a, but the cut edges left empty
 BAD_CUT = Cut(frozenset({0}), frozenset({1, 2, 3}), ())
 K4_STAR = cm.make_cut(k4(), [0])
+# the order-18 Moebius ladder: cubic, and past the labeller's bound
+LADDER_18 = MultiGraph(
+    18, tuple((i, (i + 1) % 18) for i in range(18)) + tuple((i, i + 9) for i in range(9))
+)
 
 
 PRECONDITIONS = {
@@ -38,9 +42,7 @@ PRECONDITIONS = {
         "the cut's edges are not the edges crossing its sides",
     ),
     "bridges": None,
-    "canonical_form": (
-        lambda: cm.canonical_form(petersen(), max_vertices=4), "limited to 4 vertices"
-    ),
+    "canonical_form": (lambda: cm.canonical_form(LADDER_18), "limited to 16 vertices, got 18"),
     "contract": (lambda: cm.contract(k4(), [[]]), "contraction part out of range or empty"),
     "core": (lambda: cm.core(k4()), "overlapping triangles"),
     "count_avoiding": (lambda: cm.count_avoiding(k4(), 6), "edge index 6 out of range"),
