@@ -167,10 +167,14 @@ class _BlockGroup:
     every other vertex, and the tables of the product are their
     compositions by ``translate``: one C call per table and group element.
     Blocks are disjoint, so their elements commute and the order of
-    composition does not matter.
+    composition does not matter. Both tables are composed on n bytes, from
+    the identity on range(n): every block table fixes each vertex from n
+    on, so a product is the identity there, and a forward table is padded
+    with that identity to 256 bytes once, when it is stored.
 
     ``selected(a, b)`` holds the (inverse, forward) tables of the elements
-    pi with pi^-1(0) = a and pi(b) in F(T), built once per (a, b). The
+    pi with pi^-1(0) = a and pi(b) in F(T), built once per (a, b) and
+    cached under a*n + b, which no other pair of vertices shares. The
     image pi p pi^-1 pairs 0 with pi(p[a]) for a = pi^-1(0), a vertex of
     the first cycle, so the selections for (a, p[a]) over those vertices
     give exactly p's images in F(T). None is empty (the rule's proof,
@@ -187,7 +191,7 @@ class _BlockGroup:
         self.sums: list[int] = []
         self.block: list[int] = []
         ident = bytes(range(256))
-        group = [(ident, ident)]
+        group = [(ident[:n], ident[:n])]
         offset = 0
         for bid, length in enumerate(cycle_type):
             last = offset + length - 1
@@ -211,14 +215,16 @@ class _BlockGroup:
             offset += length
         self.by_first: list[list[tuple[bytes, bytes]]] = [[] for _ in self.cycle]
         for inverse, forward in group:
-            self.by_first[inverse[0]].append((inverse[:n], forward))
+            self.by_first[inverse[0]].append((inverse, forward + ident[n:]))
+        self.n = n
         self._selected: dict[int, tuple[tuple[bytes, ...], ...]] = {}
 
     def selected(self, a: int, b: int) -> tuple[tuple[bytes, ...], ...]:
-        found = self._selected.get(a * 16 + b)
+        key = a * self.n + b
+        found = self._selected.get(key)
         if found is None:
             kept = [pair for pair in self.by_first[a] if pair[1][b] in self.first_partners]
-            found = self._selected[a * 16 + b] = tuple(zip(*kept))
+            found = self._selected[key] = tuple(zip(*kept))
         return found
 
 
@@ -261,13 +267,13 @@ def _runs(n: int, base: list[bytes]) -> Iterator[tuple[bytes, list[bytes]]]:
     (0, b) orders the runs.
 
     A partner array is one translate through ``label`` as a table, with 0
-    spliced in at index b."""
+    spliced in at index b behind the head byte b."""
     for b in range(1, n):
         label = bytes(v for v in range(1, n) if v != b)
         table = label.ljust(256, b"\0")
         head = bytes((b,))
         translated = map(bytes.translate, base, repeat(table))
-        yield label, [head + p[:b - 1] + b"\0" + p[b - 1:] for p in translated]
+        yield label, [b"".join((head, p[:b - 1], b"\0", p[b - 1:])) for p in translated]
 
 
 def _run_key_table(block: list[int], label: bytes, b: int) -> bytes:
@@ -390,12 +396,15 @@ def _same_type_matchings(group: _BlockGroup, partner: bytes) -> _SameType | None
     otherwise every perfect matching of the union whose 2-factor has
     exactly type T, once per set of vertex pairs, each as a mate
     list (entry u the vertex matched to u) beside its 2-factor's cycles
-    (`_two_factor_cycles`). Works on the arrays alone: no graph is built.
+    (`_larger_two_factor_below`). Works on the arrays alone: no graph is
+    built.
 
     It stops at the first larger type. A union it does not stop on has had
     every perfect matching visited, so the list is complete; the
     Hamiltonian type has no larger type, and its search always walks to
-    the end.
+    the end. A leaf walks its 2-factor only up to the first cycle that
+    decides it, which never cuts a 2-factor of type T short, so no entry
+    is lost.
 
     This is the generator's one larger-type rule. It also drops every
     union where two matching edges could replace a cycle edge on each of
@@ -426,21 +435,56 @@ def _larger_two_factor_below(
     """Depth-first search for a perfect matching of the union of the
     2-factor of ``group`` and ``partner`` that extends ``mate`` (-1 at each
     uncovered vertex; every vertex below ``u`` is covered) and leaves a
-    2-factor of type larger than ``group.cycle_type``. Each perfect
-    matching met on the way whose 2-factor has exactly that type is
-    appended to ``same`` as a copy of ``mate`` beside the cycles of that
-    2-factor, walked once here.
+    2-factor of type larger than T = ``group.cycle_type``. Each perfect
+    matching met on the way whose 2-factor has exactly type T is appended
+    to ``same`` as a copy of ``mate`` beside the cycles of that 2-factor,
+    each as its vertices in walk order, in the order of their least
+    vertex.
 
     It branches at the lowest uncovered vertex, once per free neighbour in
     ``options``: parallel edges to one neighbour leave 2-factors with the
     same cycles. It only looks for a witness and counts nothing, so it
     needs no memo.
+
+    A leaf walks the 2-factor's cycles one at a time and stops at the
+    first that decides it. A cycle longer than T[0] makes the type larger.
+    Once every cycle so far is shorter than T[0] and fewer than T[0]
+    vertices are left, no cycle reaches T[0], so the type is smaller. A
+    2-factor of type T is never cut short: until its cycle of length T[0]
+    is walked, at least T[0] vertices are left. The step after vertex x,
+    entered from y, is (sum of the three neighbours of x) - mate[x] - y.
+    Neighbour sums count parallel edges, so digons and a matching edge
+    beside a parallel ring edge need no special case.
     """
     n = len(mate)
     while u < n and mate[u] >= 0:
         u += 1
     if u == n:
-        cycles = _two_factor_cycles(group, partner, mate)
+        top = group.cycle_type[0]
+        after, sums = group.after, group.sums
+        seen = [False] * n
+        cycles = []
+        longest = 0
+        left = n
+        for start, matched in enumerate(mate):
+            if seen[start]:
+                continue
+            # step off along the partner edge, unless that is the matched one
+            here = partner[start] if partner[start] != matched else after[start]
+            before, cycle = start, [start]
+            while here != start:
+                seen[here] = True
+                cycle.append(here)
+                here, before = sums[here] + partner[here] - mate[here] - before, here
+            size = len(cycle)
+            if size > top:
+                return True
+            if size > longest:
+                longest = size
+            left -= size
+            if left < top and longest < top:
+                return False
+            cycles.append(cycle)
         lengths = tuple(sorted(map(len, cycles), reverse=True))
         if lengths == group.cycle_type:
             same.append((mate[:], cycles))
@@ -454,34 +498,6 @@ def _larger_two_factor_below(
             mate[w] = -1
     mate[u] = -1
     return False
-
-
-def _two_factor_cycles(group: _BlockGroup, partner: bytes, mate: list[int]) -> list[list[int]]:
-    """The cycles of the 2-factor that the perfect matching ``mate`` leaves
-    in the union of the 2-factor of ``group`` (its ring lists) and the
-    pairing ``partner``, each as its vertices in walk order, in the order
-    of their least vertex.
-
-    Each cycle is walked: the step after vertex x, entered from y, is
-    (sum of the three neighbours of x) - mate[x] - y. Neighbour sums count
-    parallel edges, so digons and a matching edge beside a parallel ring
-    edge need no special case.
-    """
-    after, sums = group.after, group.sums
-    seen = [False] * len(mate)
-    cycles = []
-    for start, matched in enumerate(mate):
-        if seen[start]:
-            continue
-        # step off along the partner edge, unless that is the matched one
-        here = partner[start] if partner[start] != matched else after[start]
-        before, cycle = start, [start]
-        while here != start:
-            seen[here] = True
-            cycle.append(here)
-            here, before = sums[here] + partner[here] - mate[here] - before, here
-        cycles.append(cycle)
-    return cycles
 
 
 def _same_type_partners(same: _SameType) -> Iterator[bytes]:
@@ -498,15 +514,19 @@ def _same_type_partners(same: _SameType) -> Iterator[bytes]:
     no blocks. Blocks of one length are consecutive in the ring, longest
     first, as are the cycles once sorted by length. Each array pairs the
     labels of the matched ends of the matching, so its union with the ring
-    is isomorphic to the union of the ring and the pairing.
+    is isomorphic to the union of the ring and the pairing. The labels are
+    a list indexed by vertex, ``label[v]`` the ring position of v in the
+    layout, rewritten whole for each layout.
     """
     for mate, cycles in same:
+        label = [0] * len(mate)
         cycles = sorted(cycles, key=len, reverse=True)
         runs = [list(group) for _, group in groupby(cycles, key=len)]
         for layout in product(*map(permutations, runs)):
             order = [v for run in layout for cycle in run for v in cycle]
-            label = {v: i for i, v in enumerate(order)}
-            yield bytes([label[mate[v]] for v in order])
+            for i, v in enumerate(order):
+                label[v] = i
+            yield bytes(map(label.__getitem__, map(mate.__getitem__, order)))
 
 
 # Bipartition t of the blocks has the side {0} | (t << 1), t a subset of

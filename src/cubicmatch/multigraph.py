@@ -413,9 +413,12 @@ def _invariant_colors(g: MultiGraph, mult: list[list[int]], adj: list[list[int]]
     - a neighbour pair (multiplicity, color) is mult·(n + 1) + color, which
       orders as the pair does because every color is below n + 1;
     - once every color is distinct, refinement cannot split a cell, and a
-      refinement round that adds no color returns ranks equal to the
+      refinement round that adds no color would return ranks equal to the
       previous ones (each key leads with the previous color), so the
       colors are returned as soon as they are discrete or stop splitting.
+      A round has at least as many distinct keys as colors, and exactly as
+      many when it adds none, so it is recognised by that count and its
+      keys are ranked only when the count grows.
     """
     n = len(mult)
     masks = [sum(map((1).__lshift__, av)) for av in adj]
@@ -450,11 +453,10 @@ def _invariant_colors(g: MultiGraph, mult: list[list[int]], adj: list[list[int]]
             (c, tuple(sorted(map(add, pairs, map(colors.__getitem__, av)))))
             for c, pairs, av in zip(colors, scaled, adj)
         ]
-        new = _ranks(refined)
-        grown_count = max(new) + 1
-        if grown_count == count:
+        grown = len(set(refined))
+        if grown == count:
             break
-        colors, count = new, grown_count
+        colors, count = _ranks(refined), grown
     return colors
 
 
@@ -506,9 +508,11 @@ def _canonical_search(g: MultiGraph) -> bytes:
     position p and those at positions 0..p-1.
 
     When the invariant colors are n distinct ones, every cell holds one
-    vertex, so the color order is the one compatible labeling and its
-    bytes are read off with no search; otherwise _search_labeling finds
-    the best labeling.
+    vertex, so the color order is the one compatible labeling, found with
+    no search; otherwise _search_labeling finds the best labeling. The
+    bytes are read off the edges, not the dense matrix: an edge between
+    the vertices at positions p > q adds 1 to entry q of row p, at byte
+    1 + p(p - 1)/2 + q.
     """
     n = g.vertex_count
     if n == 0:
@@ -527,9 +531,16 @@ def _canonical_search(g: MultiGraph) -> bytes:
         labels = sorted(range(n), key=colors.__getitem__)
     else:
         labels = _search_labeling(mult, adj, colors, top)
-    form = bytearray([n])
-    for p in range(1, n):
-        form.extend(map(mult[labels[p]].__getitem__, labels[:p]))
+    position = [0] * n
+    for p, v in enumerate(labels):
+        position[v] = p
+    form = bytearray(1 + n * (n - 1) // 2)
+    form[0] = n
+    for u, v in g.edges:
+        p, q = position[u], position[v]
+        if p < q:
+            p, q = q, p
+        form[1 + p * (p - 1) // 2 + q] += 1
     return bytes(form)
 
 

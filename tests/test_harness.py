@@ -713,6 +713,18 @@ class TestOrbitFilter:
                 for inverse, forward in zip(inverses, forwards):
                     assert inverse.translate(forward) == bytes(range(n))
 
+    @pytest.mark.parametrize("cycle_type", [(18,), (10, 4, 4)])
+    def test_selections_at_n18_equal_the_direct_filter(self, cycle_type):
+        # in order of a, then b: (a, 16) comes before (a + 1, 0), so a cache
+        # keyed on a*16 + b would hand the second the first one's tables
+        group = harness._BlockGroup(cycle_type, 18)
+        allowed = set(group.first_partners)
+        for a in group.cycle:
+            for b in range(18):
+                kept = [(inverse, forward) for inverse, forward in group.by_first[a]
+                        if forward[b] in allowed]
+                assert group.selected(a, b) == tuple(zip(*kept)), (a, b)
+
     def test_ring_layout_equals_former_two_factor(self):
         # every cycle type with n <= 16, five seeded pairings each: the
         # group's block ids and ring neighbours, and each union's edges, as
@@ -1149,6 +1161,45 @@ class TestLargestTypeRule:
                 assert len(set(pairs)) == len(pairs)
                 g = union((n,), pair_codes(partner))
                 assert set(pairs) == kernel_same_type_matchings(g, (n,))
+
+    @pytest.mark.parametrize("cycle_type, partner, mate, larger, same_cycles", [
+        # the cycle through 0 is (0, 3, 4, 5), and the digon (1, 2) cannot
+        # reach 6: no larger and no same type
+        ((6,), [3, 2, 1, 0, 5, 4], [1, 0, 3, 2, 5, 4], False, None),
+        # the 2-factor is the 6-cycle (0, 4, 5, 1, 2, 3), longer than 4
+        ((4, 2), [4, 5, 3, 2, 0, 1], [1, 0, 3, 2, 5, 4], True, None),
+        # the digon (0, 1) comes first with 4 vertices left, which can
+        # still hold a cycle of length 4, and they do: type (4, 2) itself
+        ((4, 2), [1, 0, 4, 5, 2, 3], [3, 2, 1, 0, 5, 4], False, [[0, 1], [2, 4, 5, 3]]),
+    ])
+    def test_leaf_stops_at_its_first_decisive_cycle(
+        self, cycle_type, partner, mate, larger, same_cycles
+    ):
+        class ReadRecorder(list):
+            """A mate list that records the vertices whose entry is read."""
+
+            def __getitem__(self, i):
+                if isinstance(i, int):
+                    read.add(i)
+                return super().__getitem__(i)
+
+        read = set()
+        same = []
+        group = harness._BlockGroup(cycle_type, 6)
+        found = harness._larger_two_factor_below(
+            group, bytes(partner), [()] * 6, ReadRecorder(mate), 6, same)
+        assert found == larger
+        if same_cycles is None:
+            assert same == []
+        else:
+            assert same == [(mate, same_cycles)]
+        g = union(cycle_type, pair_codes(bytes(partner)))
+        pm = {g.edges.index(e) for e in {(min(u, w), max(u, w)) for u, w in enumerate(mate)}}
+        assert (two_factor_type(g, pm) > cycle_type) == larger
+        if cycle_type == (6,):
+            # the leaf stopped after the cycle through 0: the digon's
+            # vertices were never stepped on
+            assert read == {3, 4, 5}
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_witness_search_equals_kernel_reference(self, n):
