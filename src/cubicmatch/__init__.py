@@ -6,9 +6,13 @@ tight-cut (brick and brace) decomposition with polytope dimensions,
 cyclic edge-connectivity, the klee-graph triangle calculus, exhaustive
 catalogs of small cubic bridgeless multigraphs, and a verification
 harness that checks every per-instance bound over those catalogs. Each
-name exported here serves that verdict; the reference implementations
-the tests compare against (blossom existence, the multiplicity-matrix
-brute force, Edmonds' polytope membership) live in the test suite.
+function exported here serves that verdict: it is called on the product
+path, traced by the benchmark, or kept for the planned lemma stream, and
+tests/test_public_surface.py holds each to its reason. The reference
+implementations the tests compare against (blossom existence, the
+multiplicity-matrix brute force, Edmonds' polytope membership, the
+brick and tight-cut tests, the vertex separator search, the klee core
+and nice cuts) live in the test suite.
 """
 
 from .brick_brace import (
@@ -16,12 +20,7 @@ from .brick_brace import (
     BRICK,
     Decomposition,
     decompose,
-    find_nontrivial_tight_cut,
-    is_bicritical,
-    is_brick,
-    is_tight,
     pm_affine_dimension,
-    polytope_dimension,
 )
 from .connectivity import (
     NO_CYCLIC_CUT,
@@ -31,7 +30,6 @@ from .connectivity import (
     edge_connectivity,
     enumerate_cuts,
     is_cyclic_cut,
-    vertex_connectivity_at_most,
 )
 from .formats import EDGE_LIST, GRAPH6, SPARSE6, ParseError, parse, write
 from .harness import (
@@ -48,11 +46,9 @@ from .harness import (
 from .klee import (
     KleeStats,
     KleeVertexType,
-    core,
     enumerate_klee,
     expand_and_check,
     is_klee,
-    is_nice_cut,
     klee_stats,
     vertex_type,
 )
@@ -60,7 +56,6 @@ from .matching import (
     BoundaryProfile,
     MatchingProfile,
     boundary_profile,
-    count_avoiding,
     count_perfect_matchings,
     count_perfect_matchings_oracle,
     enumerate_perfect_matchings,
@@ -74,7 +69,6 @@ from .multigraph import (
     contract,
     four_cut_completion_edges,
     four_cut_completion_vertices,
-    from_edge_list,
     make_cut,
     replace_vertex_with_triangle,
 )

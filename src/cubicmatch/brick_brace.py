@@ -18,19 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable
 
-from .connectivity import (
-    _bits,
-    _cut_sides,
-    _require,
-    _side_cut,
-    _side_key,
-    vertex_connectivity_at_most,
-)
+from .connectivity import _bits, _cut_sides, _require, _side_cut, _side_key
 from .matching import _covered, _Kernel
-from .multigraph import Cut, MultiGraph, _contract_parts, _require_cut
+from .multigraph import Cut, MultiGraph, _contract_parts
 
 BRICK = "brick"
 BRACE = "brace"
@@ -113,33 +105,11 @@ def _is_tight_unchecked(kernel: _Kernel, side_size: int, cut_edges: Iterable[int
     return side_size % 2 == 1 and sum(table[e] for e in cut_edges) == kernel.count(0)
 
 
-def is_tight(g: MultiGraph, cut: Cut) -> bool:
-    """True when every perfect matching uses exactly one cut edge."""
-    _require_cut(g, cut)
-    kernel = _Kernel(g, who="is_tight")
-    _require_covered(kernel, "is_tight")
-    return _is_tight_unchecked(kernel, len(cut.side_a), cut.cut_edges)
-
-
 def _require_covered(kernel: _Kernel, who: str) -> None:
     """The matching covered precondition, read from the kernel's per-edge
     table."""
     if not _covered(kernel.edge_counts(), kernel.forbidden, 1):
         raise ValueError(f"{who} requires a matching covered graph")
-
-
-def find_nontrivial_tight_cut(g: MultiGraph) -> Cut | None:
-    """First tight cut with both sides of at least 3 vertices, or None.
-
-    Only size-3 odd cuts are searched: tight cuts of cubic bridgeless
-    graphs cannot be larger.
-    """
-    who = "find_nontrivial_tight_cut"
-    _require(g, who, cubic=True, connected=True, bridgeless=True)
-    kernel = _Kernel(g, who=who)
-    _require_covered(kernel, who)
-    cuts = _tight_cuts(kernel, g)
-    return _side_cut(g, *cuts[0]) if cuts else None
 
 
 def _tight_cuts(kernel: _Kernel, g: MultiGraph) -> list[tuple[int, tuple[int, ...]]]:
@@ -269,30 +239,6 @@ def _odd_cycle(n: int, edges: tuple[tuple[int, int], ...], parts: tuple[int, ...
             parent[ra] = rb
             parity[ra] = pa ^ pb ^ 1
     return False
-
-
-def is_bicritical(g: MultiGraph) -> bool:
-    """True when removing any two vertices leaves a perfectly matchable graph."""
-    if g.vertex_count % 2:
-        raise ValueError("is_bicritical requires an even number of vertices")
-    kernel = _Kernel(g, who="is_bicritical")
-    pairs = combinations(range(g.vertex_count), 2)
-    return all(kernel.count((1 << u) | (1 << v)) for u, v in pairs)
-
-
-def is_brick(g: MultiGraph) -> bool:
-    """Edmonds et al.: a brick is exactly a 3-vertex-connected bicritical graph."""
-    if g.vertex_count < 4 or g.vertex_count % 2:
-        return False
-    if vertex_connectivity_at_most(g, 2):
-        return False
-    return is_bicritical(g)
-
-
-def polytope_dimension(g: MultiGraph) -> int:
-    """Dimension |E| - |V| + 1 - b(G) of the perfect matching polytope."""
-    _require(g, "polytope_dimension", cubic=True, connected=True, bridgeless=True)
-    return _decompose(_Kernel(g, who="polytope_dimension"), g).dimension
 
 
 def _exact_rank(rows: list[list[int]]) -> int:

@@ -1,5 +1,4 @@
-"""Bridges, cut enumeration, edge connectivity, cyclic edge-connectivity, and
-the small vertex separators of the brick test.
+"""Bridges, cut enumeration, edge connectivity and cyclic edge-connectivity.
 
 All routines are pure functions over immutable MultiGraph values. Cut
 queries read the graph's cut space through its cached BFS spanning forest
@@ -21,15 +20,13 @@ query scans the edges again to rebuild a cut. Each value has one checked
 public entry point and no unchecked copy: the checks read the graph's
 cached forest and incidence lists, so they cost no traversal. The 2^n
 bipartition scan, the former census of connected sides, the former
-pair-table match and Tarjan's bridge search survive in the test suite as
-oracles.
+pair-table match, Tarjan's bridge search and the brick test's vertex
+separator search survive in the test suite as oracles.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .multigraph import Cut, MultiGraph, _is_int, _require_cut, induced_subgraph
@@ -51,15 +48,6 @@ class _NoCyclicCut:
 
 
 NO_CYCLIC_CUT = _NoCyclicCut()
-
-
-@dataclass(frozen=True)
-class SeparationWitness:
-    separates: bool
-    vertices: frozenset[int] | None
-
-    def __bool__(self) -> bool:
-        return self.separates
 
 
 def _require(
@@ -481,34 +469,3 @@ def cyclic_value_at_least(c: int | _NoCyclicCut, k: int) -> bool:
 def cyclically_edge_connected_at_least(g: MultiGraph, k: int) -> bool:
     """Treats the NO_CYCLIC_CUT sentinel as vacuously >= k."""
     return cyclic_value_at_least(cyclic_edge_connectivity(g), k)
-
-
-def _separator(g: MultiGraph, max_size: int) -> tuple[int, ...] | None:
-    """The first vertex set of at most max_size vertices, by size and then
-    lexicographically, whose removal leaves a disconnected graph on at
-    least 2 vertices; None when there is none. Brute force, desk scale."""
-    n = g.vertex_count
-    for size in range(min(max_size, n - 2) + 1):
-        for subset in combinations(range(n), size):
-            rest = [v for v in range(n) if v not in subset]
-            sub, _, _ = induced_subgraph(g, rest)
-            if not sub.is_connected():
-                return subset
-    return None
-
-
-def vertex_connectivity_at_most(g: MultiGraph, k: int) -> SeparationWitness:
-    """Searches for a separating vertex set of size <= k (0 <= k <= 3).
-
-    Returns a truthy witness holding the separating set when one exists.
-    A disconnected graph is separated by the empty set.
-    """
-    if not _is_int(k) or not 0 <= k <= 3:
-        raise ValueError(
-            f"vertex connectivity checks support an int k with 0 <= k <= 3 only, got {k!r}"
-        )
-    subset = _separator(g, k)
-    if subset is None:
-        return SeparationWitness(False, None)
-    return SeparationWitness(True, frozenset(subset))
-

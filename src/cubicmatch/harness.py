@@ -872,7 +872,9 @@ def verify_catalog(graphs: Iterable[MultiGraph], workers: int | None = None) -> 
 
     Workers default to the CUBICMATCH_WORKERS environment variable. Either
     must be an integer >= 1 (a passed bool is not), or ValueError names
-    the value; above 1, graphs are spread over a process pool.
+    the value. The pool starts min(workers, number of graphs, CPU count)
+    processes, so no process sits idle; when that is 1, the graphs are
+    verified in this process.
     """
     name, value = "workers", workers
     if workers is None:
@@ -884,10 +886,11 @@ def verify_catalog(graphs: Iterable[MultiGraph], workers: int | None = None) -> 
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     graphs = list(graphs)
-    if workers > 1:
+    processes = min(workers, len(graphs), os.cpu_count() or 1)
+    if processes > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(processes) as pool:
             reports = pool.map(verify_graph, graphs)
     else:
         reports = [verify_graph(g) for g in graphs]

@@ -1,4 +1,4 @@
-"""Klee-graph recognition, enumeration, vertex types, and nice 3-cuts.
+"""Klee-graph recognition, enumeration, vertex types and statistics.
 
 A klee-graph is K4 or the result of repeatedly replacing a vertex of a
 klee-graph by a triangle. Recognition runs the replacement backwards:
@@ -15,16 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterator
 
-from .brick_brace import _is_tight_unchecked
-from .connectivity import _require, enumerate_cuts
+from .connectivity import _require
 from .matching import _Kernel, _vertex_mask
 from .multigraph import (
     DEFAULT_CANONICAL_BOUND,
-    Cut,
     MultiGraph,
-    _contract_parts,
     _is_int,
-    _require_cut,
     _require_vertex,
     canonical_form,
     replace_vertex_with_triangle,
@@ -87,22 +83,6 @@ class ExpansionReport:
         return self.count_ok and all(self.new_vertex_types_ok)
 
 
-@dataclass(frozen=True)
-class NiceCutResult:
-    nice: bool
-    clause: str | None
-    contracted_side: str | None  # which side plays the 'A' role in the clause
-
-    def __bool__(self) -> bool:
-        return self.nice
-
-
-def triangles(g: MultiGraph) -> list[tuple[int, int, int]]:
-    """All vertex triples a < b < c that are pairwise adjacent, in
-    lexicographic order."""
-    return list(_triangles({v: g.neighbors(v) for v in range(g.vertex_count)}))
-
-
 def _triangles(nbrs: dict[int, Collection[int]]) -> Iterator[tuple[int, int, int]]:
     """The triples a < b < c of pairwise adjacent keys of nbrs, which maps
     each vertex to its neighbours, in lexicographic order."""
@@ -151,35 +131,6 @@ def is_klee(g: MultiGraph) -> KleeResult:
             ns[next(i for i, x in enumerate(ns) if x in tri)] = a
         del nbrs[b], nbrs[c]
         nbrs[a] = targets
-
-
-def core(g: MultiGraph) -> MultiGraph:
-    """Contracts every triangle of g simultaneously.
-
-    Requires a cubic, connected, bridgeless graph in which every cyclic
-    3-edge-cut separates a triangle and all triangles are vertex-disjoint;
-    violations raise ValueError.
-    """
-    _require(g, "core", cubic=True, connected=True, bridgeless=True)
-    tris = triangles(g)
-    seen: set[int] = set()
-    for tri in tris:
-        if seen & set(tri):
-            raise ValueError("overlapping triangles; core is not defined")
-        seen |= set(tri)
-    # a nontrivial 3-cut is cyclic: each side has at least 3 vertices and
-    # spans (3|S| - 3)/2 >= |S| edges
-    for cut in enumerate_cuts(g, 3, nontrivial_only=True):
-        if cut.size == 3:
-            small = cut.side_a if len(cut.side_a) <= len(cut.side_b) else cut.side_b
-            if len(small) != 3 or tuple(sorted(small)) not in tris:
-                raise ValueError(
-                    f"cyclic 3-edge-cut with side {sorted(small)} does not "
-                    "separate a triangle"
-                )
-    if not tris:
-        return g
-    return _contract_parts(g, [frozenset(tri) for tri in tris])[0]
 
 
 def vertex_type(g: MultiGraph, v: int) -> KleeVertexType:
@@ -296,48 +247,3 @@ def klee_stats(g: MultiGraph) -> KleeStats:
         elif cls == CLASS_B:
             beta += 1
     return KleeStats(m, alpha, beta)
-
-
-def _nice_oriented(kernel: _Kernel, g: MultiGraph, cut: Cut) -> str | None:
-    """Evaluates the nice-cut clauses with cut.side_a as 'A', on the caller's kernel.
-
-    Returns the clause label that fires, or None. The roles: the cut is
-    nice when contracting A leaves a non-klee graph and one of
-    (i) contracting B also leaves a non-klee graph, (ii) |A| >= 9,
-    (iii) |A| >= 5 and the cut is not tight, (iv) |A| = 3 and at least two
-    perfect matchings contain all three cut edges: the cut edges' per-edge
-    counts sum to the total plus twice that number.
-
-    g is connected and bridgeless, so each side of the 3-cut is connected:
-    a component of a side needs two of the three cut edges. Both sides are
-    contracted with no check repeated, and each contraction is cubic and
-    connected.
-    """
-    if is_klee(_contract_parts(g, [cut.side_a])[0]):
-        return None
-    if not is_klee(_contract_parts(g, [cut.side_b])[0]):
-        return "i"
-    a = len(cut.side_a)
-    if a >= 9:
-        return "ii"
-    if a >= 5 and not _is_tight_unchecked(kernel, a, cut.cut_edges):
-        return "iii"
-    if a == 3:
-        table = kernel.edge_counts()
-        if (sum(table[e] for e in cut.cut_edges) - kernel.count(0)) // 2 >= 2:
-            return "iv"
-    return None
-
-
-def is_nice_cut(g: MultiGraph, cut: Cut) -> NiceCutResult:
-    """Nice 3-edge-cut test; both orientations of the cut are tried."""
-    _require(g, "is_nice_cut", cubic=True, connected=True, bridgeless=True)
-    _require_cut(g, cut)
-    if cut.size != 3:
-        raise ValueError(f"nice cuts must have size 3, got {cut.size}")
-    kernel = _Kernel(g, who="is_nice_cut")
-    for role, oriented in (("side_a", cut), ("side_b", cut.flipped())):
-        clause = _nice_oriented(kernel, g, oriented)
-        if clause is not None:
-            return NiceCutResult(True, clause, role)
-    return NiceCutResult(False, None, None)

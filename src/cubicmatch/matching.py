@@ -424,8 +424,3 @@ def _cut_identity_total(
     m_a = _side_counts(kernel, g, side, cut_edges)
     m_b = _side_counts(kernel, g, kernel.full ^ side, cut_edges, m_a)
     return sum(map(mul, m_a, m_b))
-
-
-def count_avoiding(g: MultiGraph, e: int) -> int:
-    """Perfect matchings avoiding the single edge e."""
-    return count_perfect_matchings(g, forbidden=(e,))

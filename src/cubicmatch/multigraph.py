@@ -210,11 +210,6 @@ def _require_cut(g: MultiGraph, cut: Cut) -> None:
         raise ValueError("the cut's edges are not the edges crossing its sides")
 
 
-def from_edge_list(n: int, pairs: Sequence[tuple[int, int]]) -> MultiGraph:
-    """Builds a multigraph from an explicit edge list, duplicates preserved."""
-    return MultiGraph(n, tuple((u, v) for u, v in pairs))
-
-
 def induced_subgraph(
     g: MultiGraph, keep: Iterable[int]
 ) -> tuple[MultiGraph, list[int], list[int]]:
@@ -222,7 +217,11 @@ def induced_subgraph(
 
     Returns (subgraph, old_vertex_ids, old_edge_ids) where old_vertex_ids[i]
     is the original id of new vertex i and old_edge_ids likewise for edges.
+    Every kept vertex must be a vertex of g (_require_vertex).
     """
+    keep = list(keep)
+    for v in keep:
+        _require_vertex(g, v)
     old_ids = sorted(set(keep))
     index = {v: i for i, v in enumerate(old_ids)}
     new_edges = []
@@ -232,13 +231,6 @@ def induced_subgraph(
             new_edges.append((index[u], index[v]))
             old_edge_ids.append(i)
     return MultiGraph(len(old_ids), tuple(new_edges)), old_ids, old_edge_ids
-
-
-def delete_vertices(
-    g: MultiGraph, drop: Iterable[int]
-) -> tuple[MultiGraph, list[int], list[int]]:
-    dropped = set(drop)
-    return induced_subgraph(g, (v for v in range(g.vertex_count) if v not in dropped))
 
 
 def contract(

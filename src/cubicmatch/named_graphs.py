@@ -4,31 +4,31 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .multigraph import MultiGraph, from_edge_list, replace_vertex_with_triangle
+from .multigraph import MultiGraph, replace_vertex_with_triangle
 
 
 def three_bond() -> MultiGraph:
     """Two vertices joined by three parallel edges."""
-    return from_edge_list(2, [(0, 1), (0, 1), (0, 1)])
+    return MultiGraph(2, [(0, 1), (0, 1), (0, 1)])
 
 
 def k4() -> MultiGraph:
-    return from_edge_list(4, list(combinations(range(4), 2)))
+    return MultiGraph(4, list(combinations(range(4), 2)))
 
 
 def k33() -> MultiGraph:
-    return from_edge_list(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    return MultiGraph(6, [(u, v) for u in range(3) for v in range(3, 6)])
 
 
 def prism() -> MultiGraph:
     """Two triangles joined by a perfect matching of rungs."""
-    return from_edge_list(
+    return MultiGraph(
         6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
     )
 
 
 def cube() -> MultiGraph:
-    return from_edge_list(
+    return MultiGraph(
         8,
         [(0, 1), (1, 2), (2, 3), (3, 0),
          (4, 5), (5, 6), (6, 7), (7, 4),
@@ -40,7 +40,7 @@ def petersen() -> MultiGraph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return from_edge_list(10, outer + spokes + inner)
+    return MultiGraph(10, outer + spokes + inner)
 
 
 def exceptional_graph() -> MultiGraph:
@@ -55,4 +55,4 @@ def exceptional_graph() -> MultiGraph:
 def doubled_c4() -> MultiGraph:
     """The 4-cycle with two opposite edges doubled; the only bridgeless
     cubic multigraph on 4 vertices besides K4."""
-    return from_edge_list(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 0)])
+    return MultiGraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 0)])

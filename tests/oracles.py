@@ -3,16 +3,31 @@
 None of these is on a product path: the blossom maximum matching and the
 existence test built on it, the multiplicity-matrix brute force over
 cubic multigraphs, Edmonds' membership conditions for the perfect
-matching polytope, the inverse of canonical_form, and gluing two cubic
-graphs through a vertex each. Tests import them as ``from oracles
-import ...``.
+matching polytope, the inverse of canonical_form, gluing two cubic
+graphs through a vertex each, the tight-cut, bicritical and brick tests
+with the vertex separator search behind the last, and the klee core and
+nice 3-cut tests. Tests import them as ``from oracles import ...``.
 """
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from cubicmatch.matching import _validate_constraints
-from cubicmatch.multigraph import MultiGraph, _require_vertex, canonical_form
+from cubicmatch.brick_brace import _is_tight_unchecked, _require_covered
+from cubicmatch.connectivity import _require, enumerate_cuts
+from cubicmatch.klee import _triangles, is_klee
+from cubicmatch.matching import _Kernel, _validate_constraints
+from cubicmatch.multigraph import (
+    Cut,
+    MultiGraph,
+    _contract_parts,
+    _is_int,
+    _require_cut,
+    _require_vertex,
+    canonical_form,
+    induced_subgraph,
+)
 
 ODD_SET_LIMIT = 16  # exhaustive odd-set checks are capped at this order
 
@@ -283,3 +298,168 @@ def glue(g, u, h, v, slot_map=(0, 1, 2)):
     for i in range(3):
         edges.append((g_stubs[i], h_stubs[slot_map[i]]))
     return MultiGraph(off + len(h_keep), tuple(edges))
+
+
+# --------------------------------------------------------------------------
+# Tight cuts, bicritical graphs and bricks
+# --------------------------------------------------------------------------
+
+
+def is_tight(g: MultiGraph, cut: Cut) -> bool:
+    """True when every perfect matching uses exactly one cut edge."""
+    _require_cut(g, cut)
+    kernel = _Kernel(g, who="is_tight")
+    _require_covered(kernel, "is_tight")
+    return _is_tight_unchecked(kernel, len(cut.side_a), cut.cut_edges)
+
+
+def is_bicritical(g: MultiGraph) -> bool:
+    """True when removing any two vertices leaves a perfectly matchable graph."""
+    if g.vertex_count % 2:
+        raise ValueError("is_bicritical requires an even number of vertices")
+    kernel = _Kernel(g, who="is_bicritical")
+    pairs = combinations(range(g.vertex_count), 2)
+    return all(kernel.count((1 << u) | (1 << v)) for u, v in pairs)
+
+
+def is_brick(g: MultiGraph) -> bool:
+    """Edmonds et al.: a brick is exactly a 3-vertex-connected bicritical graph."""
+    if g.vertex_count < 4 or g.vertex_count % 2:
+        return False
+    if vertex_connectivity_at_most(g, 2):
+        return False
+    return is_bicritical(g)
+
+
+@dataclass(frozen=True)
+class SeparationWitness:
+    separates: bool
+    vertices: frozenset[int] | None
+
+    def __bool__(self) -> bool:
+        return self.separates
+
+
+def _separator(g: MultiGraph, max_size: int) -> tuple[int, ...] | None:
+    """The first vertex set of at most max_size vertices, by size and then
+    lexicographically, whose removal leaves a disconnected graph on at
+    least 2 vertices; None when there is none. Brute force, desk scale."""
+    n = g.vertex_count
+    for size in range(min(max_size, n - 2) + 1):
+        for subset in combinations(range(n), size):
+            rest = [v for v in range(n) if v not in subset]
+            sub, _, _ = induced_subgraph(g, rest)
+            if not sub.is_connected():
+                return subset
+    return None
+
+
+def vertex_connectivity_at_most(g: MultiGraph, k: int) -> SeparationWitness:
+    """Searches for a separating vertex set of size <= k (0 <= k <= 3).
+
+    Returns a truthy witness holding the separating set when one exists.
+    A disconnected graph is separated by the empty set.
+    """
+    if not _is_int(k) or not 0 <= k <= 3:
+        raise ValueError(
+            f"vertex connectivity checks support an int k with 0 <= k <= 3 only, got {k!r}"
+        )
+    subset = _separator(g, k)
+    if subset is None:
+        return SeparationWitness(False, None)
+    return SeparationWitness(True, frozenset(subset))
+
+
+# --------------------------------------------------------------------------
+# Klee core and nice 3-cuts
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class NiceCutResult:
+    nice: bool
+    clause: str | None
+    contracted_side: str | None  # which side plays the 'A' role in the clause
+
+    def __bool__(self) -> bool:
+        return self.nice
+
+
+def triangles(g: MultiGraph) -> list[tuple[int, int, int]]:
+    """All vertex triples a < b < c that are pairwise adjacent, in
+    lexicographic order."""
+    return list(_triangles({v: g.neighbors(v) for v in range(g.vertex_count)}))
+
+
+def core(g: MultiGraph) -> MultiGraph:
+    """Contracts every triangle of g simultaneously.
+
+    Requires a cubic, connected, bridgeless graph in which every cyclic
+    3-edge-cut separates a triangle and all triangles are vertex-disjoint;
+    violations raise ValueError.
+    """
+    _require(g, "core", cubic=True, connected=True, bridgeless=True)
+    tris = triangles(g)
+    seen: set[int] = set()
+    for tri in tris:
+        if seen & set(tri):
+            raise ValueError("overlapping triangles; core is not defined")
+        seen |= set(tri)
+    # a nontrivial 3-cut is cyclic: each side has at least 3 vertices and
+    # spans (3|S| - 3)/2 >= |S| edges
+    for cut in enumerate_cuts(g, 3, nontrivial_only=True):
+        if cut.size == 3:
+            small = cut.side_a if len(cut.side_a) <= len(cut.side_b) else cut.side_b
+            if len(small) != 3 or tuple(sorted(small)) not in tris:
+                raise ValueError(
+                    f"cyclic 3-edge-cut with side {sorted(small)} does not "
+                    "separate a triangle"
+                )
+    if not tris:
+        return g
+    return _contract_parts(g, [frozenset(tri) for tri in tris])[0]
+
+
+def _nice_oriented(kernel: _Kernel, g: MultiGraph, cut: Cut) -> str | None:
+    """Evaluates the nice-cut clauses with cut.side_a as 'A', on the caller's kernel.
+
+    Returns the clause label that fires, or None. The roles: the cut is
+    nice when contracting A leaves a non-klee graph and one of
+    (i) contracting B also leaves a non-klee graph, (ii) |A| >= 9,
+    (iii) |A| >= 5 and the cut is not tight, (iv) |A| = 3 and at least two
+    perfect matchings contain all three cut edges: the cut edges' per-edge
+    counts sum to the total plus twice that number.
+
+    g is connected and bridgeless, so each side of the 3-cut is connected:
+    a component of a side needs two of the three cut edges. Both sides are
+    contracted with no check repeated, and each contraction is cubic and
+    connected.
+    """
+    if is_klee(_contract_parts(g, [cut.side_a])[0]):
+        return None
+    if not is_klee(_contract_parts(g, [cut.side_b])[0]):
+        return "i"
+    a = len(cut.side_a)
+    if a >= 9:
+        return "ii"
+    if a >= 5 and not _is_tight_unchecked(kernel, a, cut.cut_edges):
+        return "iii"
+    if a == 3:
+        table = kernel.edge_counts()
+        if (sum(table[e] for e in cut.cut_edges) - kernel.count(0)) // 2 >= 2:
+            return "iv"
+    return None
+
+
+def is_nice_cut(g: MultiGraph, cut: Cut) -> NiceCutResult:
+    """Nice 3-edge-cut test; both orientations of the cut are tried."""
+    _require(g, "is_nice_cut", cubic=True, connected=True, bridgeless=True)
+    _require_cut(g, cut)
+    if cut.size != 3:
+        raise ValueError(f"nice cuts must have size 3, got {cut.size}")
+    kernel = _Kernel(g, who="is_nice_cut")
+    for role, oriented in (("side_a", cut), ("side_b", cut.flipped())):
+        clause = _nice_oriented(kernel, g, oriented)
+        if clause is not None:
+            return NiceCutResult(True, clause, role)
+    return NiceCutResult(False, None, None)

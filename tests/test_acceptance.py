@@ -7,13 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from cubicmatch.brick_brace import decompose, pm_affine_dimension, polytope_dimension
+from cubicmatch.brick_brace import decompose, pm_affine_dimension
 from cubicmatch.connectivity import cyclic_edge_connectivity, edge_connectivity
 from cubicmatch.harness import bound_table, bridgeless_cubic_catalog
 from cubicmatch.klee import enumerate_klee, expand_and_check, klee_stats, vertex_type, DANGEROUS
 from cubicmatch.matching import (
     boundary_profile,
-    count_avoiding,
     count_perfect_matchings,
     count_perfect_matchings_oracle,
     matching_profile,
@@ -49,7 +48,7 @@ def test_criterion_01_petersen_suite():
     corollary_bound = Fraction(3 * 10, 4) - Fraction(3, 2)
     ok &= Fraction(profile.total) - corollary_bound == 0
     for e in range(15):
-        ok &= count_avoiding(g, e) == 10 // 2 - 1
+        ok &= count_perfect_matchings(g, forbidden=(e,)) == 10 // 2 - 1
     dec = decompose(g)
     dim = len(g.edges) - g.vertex_count + 1 - dec.brick_count
     ok &= dec.brick_count == 1 and dim == 5 and pm_affine_dimension(g) == 5
@@ -119,7 +118,7 @@ def test_criterion_06_polytope_cross_check(sweep):
     for n in (2, 4, 6, 8, 10):
         for g in sweep[n]:
             checked += 1
-            if polytope_dimension(g) != pm_affine_dimension(g):
+            if decompose(g).dimension != pm_affine_dimension(g):
                 ok = False
     _report(6, "dimension formula vs affine rank", ok, f"{checked} graphs")
 
@@ -231,7 +230,7 @@ def test_criterion_10_two_cut_avoiding(sweep):
                 continue
             graphs_checked += 1
             for e in range(len(g.edges)):
-                if count_avoiding(g, e) < 3:
+                if count_perfect_matchings(g, forbidden=(e,)) < 3:
                     violations += 1
     _report(10, "two-cut avoiding lemma", violations == 0,
             f"{graphs_checked} graphs with 2-edge-cuts")

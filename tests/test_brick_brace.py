@@ -12,12 +12,7 @@ from cubicmatch.brick_brace import (
     _exact_rank,
     _tight_cuts,
     decompose,
-    find_nontrivial_tight_cut,
-    is_bicritical,
-    is_brick,
-    is_tight,
     pm_affine_dimension,
-    polytope_dimension,
 )
 from cubicmatch.connectivity import _bits, _side_key, enumerate_cuts
 from cubicmatch.matching import (
@@ -33,7 +28,6 @@ from cubicmatch.multigraph import (
     _contract_parts,
     canonical_form,
     contract,
-    from_edge_list,
     make_cut,
     replace_vertex_with_triangle,
 )
@@ -47,6 +41,7 @@ from cubicmatch.named_graphs import (
     prism,
     three_bond,
 )
+from oracles import is_bicritical, is_brick, is_tight
 from conftest import (
     analyze16_draws,
     check_one_kernel_on_input,
@@ -264,20 +259,27 @@ class TestTightCuts:
     def test_requires_matching_covered(self):
         # K4 minus an edge: the edge opposite the removed one is in no
         # perfect matching
-        g = from_edge_list(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        g = MultiGraph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
         with pytest.raises(ValueError, match="^is_tight requires a matching covered graph$"):
             is_tight(g, make_cut(g, {0}))
 
 
+def first_tight_cut(g):
+    """The first nontrivial tight cut of g in enumerate_cuts order, or
+    None: the decomposition's first split."""
+    trace = decompose(g).cut_trace
+    return trace[0] if trace else None
+
+
 class TestFindNontrivialTightCut:
     def test_petersen_none(self):
-        assert find_nontrivial_tight_cut(petersen()) is None
+        assert first_tight_cut(petersen()) is None
 
     def test_k33_none(self):
-        assert find_nontrivial_tight_cut(k33()) is None
+        assert first_tight_cut(k33()) is None
 
     def test_exceptional_triangle(self):
-        cut = find_nontrivial_tight_cut(exceptional_graph())
+        cut = first_tight_cut(exceptional_graph())
         assert cut is not None
         assert cut.size == 3
         assert min(len(cut.side_a), len(cut.side_b)) == 3
@@ -361,21 +363,16 @@ class TestDecompose:
             built.clear()
             splits += len(decompose(g).cut_trace)
             check_one_kernel_on_input(built, g)
-            built.clear()
-            find_nontrivial_tight_cut(g)
-            check_one_kernel_on_input(built, g)
         assert splits >= 4
 
     def test_rejects_bridged(self):
-        g = from_edge_list(
+        g = MultiGraph(
             6, [(0, 1), (0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (4, 5)]
         )
         with pytest.raises(ValueError):
             decompose(g)
 
-    @pytest.mark.parametrize(
-        "fn", [decompose, find_nontrivial_tight_cut, polytope_dimension]
-    )
+    @pytest.mark.parametrize("fn", [decompose])
     def test_rejects_disconnected(self, fn):
         two_bonds = MultiGraph(4, ((0, 1),) * 3 + ((2, 3),) * 3)
         with pytest.raises(ValueError, match="connected"):
@@ -407,30 +404,29 @@ class TestBrickTests:
 
 class TestDimensions:
     def test_formula_values(self):
-        assert polytope_dimension(k4()) == 2
-        assert polytope_dimension(k33()) == 4
-        assert polytope_dimension(petersen()) == 5
+        assert decompose(k4()).dimension == 2
+        assert decompose(k33()).dimension == 4
+        assert decompose(petersen()).dimension == 5
 
     def test_decomposition_dimension_is_the_formula(self, catalogs):
-        # m - n + 1 - b, read by polytope_dimension and the report alike
+        # m - n + 1 - b, read by the report
         for n in (2, 4, 6, 8):
             for g in catalogs(n):
                 dec = decompose(g)
                 assert dec.dimension == len(g.edges) - n + 1 - dec.brick_count
-                assert polytope_dimension(g) == dec.dimension
 
     def test_affine_values(self):
         assert pm_affine_dimension(k4()) == 2
         assert pm_affine_dimension(petersen()) == 5
         ex = exceptional_graph()
-        assert pm_affine_dimension(ex) == polytope_dimension(ex)
+        assert pm_affine_dimension(ex) == decompose(ex).dimension
 
     def test_count_at_least_dimension_plus_one(self):
         rnd = random.Random(73)
         for g in [k4(), k33(), petersen(), doubled_c4(), three_bond()] + [
             random_bridgeless_cubic(10, rnd) for _ in range(10)
         ]:
-            assert count_perfect_matchings(g) >= polytope_dimension(g) + 1
+            assert count_perfect_matchings(g) >= decompose(g).dimension + 1
 
     def test_no_matching_rejected(self):
         g = MultiGraph(2, ())
@@ -482,7 +478,7 @@ class TestMembership:
             assert ok
 
     def test_bridge_gives_odd_set_witness(self):
-        g = from_edge_list(
+        g = MultiGraph(
             6, [(0, 1), (0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (4, 5)]
         )
         ok, witness = polytope_membership(g, [Fraction(1, 3)] * 9)
@@ -515,7 +511,7 @@ class TestMembership:
 def one_shared_end():
     """Order 8 with the nontrivial 3-cut around the triangle {0, 1, 2}:
     two of its edges meet at vertex 3, so no matching uses all three."""
-    return from_edge_list(
+    return MultiGraph(
         8,
         [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 5), (3, 4),
          (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)],
@@ -640,7 +636,7 @@ class TestMaskDecomposition:
         built.clear()
         d = decompose(g)
         assert (d.brick_count, d.brace_count) == (3, 1)
-        assert polytope_dimension(g) == 4
+        assert decompose(g).dimension == 4
         assert built == []
 
     def test_pieces_and_trace_read_twice(self, monkeypatch):
@@ -740,13 +736,13 @@ class TestCotreeRank:
 
     def test_bipartite(self):
         assert self.check(k33()) == 4
-        assert self.check(cube()) == polytope_dimension(cube())
+        assert self.check(cube()) == decompose(cube()).dimension
         rnd = random.Random(97)
         g = random_bipartite_cubic(16, rnd)
         while not g.is_connected():
             g = random_bipartite_cubic(16, rnd)
         assert g.is_bipartite()
-        assert self.check(g) == polytope_dimension(g)
+        assert self.check(g) == decompose(g).dimension
 
     def test_parallel_edges(self):
         graphs = [three_bond(), doubled_c4()]
@@ -756,7 +752,7 @@ class TestCotreeRank:
             if len(set(g.edges)) < len(g.edges):
                 graphs.append(g)
         for g in graphs:
-            assert self.check(g) == polytope_dimension(g)
+            assert self.check(g) == decompose(g).dimension
 
     def test_columns_on_sparse_multigraphs(self):
         # several components, isolated vertices and digons; the rank needs

@@ -11,7 +11,6 @@ from cubicmatch.connectivity import (
     _bits,
     _cut_sides,
     _cut_space,
-    _separator,
     _has_cycle,
     _side_key,
     bridges,
@@ -20,10 +19,9 @@ from cubicmatch.connectivity import (
     edge_connectivity,
     enumerate_cuts,
     is_cyclic_cut,
-    vertex_connectivity_at_most,
 )
 from cubicmatch.harness import verify_graph
-from cubicmatch.multigraph import MultiGraph, from_edge_list, induced_subgraph, make_cut
+from cubicmatch.multigraph import MultiGraph, induced_subgraph, make_cut
 from cubicmatch.named_graphs import (
     doubled_c4,
     exceptional_graph,
@@ -33,6 +31,7 @@ from cubicmatch.named_graphs import (
     prism,
     three_bond,
 )
+from oracles import _separator, vertex_connectivity_at_most
 from conftest import (
     analyze16_draws,
     mask_reference_graphs,
@@ -44,7 +43,7 @@ from conftest import (
 
 def bridged_gadget():
     # two bigon-triangle gadgets joined by a single edge
-    return from_edge_list(
+    return MultiGraph(
         6, [(0, 1), (0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (4, 5)]
     )
 
@@ -157,7 +156,7 @@ class TestBridges:
         assert bridges(petersen()) == []
 
     def test_parallel_edges_never_bridges(self):
-        g = from_edge_list(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3)])
+        g = MultiGraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3)])
         assert bridges(g) == [2]
 
 
@@ -220,7 +219,7 @@ class TestCyclicEdgeConnectivity:
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            cyclic_edge_connectivity(from_edge_list(3, [(0, 1), (1, 2)]))
+            cyclic_edge_connectivity(MultiGraph(3, [(0, 1), (1, 2)]))
 
     def test_agrees_with_bipartition_oracle(self):
         rnd = random.Random(31)
@@ -374,8 +373,8 @@ class TestVertexConnectivity:
         nx = pytest.importorskip("networkx")
         catalog = [g for n in (2, 4, 6, 8) for g in catalogs(n)]
         assert len(catalog) == 24
-        two_k4 = from_edge_list(8, list(k4().edges) + [(u + 4, v + 4) for u, v in k4().edges])
-        k5 = from_edge_list(5, list(combinations(range(5), 2)))
+        two_k4 = MultiGraph(8, list(k4().edges) + [(u + 4, v + 4) for u, v in k4().edges])
+        k5 = MultiGraph(5, list(combinations(range(5), 2)))
         for g in catalog + [bridged_gadget(), two_k4, k5]:
             n = g.vertex_count
             h = nx.Graph()
@@ -408,7 +407,7 @@ class TestReport:
         # two K4s have a cyclic 0-cut; two triangles joined through a
         # degree-2 vertex have a cyclic 1-cut. Neither graph is searched:
         # one is disconnected, the other has minimum degree 2.
-        two_k4 = from_edge_list(8, list(k4().edges) + [(u + 4, v + 4) for u, v in k4().edges])
+        two_k4 = MultiGraph(8, list(k4().edges) + [(u + 4, v + 4) for u, v in k4().edges])
         two_triangles = MultiGraph(
             7, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6))
         )

@@ -38,7 +38,7 @@ from cubicmatch.matching import (
     count_perfect_matchings,
     enumerate_perfect_matchings,
 )
-from cubicmatch.multigraph import MultiGraph, canonical_form, from_edge_list, make_cut
+from cubicmatch.multigraph import MultiGraph, canonical_form, make_cut
 from cubicmatch.named_graphs import (
     exceptional_graph,
     k4,
@@ -47,8 +47,8 @@ from cubicmatch.named_graphs import (
     prism,
     three_bond,
 )
-from cubicmatch.brick_brace import decompose, find_nontrivial_tight_cut
-from cubicmatch.klee import enumerate_klee, is_klee
+from cubicmatch.brick_brace import decompose
+from cubicmatch.klee import enumerate_klee, is_klee, klee_stats
 from conftest import (
     analyze16_draws,
     check_one_kernel_on_input,
@@ -1295,7 +1295,7 @@ class TestVerify:
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            verify_graph(from_edge_list(2, [(0, 1)]))
+            verify_graph(MultiGraph(2, [(0, 1)]))
 
     def test_rejects_order_zero_graph_before_any_kernel(self, monkeypatch):
         # cubic, connected and bridgeless hold vacuously; it used to fail
@@ -1321,7 +1321,7 @@ class TestVerify:
             verify_graph(g)
 
     def test_rejects_disconnected_up_front(self):
-        two_bonds = from_edge_list(4, [(0, 1)] * 3 + [(2, 3)] * 3)
+        two_bonds = MultiGraph(4, [(0, 1)] * 3 + [(2, 3)] * 3)
         with pytest.raises(ValueError, match="verify_graph requires a connected graph"):
             verify_graph(two_bonds)
 
@@ -1353,6 +1353,8 @@ class TestVerify:
             assert ("two_cut_avoid_ge_3" in tags) == (ec(g) == 2)
 
     def test_verify_catalog_order_and_workers(self, catalogs, monkeypatch):
+        # two CPUs, so a real two-process pool runs on a one-core machine too
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         graphs = list(catalogs(6))
         seq = verify_catalog(graphs, workers=1)
         par = verify_catalog(graphs, workers=2)
@@ -1375,14 +1377,48 @@ class TestVerify:
             verify_catalog(catalogs(4))
         assert str(excinfo.value) == f"CUBICMATCH_WORKERS must be an integer >= 1, got {value!r}"
 
-    def test_workers_receive_graphs_with_their_census(self, catalogs):
+    def test_workers_receive_graphs_with_their_census(self, catalogs, monkeypatch):
         # each graph carries its cached cut census, sentinel included, to
-        # the worker processes
+        # the worker processes; two CPUs, so a real two-process pool runs
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         graphs = [g for n in (2, 4, 6) for g in catalogs(n)]
         values = [cyclic_edge_connectivity(g) for g in graphs]
         assert any(c is NO_CYCLIC_CUT for c in values)
         seq = [r.to_json() for r in verify_catalog(graphs, workers=1)]
         assert [r.to_json() for r in verify_catalog(graphs, workers=2)] == seq
+
+    @pytest.mark.parametrize(
+        "workers, cpus, count, expected",
+        [(100000, 4, 16, 4), (100000, 64, 16, 16), (3, 64, 16, 3), (8, 1, 16, None),
+         (8, None, 16, None), (8, 4, 1, None)],
+    )
+    def test_pool_size_is_capped(self, catalogs, monkeypatch, workers, cpus, count, expected):
+        # a fake pool records its size and maps in this process, so no
+        # process starts; None means the serial path, with no pool at all
+        import multiprocessing
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(x) for x in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        graphs = list(catalogs(8))[:count]
+        assert len(graphs) == count
+        reports = verify_catalog(graphs, workers=workers)
+        assert sizes == ([] if expected is None else [expected])
+        assert [r.index for r in reports] == list(range(count))
 
     def test_verify_graph_builds_cut_space_once(self, monkeypatch):
         # no exponential walk, and one cut space, on the input graph only
@@ -1629,9 +1665,9 @@ def sampled_cut_by_sorting(g):
     return make_cut(g, {0})
 
 
-NOT_CUBIC = from_edge_list(2, [(0, 1)])
-DISCONNECTED = from_edge_list(4, [(0, 1)] * 3 + [(2, 3)] * 3)
-BRIDGED = from_edge_list(
+NOT_CUBIC = MultiGraph(2, [(0, 1)])
+DISCONNECTED = MultiGraph(4, [(0, 1)] * 3 + [(2, 3)] * 3)
+BRIDGED = MultiGraph(
     6, [(0, 1), (0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (4, 5)]
 )
 
@@ -1640,10 +1676,13 @@ BRIDGED = from_edge_list(
     "fn, g, message",
     [
         (fn, g, f"{fn.__name__} requires a {what} graph")
-        for fn in (verify_graph, decompose, find_nontrivial_tight_cut)
+        for fn in (verify_graph, decompose)
         for g, what in ((NOT_CUBIC, "cubic"), (DISCONNECTED, "connected"), (BRIDGED, "bridgeless"))
     ]
     + [
+        (klee_stats, NOT_CUBIC, "klee_stats requires a cubic graph"),
+        (klee_stats, DISCONNECTED, "klee_stats requires a connected graph"),
+        (klee_stats, BRIDGED, "klee_stats requires a klee-graph"),
         (is_klee, NOT_CUBIC, "is_klee requires a cubic graph"),
         (is_klee, DISCONNECTED, "is_klee requires a connected graph"),
         (cyclic_edge_connectivity, DISCONNECTED,

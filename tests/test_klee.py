@@ -13,15 +13,11 @@ from cubicmatch.klee import (
     CLASS_C,
     DANGEROUS,
     GOOD,
-    NiceCutResult,
     _classify,
-    core,
     enumerate_klee,
     expand_and_check,
     is_klee,
-    is_nice_cut,
     klee_stats,
-    triangles,
     vertex_type,
 )
 from cubicmatch.matching import _Kernel, _vertex_mask, count_perfect_matchings
@@ -30,13 +26,12 @@ from cubicmatch.multigraph import (
     _contract_parts,
     canonical_form,
     contract,
-    from_edge_list,
     induced_subgraph,
     make_cut,
     replace_vertex_with_triangle,
 )
 from conftest import count_kernels, mask_reference_graphs
-from oracles import glue
+from oracles import NiceCutResult, core, glue, is_nice_cut, triangles
 from test_brick_brace import profile_tight
 from test_public_surface import BRIDGED, PATH, TWO_K4
 from cubicmatch.named_graphs import (
@@ -164,7 +159,7 @@ class TestIsKlee:
 
     def test_non_cubic_rejected(self):
         with pytest.raises(ValueError):
-            is_klee(from_edge_list(2, [(0, 1)]))
+            is_klee(MultiGraph(2, [(0, 1)]))
 
     def test_agrees_with_enumeration(self, catalogs):
         # recognition by contraction matches membership in the inductive
@@ -489,7 +484,7 @@ class TestNiceCuts:
         # across the bridge (3, 7) the side {1, 4, 5, 6, 7} of this 3-cut is
         # disconnected; it used to say "contraction part [1, 4, 5, 6, 7] is
         # not connected"
-        g = from_edge_list(8, [(0, 3), (0, 6), (2, 3), (4, 7), (4, 5), (1, 6),
+        g = MultiGraph(8, [(0, 3), (0, 6), (2, 3), (4, 7), (4, 5), (1, 6),
                                (3, 7), (0, 2), (1, 2), (1, 6), (4, 5), (5, 7)])
         with pytest.raises(ValueError, match="^is_nice_cut requires a bridgeless graph$"):
             is_nice_cut(g, make_cut(g, {0, 2, 3}))

@@ -5,9 +5,7 @@ import networkx as nx
 import pytest
 
 from cubicmatch import multigraph
-from cubicmatch.brick_brace import is_tight
 from cubicmatch.connectivity import is_cyclic_cut
-from cubicmatch.klee import is_nice_cut
 from cubicmatch.matching import boundary_profile
 from cubicmatch.multigraph import (
     Cut,
@@ -16,7 +14,7 @@ from cubicmatch.multigraph import (
     contract,
     four_cut_completion_edges,
     four_cut_completion_vertices,
-    from_edge_list,
+    induced_subgraph,
     make_cut,
     replace_vertex_with_triangle,
 )
@@ -32,7 +30,7 @@ from cubicmatch.named_graphs import (
     three_bond,
 )
 from conftest import sparse_multigraphs
-from oracles import from_canonical, glue
+from oracles import from_canonical, glue, is_nice_cut, is_tight, triangles
 
 
 class TestVertexIds:
@@ -60,6 +58,19 @@ class TestVertexIds:
         with pytest.raises(ValueError, match="is not a vertex of a graph of order 10"):
             make_cut(petersen(), side)
 
+    @pytest.mark.parametrize(
+        "keep, bad", [([0, 1, 100], "100"), ([0, -1], "-1"), ([0, 1, True], "True"), ([2.0], "2.0")]
+    )
+    def test_induced_side_must_hold_vertex_ids(self, keep, bad):
+        # [0, 1, 100] used to give a third vertex that k4 does not have,
+        # [0, -1] kept vertex -1 as vertex 0, and True stood for vertex 1
+        with pytest.raises(ValueError, match=f"^{bad} is not a vertex of a graph of order 4$"):
+            induced_subgraph(k4(), keep)
+
+    def test_induced_subgraph_of_vertex_ids(self):
+        sub, old_ids, old_edges = induced_subgraph(k4(), iter([3, 1, 3]))
+        assert (sub, old_ids, old_edges) == (MultiGraph(2, ((0, 1),)), [1, 3], [4])
+
 
 def relabeled(g, perm):
     return MultiGraph(g.vertex_count, tuple((perm[u], perm[v]) for u, v in g.edges))
@@ -67,12 +78,12 @@ def relabeled(g, perm):
 
 class TestFromEdgeList:
     def test_k4(self):
-        g = from_edge_list(4, list(combinations(range(4), 2)))
+        g = MultiGraph(4, list(combinations(range(4), 2)))
         assert g.degrees() == (3, 3, 3, 3)
         assert g.is_simple()
 
     def test_three_bond(self):
-        g = from_edge_list(2, [(0, 1), (0, 1), (0, 1)])
+        g = MultiGraph(2, [(0, 1), (0, 1), (0, 1)])
         assert g.degrees() == (3, 3)
         assert g.multiplicity(0, 1) == 3
 
@@ -81,11 +92,11 @@ class TestFromEdgeList:
 
     def test_id_out_of_range(self):
         with pytest.raises(ValueError):
-            from_edge_list(3, [(0, 3)])
+            MultiGraph(3, [(0, 3)])
 
     def test_loop_rejected(self):
         with pytest.raises(ValueError):
-            from_edge_list(3, [(1, 1)])
+            MultiGraph(3, [(1, 1)])
 
 
 
@@ -174,7 +185,7 @@ class TestTriangleReplacement:
         assert g.vertex_count == 12 and g.is_cubic() and not bridges(g)
 
     def test_degree_precondition(self):
-        g = from_edge_list(3, [(0, 1), (1, 2)])
+        g = MultiGraph(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError):
             replace_vertex_with_triangle(g, 0)
 
@@ -205,14 +216,12 @@ class TestGlue:
         assert canonical_form(glue(k4(), 0, k4(), 0)) == canonical_form(prism())
 
     def test_glue_petersen_k4_one_triangle(self):
-        from cubicmatch.klee import triangles
-
         g = glue(petersen(), 0, k4(), 0)
         assert g.vertex_count == 12 and g.is_cubic()
         assert len(triangles(g)) == 1
 
     def test_glue_degree_check(self):
-        g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+        g = MultiGraph(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(ValueError):
             glue(g, 0, k4(), 0)
 
@@ -294,7 +303,7 @@ class TestCanonicalForm:
         assert len(forms) == 3
 
     def test_three_bond_vs_triangle(self):
-        triangle = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
+        triangle = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
         assert canonical_form(three_bond()) != canonical_form(triangle)
 
     def test_size_bound(self):
@@ -348,20 +357,20 @@ class TestCanonicalEncodingLimits:
         rnd.shuffle(perm)
         ring = [(perm[i], perm[(i + 1) % 256]) for i in range(256)]
         chords = [(perm[i], perm[i + 128]) for i in range(128)]
-        g = from_edge_list(256, ring + chords)
+        g = MultiGraph(256, ring + chords)
         assert g.is_cubic()
         self.forbid_search(monkeypatch)
         with pytest.raises(ValueError, match="limited to 16 vertices, got 256"):
             canonical_form(g)
 
     def test_more_than_255_parallel_edges(self, monkeypatch):
-        g = from_edge_list(2, [(0, 1)] * 256)
+        g = MultiGraph(2, [(0, 1)] * 256)
         self.forbid_search(monkeypatch)
         with pytest.raises(ValueError, match="at most 255 parallel edges, got 256"):
             canonical_form(g)
 
     def test_255_parallel_edges_encode(self):
-        g = from_edge_list(3, [(0, 1)] * 255 + [(1, 2)])
+        g = MultiGraph(3, [(0, 1)] * 255 + [(1, 2)])
         form = canonical_form(g)
         assert sorted(form[1:]) == [0, 1, 255]
         assert canonical_form(from_canonical(form)) == form
@@ -432,7 +441,8 @@ class TestSpanningForest:
 
 
 class TestCutOfAnotherGraph:
-    """Every public (g, cut) entry point refuses a cut that is not g's."""
+    """Every (g, cut) entry point, public or test oracle, refuses a cut
+    that is not g's."""
 
     ENTRY_POINTS = {
         "is_tight": is_tight,

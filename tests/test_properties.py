@@ -2,7 +2,7 @@
 
 import random
 
-from cubicmatch.brick_brace import decompose, is_tight
+from cubicmatch.brick_brace import decompose
 from cubicmatch.connectivity import (
     NO_CYCLIC_CUT,
     cyclic_edge_connectivity,
@@ -11,9 +11,10 @@ from cubicmatch.connectivity import (
 )
 from cubicmatch.klee import is_klee
 from cubicmatch.matching import matching_profile
-from cubicmatch.multigraph import MultiGraph, canonical_form, from_edge_list
+from cubicmatch.multigraph import MultiGraph, canonical_form
 from cubicmatch.named_graphs import k4
 from conftest import random_bridgeless_cubic
+from oracles import is_tight
 
 
 def test_cyclic_at_least_edge_connectivity(catalogs):
@@ -71,7 +72,7 @@ def test_bipartite_decomposition_has_no_bricks(catalogs):
 
 
 def test_degree_profile():
-    g = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
+    g = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
     assert g.degree_profile() == ()  # cubic
     minus_edge = MultiGraph(4, g.edges[:-1])
     assert minus_edge.degree_profile() == (2, 2)  # {2,2}-near cubic
