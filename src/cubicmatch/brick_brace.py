@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .connectivity import _bits, _cut_sides, _require, _side_cut, _side_key
 from .matching import _covered, _Kernel
-from .multigraph import Cut, MultiGraph, _contract_parts
+from .multigraph import Cut, MultiGraph, _contract_parts, _part_names
 
 BRICK = "brick"
 BRACE = "brace"
@@ -88,12 +88,13 @@ class Decomposition:
 
 def _piece(g: MultiGraph, parts: tuple[int, ...]) -> tuple[MultiGraph, list[int], list[int]]:
     """g with each part mask contracted in one step, with the vertex and
-    edge maps of `_contract_parts`; the numbering and edge order are those
-    of contracting the parts one split at a time (see _decompose). With no
-    part it is g itself."""
+    edge maps of `_contract_parts`. A vertex's id is the rank of its
+    _part_names name, so the numbering and edge order are those of
+    contracting the parts one split at a time. With no part it is g
+    itself."""
     if not parts:
         return g, list(range(g.vertex_count)), list(range(len(g.edges)))
-    return _contract_parts(g, [frozenset(_bits(p)) for p in parts])
+    return _contract_parts(g, map(_bits, parts))
 
 
 def _is_tight_unchecked(kernel: _Kernel, side_size: int, cut_edges: Iterable[int]) -> bool:
@@ -159,11 +160,9 @@ def _decompose(kernel: _Kernel, g: MultiGraph) -> Decomposition:
     connected bridgeless h, and each component of a side has at least 2
     cut edges (a lone one would be a bridge of h).
 
-    Cut order is kept. _contract_parts numbers a vertex of a contraction
-    by its smallest member, and each vertex of h/P is a union of vertices
-    of h, so by induction the vertex ids of every piece rank the smallest
-    input vertex of each of its vertices. With reps the mask of those
-    smallest vertices, a side T of a piece maps to a vertex set of size
+    Cut order is kept. A piece's vertex ids rank the _part_names names of
+    its vertices, the smallest input vertex of each. With reps the mask of
+    those names, a side T of a piece maps to a vertex set of size
     |T & reps|, ordered among the others as T & reps is: its place in
     enumerate_cuts' order is _side_key(T & reps), the nontrivial test is
     3 <= |T & reps| <= |reps| - 3, and vertex 0 stays in side_a. So each
@@ -209,14 +208,10 @@ def _decompose(kernel: _Kernel, g: MultiGraph) -> Decomposition:
 def _odd_cycle(n: int, edges: tuple[tuple[int, int], ...], parts: tuple[int, ...]) -> bool:
     """True when the edges between different parts (each vertex outside
     the parts being a part of its own) close an odd cycle. Union-find on
-    the parts' smallest vertices, each node holding its parity to its
+    the parts' _part_names names, each node holding its parity to its
     parent: an edge inside one tree whose ends have equal parity to the
     root closes an odd cycle."""
-    region = list(range(n))
-    for p in parts:
-        low = (p & -p).bit_length() - 1
-        for v in _bits(p):
-            region[v] = low
+    region = _part_names(n, map(_bits, parts))
     parent = list(range(n))
     parity = [0] * n
 

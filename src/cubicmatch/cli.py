@@ -16,6 +16,7 @@ from .brick_brace import decompose
 from .formats import EDGE_LIST, FORMATS, ParseError, parse, write
 from .harness import (
     CATALOG_CLASSES,
+    _worker_count,
     generate_catalog,
     scarce_matching_graphs,
     verify_catalog,
@@ -153,10 +154,12 @@ def _cmd_klee_enum(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog_verify(args: argparse.Namespace) -> int:
-    graphs = generate_catalog(args.n, args.klass, simple_only=args.simple_only)
-    reports = verify_catalog(graphs)
+    # a bad worker count or --out fails before the sweep, not after it
+    _worker_count(None)
     sink = open(args.out, "w", encoding="ascii") if args.out else nullcontext(sys.stdout)
     with sink as out:
+        graphs = generate_catalog(args.n, args.klass, simple_only=args.simple_only)
+        reports = verify_catalog(graphs)
         out.writelines(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in reports)
     ok = all(r.all_satisfied for r in reports)
     scarce = scarce_matching_graphs(args.n)

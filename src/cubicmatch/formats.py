@@ -152,19 +152,11 @@ def write_graph6(g: MultiGraph) -> str:
         raise ValueError("graph6 cannot encode parallel edges; use sparse6")
     n = g.vertex_count
     present = set(g.edges)
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in present else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = bytes(d + 63 for d in _n_to_data(n))
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        out += bytes([val + 63])
-    return out.decode("ascii")
+    # the upper triangle column by column, as parse_graph6 reads it
+    bits = "".join("1" if (i, j) in present else "0" for j in range(1, n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    data = _n_to_data(n) + [int(bits[k:k + 6], 2) for k in range(0, len(bits), 6)]
+    return bytes(d + 63 for d in data).decode("ascii")
 
 
 def parse_graph6(line: str | bytes, where: str = "graph6") -> MultiGraph:

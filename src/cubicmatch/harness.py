@@ -56,6 +56,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, chain, groupby, islice, permutations, product, repeat
 from typing import Callable, Iterable, Iterator
 
@@ -702,10 +703,6 @@ class BoundReport:
     def all_satisfied(self) -> bool:
         return all(r.satisfied for r in self.results)
 
-    @property
-    def is_exceptional(self) -> bool:
-        return self.invariants["exceptional"]
-
     def to_json(self) -> dict:
         return {
             "index": self.index,
@@ -721,13 +718,9 @@ class BoundReport:
         }
 
 
-_EXCEPTIONAL_CANONICAL: list[bytes] = []
-
-
+@cache
 def exceptional_canonical() -> bytes:
-    if not _EXCEPTIONAL_CANONICAL:
-        _EXCEPTIONAL_CANONICAL.append(canonical_form(exceptional_graph()))
-    return _EXCEPTIONAL_CANONICAL[0]
+    return canonical_form(exceptional_graph())
 
 
 def _sample_cut_for_identity(g: MultiGraph) -> tuple[int, tuple[int, ...]]:
@@ -755,9 +748,10 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     edges, so it holds a cycle), and klee graphs are 3-edge-connected, so
     their cyclic value is exactly 3. One matching kernel on g serves the
     profile, the decomposition's tight cuts, the affine rank and the
-    sampled cut; it is freed on return. Each bound is one Fraction of
-    integers. A failed avoiding bound carries its arg-min edge as its
-    witness, and a failed cut identity its cut.
+    sampled cut; it is freed on return. The paper's bounds are one table
+    in report order, and a row's Fraction is built only when its
+    hypothesis holds. A failed avoiding bound carries its arg-min edge as
+    its witness, and a failed cut identity its cut.
     """
     _require(g, "verify_graph", cubic=True, connected=True, bridgeless=True)
     n = g.vertex_count
@@ -792,50 +786,30 @@ def verify_graph(g: MultiGraph) -> BoundReport:
         "cyclically_5ec": cyc5,
         "exceptional": exceptional,
     }
-    results: list[TheoremResult] = []
-
-    def bound(
-        tag: str,
-        b: Fraction,
-        value: Fraction,
-        ok: bool | None = None,
-        witness: dict | None = None,
-    ) -> None:
-        satisfied = (value >= b) if ok is None else ok
-        results.append(
-            TheoremResult(tag, "bound", b, value, satisfied, None if satisfied else witness)
-        )
-
-    pmf = Fraction(pm)
-    bound("pm_ge_n4_plus_2", Fraction(n + 8, 4), pmf)
-    bound(
-        "pm_ge_n2_plus_1_unless_exceptional",
-        Fraction(n + 2, 2),
-        pmf,
-        ok=2 * pm >= n + 2 or (exceptional and pm == n // 2),
+    # the paper's bounds in report order: (tag, hypothesis, bound as
+    # numerator and denominator, the count it bounds, the witness of a
+    # failure, the exemption)
+    edge = {"edge": heaviest}
+    bounds = (
+        ("pm_ge_n4_plus_2", True, n + 8, 4, pm, None, False),
+        ("pm_ge_n2_plus_1_unless_exceptional", True, n + 2, 2, pm, None,
+         exceptional and pm == n // 2),
+        ("pm_ge_3n4_minus_10", True, 3 * n - 40, 4, pm, None, False),
+        ("pm_ge_3n4_minus_9", ec >= 3, 3 * n - 36, 4, pm, None, False),
+        ("pm_ge_3n2_minus_9", bip, 3 * n - 18, 2, pm, None, False),
+        ("pm_ge_3n4_minus_6", klee, 3 * n - 24, 4, pm, None, False),
+        ("cyc5_pm_ge_3n4_minus_3_2", cyc5, 3 * n - 6, 4, pm, None, False),
+        ("cyc5_edge_deleted_pm_ge_n2_minus_1", cyc5, n - 2, 2, min_avoiding, edge, False),
+        ("two_cut_avoid_ge_3", ec == 2, 3, 1, min_avoiding, edge, False),
     )
-    bound("pm_ge_3n4_minus_10", Fraction(3 * n - 40, 4), pmf)
-    if ec >= 3:
-        bound("pm_ge_3n4_minus_9", Fraction(3 * n - 36, 4), pmf)
-    if bip:
-        bound("pm_ge_3n2_minus_9", Fraction(3 * n - 18, 2), pmf)
-    if klee:
-        bound("pm_ge_3n4_minus_6", Fraction(3 * n - 24, 4), pmf)
-    if cyc5:
-        bound("cyc5_pm_ge_3n4_minus_3_2", Fraction(3 * n - 6, 4), pmf)
-        bound(
-            "cyc5_edge_deleted_pm_ge_n2_minus_1",
-            Fraction(n - 2, 2),
-            Fraction(min_avoiding),
-            witness={"edge": heaviest},
-        )
-    if ec == 2:
-        bound(
-            "two_cut_avoid_ge_3",
-            Fraction(3),
-            Fraction(min_avoiding),
-            witness={"edge": heaviest},
-        )
+    results = []
+    for tag, holds, num, den, value, witness, exempt in bounds:
+        if holds:
+            b = Fraction(num, den)
+            ok = value >= b or exempt
+            results.append(
+                TheoremResult(tag, "bound", b, Fraction(value), ok, None if ok else witness)
+            )
     results.append(
         TheoremResult(
             "dim_equals_affine_rank",
@@ -852,7 +826,7 @@ def verify_graph(g: MultiGraph) -> BoundReport:
         witness = {"side_a": list(_bits(side)), "cut_edges": sorted(cut_edges)}
     results.append(
         TheoremResult(
-            "cut_identity_sampled", "identity", pmf, Fraction(total), total == pm, witness
+            "cut_identity_sampled", "identity", Fraction(pm), Fraction(total), total == pm, witness
         )
     )
     return BoundReport(
@@ -867,15 +841,10 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     )
 
 
-def verify_catalog(graphs: Iterable[MultiGraph], workers: int | None = None) -> list[BoundReport]:
-    """Verifies a stream of graphs, preserving input order in the reports.
-
-    Workers default to the CUBICMATCH_WORKERS environment variable. Either
-    must be an integer >= 1 (a passed bool is not), or ValueError names
-    the value. The pool starts min(workers, number of graphs, CPU count)
-    processes, so no process sits idle; when that is 1, the graphs are
-    verified in this process.
-    """
+def _worker_count(workers: int | None) -> int:
+    """workers, or the CUBICMATCH_WORKERS environment variable (default 1)
+    when it is None. Either must be an integer >= 1 (a passed bool is
+    not), or ValueError names the value."""
     name, value = "workers", workers
     if workers is None:
         name, value = "CUBICMATCH_WORKERS", os.environ.get("CUBICMATCH_WORKERS", "1")
@@ -885,6 +854,17 @@ def verify_catalog(graphs: Iterable[MultiGraph], workers: int | None = None) -> 
             pass
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return workers
+
+
+def verify_catalog(graphs: Iterable[MultiGraph], workers: int | None = None) -> list[BoundReport]:
+    """Verifies a stream of graphs, preserving input order in the reports.
+
+    Workers are read by _worker_count. The pool starts min(workers,
+    number of graphs, CPU count) processes, so no process sits idle; when
+    that is 1, the graphs are verified in this process.
+    """
+    workers = _worker_count(workers)
     graphs = list(graphs)
     processes = min(workers, len(graphs), os.cpu_count() or 1)
     if processes > 1:

@@ -98,16 +98,14 @@ def is_klee(g: MultiGraph) -> KleeResult:
     """Klee-graph test with the triangle contraction sequence as certificate.
 
     Requires a cubic connected graph. The current graph is kept as a
-    partition of g into regions, each named by its smallest vertex, with
-    the names of each region's three neighbours (one per outgoing edge of
-    g); no graph is built.
-    _contract_parts numbers a contracted vertex by its smallest member, so
-    by induction the current graph's vertex ids rank the region names:
-    triangles scanned in name order come in the current graph's
-    lexicographic order, and a contraction is recorded by the ranks of its
-    names. The current graph stays cubic, as a contracted triangle has
-    three outgoing edges, and with four vertices it is simple, hence K4,
-    exactly when every region has three distinct neighbours.
+    partition of g into regions, each named by its smallest vertex (the
+    _part_names rule), with the names of each region's three neighbours
+    (one per outgoing edge of g); no graph is built. The current graph's
+    vertex ids rank the names, so triangles scanned in name order come in
+    its lexicographic order, and a contraction is recorded by the ranks
+    of its names. The current graph stays cubic, as a contracted triangle
+    has three outgoing edges, and with four vertices it is simple, hence
+    K4, exactly when every region has three distinct neighbours.
     """
     _require(g, "is_klee", cubic=True, connected=True)
     nbrs = {v: [u for _, u in g.incidence[v]] for v in range(g.vertex_count)}
@@ -214,7 +212,7 @@ def enumerate_klee(n: int) -> tuple[MultiGraph, ...]:
     if not _is_int(n):
         raise ValueError(f"klee order must be an int, got {n!r}")
     if n % 2 or not 4 <= n <= DEFAULT_CANONICAL_BOUND:
-        raise ValueError("enumerate_klee requires even n with 4 <= n <= 16")
+        raise ValueError(f"enumerate_klee requires even n with 4 <= n <= {DEFAULT_CANONICAL_BOUND}")
     if n in _KLEE_CACHE:
         return _KLEE_CACHE[n]
     if n == 4:

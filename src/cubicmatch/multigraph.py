@@ -239,9 +239,8 @@ def contract(
     """Contracts each part to a single vertex, dropping loops, keeping parallels.
 
     Every part must induce a connected subgraph and the parts must be
-    disjoint. Returns the contracted graph and the map old id -> new id;
-    new ids are assigned contiguously in order of each vertex's (or part
-    representative's) first appearance in 0..n-1.
+    disjoint. Returns the contracted graph and the map old id -> new id,
+    which sends each vertex to the rank of its _part_names name.
     """
     part_sets = [frozenset(p) for p in parts]
     seen: set[int] = set()
@@ -258,34 +257,28 @@ def contract(
     return h, vmap
 
 
+def _part_names(n: int, parts: Iterable[Iterable[int]]) -> list[int]:
+    """The one naming rule of a contraction: each vertex of range(n) is
+    named by the smallest vertex of its part, or by itself when it lies
+    in no part. Every name is the first vertex of range(n) to carry it."""
+    names = list(range(n))
+    for p in parts:
+        least = min(p)
+        for v in p:
+            names[v] = least
+    return names
+
+
 def _contract_parts(
-    g: MultiGraph, part_sets: Sequence[frozenset[int]]
+    g: MultiGraph, parts: Iterable[Iterable[int]]
 ) -> tuple[MultiGraph, list[int], list[int]]:
     """contract on parts the caller already knows to be nonempty,
     disjoint, in range and connected; nothing is checked again. Returns
-    the contracted graph, the vertex map, and the edge map: the kept edges
+    the contracted graph, the vertex map, and the edge map: the vertex map
+    sends each vertex to the rank of its _part_names name, the kept edges
     (those between different parts) keep their order, and edge_map[e] is
     the new index of edge e, or -1 when e lies inside a part."""
-    owner = {}
-    for idx, p in enumerate(part_sets):
-        for v in p:
-            owner[v] = idx
-    vmap = [-1] * g.vertex_count
-    next_id = 0
-    part_new_id = [-1] * len(part_sets)
-    for v in range(g.vertex_count):
-        if vmap[v] != -1:
-            continue
-        if v in owner:
-            pid = owner[v]
-            if part_new_id[pid] == -1:
-                part_new_id[pid] = next_id
-                next_id += 1
-            for w in part_sets[pid]:
-                vmap[w] = part_new_id[pid]
-        else:
-            vmap[v] = next_id
-            next_id += 1
+    vmap = _ranks(_part_names(g.vertex_count, parts))
     new_edges = []
     edge_map = []
     for u, v in g.edges:
@@ -293,7 +286,7 @@ def _contract_parts(
         edge_map.append(len(new_edges) if a != b else -1)
         if a != b:
             new_edges.append((a, b))
-    return MultiGraph(next_id, tuple(new_edges)), vmap, edge_map
+    return MultiGraph(max(vmap, default=-1) + 1, tuple(new_edges)), vmap, edge_map
 
 
 def replace_vertex_with_triangle(g: MultiGraph, v: int) -> MultiGraph:
@@ -465,10 +458,10 @@ def canonical_form(g: MultiGraph) -> bytes:
     lower-triangular multiplicity matrix over all relabelings compatible
     with the invariant vertex coloring. The search is exhaustive with
     invariant and automorphism pruning. A graph of more than
-    DEFAULT_CANONICAL_BOUND vertices (read at each call), or with an edge
-    multiplicity above 255, which takes more than the one byte every
-    entry is stored in, raises ValueError before the search. The result
-    is cached on the instance.
+    DEFAULT_CANONICAL_BOUND vertices, or with an edge multiplicity above
+    255, which takes more than the one byte every entry is stored in,
+    raises ValueError before the search. The result is cached on the
+    instance.
     """
     n = g.vertex_count
     if n > DEFAULT_CANONICAL_BOUND:

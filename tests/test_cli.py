@@ -377,7 +377,12 @@ def test_catalog_verify_names_each_violator(tmp_path, capsys, monkeypatch):
     assert captured_out.err == captured.err
 
 
+def no_sweep(*args, **kwargs):
+    raise AssertionError("the catalog was built before the settings were checked")
+
+
 def test_catalog_verify_rejects_non_integer_workers(monkeypatch, capsys):
+    monkeypatch.setattr("cubicmatch.cli.generate_catalog", no_sweep)
     for value in ("two", "2.5"):
         monkeypatch.setenv("CUBICMATCH_WORKERS", value)
         assert main(["catalog", "verify", "--n", "4"]) == 2
@@ -388,8 +393,20 @@ def test_catalog_verify_rejects_non_integer_workers(monkeypatch, capsys):
 
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_catalog_verify_rejects_workers_below_one(monkeypatch, capsys, value):
+    monkeypatch.setattr("cubicmatch.cli.generate_catalog", no_sweep)
     monkeypatch.setenv("CUBICMATCH_WORKERS", value)
     assert main(["catalog", "verify", "--n", "4"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: CUBICMATCH_WORKERS must be an integer >= 1, got {value!r}\n"
+
+
+def test_catalog_verify_opens_out_before_the_sweep(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("cubicmatch.cli.generate_catalog", no_sweep)
+    target = tmp_path / "missing" / "report.jsonl"
+    assert main(["catalog", "verify", "--n", "4", "--out", str(target)]) == 2
+    out, err = capsys.readouterr()
+    with pytest.raises(OSError) as missing:
+        open(target, "w")
+    assert out == ""
+    assert err == f"error: {missing.value}\n"

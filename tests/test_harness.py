@@ -1267,7 +1267,7 @@ class TestVerify:
 
     def test_exceptional_flagged(self):
         rep = verify_graph(exceptional_graph())
-        assert rep.is_exceptional and rep.all_satisfied
+        assert rep.invariants["exceptional"] and rep.all_satisfied
         assert rep.pm_count == rep.n // 2
 
     def test_k4_slack_zero_dimension_bound(self):
