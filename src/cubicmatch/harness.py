@@ -58,7 +58,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, groupby, islice, permutations, product, repeat
-from typing import Callable, Iterable, Iterator
+from math import gcd
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .brick_brace import _affine_dimension, _decompose
 from .connectivity import (
@@ -655,32 +656,52 @@ def generate_catalog(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TheoremResult:
-    """One evaluated bound or identity. witness locates a failure (the
-    arg-min edge of an avoiding bound, the sampled cut of the cut
-    identity); satisfied entries carry none, and only a witness that is
-    set appears in to_json."""
+def _fraction_text(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, from the integers: lowest terms,
+    the sign on p, and "p" when the denominator is 1."""
+    d = gcd(p, q)
+    p, q = p // d, q // d
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+class TheoremResult(NamedTuple):
+    """One evaluated bound or identity: measured >= num/den for a bound
+    (num/den holds the paper's bound, den > 0), measured == num for an
+    identity (den = 1). witness locates a failure (the arg-min edge of an
+    avoiding bound, the sampled cut of the cut identity); satisfied
+    entries carry none, and only a witness that is set appears in
+    to_json. bound, value and slack give the exact numbers as Fractions;
+    the verdict and to_json use only the integers."""
 
     tag: str
     kind: str  # "bound" or "identity"
-    bound: Fraction
-    value: Fraction
+    num: int
+    den: int
+    measured: int
     satisfied: bool
     witness: dict | None = None
+
+    @property
+    def bound(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.measured)
 
     @property
     def slack(self) -> Fraction:
         return self.value - self.bound
 
     def to_json(self) -> dict:
+        num, den, measured = self.num, self.den, self.measured
         out = {
             "tag": self.tag,
             "kind": self.kind,
-            "bound": str(self.bound),
-            "value": str(self.value),
+            "bound": _fraction_text(num, den),
+            "value": str(measured),
             "satisfied": self.satisfied,
-            "slack": str(self.slack),
+            "slack": _fraction_text(measured * den - num, den),
         }
         if self.witness is not None:
             out["witness"] = self.witness
@@ -749,9 +770,11 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     their cyclic value is exactly 3. One matching kernel on g serves the
     profile, the decomposition's tight cuts, the affine rank and the
     sampled cut; it is freed on return. The paper's bounds are one table
-    in report order, and a row's Fraction is built only when its
-    hypothesis holds. A failed avoiding bound carries its arg-min edge as
-    its witness, and a failed cut identity its cut.
+    in report order, each a numerator and a denominator; a row whose
+    hypothesis holds is judged by the integer test count * den >= num
+    for the count it bounds, and no Fraction is built. A failed avoiding
+    bound carries its arg-min edge as its witness, and a failed cut
+    identity its cut.
     """
     _require(g, "verify_graph", cubic=True, connected=True, bridgeless=True)
     n = g.vertex_count
@@ -805,19 +828,12 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     results = []
     for tag, holds, num, den, value, witness, exempt in bounds:
         if holds:
-            b = Fraction(num, den)
-            ok = value >= b or exempt
+            ok = value * den >= num or exempt
             results.append(
-                TheoremResult(tag, "bound", b, Fraction(value), ok, None if ok else witness)
+                TheoremResult(tag, "bound", num, den, value, ok, None if ok else witness)
             )
     results.append(
-        TheoremResult(
-            "dim_equals_affine_rank",
-            "identity",
-            Fraction(dim),
-            Fraction(affine),
-            dim == affine,
-        )
+        TheoremResult("dim_equals_affine_rank", "identity", dim, 1, affine, dim == affine)
     )
     side, cut_edges = _sample_cut_for_identity(g)
     total = _cut_identity_total(kernel, g, side, cut_edges)
@@ -826,7 +842,7 @@ def verify_graph(g: MultiGraph) -> BoundReport:
         witness = {"side_a": list(_bits(side)), "cut_edges": sorted(cut_edges)}
     results.append(
         TheoremResult(
-            "cut_identity_sampled", "identity", Fraction(pm), Fraction(total), total == pm, witness
+            "cut_identity_sampled", "identity", pm, 1, total, total == pm, witness
         )
     )
     return BoundReport(

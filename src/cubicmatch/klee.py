@@ -21,7 +21,6 @@ from .multigraph import (
     DEFAULT_CANONICAL_BOUND,
     MultiGraph,
     _is_int,
-    _require_vertex,
     canonical_form,
     replace_vertex_with_triangle,
 )
@@ -140,8 +139,7 @@ def vertex_type(g: MultiGraph, v: int) -> KleeVertexType:
 def _vertex_type(kernel: _Kernel, g: MultiGraph, v: int) -> KleeVertexType:
     """vertex_type through the caller's kernel on g. With distinct
     neighbours, mu[i] is the per-edge count of the edge to the i-th."""
-    _require_vertex(g, v)
-    if g.degree(v) != 3:
+    if g.degree(v) != 3:  # degree refuses a non-vertex first
         raise ValueError(f"vertex {v} has degree {g.degree(v)}, need 3")
     nbrs = [u for _, u in g.incidence[v]]
     if len(set(nbrs)) != 3:

@@ -87,17 +87,27 @@ class MultiGraph:
         return _spanning_forest(self)
 
     def degree(self, v: int) -> int:
+        """The degree of vertex v; ValueError unless v is a vertex of
+        this graph (_require_vertex), as for neighbors and multiplicity."""
+        _require_vertex(self, v)
         return len(self.incidence[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(x) for x in self.incidence)
+        """Each vertex's degree, built once and kept on the instance."""
+        degrees = self.__dict__.get("_degrees")
+        if degrees is None:
+            degrees = self.__dict__["_degrees"] = tuple(map(len, self.incidence))
+        return degrees
 
     def neighbors(self, v: int) -> set[int]:
+        _require_vertex(self, v)
         return {u for _, u in self.incidence[v]}
 
     def multiplicity(self, u: int, v: int) -> int:
-        a, b = (u, v) if u < v else (v, u)
-        return sum(1 for e in self.edges if e == (a, b))
+        """The number of edges joining u and v, counted among u's."""
+        _require_vertex(self, u)
+        _require_vertex(self, v)
+        return sum(1 for _, w in self.incidence[u] if w == v)
 
     def is_cubic(self) -> bool:
         """Every degree is 3. The handshake count is read first, so a graph
@@ -296,8 +306,7 @@ def replace_vertex_with_triangle(g: MultiGraph, v: int) -> MultiGraph:
     i-th triangle vertex; triangle vertices are v itself plus two fresh
     vertices n and n+1, and the three triangle edges are appended last.
     """
-    _require_vertex(g, v)
-    if g.degree(v) != 3:
+    if g.degree(v) != 3:  # degree refuses a non-vertex first
         raise ValueError(f"vertex {v} has degree {g.degree(v)}, need 3")
     n = g.vertex_count
     tri = (v, n, n + 1)

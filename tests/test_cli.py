@@ -2,7 +2,6 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -157,6 +156,24 @@ def test_catalog_verify_12_keeps_its_reports(catalogs, capsys):
     assert hashlib.sha256(err.encode()).hexdigest() == (
         "f70c5eb204b54f0f1331a15fee827784bdfc710fd35a68a4bee0a2107e7ca921"
     )
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (2, "eff95c6eefaf5d57c2027c4c84349983ac1931db439193a353ef17aa5c50e4c2"),
+        (4, "fcc9fe4744deb5d0154a821e4c3bea96678c774daea8486a7301e2430acf6794"),
+        (6, "3c69f5fbd3a7e1b508504387417269c2c6e97c5d9078b2b625012dae8a5b77ba"),
+        (8, "9777237e22ac0e63199ff63a87c6b7e5e74a6f628ee6d5da217997b746294cae"),
+        (10, "b2b156186b49f4f62b99b5a93d699d14b84da74836ab38507f404af665d58ef6"),
+    ],
+)
+def test_catalog_verify_small_orders_keep_their_reports(catalogs, capsys, n, digest):
+    # the bounds 3n/4 - 10 and 3n/4 - 9 are negative here, and some
+    # bounds and slacks are fractions, so the strings take every form
+    catalogs(n)
+    assert main(["catalog", "verify", "--n", str(n)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_catalog_verify_help_says_what_the_scarce_line_counts(capsys):
@@ -349,7 +366,7 @@ def test_catalog_verify_names_each_violator(tmp_path, capsys, monkeypatch):
         for index, tags in failing.items():
             bad = reports[index]
             bad.results = [
-                replace(r, satisfied=False) if r.tag in tags else r for r in bad.results
+                r._replace(satisfied=False) if r.tag in tags else r for r in bad.results
             ]
         return reports
 

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -1269,6 +1270,42 @@ class TestVerify:
         rep = verify_graph(exceptional_graph())
         assert rep.invariants["exceptional"] and rep.all_satisfied
         assert rep.pm_count == rep.n // 2
+
+    def test_result_strings_are_those_of_fractions(self):
+        # failed bounds give negative slacks, and 3n/4 - 10 is negative
+        # for n < 14
+        for num, den, value in itertools.product(range(-40, 41), (1, 2, 4), range(31)):
+            r = harness.TheoremResult("t", "bound", num, den, value, value * den >= num)
+            bound, slack = Fraction(num, den), Fraction(value) - Fraction(num, den)
+            out = r.to_json()
+            assert (out["bound"], out["value"], out["slack"]) == (
+                str(bound), str(value), str(slack)
+            )
+            assert (r.bound, r.value, r.slack) == (bound, value, slack)
+            assert all(type(x) is Fraction for x in (r.bound, r.value, r.slack))
+
+    def test_the_verdict_builds_no_fraction(self, catalogs, monkeypatch):
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        graphs = [*catalogs(8), petersen(), exceptional_graph()]
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        reports = []
+        for g in graphs:
+            report = verify_graph(g)
+            json.dumps(report.to_json())
+            reports.append(report)
+        assert built == []
+        monkeypatch.undo()
+        for report in reports:
+            for r, out in zip(report.results, report.to_json()["results"]):
+                assert (str(r.bound), str(r.value), str(r.slack)) == (
+                    out["bound"], out["value"], out["slack"]
+                )
 
     def test_k4_slack_zero_dimension_bound(self):
         rep = verify_graph(k4())

@@ -67,6 +67,32 @@ class TestVertexIds:
         with pytest.raises(ValueError, match=f"^{bad} is not a vertex of a graph of order 4$"):
             induced_subgraph(k4(), keep)
 
+    @pytest.mark.parametrize(
+        "method, args, bad",
+        [
+            ("degree", (-1,), "-1"),
+            ("degree", (True,), "True"),
+            ("degree", (3,), "3"),
+            ("neighbors", (-3,), "-3"),
+            ("neighbors", (1.0,), "1.0"),
+            ("multiplicity", (0, 99), "99"),
+            ("multiplicity", (1.0, 0), "1.0"),
+            ("multiplicity", (0, -1), "-1"),
+        ],
+    )
+    def test_vertex_queries_take_vertex_ids(self, method, args, bad):
+        # degree(-1) used to answer for vertex 2 and degree(True) for
+        # vertex 1, neighbors(-3) for vertex 0, multiplicity(0, 99) gave 0,
+        # multiplicity(1.0, 0) gave 2, and degree(3) raised IndexError
+        g = MultiGraph(3, ((0, 1), (0, 1), (1, 2)))
+        with pytest.raises(ValueError, match=f"^{bad} is not a vertex of a graph of order 3$"):
+            getattr(g, method)(*args)
+
+    def test_multiplicity_is_symmetric_and_zero_off_the_edges(self):
+        g = MultiGraph(3, ((0, 1), (0, 1), (1, 2)))
+        pairs = ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0), (0, 0))
+        assert [g.multiplicity(u, v) for u, v in pairs] == [2, 2, 1, 1, 0, 0, 0]
+
     def test_induced_subgraph_of_vertex_ids(self):
         sub, old_ids, old_edges = induced_subgraph(k4(), iter([3, 1, 3]))
         assert (sub, old_ids, old_edges) == (MultiGraph(2, ((0, 1),)), [1, 3], [4])
