@@ -113,13 +113,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
     forced, forbidden = frozenset(args.force), frozenset(args.forbid)
     if args.oracle:
         total = count_perfect_matchings_oracle(g, forced, forbidden)
-        taken = {v for e in forced for v in g.edges[e]}
-        per_edge = {}
-        for e, (u, v) in enumerate(g.edges):
-            # a forbidden edge, or one meeting a forced edge, is in no matching
-            clash = e in forbidden or (e not in forced and taken & {u, v})
-            per_edge[e] = 0 if clash else count_perfect_matchings_oracle(
-                g, forced | {e}, forbidden)
+        # the matchings through e are those that do not avoid it
+        per_edge = {
+            e: total if e in forced else 0 if e in forbidden
+            else total - count_perfect_matchings_oracle(g, forced, forbidden | {e})
+            for e in range(len(g.edges))
+        }
     else:
         profile = matching_profile(g, forced, forbidden)
         total, per_edge = profile.total, profile.per_edge

@@ -16,7 +16,9 @@ the edges of signature 0. Every query walks the cut sizes k = 0, 1, 2,
 ... in order and stops where its answer is found; each size is matched
 the first time any walk reaches it, then kept on the graph instance with
 the signatures, every cut as its side mask beside its edge tuple, so no
-query scans the edges again to rebuild a cut. Each value has one checked
+query scans the edges again to rebuild a cut. One caller drops it:
+`harness.verify_graph` deletes a cut space its own call built before it
+returns, and keeps one its caller built. Each value has one checked
 public entry point and no unchecked copy: the checks read the graph's
 cached forest and incidence lists, so they cost no traversal. The 2^n
 bipartition scan, the former census of connected sides, the former
@@ -426,13 +428,18 @@ def cyclic_edge_connectivity(g: MultiGraph) -> int | _NoCyclicCut:
     reports NO_CYCLIC_CUT when none of them is cyclic. The value is kept
     on the graph's cut space, so it is searched for once per graph.
     """
-    _require(g, "cyclic_edge_connectivity", connected=True)
-    if any(d < 3 for d in g.degrees()):
-        raise ValueError("cyclic_edge_connectivity requires minimum degree 3")
+    _require_cyclic_input(g)
     space = _cut_space(g)
     if space.cyclic is None:
         space.cyclic = _cyclic_value(g)
     return space.cyclic
+
+
+def _require_cyclic_input(g: MultiGraph) -> None:
+    """cyclic_edge_connectivity's checks: g connected, of minimum degree 3."""
+    _require(g, "cyclic_edge_connectivity", connected=True)
+    if any(d < 3 for d in g.degrees()):
+        raise ValueError("cyclic_edge_connectivity requires minimum degree 3")
 
 
 def _cyclic_value(g: MultiGraph) -> int | _NoCyclicCut:
@@ -467,5 +474,10 @@ def cyclic_value_at_least(c: int | _NoCyclicCut, k: int) -> bool:
 
 
 def cyclically_edge_connected_at_least(g: MultiGraph, k: int) -> bool:
-    """Treats the NO_CYCLIC_CUT sentinel as vacuously >= k."""
+    """Treats the NO_CYCLIC_CUT sentinel as vacuously >= k. After the
+    checks of cyclic_edge_connectivity, and before any search, a k that is
+    not an int (a bool included) raises ValueError."""
+    _require_cyclic_input(g)
+    if not _is_int(k):
+        raise ValueError(f"k must be an int, got {k!r}")
     return cyclic_value_at_least(cyclic_edge_connectivity(g), k)

@@ -8,6 +8,7 @@ follow the published format specification.
 from __future__ import annotations
 
 import os
+import re
 from functools import partial
 from itertools import compress
 from typing import IO, Callable, Iterable, Iterator
@@ -39,27 +40,36 @@ def write_edge_list(g: MultiGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# an edge-list field: an optional '-' and ASCII digits
+_INTEGER = re.compile("-?[0-9]+")
+
+
+def _int_pair(fields: list[str], at: int, shape: str, kind: str) -> tuple[int, int]:
+    """The two integers of an edge-list line's fields, the line at ``at``.
+    A line must have two fields (else "expected ``shape``"), each an
+    optional '-' and ASCII digits (else "non-integer ``kind``"), so the
+    '+', '_' and non-ASCII digits that int() reads are refused."""
+    if len(fields) != 2:
+        raise ParseError(f"expected {shape}", f"line {at}")
+    try:
+        if all(map(_INTEGER.fullmatch, fields)):
+            return int(fields[0]), int(fields[1])
+    except ValueError:  # a field past int()'s digit limit
+        pass
+    raise ParseError(f"non-integer {kind}", f"line {at}")
+
+
 def _parse_edge_list(lines: list[str]) -> Iterator[MultiGraph]:
     # the fields of every non-blank line, beside its line number
     numbered = ((i, fields) for i, fields in enumerate(map(str.split, lines), 1) if fields)
     for at, header in numbered:
-        if len(header) != 2:
-            raise ParseError("expected header 'n m'", f"line {at}")
-        try:
-            n, m = int(header[0]), int(header[1])
-        except ValueError:
-            raise ParseError("non-integer header fields", f"line {at}")
+        n, m = _int_pair(header, at, "header 'n m'", "header fields")
         if m < 0:
             raise ParseError(f"negative edge count {m}", f"line {at}")
         pairs = []
         # range first, so zip stops before it reads a line past the m-th
         for _, (at, fields) in zip(range(m), numbered):
-            if len(fields) != 2:
-                raise ParseError("expected edge line 'u v'", f"line {at}")
-            try:
-                pairs.append((int(fields[0]), int(fields[1])))
-            except ValueError:
-                raise ParseError("non-integer edge endpoints", f"line {at}")
+            pairs.append(_int_pair(fields, at, "edge line 'u v'", "edge endpoints"))
         if len(pairs) < m:
             raise ParseError(f"expected {m} edges, found {len(pairs)}", f"line {len(lines)}")
         try:
@@ -73,39 +83,34 @@ def _parse_edge_list(lines: list[str]) -> Iterator[MultiGraph]:
 # --------------------------------------------------------------------------
 
 
+# the vertex count's forms, by their number of leading 63s: the six-bit
+# groups that follow, and the largest count the form holds
+_COUNT_FORMS = ((1, 62), (3, 258047), (6, 68719476735))
+
+
 def _n_to_data(n: int) -> list[int]:
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    if n <= 62:
-        return [n]
-    if n <= 258047:
-        return [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
-    if n <= 68719476735:
-        return [63, 63,
-                (n >> 30) & 63, (n >> 24) & 63, (n >> 18) & 63,
-                (n >> 12) & 63, (n >> 6) & 63, n & 63]
+    for lead, (groups, top) in enumerate(_COUNT_FORMS):
+        if n <= top:
+            return [63] * lead + [(n >> 6 * i) & 63 for i in reversed(range(groups))]
     raise ValueError("vertex count too large for graph6/sparse6")
 
 
-def _data_to_n(data: list[int], start: int, where: str) -> tuple[int, list[int]]:
+def _data_to_n(data: bytes, start: int, where: str) -> tuple[int, bytes]:
     """The vertex count at the head of ``data`` (payload bytes less 63) and
     the bytes after it. An error names the first missing byte by its index
     in the line, where the payload starts at ``start``."""
-    if not data:
-        raise ParseError("missing vertex count", f"{where}, byte {start}")
-    if data[0] <= 62:
-        return data[0], data[1:]
-    if len(data) >= 4 and data[1] <= 62:
-        return (data[1] << 12) + (data[2] << 6) + data[3], data[4:]
-    if len(data) >= 8:
-        n = 0
-        for d in data[2:8]:
-            n = (n << 6) + d
-        return n, data[8:]
-    raise ParseError("truncated vertex count", f"{where}, byte {start + len(data)}")
+    # the count's form: its 0, 1 or 2 leading values 63
+    lead = (data[:1] == b"\x3f") + (data[:2] == b"\x3f\x3f")
+    end = lead + _COUNT_FORMS[lead][0]
+    if len(data) < end:
+        problem = "truncated" if data else "missing"
+        raise ParseError(f"{problem} vertex count", f"{where}, byte {start + len(data)}")
+    return int(_bit_string(data[lead:end]), 2), data[end:]
 
 
-def _bits(data: list[int]) -> str:
+def _bit_string(data: bytes) -> str:
     """The six bits of each payload value in ``data``, high bit first, as
     one string of '0' and '1'."""
     return "".join(format(d, "06b") for d in data)
@@ -117,9 +122,17 @@ def _id_bits(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
-def _payload(line: str | bytes, header: bytes, where: str) -> tuple[bytes, int]:
-    """The line as stripped ASCII bytes, without its optional header, and
-    the index in the line of the payload's first byte."""
+# a payload byte outside 63..126, and the table that takes each byte to
+# itself less 63
+_INVALID_BYTE = re.compile(b"[^?-~]")
+_LESS_63 = bytes((b - 63) % 256 for b in range(256))
+
+
+def _payload(line: str | bytes, header: bytes, lead: bytes, where: str) -> tuple[bytes, int]:
+    """The payload values of a graph6 or sparse6 line (its bytes less 63)
+    and the index in the line of the first of them. The line is stripped,
+    its optional ``header`` dropped, and ``lead`` (``:`` for sparse6) must
+    come next. Errors name a character or byte by its index in the line."""
     if isinstance(line, str):
         try:
             line = line.encode("ascii")
@@ -128,18 +141,15 @@ def _payload(line: str | bytes, header: bytes, where: str) -> tuple[bytes, int]:
     start = len(line) - len(line.lstrip())
     if line.startswith(header, start):
         start += len(header)
-    return line[start:].rstrip(), start
-
-
-def _check_bytes(payload: bytes, start: int, where: str) -> list[int]:
-    """The payload's bytes less 63; an error names the index in the line,
-    where the payload starts at ``start``."""
-    data = []
-    for pos, byte in enumerate(payload):
-        if not 63 <= byte <= 126:
-            raise ParseError(f"invalid byte {byte!r}", f"{where}, byte {start + pos}")
-        data.append(byte - 63)
-    return data
+    if not line.startswith(lead, start):
+        fmt = header.strip(b"<>").decode()
+        raise ParseError(f"{fmt} line must start with {lead.decode()!r}", f"{where}, byte {start}")
+    start += len(lead)
+    payload = line[start:].rstrip()
+    bad = _INVALID_BYTE.search(payload)
+    if bad:
+        raise ParseError(f"invalid byte {bad.group()[0]!r}", f"{where}, byte {start + bad.start()}")
+    return payload.translate(_LESS_63), start
 
 
 # --------------------------------------------------------------------------
@@ -160,8 +170,7 @@ def write_graph6(g: MultiGraph) -> str:
 
 
 def parse_graph6(line: str | bytes, where: str = "graph6") -> MultiGraph:
-    raw, start = _payload(line, b">>graph6<<", where)
-    data = _check_bytes(raw, start, where)
+    data, start = _payload(line, b">>graph6<<", b"", where)
     n, rest = _data_to_n(data, start, where)
     need = n * (n - 1) // 2
     # the bits fill whole bytes; padding bits may be anything
@@ -175,7 +184,7 @@ def parse_graph6(line: str | bytes, where: str = "graph6") -> MultiGraph:
         )
     # the upper triangle column by column; padding bits are not read
     pairs = ((i, j) for j in range(1, n) for i in range(j))
-    return MultiGraph(n, tuple(compress(pairs, map("1".__eq__, _bits(rest)))))
+    return MultiGraph(n, tuple(compress(pairs, map("1".__eq__, _bit_string(rest)))))
 
 
 # --------------------------------------------------------------------------
@@ -197,18 +206,16 @@ def write_sparse6(g: MultiGraph) -> str:
     for v, u in sorted((max(u, v), min(u, v)) for u, v in g.edges):
         if v == curv:
             # bit 0, then u
-            stream = (stream << (k + 1)) | u
-            length += k + 1
+            bits, width = u, k + 1
         elif v == curv + 1:
             # bit 1 moves to v, then u
-            curv = v
-            stream = (stream << (k + 1)) | (1 << k) | u
-            length += k + 1
+            bits, width = (1 << k) | u, k + 1
         else:
             # bit 1 and v set the current vertex, then bit 0 and u
-            curv = v
-            stream = (stream << (2 * k + 2)) | (1 << (2 * k + 1)) | (v << (k + 1)) | u
-            length += 2 * k + 2
+            bits, width = (1 << (2 * k + 1)) | (v << (k + 1)) | u, 2 * k + 2
+        curv = v
+        stream = (stream << width) | bits
+        length += width
         while length >= 6:
             length -= 6
             out.append(((stream >> length) & 63) + 63)
@@ -225,13 +232,10 @@ def write_sparse6(g: MultiGraph) -> str:
 
 
 def parse_sparse6(line: str | bytes, where: str = "sparse6") -> MultiGraph:
-    raw, start = _payload(line, b">>sparse6<<", where)
-    if not raw.startswith(b":"):
-        raise ParseError("sparse6 line must start with ':'", f"{where}, byte {start}")
-    data = _check_bytes(raw[1:], start + 1, where)
-    n, rest = _data_to_n(data, start + 1, where)
+    data, start = _payload(line, b">>sparse6<<", b":", where)
+    n, rest = _data_to_n(data, start, where)
     k = _id_bits(n)
-    bits = _bits(rest)
+    bits = _bit_string(rest)
     edges = []
     v = 0
     # each step is one bit b and a k-bit id x; trailing bits too few for a
@@ -263,19 +267,26 @@ def parse(source: str | os.PathLike | IO[str], fmt: str = EDGE_LIST) -> Iterator
     A path (a ``str`` or an ``os.PathLike``) is always opened as a file;
     a string is never read as graph text, so text already in hand goes
     through ``io.StringIO``. An OSError from opening the path is raised
-    unchanged, and a non-ASCII byte in the file raises ParseError naming
-    its index.
+    unchanged. Files and streams take one ASCII rule: a non-ASCII byte in
+    a file raises ParseError naming its index, and a non-ASCII character
+    in a stream names its line and its index in that line, as the graph6
+    and sparse6 readers name one in a line passed to them.
     """
     read_lines = _codec(fmt)[1]
-    if isinstance(source, (str, os.PathLike)):
+    path = isinstance(source, (str, os.PathLike))
+    if path:
         with open(source, "rb") as handle:
-            raw = handle.read()
-        try:
-            text = raw.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise ParseError("non-ASCII byte", f"{source}, byte {exc.start}")
+            # one character per byte, so a character's index is its byte's
+            text = handle.read().decode("latin-1")
     else:
         text = source.read()
+    if not text.isascii():
+        at = next(i for i, c in enumerate(text) if not c.isascii())
+        if path:
+            raise ParseError("non-ASCII byte", f"{source}, byte {at}")
+        # the text up to the character, a "?" in its place, in the readers' lines
+        head = (text[:at] + "?").splitlines()
+        raise ParseError("non-ASCII character", f"line {len(head)}, character {len(head[-1]) - 1}")
     yield from read_lines(text.splitlines())
 
 

@@ -769,13 +769,17 @@ def verify_graph(g: MultiGraph) -> BoundReport:
     edges, so it holds a cycle), and klee graphs are 3-edge-connected, so
     their cyclic value is exactly 3. One matching kernel on g serves the
     profile, the decomposition's tight cuts, the affine rank and the
-    sampled cut; it is freed on return. The paper's bounds are one table
+    sampled cut; it is freed on return. So is g's cut space, when this
+    call built it (the bridgeless check does); one the caller built stays
+    on g. The paper's bounds are one table
     in report order, each a numerator and a denominator; a row whose
     hypothesis holds is judged by the integer test count * den >= num
     for the count it bounds, and no Fraction is built. A failed avoiding
     bound carries its arg-min edge as its witness, and a failed cut
     identity its cut.
     """
+    # the bridgeless check builds the cut space, so ask first
+    owns_cut_space = "_cut_space" not in g.__dict__
     _require(g, "verify_graph", cubic=True, connected=True, bridgeless=True)
     n = g.vertex_count
     if not n:  # cubic, connected and bridgeless hold vacuously
@@ -845,6 +849,8 @@ def verify_graph(g: MultiGraph) -> BoundReport:
             "cut_identity_sampled", "identity", pm, 1, total, total == pm, witness
         )
     )
+    if owns_cut_space:
+        del g.__dict__["_cut_space"]
     return BoundReport(
         canonical_hex=canonical_form(g).hex(),
         n=n,

@@ -87,6 +87,15 @@ def test_analyze_reads_stdin_from_dash(petersen_file, capsys, monkeypatch):
     assert capsys.readouterr().out == expected
 
 
+def test_count_refuses_a_non_ascii_digit_on_stdin(capsys, monkeypatch):
+    # "0 \u0661" used to read as the edge (0, 1), and count printed 1
+    monkeypatch.setattr("sys.stdin", io.StringIO("2 1\n0 \u0661\n"))
+    assert main(["count", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: non-ASCII character (line 2, character 2)\n"
+
+
 def test_missing_file_exits_2_with_the_os_error(tmp_path, capsys):
     # it used to say "cannot open input file", in words of its own
     missing = tmp_path / "nosuchfile.el"
@@ -212,10 +221,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text, fmt",
-    [("4 -1\n", "edge_list"), ("C~~\n", "graph6"), ("C~?\n", "graph6")],
+    [
+        ("4 -1\n", "edge_list"),
+        ("C~~\n", "graph6"),
+        ("C~?\n", "graph6"),
+        ("+2 1\n0 1\n", "edge_list"),
+        ("1_1 1\n0 1\n", "edge_list"),
+    ],
 )
 def test_malformed_header_or_length_is_a_parse_error(tmp_path, capsys, text, fmt):
-    # each used to exit 0: "4 -1" printed 0, and both graph6 lines K4's 3
+    # each used to exit 0: "4 -1" printed 0, both graph6 lines K4's 3, and
+    # int() read "+2" as 2 and "1_1" as 11
     bad = tmp_path / "bad.txt"
     bad.write_text(text)
     assert main(["count", str(bad), "--format", fmt]) == 2

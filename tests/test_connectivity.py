@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 from itertools import combinations, permutations
 
 import pytest
@@ -220,6 +221,21 @@ class TestCyclicEdgeConnectivity:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             cyclic_edge_connectivity(MultiGraph(3, [(0, 1), (1, 2)]))
+
+    @pytest.mark.parametrize("k", ["banana", None, 4.5, True])
+    @pytest.mark.parametrize("graph", [k4, petersen])
+    def test_threshold_must_be_an_int(self, graph, k):
+        # on K4 each used to answer True; on Petersen "banana" and None
+        # raised TypeError
+        g = graph()
+        with pytest.raises(ValueError, match=f"^k must be an int, got {re.escape(repr(k))}$"):
+            cyclically_edge_connected_at_least(g, k)
+        # refused before any cut search
+        assert "_cut_space" not in g.__dict__
+
+    def test_graph_checks_come_before_the_threshold(self):
+        with pytest.raises(ValueError, match="requires minimum degree 3"):
+            cyclically_edge_connected_at_least(MultiGraph(3, [(0, 1), (1, 2)]), "banana")
 
     def test_agrees_with_bipartition_oracle(self):
         rnd = random.Random(31)

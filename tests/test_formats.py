@@ -12,6 +12,7 @@ from cubicmatch.formats import (
     SPARSE6,
     ParseError,
     _n_to_data,
+    _parse_edge_list,
     parse,
     parse_graph6,
     parse_sparse6,
@@ -78,12 +79,34 @@ class TestEdgeList:
             # a graph that MultiGraph refuses names its last line read
             ("2 1\n\n1 1\n\n", "loop edge", "graph ending at line 3"),
             ("2 0\n\n\n-1 0\n\n", "vertex_count", "graph ending at line 4"),
+            # int() reads "+1" as 1 and "1_0" as 10; a field is an optional
+            # '-' and ASCII digits
+            ("+1 0\n", "non-integer header fields", "line 1"),
+            ("2 1\n\n+0 1\n", "non-integer edge endpoints", "line 3"),
+            ("1_1 1\n0 1\n", "non-integer header fields", "line 1"),
+            ("2 1\n1_0 0\n", "non-integer edge endpoints", "line 2"),
+            ("2 1\n-0 --1\n", "non-integer edge endpoints", "line 2"),
+            ("2 1\n0 -\n", "non-integer edge endpoints", "line 2"),
         ],
     )
     def test_error_positions(self, text, message, position):
         with pytest.raises(ParseError, match=message) as err:
             list(parse(io.StringIO(text), EDGE_LIST))
         assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["\u0663 0"], "non-integer header fields"),
+            (["2 1", "0 \u0661"], "non-integer edge endpoints"),
+            (["2 1", "\uff10 1"], "non-integer edge endpoints"),
+        ],
+    )
+    def test_fields_are_ascii_digits(self, lines, message):
+        # the integer rule on its own: parse refuses a non-ASCII stream
+        # before the reader sees it, but int() reads each of these digits
+        with pytest.raises(ParseError, match=message):
+            list(_parse_edge_list(lines))
 
 
 class TestGraph6:
@@ -455,6 +478,46 @@ class TestFrontDoor:
         with pytest.raises(ParseError) as err:
             list(parse(str(p), EDGE_LIST))
         assert "byte 8" in str(err.value)
+
+    def test_files_and_streams_refuse_a_non_ascii_digit(self, tmp_path):
+        # a stream used to read "0 \u0661" as the edge (0, 1)
+        text = "2 1\n0 \u0661\n"
+        with pytest.raises(ParseError, match=r"^non-ASCII character \(line 2, character 2\)$"):
+            list(parse(io.StringIO(text), EDGE_LIST))
+        p = tmp_path / "g.el"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="non-ASCII byte") as err:
+            list(parse(p, EDGE_LIST))
+        assert err.value.position == f"{p}, byte 6"
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("\u0661", "line 1, character 0"),
+            ("\n\n  \u0661", "line 3, character 2"),
+            ("C~\r\n C\u0661", "line 2, character 2"),
+            ("C~\r\xe9", "line 2, character 0"),
+            # a line break outside ASCII is refused where it stands
+            ("C~\u2028C~", "line 1, character 2"),
+            ("C~\nC~\x85", "line 2, character 2"),
+        ],
+    )
+    def test_non_ascii_stream_reported_by_line_and_character(self, text, position):
+        for fmt in FORMATS:
+            with pytest.raises(ParseError, match="non-ASCII character") as err:
+                list(parse(io.StringIO(text), fmt))
+            assert err.value.position == position
+
+    def test_stream_refusal_is_the_line_readers_own(self):
+        # a line reader, given the line of a stream, names the character
+        # as parse does
+        for fmt, reader in ((GRAPH6, parse_graph6), (SPARSE6, parse_sparse6)):
+            good = write([k4()], fmt)
+            with pytest.raises(ParseError) as by_reader:
+                reader(" \u0661", where="line 3")
+            with pytest.raises(ParseError) as by_parse:
+                list(parse(io.StringIO(good * 2 + " \u0661\n"), fmt))
+            assert str(by_parse.value) == str(by_reader.value)
 
 
 class TestFuzz:

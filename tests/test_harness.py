@@ -1466,6 +1466,18 @@ class TestVerify:
             verify_graph(g)
             assert len(built) == 1 and built[0] is g
 
+    def test_verify_graph_drops_only_the_cut_space_it_built(self):
+        # a catalog graph verified once no longer holds every cut it had
+        # matched; a space built before the call is the caller's, and stays
+        fresh = petersen()
+        verify_graph(fresh)
+        assert "_cut_space" not in fresh.__dict__
+        held = random_bridgeless_cubic(12, random.Random(12))
+        cyclic_edge_connectivity(held)
+        space = held.__dict__["_cut_space"]
+        verify_graph(held)
+        assert held.__dict__["_cut_space"] is space
+
     def test_verify_graph_builds_one_forest_on_its_input(self, monkeypatch):
         # connectivity, the cut space, bipartiteness and the co-tree all
         # read the one spanning forest cached on the input
