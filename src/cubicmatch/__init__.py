@@ -39,7 +39,6 @@ from .harness import (
     bound_table,
     bridgeless_cubic_catalog,
     generate_catalog,
-    scarce_matching_graphs,
     verify_catalog,
     verify_graph,
 )

@@ -79,7 +79,6 @@ from .matching import (
     _Kernel,
     _matching_profile,
     _validate_constraints,
-    count_perfect_matchings,
     matching_profile,
 )
 from .multigraph import (
@@ -640,10 +639,14 @@ def generate_catalog(
     """Exhaustive isomorph-free catalog of order n in the requested class.
 
     simple_only drops graphs with parallel edges, for comparison with
-    published simple-graph census counts.
+    published simple-graph census counts. A klass that is not a name in
+    CATALOG_CLASSES, or a simple_only that is not a bool, raises
+    ValueError before any catalog is read.
     """
-    if klass not in _CLASS_TESTS:
+    if not isinstance(klass, str) or klass not in _CLASS_TESTS:
         raise ValueError(f"unknown catalog class {klass!r}")
+    if not isinstance(simple_only, bool):
+        raise ValueError(f"simple_only must be a bool, got {simple_only!r}")
     in_class = _CLASS_TESTS[klass]
     return [
         g for g in bridgeless_cubic_catalog(n)
@@ -866,14 +869,13 @@ def verify_graph(g: MultiGraph) -> BoundReport:
 def _worker_count(workers: int | None) -> int:
     """workers, or the CUBICMATCH_WORKERS environment variable (default 1)
     when it is None. Either must be an integer >= 1 (a passed bool is
-    not), or ValueError names the value."""
+    not), and the variable must be ASCII digits, which int() alone would
+    not check ("1_0", "+2", " 2 "); else ValueError names the value."""
     name, value = "workers", workers
     if workers is None:
         name, value = "CUBICMATCH_WORKERS", os.environ.get("CUBICMATCH_WORKERS", "1")
-        try:
+        if value.isascii() and value.isdigit():
             workers = int(value)
-        except ValueError:
-            pass
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     return workers
@@ -899,26 +901,6 @@ def verify_catalog(graphs: Iterable[MultiGraph], workers: int | None = None) -> 
     for i, r in enumerate(reports):
         r.index = i
     return reports
-
-
-def scarce_matching_graphs(max_n: int) -> list[tuple[int, str, int]]:
-    """Graphs in the catalogs up to max_n with at most n/2 + 1 perfect
-    matchings, reported as (n, canonical hex, pm count). Reported only:
-    the sweep cannot bound the full family. A max_n that reaches an order
-    past CATALOG_LIMIT is refused before any catalog is built."""
-    if not _is_int(max_n):
-        raise ValueError(f"catalog order must be an int, got {max_n!r}")
-    if max_n >= CATALOG_LIMIT + 2:
-        raise ValueError(
-            f"scarce_matching_graphs reads catalogs up to n = {CATALOG_LIMIT}, got max_n = {max_n}"
-        )
-    out = []
-    for n in range(2, max_n + 1, 2):
-        for g in bridgeless_cubic_catalog(n):
-            pm = count_perfect_matchings(g)
-            if pm <= n // 2 + 1:
-                out.append((n, canonical_form(g).hex(), pm))
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -163,7 +164,7 @@ def test_catalog_verify_12_keeps_its_reports(catalogs, capsys):
         "6afcb81d59a3c66062d4683d75126273a830c7a35ad322065d8aa2eada35d280"
     )
     assert hashlib.sha256(err.encode()).hexdigest() == (
-        "f70c5eb204b54f0f1331a15fee827784bdfc710fd35a68a4bee0a2107e7ca921"
+        "402c8dabbeb8b876f77624806fc7fd9ca1e7e20e59dd0f604b58089e809cd219"
     )
 
 
@@ -185,11 +186,97 @@ def test_catalog_verify_small_orders_keep_their_reports(catalogs, capsys, n, dig
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-def test_catalog_verify_help_says_what_the_scarce_line_counts(capsys):
-    assert main(["catalog", "verify", "--help"]) == 0
-    text = " ".join(capsys.readouterr().out.split())
-    assert "perfect matchings up to n=N' counts such graphs over every even order" in text
-    assert "it ignores --class and --simple-only" in text
+def summary_from_reports(out):
+    """The summary lines, recomputed from the JSONL reports with Fractions:
+    the least pm_count, then each bound tag's least slack, each at the
+    first index that attains it."""
+    reports = [json.loads(line) for line in out.splitlines()]
+    if not reports:
+        return []
+    least = min(r["pm_count"] for r in reports)
+    first = next(r["index"] for r in reports if r["pm_count"] == least)
+    lines = [f"least pm_count {least} at index {first}"]
+    slacks = {}
+    for r in reports:
+        for row in r["results"]:
+            if row["kind"] == "bound":
+                slacks.setdefault(row["tag"], []).append((r["index"], row["slack"]))
+    for tag, rows in slacks.items():
+        least = min(Fraction(text) for _, text in rows)
+        index, text = next((i, text) for i, text in rows if Fraction(text) == least)
+        lines.append(f"least slack {tag} {text} at index {index}")
+    return lines
+
+
+@pytest.mark.parametrize(
+    "options",
+    [[], ["--class", "bipartite"], ["--class", "cyclically_5ec"], ["--simple-only"]],
+)
+def test_catalog_verify_summary_is_read_off_the_reports(catalogs, capsys, options):
+    # the summary covers exactly the class verified, and each slack it
+    # prints is the slack string of the report it names
+    catalogs(12)
+    assert main(["catalog", "verify", "--n", "12", *options]) == 0
+    out, err = capsys.readouterr()
+    first, *summary = err.splitlines()
+    assert first.startswith(f"verified {len(out.splitlines())} graphs of order 12 in class ")
+    assert len(summary) > 1
+    assert summary == summary_from_reports(out)
+
+
+def test_catalog_verify_of_no_graphs_prints_no_summary(capsys):
+    # the one order-2 class, the theta graph, has parallel edges
+    assert main(["catalog", "verify", "--n", "2", "--simple-only"]) == 0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "verified 0 graphs of order 2 in class all_bridgeless_cubic: all bounds hold\n"
+
+
+def test_catalog_verify_summary_names_the_first_least_index(catalogs, capsys, monkeypatch):
+    real = verify_catalog
+    reports = real(catalogs(6), workers=1)
+    least = min(r.pm_count for r in reports)
+    first = next(r.index for r in reports if r.pm_count == least)
+    later = len(reports) - 1
+    assert later > first
+    tag = "pm_ge_n4_plus_2"
+    for count, named in ((least, first), (least - 1, later)):
+
+        def patched(graphs):
+            reports = real(graphs, workers=1)
+            bad = reports[later]
+            bad.pm_count = count
+            bad.results = [
+                r._replace(measured=-10) if r.tag == tag else r for r in bad.results
+            ]
+            return reports
+
+        monkeypatch.setattr("cubicmatch.cli.verify_catalog", patched)
+        assert main(["catalog", "verify", "--n", "6"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        # a tie keeps the first index, a lower count moves it
+        assert err[1] == f"least pm_count {count} at index {named}"
+        # the row keeps its verdict, so the run exits 0; its slack is
+        # -10 - (6 + 8)/4
+        assert err[2] == f"least slack {tag} -27/2 at index {later}"
+
+
+def test_catalog_verify_summary_shows_the_exempt_graph(catalogs, capsys):
+    # the exceptional graph has n/2 = 6 perfect matchings, one short of
+    # n/2 + 1, and is exempt from that bound: its slack is -1 on a
+    # satisfied row, and the run still holds
+    catalogs(12)
+    assert main(["catalog", "verify", "--n", "12"]) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out.splitlines()[12])
+    assert report["invariants"]["exceptional"] is True
+    row = next(r for r in report["results"]
+               if r["tag"] == "pm_ge_n2_plus_1_unless_exceptional")
+    assert row["satisfied"] is True and row["slack"] == "-1"
+    lines = err.splitlines()
+    assert lines[0].endswith(": all bounds hold")
+    assert "least slack pm_ge_n2_plus_1_unless_exceptional -1 at index 12" in lines
+    assert not any("violation" in line or "fail" in line.lower() for line in lines)
 
 
 def test_catalog_verify_14_keeps_its_reports(capsys):

@@ -30,7 +30,6 @@ from cubicmatch.harness import (
     bridgeless_cubic_catalog,
     exceptional_canonical,
     generate_catalog,
-    scarce_matching_graphs,
     verify_catalog,
     verify_graph,
 )
@@ -147,6 +146,27 @@ class TestCatalog:
             generate_catalog(7)
         with pytest.raises(ValueError):
             generate_catalog(16)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"simple_only": "no"}, "simple_only must be a bool, got 'no'"),
+            ({"simple_only": 1}, "simple_only must be a bool, got 1"),
+            ({"simple_only": None}, "simple_only must be a bool, got None"),
+            ({"klass": ["bipartite"]}, "unknown catalog class ['bipartite']"),
+            ({"klass": None}, "unknown catalog class None"),
+        ],
+    )
+    def test_bad_options_refused_before_any_catalog(self, monkeypatch, options, message):
+        # "no" is truthy and returned the simple classes; a list raised
+        # TypeError: unhashable type
+        def fail(n):
+            raise AssertionError(f"catalog {n} built")
+
+        monkeypatch.setattr(harness, "bridgeless_cubic_catalog", fail)
+        with pytest.raises(ValueError) as excinfo:
+            generate_catalog(8, **options)
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("n", [6.0, True, "6", None])
@@ -1407,7 +1427,9 @@ class TestVerify:
             verify_catalog(catalogs(4), workers=workers)
         assert str(excinfo.value) == f"workers must be an integer >= 1, got {workers!r}"
 
-    @pytest.mark.parametrize("value", ["0", "-3", "2.5", "two", "", "True"])
+    @pytest.mark.parametrize(
+        "value", ["0", "-3", "2.5", "two", "", "True", "1_0", "+2", " 2 ", "\u0662"]
+    )
     def test_verify_catalog_rejects_bad_workers_variable(self, catalogs, monkeypatch, value):
         monkeypatch.setenv("CUBICMATCH_WORKERS", value)
         with pytest.raises(ValueError) as excinfo:
@@ -1743,42 +1765,6 @@ def test_precondition_messages(fn, g, message):
     with pytest.raises(ValueError) as err:
         fn(g)
     assert str(err.value) == message
-
-
-class TestScarceReport:
-    def test_exceptional_is_reported(self, catalogs):
-        for n in (2, 4, 6):
-            catalogs(n)
-        rows = scarce_matching_graphs(6)
-        # reported, never asserted to be a specific count
-        assert all(pm <= n // 2 + 1 for n, _, pm in rows)
-
-
-    @pytest.mark.parametrize("n", [6.0, True, "6"])
-    def test_non_int_order_rejected(self, n):
-        # 6.0 raised TypeError from range(), and True returned []
-        with pytest.raises(ValueError, match="must be an int"):
-            scarce_matching_graphs(n)
-
-    @pytest.mark.parametrize("max_n", [16, 101])
-    def test_order_past_the_catalogs_refused_before_any_catalog(self, monkeypatch, max_n):
-        # it built and counted every catalog up to n = 14 before the n = 16
-        # catalog refused
-        def fail(n):
-            raise AssertionError(f"catalog {n} built")
-
-        monkeypatch.setattr(harness, "bridgeless_cubic_catalog", fail)
-        with pytest.raises(ValueError, match="scarce_matching_graphs reads catalogs up to n = 14"):
-            scarce_matching_graphs(max_n)
-
-    def test_last_orders_read_every_catalog(self):
-        # 15 reads the orders up to 14, as 14 does
-        rows = scarce_matching_graphs(14)
-        assert scarce_matching_graphs(15) == rows
-        assert len(rows) == 15
-        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-        assert digest == "3984d689bee6810f7a1038cbe184b2a8a8c96070e5e5e0ca8b42ebc98069c1c1"
-        assert scarce_matching_graphs(1) == scarce_matching_graphs(-4) == []
 
 
 class TestCompanion:
